@@ -1,35 +1,12 @@
-"""Build script: compiles the coordinate-descent kernel when Cython is available.
+"""Build script: the package is pure Python; pyproject.toml holds its metadata.
 
-The package works without the extension (a NumPy fallback is selected at
-import time), so a failed compilation is not fatal for pure-Python installs.
+package_dir and entry_points are duplicated here so the console script
+survives older setuptools versions that do not read them from pyproject.toml.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "hdvar._cd_kernel",
-                ["src/hdvar/_cd_kernel.pyx"],
-                include_dirs=[numpy.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    pass
-
-# package_dir and entry_points are duplicated here so in-place extension
-# builds and the console script survive older setuptools versions that do
-# not read them from pyproject.toml
 setup(
     package_dir={"": "src"},
-    ext_modules=ext_modules,
     entry_points={"console_scripts": ["hdvar = hdvar.cli:entry_point"]},
 )

@@ -7,7 +7,6 @@ Submodules: linalg (dense kernels), var (models and simulation), solver
 
 from .estimators import SparsityInfo, SystemFit, fit_system
 from .mc import ExperimentSpec, make_dgp, run_experiment
-from .solver import cd_backend
 from .var import Dataset, VarModel, simulate, stack
 
 __version__ = "0.1.0"
@@ -18,7 +17,6 @@ __all__ = [
     "SparsityInfo",
     "SystemFit",
     "VarModel",
-    "cd_backend",
     "fit_system",
     "make_dgp",
     "run_experiment",

@@ -211,9 +211,10 @@ def _fit_with_override(data, tag, truth, lam):
             with np.errstate(divide="ignore"):
                 w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
             if not np.isfinite(w).any():
-                beta = np.zeros(problem.m)
+                beta, converged = np.zeros(problem.m), True
             else:
-                beta = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam=lam, weights=w)).beta
+                res = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam=lam, weights=w))
+                beta, converged = res.beta, res.converged
             fit_i = estimators.EquationFit(
                 beta=beta,
                 active_set=np.flatnonzero(beta),
@@ -222,6 +223,7 @@ def _fit_with_override(data, tag, truth, lam):
                 bic_value=np.nan,
                 df=float(np.count_nonzero(beta)),
                 rss=float(np.sum((problem.ys[i] - problem.X @ beta) ** 2)),
+                converged=converged,
             )
         fits.append(fit_i)
     coef = np.vstack([f.beta for f in fits])
@@ -276,10 +278,12 @@ def cmd_diag(args) -> int:
     st = var.sigma_t(model)
     lam_t = theory.lambda_theorem1(T, k, p, st)
     gamma = var.population_gamma(model)
-    kappa_sbar_sq = theory.restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))
-    kappa_sq = np.array(
-        [theory.restricted_eigenvalue(gamma, max(int(s), 1)) for s in truth.s]
-    )
+    # kappa^2(r) is deterministic in (gamma, r): evaluate each distinct r once
+    ranks = [max(int(s), 1) for s in truth.s]
+    sbar_rank = max(int(truth.s_bar), 1)
+    kappa_by_rank = {r: theory.restricted_eigenvalue(gamma, r) for r in sorted({sbar_rank, *ranks})}
+    kappa_sbar_sq = kappa_by_rank[sbar_rank]
+    kappa_sq = np.array([kappa_by_rank[r] for r in ranks])
     fnorm = theory.f_norm_sum(model, T=T)
     zeta_sbar = theory.zeta(params.q, kappa_sbar_sq, fnorm)
     bounds = {
@@ -287,7 +291,7 @@ def cmd_diag(args) -> int:
         "k_t": theory.k_t(T, k, p, st),
         "sigma_t": st,
         "thm1_probability": theory.thm1_probability(T, k, p, params.a_const),
-        "pi_q_sbar": theory.pi_q(max(int(truth.s_bar), 1), k, p, T, zeta_sbar),
+        "pi_q_sbar": theory.pi_q(sbar_rank, k, p, T, zeta_sbar),
         "f_norm_sum": fnorm,
         "kappa_sbar_sq": kappa_sbar_sq,
         "thm3": [

@@ -8,9 +8,12 @@ replication order, so reports are bit-identical for any number of workers.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import json
 import math
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +45,9 @@ EXPERIMENT_GRID = {
 }
 
 NOISE_VARIANCE = 0.01
+
+# BLAS libraries read these once, when they load
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def make_dgp(experiment: str, k: int):
@@ -188,6 +194,31 @@ def _run_replication(spec: ExperimentSpec, model, truth, r: int, kappa_sbar_sq):
     return out
 
 
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """Process pool whose workers start with single-threaded BLAS.
+
+    Workers are spawned, not forked, so they load BLAS afresh instead of
+    inheriting the parent's thread pool; with several workers each running a
+    multi-threaded BLAS the tiny per-equation solves oversubscribe the cores.
+    The thread variables are set for the pool's lifetime (workers start on
+    demand) and the parent's environment is restored afterwards.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(saved, "1"))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
     """Run all replications and aggregate the six metrics per estimator.
 
@@ -203,7 +234,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
         kappa_sbar_sq = theory.restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))
     reps = range(spec.n_reps)
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with _worker_pool(threads) as pool:
             results = list(
                 pool.map(
                     _run_replication,

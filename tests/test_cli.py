@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 
@@ -77,6 +78,14 @@ class TestFit:
         assert code == 0
         fit = estimators.load_system_fit(str(out / "fit_lasso.json"))
         assert np.all(fit.coefficients == 0.0)
+
+    @pytest.mark.parametrize("tag", ["lasso", "adaptive_lasso_lasso"])
+    def test_lambda_override_reports_nonconvergence(self, dataset_dir, monkeypatch, tag):
+        data = var.load_dataset(str(dataset_dir))
+        assert all(f.converged for f in cli._fit_with_override(data, tag, None, 1e-4).fits)
+        monkeypatch.setattr(cli, "lasso_cd", functools.partial(cli.lasso_cd, max_iter=1))
+        fit = cli._fit_with_override(data, tag, None, 1e-4)
+        assert not all(f.converged for f in fit.fits)
 
     def test_oracle_without_truth_is_config_error(self, dataset_dir):
         code = run(["fit", "--data", str(dataset_dir), "--estimators", "oracle_ols", "--out", str(dataset_dir)])
@@ -241,6 +250,28 @@ class TestDiag:
         assert payload["bounds"]["pi_q_sbar"] == pytest.approx(
             theory.pi_q(1, 10, 1, 100, z), rel=1e-9
         )
+
+    def test_restricted_eigenvalue_once_per_distinct_rank(self, tmp_path, monkeypatch):
+        from hdvar import mc, theory
+
+        argv = ["diag", "--experiment", "A", "--k", "10", "--T", "60", "--reps", "1", "--skip-foc"]
+        original = theory.restricted_eigenvalue
+        ranks = []
+
+        def counting(gamma, r, **kw):
+            ranks.append(r)
+            return original(gamma, r, **kw)
+
+        monkeypatch.setattr(theory, "restricted_eigenvalue", counting)
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        assert ranks == [1]  # s_bar and all ten s_i equal 1 in design A
+        # the reused value is what a fresh evaluation for each equation gives
+        model, _ = mc.make_dgp("A", 10)
+        fresh = original(var.population_gamma(model), 1)
+        bounds = json.loads((tmp_path / "diagnostics.json").read_text())["bounds"]
+        assert bounds["kappa_sbar_sq"] == fresh
+        pred, est = theory.thm3_bounds(1, bounds["lambda_t"], fresh, 0.5)
+        assert bounds["thm3"] == [{"pred_bound": pred, "est_bound": est}] * 10
 
     def test_diag_without_innovations_exit_5(self, tmp_path):
         run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--out", str(tmp_path)])

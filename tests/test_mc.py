@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ class TestRunExperiment:
         seq = mc.run_experiment(spec, threads=1)
         par = mc.run_experiment(spec, threads=3)
         assert dataclasses.asdict(seq.rows["lasso"]) == dataclasses.asdict(par.rows["lasso"])
+
+    def test_workers_start_with_single_threaded_blas(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        with mc._worker_pool(1) as pool:
+            seen = pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result(timeout=60)
+            assert pool.submit(os.getenv, "OMP_NUM_THREADS").result(timeout=60) == "1"
+        assert seen == "1"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_full_ols_infeasible_at_small_t(self):
         spec = mc.ExperimentSpec("A", 50, 50, n_reps=1, estimators=("full_ols",))

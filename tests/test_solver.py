@@ -211,6 +211,47 @@ class TestLassoPath:
         assert frac >= 0.95
 
 
+def experiment_problem(experiment, k, T, seed=0):
+    from hdvar import mc, var
+
+    model, _ = mc.make_dgp(experiment, k)
+    return var.stack(var.simulate(model, T, seed=seed))
+
+
+class TestGramForm:
+    """The solver works on X'X/T and X'y/T; its reports must hold in terms of X."""
+
+    @pytest.mark.parametrize("experiment,k,T", [("A", 10, 500), ("C", 10, 100), ("B", 10, 50)])
+    def test_reported_kkt_matches_residual_form_on_paths(self, experiment, k, T):
+        prob = experiment_problem(experiment, k, T)
+        for lam, res in lasso_path(prob.X, prob.ys[0]):
+            direct = kkt_check(prob.X, prob.ys[0], res.beta, PenaltySpec(lam))
+            assert abs(res.max_kkt_violation - direct) <= 1e-12
+
+    def test_more_regressors_than_observations(self):
+        prob = experiment_problem("C", 10, 40)  # m = 50 > T = 40
+        assert prob.m > prob.T
+        path = lasso_path(prob.X, prob.ys[0], n_lambda=20, ratio=0.02)
+        assert max(np.count_nonzero(res.beta) for _, res in path) > 20
+        for lam, res in path:
+            assert res.converged
+            assert kkt_check(prob.X, prob.ys[0], res.beta, PenaltySpec(lam)) <= 1e-7
+
+    def test_warm_start_cannot_free_pinned_coordinates(self):
+        rng = rng_for(2)
+        X = rng.standard_normal((30, 4))
+        X[:, 1] = 0.0
+        y = rng.standard_normal(30)
+        pen = PenaltySpec(0.01, weights=np.array([1.0, 1.0, np.inf, 1.0]))
+        res = lasso_cd(X, y, pen, warm_start=np.full(4, 0.5), tol=1e-10)
+        assert res.beta[1] == 0.0  # zero column
+        assert res.beta[2] == 0.0  # infinite weight
+        assert res.converged
+        assert kkt_check(X, y, res.beta, pen) <= 1e-10 + 1e-12
+        cold = lasso_cd(X, y, pen, tol=1e-10)
+        assert np.abs(res.beta - cold.beta).max() <= 1e-8
+
+
 class TestRidge:
     def test_penalty_dominated_limit(self):
         X, y = random_instance(15, T=30, m=5)
