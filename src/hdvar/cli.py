@@ -19,7 +19,6 @@ import numpy as np
 
 from . import estimators, mc, theory, var
 from .errors import ConfigError, HdvarError, MissingInnovations, NotStationary, UnknownCombination
-from .solver import PenaltySpec, lasso_cd
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,68 +165,22 @@ def cmd_fit(args) -> int:
         model, truth = _load_model(args)
         if truth.beta.shape != (data.k, data.k * data.p):
             raise ConfigError("truth dimensions do not match the dataset")
+    if args.lam is not None:
+        if not args.lam >= 0:
+            raise ConfigError("--lambda must be a nonnegative number")
+        for tag in tags:
+            if tag not in estimators.PENALIZED_TAGS:
+                raise ConfigError(f"--lambda does not apply to {tag}")
+    fits = estimators.fit_menu(data, tags, truth=truth, lam=args.lam)
     os.makedirs(args.out, exist_ok=True)
-    infeasible = False
-    for tag in tags:
-        fit = _fit_with_override(data, tag, truth, args.lam)
+    for tag, fit in fits.items():
         path = os.path.join(args.out, f"fit_{tag}.json")
         estimators.save_system_fit(fit, path)
         sizes = ",".join(str(len(f.active_set)) for f in fit.fits)
         lams = ",".join(f"{f.lambda_selected:.6g}" for f in fit.fits)
-        print(f"{tag}: active sizes [{sizes}] lambda [{lams}] -> {path}")
-        if not fit.feasible:
-            infeasible = True
-    return EXIT_ESTIMATOR if infeasible else EXIT_OK
-
-
-def _fit_with_override(data, tag, truth, lam):
-    if lam is None:
-        return estimators.fit_system(data, tag, truth=truth)
-    problem = estimators.stack_cached(data)
-    if tag not in ("lasso", "post_lasso", "adaptive_lasso_lasso", "adaptive_lasso_ridge"):
-        raise ConfigError(f"--lambda does not apply to {tag}")
-    fits = []
-    for i in range(problem.k):
-        if tag in ("lasso", "post_lasso"):
-            res = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam=lam))
-            base = estimators.EquationFit(
-                beta=res.beta,
-                active_set=np.flatnonzero(res.beta),
-                lambda_selected=lam,
-                estimator_tag=tag,
-                bic_value=np.nan,
-                df=float(np.count_nonzero(res.beta)),
-                rss=float(np.sum((problem.ys[i] - problem.X @ res.beta) ** 2)),
-                converged=res.converged,
-            )
-            fit_i = base if tag == "lasso" else estimators.fit_post_lasso(problem, i, lasso_fit=base)
-        else:
-            init = "lasso" if tag.endswith("_lasso") else "ridge"
-            stage1 = (
-                estimators.fit_lasso_bic(problem, i).beta
-                if init == "lasso"
-                else estimators.fit_ridge_bic(problem, i, 100, 1e-4)[0]
-            )
-            with np.errstate(divide="ignore"):
-                w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
-            if not np.isfinite(w).any():
-                beta, converged = np.zeros(problem.m), True
-            else:
-                res = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam=lam, weights=w))
-                beta, converged = res.beta, res.converged
-            fit_i = estimators.EquationFit(
-                beta=beta,
-                active_set=np.flatnonzero(beta),
-                lambda_selected=lam,
-                estimator_tag=tag,
-                bic_value=np.nan,
-                df=float(np.count_nonzero(beta)),
-                rss=float(np.sum((problem.ys[i] - problem.X @ beta) ** 2)),
-                converged=converged,
-            )
-        fits.append(fit_i)
-    coef = np.vstack([f.beta for f in fits])
-    return estimators.SystemFit(estimator_tag=tag, fits=tuple(fits), coefficients=coef, k=problem.k, p=problem.p)
+        nonconverged = sum(not f.converged for f in fit.fits)
+        print(f"{tag}: active sizes [{sizes}] lambda [{lams}] nonconverged {nonconverged}/{fit.k} -> {path}")
+    return EXIT_OK if all(fit.feasible for fit in fits.values()) else EXIT_ESTIMATOR
 
 
 def cmd_mc(args) -> int:
@@ -302,7 +255,8 @@ def cmd_diag(args) -> int:
     bounds["system_bound"] = theory.system_bound([b["est_bound"] for b in bounds["thm3"]])
     replications = []
     for idx, data in enumerate(datasets):
-        problem = var.stack(data)
+        plan = estimators.FitPlan(data)
+        problem = plan.problem
         flags = theory.event_flags(data, model, truth, params, lambda_t=lam_t, kappa_sbar_sq=kappa_sbar_sq)
         entry = {
             "replication": idx,
@@ -317,14 +271,12 @@ def cmd_diag(args) -> int:
             "iq_checks": [],
         }
         for i in range(k):
-            res = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam=lam_t))
-            entry["iq_checks"].append(theory.thm1_rhs_check(problem, i, res.beta, truth, lam_t))
+            entry["iq_checks"].append(theory.thm1_rhs_check(problem, i, plan.lasso(i, lam_t).beta, truth, lam_t))
         if not args.skip_foc:
             entry["foc"] = []
             for i in range(k):
-                stage1 = estimators.fit_lasso_bic(problem, i).beta
                 rep = theory.sign_recovery_conditions(
-                    problem, i, stage1, lam_t, truth, params, gamma=gamma, sigma_t_value=st
+                    problem, i, plan.lasso(i).beta, lam_t, truth, params, gamma=gamma, sigma_t_value=st
                 )
                 entry["foc"].append({k2: _json_safe(v) for k2, v in rep.items()})
         replications.append(entry)

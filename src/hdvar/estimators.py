@@ -1,4 +1,4 @@
-"""Equation-by-equation estimation pipelines and BIC penalty selection.
+"""Equation-by-equation estimation through one per-dataset plan, with BIC penalty selection.
 
 Estimator tags: lasso, post_lasso, adaptive_lasso_lasso, adaptive_lasso_ridge,
 oracle_ols, full_ols.  Infeasible combinations (e.g. full OLS with more
@@ -8,6 +8,7 @@ exceptions, so reports carry blank cells instead of aborting the run.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -16,10 +17,11 @@ import numpy as np
 from . import var
 from .errors import SingularDesign
 from .linalg import least_squares
-from .solver import lambda_max, lasso_path, ridge
+from .solver import PenaltySpec, SolverResult, lambda_max, lasso_cd, lasso_path, ridge_path
 
 __all__ = [
     "ESTIMATOR_TAGS",
+    "PENALIZED_TAGS",
     "SparsityInfo",
     "EquationFit",
     "SystemFit",
@@ -30,7 +32,8 @@ __all__ = [
     "fit_ridge_bic",
     "fit_oracle_ols",
     "fit_full_ols",
-    "fit_equation",
+    "FitPlan",
+    "fit_menu",
     "fit_system",
     "system_fit_to_dict",
     "system_fit_from_dict",
@@ -46,6 +49,8 @@ ESTIMATOR_TAGS = (
     "oracle_ols",
     "full_ols",
 )
+# the tags whose final stage is a penalized fit, and so takes a fixed lambda
+PENALIZED_TAGS = ESTIMATOR_TAGS[:4]
 
 
 @dataclass(frozen=True)
@@ -133,16 +138,6 @@ def _rss(problem: var.RegressionProblem, i: int, beta: np.ndarray) -> float:
     return float(r @ r)
 
 
-def _select_by_bic(problem, i, path, T):
-    """Grid argmin of BIC with df = active-set size; ties resolve to larger lambda."""
-    values = []
-    for lam, res in path:
-        rss = _rss(problem, i, res.beta)
-        values.append((bic(rss, float(len(_active_set(res.beta))), T), rss, lam, res))
-    best = min(range(len(values)), key=lambda idx: values[idx][0])  # first onset = largest lambda
-    return values[best]
-
-
 def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -> EquationFit:
     m = problem.m
     T = problem.T
@@ -162,6 +157,134 @@ def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -
     )
 
 
+def _l1_fit(
+    problem: var.RegressionProblem,
+    i: int,
+    tag: str,
+    weights: np.ndarray | None = None,
+    lam: float | None = None,
+    n_lambda: int = 100,
+    ratio: float = 1e-4,
+    tol: float = 1e-7,
+    max_iter: int = 1000,
+) -> EquationFit:
+    """The penalized stage every L1 estimator ends in: weighted LASSO fits, then BIC.
+
+    Without ``lam`` the candidates are the warm-started ``lasso_path`` grid; a
+    fixed ``lam`` is a one-point grid, solved as given from a cold start.
+    BIC's df is the active-set size and ties resolve to the larger lambda.
+    """
+    X, y = problem.X, problem.ys[i]
+    if weights is not None and not np.isfinite(weights).any():
+        # empty first stage: every coordinate is excluded, nothing to refit
+        zero = SolverResult(beta=np.zeros(problem.m), iterations=0, max_kkt_violation=0.0, converged=True)
+        path = [(0.0 if lam is None else float(lam), zero)]
+    elif lam is None:
+        path = lasso_path(X, y, weights=weights, n_lambda=n_lambda, ratio=ratio, tol=tol, max_iter=max_iter)
+    else:
+        path = [(float(lam), lasso_cd(X, y, PenaltySpec(lam=lam, weights=weights), tol=tol, max_iter=max_iter))]
+    values = []
+    for grid_lam, res in path:
+        rss = _rss(problem, i, res.beta)
+        values.append((bic(rss, float(len(_active_set(res.beta))), problem.T), rss, grid_lam, res))
+    bval, rss, lam_selected, res = min(values, key=lambda v: v[0])  # first minimum = largest lambda
+    active = _active_set(res.beta)
+    return EquationFit(
+        beta=res.beta,
+        active_set=active,
+        lambda_selected=lam_selected,
+        estimator_tag=tag,
+        bic_value=bval,
+        df=float(len(active)),
+        rss=rss,
+        converged=res.converged,
+    )
+
+
+def _adaptive_weights(stage1: np.ndarray) -> np.ndarray:
+    """1/|first-stage coefficient|; coordinates the first stage zeroed are excluded."""
+    with np.errstate(divide="ignore"):
+        return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
+
+
+class FitPlan:
+    """Every estimator on one dataset, with each shared stage run once.
+
+    The data are stacked once.  Per equation, the BIC-tuned LASSO runs once
+    and feeds ``lasso``, ``post_lasso`` and the first stage of
+    ``adaptive_lasso_lasso``; the ridge first stage of ``adaptive_lasso_ridge``
+    comes, for every equation, from one eigendecomposition of X'X.  Each
+    first stage goes through the same path -> BIC tail as the LASSO itself.
+    ``fit(tag, lam)`` fixes the penalty of the final penalized stage only:
+    first stages stay BIC-tuned.
+    """
+
+    def __init__(
+        self,
+        data,
+        truth: SparsityInfo | None = None,
+        n_lambda: int = 100,
+        ratio: float = 1e-4,
+        tol: float = 1e-7,
+        max_iter: int = 1000,
+    ):
+        self.problem = data if isinstance(data, var.RegressionProblem) else var.stack(data)
+        self.truth = truth
+        self.opts = {"n_lambda": n_lambda, "ratio": ratio, "tol": tol, "max_iter": max_iter}
+        self._lasso = {}  # (equation, fixed lambda or None) -> LASSO fit
+        self._ridge = {}  # equation -> (coefficients, lambda)
+
+    @functools.cached_property
+    def _gram_eig(self) -> tuple:
+        X = self.problem.X
+        return np.linalg.eigh(X.T @ X)
+
+    def lasso(self, i: int, lam: float | None = None) -> EquationFit:
+        """LASSO fit of equation i, BIC-tuned or at the fixed ``lam``."""
+        if (i, lam) not in self._lasso:
+            self._lasso[i, lam] = _l1_fit(self.problem, i, "lasso", lam=lam, **self.opts)
+        return self._lasso[i, lam]
+
+    def ridge_bic(self, i: int) -> tuple:
+        """(coefficients, lambda) of the ridge first stage of equation i.
+
+        BIC runs over the LASSO grid scaled by T, with df from the trace formula.
+        """
+        if i not in self._ridge:
+            X, y, T = self.problem.X, self.problem.ys[i], self.problem.T
+            lmax = lambda_max(X, y) or 1.0  # a zero response has lambda_max 0
+            grid = T * lmax * np.logspace(0.0, np.log10(self.opts["ratio"]), self.opts["n_lambda"])
+            B, df = ridge_path(X, y, grid, eig=self._gram_eig)
+            R = y[:, None] - X @ B
+            best = int(np.argmin([bic(float(r @ r), float(d), T) for r, d in zip(R.T, df)]))  # first = largest lambda
+            self._ridge[i] = (B[:, best], float(grid[best]))
+        return self._ridge[i]
+
+    def equation(self, tag: str, i: int, lam: float | None = None) -> EquationFit:
+        if lam is not None and tag not in PENALIZED_TAGS:
+            raise ValueError(f"a fixed lambda does not apply to {tag}")
+        if tag == "lasso":
+            return self.lasso(i, lam)
+        if tag == "post_lasso":
+            return fit_post_lasso(self.problem, i, lasso_fit=self.lasso(i, lam))
+        if tag in ("adaptive_lasso_lasso", "adaptive_lasso_ridge"):
+            stage1 = self.lasso(i).beta if tag == "adaptive_lasso_lasso" else self.ridge_bic(i)[0]
+            return _l1_fit(self.problem, i, tag, weights=_adaptive_weights(stage1), lam=lam, **self.opts)
+        if tag == "oracle_ols":
+            if self.truth is None:
+                raise ValueError("oracle_ols requires the true sparsity structure")
+            return fit_oracle_ols(self.problem, i, self.truth)
+        if tag == "full_ols":
+            return fit_full_ols(self.problem, i)
+        raise ValueError(f"unknown estimator tag: {tag}")
+
+    def fit(self, tag: str, lam: float | None = None) -> SystemFit:
+        """All k equations under one estimator tag."""
+        fits = tuple(self.equation(tag, i, lam) for i in range(self.problem.k))
+        coef = np.vstack([f.beta for f in fits])
+        return SystemFit(estimator_tag=tag, fits=fits, coefficients=coef, k=self.problem.k, p=self.problem.p)
+
+
 def fit_lasso_bic(
     problem: var.RegressionProblem,
     i: int,
@@ -171,23 +294,12 @@ def fit_lasso_bic(
     max_iter: int = 1000,
 ) -> EquationFit:
     """LASSO with the penalty chosen by BIC over a log-spaced grid."""
-    path = lasso_path(problem.X, problem.ys[i], n_lambda=n_lambda, ratio=ratio, tol=tol, max_iter=max_iter)
-    bval, rss, lam, res = _select_by_bic(problem, i, path, problem.T)
-    active = _active_set(res.beta)
-    return EquationFit(
-        beta=res.beta,
-        active_set=active,
-        lambda_selected=lam,
-        estimator_tag="lasso",
-        bic_value=bval,
-        df=float(len(active)),
-        rss=rss,
-        converged=res.converged,
-    )
+    return _l1_fit(problem, i, "lasso", n_lambda=n_lambda, ratio=ratio, tol=tol, max_iter=max_iter)
 
 
 def fit_post_lasso(problem: var.RegressionProblem, i: int, lasso_fit: EquationFit | None = None, **opts) -> EquationFit:
-    """Least squares refit on the LASSO active set (zeros elsewhere)."""
+    """Least squares refit on the LASSO active set (zeros elsewhere); it carries
+    the LASSO fit's penalty level and convergence flag."""
     if lasso_fit is None:
         lasso_fit = fit_lasso_bic(problem, i, **opts)
     active = lasso_fit.active_set
@@ -198,77 +310,25 @@ def fit_post_lasso(problem: var.RegressionProblem, i: int, lasso_fit: EquationFi
     except SingularDesign:
         return EquationFit.infeasible(problem.m, "post_lasso", "singular_design")
     fit.lambda_selected = lasso_fit.lambda_selected
+    fit.converged = lasso_fit.converged
     return fit
 
 
 def fit_ridge_bic(problem: var.RegressionProblem, i: int, n_lambda: int, ratio: float):
-    """Ridge first-stage: BIC over the lasso grid scaled by T, df from the trace formula."""
-    X, y, T = problem.X, problem.ys[i], problem.T
-    lmax = lambda_max(X, y)
-    if lmax == 0.0:
-        lmax = 1.0
-    grid = T * lmax * np.logspace(0.0, np.log10(ratio), n_lambda)
-    best = None
-    for lam in grid:
-        beta, df = ridge(X, y, float(lam))
-        r = y - X @ beta
-        val = bic(float(r @ r), df, T)
-        if best is None or val < best[0]:
-            best = (val, float(lam), beta)
-    return best[2], best[1]
+    """Ridge first stage of equation i: (coefficients, BIC-selected lambda)."""
+    return FitPlan(problem, n_lambda=n_lambda, ratio=ratio).ridge_bic(i)
 
 
-def fit_adaptive_lasso(
-    problem: var.RegressionProblem,
-    i: int,
-    init: str = "lasso",
-    n_lambda: int = 100,
-    ratio: float = 1e-4,
-    tol: float = 1e-7,
-    max_iter: int = 1000,
-) -> EquationFit:
+def fit_adaptive_lasso(problem: var.RegressionProblem, i: int, init: str = "lasso", **opts) -> EquationFit:
     """Two-stage weighted LASSO with weights 1/|first-stage coefficient|.
 
     Coordinates zeroed by the first stage get infinite weight (hard exclusion);
     the stage-two grid is recomputed from the weighted lambda_max and the
-    penalty is again chosen by BIC.
+    penalty is again chosen by BIC.  An empty first stage gives the zero fit.
     """
-    tag = f"adaptive_lasso_{init}"
-    if init == "lasso":
-        first = fit_lasso_bic(problem, i, n_lambda=n_lambda, ratio=ratio, tol=tol, max_iter=max_iter)
-        stage1 = first.beta
-    elif init == "ridge":
-        stage1, _ = fit_ridge_bic(problem, i, n_lambda, ratio)
-    else:
+    if init not in ("lasso", "ridge"):
         raise ValueError(f"unknown first-stage estimator: {init}")
-    with np.errstate(divide="ignore"):
-        weights = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
-    if not np.isfinite(weights).any():
-        # empty first stage: nothing to refit
-        return EquationFit(
-            beta=np.zeros(problem.m),
-            active_set=np.array([], dtype=np.intp),
-            lambda_selected=0.0,
-            estimator_tag=tag,
-            bic_value=bic(_rss(problem, i, np.zeros(problem.m)), 0.0, problem.T),
-            df=0.0,
-            rss=_rss(problem, i, np.zeros(problem.m)),
-        )
-    path = lasso_path(
-        problem.X, problem.ys[i], weights=weights, n_lambda=n_lambda, ratio=ratio, tol=tol, max_iter=max_iter
-    )
-    bval, rss, lam, res = _select_by_bic(problem, i, path, problem.T)
-    active = _active_set(res.beta)
-    return EquationFit(
-        beta=res.beta,
-        active_set=active,
-        lambda_selected=lam,
-        estimator_tag=tag,
-        bic_value=bval,
-        df=float(len(active)),
-        rss=rss,
-        converged=res.converged,
-    )
+    return FitPlan(problem, **opts).equation(f"adaptive_lasso_{init}", i)
 
 
 def fit_oracle_ols(problem: var.RegressionProblem, i: int, truth: SparsityInfo) -> EquationFit:
@@ -292,39 +352,15 @@ def fit_full_ols(problem: var.RegressionProblem, i: int) -> EquationFit:
         return EquationFit.infeasible(problem.m, "full_ols", "singular_design")
 
 
-def fit_equation(problem, i, tag, truth=None, **opts) -> EquationFit:
-    if tag == "lasso":
-        return fit_lasso_bic(problem, i, **opts)
-    if tag == "post_lasso":
-        return fit_post_lasso(problem, i, **opts)
-    if tag == "adaptive_lasso_lasso":
-        return fit_adaptive_lasso(problem, i, init="lasso", **opts)
-    if tag == "adaptive_lasso_ridge":
-        return fit_adaptive_lasso(problem, i, init="ridge", **opts)
-    if tag == "oracle_ols":
-        if truth is None:
-            raise ValueError("oracle_ols requires the true sparsity structure")
-        return fit_oracle_ols(problem, i, truth)
-    if tag == "full_ols":
-        return fit_full_ols(problem, i)
-    raise ValueError(f"unknown estimator tag: {tag}")
+def fit_menu(data, tags, truth: SparsityInfo | None = None, lam: float | None = None, **opts) -> dict:
+    """{tag: SystemFit} for every tag in ``tags``, through one FitPlan of ``data``."""
+    plan = FitPlan(data, truth, **opts)
+    return {tag: plan.fit(tag, lam) for tag in tags}
 
 
-def fit_system(data: var.Dataset, tag: str, truth: SparsityInfo | None = None, **opts) -> SystemFit:
+def fit_system(data, tag: str, truth: SparsityInfo | None = None, lam: float | None = None, **opts) -> SystemFit:
     """Apply the chosen per-equation fit to all k equations."""
-    problem = stack_cached(data)
-    fits = tuple(fit_equation(problem, i, tag, truth=truth, **opts) for i in range(problem.k))
-    coef = np.vstack([f.beta for f in fits])
-    return SystemFit(estimator_tag=tag, fits=fits, coefficients=coef, k=problem.k, p=problem.p)
-
-
-def stack_cached(data: var.Dataset) -> var.RegressionProblem:
-    """Stack once per dataset object (fit_system is called per estimator tag)."""
-    prob = data._cache.get("stacked")
-    if prob is None:
-        prob = var.stack(data)
-        data._cache["stacked"] = prob
-    return prob
+    return FitPlan(data, truth, **opts).fit(tag, lam)
 
 
 def system_fit_to_dict(fit: SystemFit) -> dict:
@@ -337,6 +373,7 @@ def system_fit_to_dict(fit: SystemFit) -> dict:
         "beta": [float(v) for v in fit.coefficients.reshape(-1)],
         "active_sets": [[int(j) for j in f.active_set] for f in fit.fits],
         "feasible": [bool(f.feasible) for f in fit.fits],
+        "converged": [bool(f.converged) for f in fit.fits],
         "kp": kp,
     }
 
@@ -356,6 +393,7 @@ def system_fit_from_dict(d: dict) -> SystemFit:
                 bic_value=np.nan,
                 df=float(len(d["active_sets"][i])),
                 rss=np.nan,
+                converged=bool(d["converged"][i]),
                 feasible=bool(d["feasible"][i]),
             )
         )

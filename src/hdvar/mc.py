@@ -179,13 +179,9 @@ def _run_replication(spec: ExperimentSpec, model, truth, r: int, kappa_sbar_sq):
     full = var.simulate(model, spec.T + 1, seed=seed)
     data = var.truncate_dataset(full, spec.T)
     realized = full.path[spec.T]
-    out = {"rep": r, "seed": seed, "realized": realized, "fits": {}, "forecasts": {}}
-    for tag in spec.estimators:
-        fit = estimators.fit_system(
-            data, tag, truth=truth, n_lambda=spec.n_lambda, ratio=spec.lambda_ratio
-        )
-        out["fits"][tag] = fit
-        out["forecasts"][tag] = var.forecast_one_step(fit.coefficients, data)
+    fits = estimators.fit_menu(data, spec.estimators, truth=truth, n_lambda=spec.n_lambda, ratio=spec.lambda_ratio)
+    forecasts = {tag: var.forecast_one_step(fit.coefficients, data) for tag, fit in fits.items()}
+    out = {"rep": r, "seed": seed, "realized": realized, "fits": fits, "forecasts": forecasts}
     if spec.theory_checks:
         flags = theory.event_flags(
             data, model, truth, theory.TheoryParams(), kappa_sbar_sq=kappa_sbar_sq

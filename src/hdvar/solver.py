@@ -1,4 +1,4 @@
-"""Weighted L1 penalized least squares by cyclic coordinate descent, plus ridge.
+"""Weighted L1 penalized least squares by cyclic coordinate descent, plus ridge paths.
 
 Objective convention: L(b) = (1/T)||y - X b||^2 + 2*lam*sum_j w_j |b_j|.
 Convergence is declared on the KKT residual, not on coefficient change, since
@@ -18,7 +18,6 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .errors import AllWeightsInfinite
-from .linalg import cholesky_solve
 
 __all__ = [
     "PenaltySpec",
@@ -29,7 +28,7 @@ __all__ = [
     "kkt_check",
     "lambda_max",
     "lasso_path",
-    "ridge",
+    "ridge_path",
 ]
 
 
@@ -264,19 +263,26 @@ def lasso_path(
     return out
 
 
-def ridge(X, y, lam: float):
-    """Ridge solution (X'X + lam I)^{-1} X'y and its exact degrees of freedom.
+def ridge_path(X, y, grid, eig: tuple | None = None) -> tuple:
+    """Ridge solutions (X'X + lam I)^{-1} X'y and their exact degrees of freedom
+    for every lam in ``grid``, in closed form.
 
-    df = trace(X (X'X + lam I)^{-1} X'), computed through the Gram matrix.
-    The penalty is unscaled, matching the degrees-of-freedom formula.
+    With X'X = V diag(d) V', beta(lam) = V diag(1/(d + lam)) V'X'y and
+    df(lam) = trace(X (X'X + lam I)^{-1} X') = sum_j d_j / (d_j + lam)
+    (Hastie, Tibshirani and Friedman, ESL 2nd ed., section 3.4.1), so one
+    eigendecomposition serves the whole grid; responses that share X share it
+    through ``eig = (d, V)``.  The penalty is unscaled, matching the
+    degrees-of-freedom formula.  Returns (B, df): column l of the m x n matrix
+    B is the solution at grid[l].
     """
-    if lam <= 0:
-        raise ValueError("ridge penalty must be positive")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    m = X.shape[1]
-    G = X.T @ X
-    A = G + lam * np.eye(m)
-    beta = cholesky_solve(A, X.T @ y)
-    df = float(np.trace(cholesky_solve(A, G)))
-    return beta, df
+    grid = np.asarray(grid, dtype=np.float64)
+    if np.any(grid <= 0):
+        raise ValueError("ridge penalty must be positive")
+    d, V = np.linalg.eigh(X.T @ X) if eig is None else eig
+    # X'X is positive semidefinite; rounding can leave tiny negative eigenvalues
+    d = np.clip(d, 0.0, None)
+    shrink = 1.0 / (d[:, None] + grid[None, :])
+    B = V @ (shrink * (V.T @ (X.T @ y))[:, None])
+    return B, d @ shrink

@@ -103,7 +103,6 @@ class Dataset:
     initial: np.ndarray
     path: np.ndarray
     innovations: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "initial", _freeze(self.initial))

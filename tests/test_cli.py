@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 
@@ -60,7 +59,7 @@ class TestFit:
         run(["simulate", "--experiment", "A", "--k", "10", "--T", "200", "--seed", "1", "--out", str(tmp_path)])
         return tmp_path
 
-    def test_lambda_override_gives_zero_fit(self, dataset_dir):
+    def test_lambda_override_gives_zero_fit(self, dataset_dir, capsys):
         out = dataset_dir / "fits"
         code = run(
             [
@@ -78,14 +77,58 @@ class TestFit:
         assert code == 0
         fit = estimators.load_system_fit(str(out / "fit_lasso.json"))
         assert np.all(fit.coefficients == 0.0)
+        assert "nonconverged 0/10" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tag", ["lasso", "adaptive_lasso_lasso"])
-    def test_lambda_override_reports_nonconvergence(self, dataset_dir, monkeypatch, tag):
+    @pytest.mark.parametrize("tag", estimators.PENALIZED_TAGS)
+    def test_lambda_override_reports_nonconvergence(self, dataset_dir, tag):
         data = var.load_dataset(str(dataset_dir))
-        assert all(f.converged for f in cli._fit_with_override(data, tag, None, 1e-4).fits)
-        monkeypatch.setattr(cli, "lasso_cd", functools.partial(cli.lasso_cd, max_iter=1))
-        fit = cli._fit_with_override(data, tag, None, 1e-4)
-        assert not all(f.converged for f in fit.fits)
+        assert all(f.converged for f in estimators.fit_system(data, tag, lam=1e-4).fits)
+        fit = estimators.fit_system(data, tag, lam=1e-4, max_iter=1)
+        converged = [f.converged for f in fit.fits]
+        assert not all(converged)
+        payload = json.loads(json.dumps(estimators.system_fit_to_dict(fit)))
+        assert payload["converged"] == converged
+        assert [f.converged for f in estimators.system_fit_from_dict(payload).fits] == converged
+
+    def test_lambda_override_fits_pinned(self, tmp_path):
+        # pinned to the output of the CLI's former, separate --lambda implementation
+        model = {"phis": [[[0.5, 0.2, 0.0], [0.0, 0.4, 0.0], [0.1, 0.0, 0.3]]], "sigma": np.eye(3).tolist()}
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        run(["simulate", "--model", str(tmp_path / "model.json"), "--T", "60", "--seed", "3", "--out", str(tmp_path)])
+        tags = "lasso,post_lasso,adaptive_lasso_lasso"
+        out = tmp_path / "fits"
+        assert run(["fit", "--data", str(tmp_path), "--estimators", tags, "--lambda", "0.05", "--out", str(out)]) == 0
+        pinned = {
+            "lasso": (
+                [0.2176392325168506, 0.6101181549379969, 0.002523955363588679, 0.0, 0.4671113063125742,
+                 0.06894344524144114, 0.0, 0.0, 0.2584780656624138],
+                [[0, 1, 2], [1, 2], [2]],
+            ),
+            "post_lasso": (
+                [0.24104546013020967, 0.6291872762405393, 0.03293446727025232, 0.0, 0.4996140707464744,
+                 0.09495018249269756, 0.0, 0.0, 0.29292821060413987],
+                [[0, 1, 2], [1, 2], [2]],
+            ),
+            "adaptive_lasso_lasso": (
+                [0.09469820492600046, 0.6481256475966728, 0.0, 0.0, 0.41954059674908245, 0.0, 0.0, 0.0,
+                 0.15963613848977107],
+                [[0, 1], [1], [2]],
+            ),
+        }
+        for tag, (beta, active_sets) in pinned.items():
+            payload = json.loads((out / f"fit_{tag}.json").read_text())
+            assert payload["beta"] == pytest.approx(beta, rel=1e-12, abs=0.0)
+            assert payload["active_sets"] == active_sets
+            assert payload["lambda_per_equation"] == [0.05] * 3
+            assert payload["feasible"] == [True] * 3
+            assert payload["converged"] == [True] * 3
+
+    @pytest.mark.parametrize(
+        "tags, lam", [("lasso,full_ols", "0.1"), ("oracle_ols", "0.1"), ("lasso", "-1"), ("lasso", "nan")]
+    )
+    def test_lambda_override_config_errors(self, dataset_dir, tags, lam):
+        argv = ["fit", "--data", str(dataset_dir), "--estimators", tags, "--lambda", lam, "--experiment", "A"]
+        assert run(argv + ["--k", "10", "--out", str(dataset_dir / "fits")]) == 2
 
     def test_oracle_without_truth_is_config_error(self, dataset_dir):
         code = run(["fit", "--data", str(dataset_dir), "--estimators", "oracle_ols", "--out", str(dataset_dir)])

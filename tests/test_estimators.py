@@ -12,7 +12,8 @@ from hdvar.estimators import (
     fit_post_lasso,
     fit_system,
 )
-from hdvar.linalg import least_squares
+from hdvar.linalg import cholesky_solve, least_squares
+from hdvar.solver import PenaltySpec, lambda_max, lasso_cd
 
 
 def problem_from(X, y):
@@ -157,6 +158,25 @@ class TestAdaptiveLasso:
         beta1, _ = estimators.fit_ridge_bic(prob, 0, 50, 1e-4)
         assert np.all(beta1 != 0.0)  # ridge is dense
 
+    def test_ridge_stage_matches_cholesky_loop(self):
+        # reference: one Cholesky solve per grid point, df from the trace formula
+        prob, _, _ = simulated_problem(seed=11, T=200)
+        X, T = prob.X, prob.T
+        G = X.T @ X
+        for i in range(prob.k):
+            y = prob.ys[i]
+            best = None
+            for lam in T * lambda_max(X, y) * np.logspace(0.0, -4.0, 100):
+                A = G + lam * np.eye(prob.m)
+                beta = cholesky_solve(A, X.T @ y)
+                r = y - X @ beta
+                value = bic(float(r @ r), float(np.trace(cholesky_solve(A, G))), T)
+                if best is None or value < best[0]:
+                    best = (value, lam, beta)
+            beta1, lam1 = estimators.fit_ridge_bic(prob, i, 100, 1e-4)
+            assert lam1 == best[1]
+            assert np.abs(beta1 - best[2]).max() <= 1e-12
+
     def test_truth_weights_recover_ols_on_support(self):
         # stage 1 equal to the truth with a grid reaching tiny lambda:
         # stage 2 approaches OLS on the true support
@@ -164,7 +184,6 @@ class TestAdaptiveLasso:
         i = 0
         with np.errstate(divide="ignore"):
             w = np.where(truth.beta[i] != 0.0, 1.0 / np.abs(truth.beta[i]), np.inf)
-        from hdvar.solver import PenaltySpec, lasso_cd
 
         res = lasso_cd(prob.X, prob.ys[i], PenaltySpec(1e-10, weights=w), tol=1e-12)
         J = truth.supports[i]
@@ -233,7 +252,6 @@ class TestOracleAndFullOls:
         y = rng.standard_normal(80)
         prob = problem_from(X, y)
         full = fit_full_ols(prob, 0)
-        from hdvar.solver import PenaltySpec, lasso_cd
 
         res = lasso_cd(prob.X, prob.ys[0], PenaltySpec(0.0), tol=1e-10)
         assert np.abs(full.beta - res.beta).max() <= 1e-6
@@ -269,6 +287,63 @@ class TestFitSystem:
         a = var.forecast_one_step(sf.coefficients, data)
         b = var.forecast_one_step(loaded.coefficients, data)
         assert np.array_equal(a, b)
+
+
+def assert_same_system_fit(a, b):
+    assert a.estimator_tag == b.estimator_tag
+    assert np.array_equal(a.coefficients, b.coefficients)
+    for fa, fb in zip(a.fits, b.fits, strict=True):
+        assert np.array_equal(fa.active_set, fb.active_set)
+        numbers = [fa.lambda_selected, fa.bic_value, fa.df, fa.rss]
+        assert np.array_equal(numbers, [fb.lambda_selected, fb.bic_value, fb.df, fb.rss], equal_nan=True)
+        assert (fa.converged, fa.feasible, fa.failure) == (fb.converged, fb.feasible, fb.failure)
+
+
+class TestFitPlan:
+    @pytest.mark.parametrize(
+        "experiment, k, T, opts",
+        # C/10/40 has m = 50 > T; a short max_iter keeps its non-converging grid points cheap
+        [("A", 10, 200, {}), ("C", 10, 40, {"max_iter": 50})],
+    )
+    def test_menu_equals_per_tag_fits(self, experiment, k, T, opts):
+        model, truth = mc.make_dgp(experiment, k)
+        data = var.simulate(model, T, seed=0)
+        menu = estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth, **opts)
+        assert list(menu) == list(estimators.ESTIMATOR_TAGS)
+        for tag in estimators.ESTIMATOR_TAGS:
+            assert_same_system_fit(menu[tag], fit_system(data, tag, truth=truth, **opts))
+        assert menu["full_ols"].feasible == (k * model.p < T)
+
+    def test_each_shared_stage_runs_once(self, monkeypatch):
+        _, truth, data = simulated_problem(seed=25, k=5, T=200)
+        calls = dict.fromkeys(("stack", "lasso_path", "eigh"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(var, "stack", counting("stack", var.stack))
+        monkeypatch.setattr(estimators, "lasso_path", counting("lasso_path", estimators.lasso_path))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth)
+        # one LASSO path per equation shared by three tags, plus two adaptive second stages
+        assert calls == {"stack": 1, "lasso_path": 3 * 5, "eigh": 1}
+
+    def test_fixed_lambda_replaces_bic_in_final_stage_only(self):
+        prob, _, data = simulated_problem(seed=26, k=5, T=200)
+        plan = estimators.FitPlan(data)
+        fit = plan.fit("adaptive_lasso_lasso", lam=1e-3)
+        for i, f in enumerate(fit.fits):
+            stage1 = fit_lasso_bic(prob, i).beta
+            with np.errstate(divide="ignore"):
+                w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
+            assert np.array_equal(f.beta, lasso_cd(prob.X, prob.ys[i], PenaltySpec(1e-3, weights=w)).beta)
+            assert f.lambda_selected == 1e-3
+        with pytest.raises(ValueError):
+            plan.fit("full_ols", lam=1e-3)
 
 
 class TestInvariants:

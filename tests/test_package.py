@@ -1,0 +1,18 @@
+"""Package-level checks: every name a module exports exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import hdvar
+
+MODULES = ["hdvar", *(f"hdvar.{info.name}" for info in pkgutil.iter_modules(hdvar.__path__))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+

@@ -12,7 +12,7 @@ from hdvar.solver import (
     lasso_cd,
     lasso_path,
     objective,
-    ridge,
+    ridge_path,
     soft_threshold,
 )
 
@@ -255,33 +255,37 @@ class TestGramForm:
 class TestRidge:
     def test_penalty_dominated_limit(self):
         X, y = random_instance(15, T=30, m=5)
-        beta, df = ridge(X, y, 1e8)
-        assert np.linalg.norm(beta) < 1e-6
-        assert df < 1e-5 * 5
+        B, df = ridge_path(X, y, [1e8])
+        assert np.linalg.norm(B[:, 0]) < 1e-6
+        assert df[0] < 1e-5 * 5
 
     def test_identity_closed_form(self):
         T = 7
         X = np.eye(T)
         y = np.arange(1.0, T + 1)
-        lam = 2.5
-        beta, df = ridge(X, y, lam)
-        assert np.abs(beta - y / (1 + lam)).max() <= 1e-12
-        assert df == pytest.approx(T / (1 + lam), abs=1e-10)
+        grid = np.array([0.1, 2.5, 40.0])
+        B, df = ridge_path(X, y, grid)
+        for l, lam in enumerate(grid):
+            assert np.abs(B[:, l] - y / (1 + lam)).max() <= 1e-12
+            assert df[l] == pytest.approx(T / (1 + lam), abs=1e-10)
 
     def test_normal_equations_oracle(self):
         rng = rng_for(16)
         X = rng.standard_normal((20, 5))
         y = rng.standard_normal(20)
-        lam = 0.7
-        beta, _ = ridge(X, y, lam)
-        direct = cholesky_solve(X.T @ X + lam * np.eye(5), X.T @ y)
-        assert np.abs(beta - direct).max() <= 1e-8
+        grid = np.array([0.01, 0.7, 30.0])
+        B, df = ridge_path(X, y, grid)
+        G = X.T @ X
+        for l, lam in enumerate(grid):
+            A = G + lam * np.eye(5)
+            assert np.abs(B[:, l] - cholesky_solve(A, X.T @ y)).max() <= 1e-8
+            assert df[l] == pytest.approx(np.trace(cholesky_solve(A, G)), abs=1e-10)
 
     def test_df_approaches_rank_at_tiny_lambda(self):
         rng = rng_for(17)
         X = rng.standard_normal((40, 6))
-        _, df = ridge(X, rng.standard_normal(40), 1e-10)
-        assert abs(df - 6) < 1e-4
+        _, df = ridge_path(X, rng.standard_normal(40), [1e-10])
+        assert abs(df[0] - 6) < 1e-4
 
 
 class TestObjective:
