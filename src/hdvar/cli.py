@@ -10,6 +10,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -178,7 +179,7 @@ def cmd_fit(args) -> int:
         estimators.save_system_fit(fit, path)
         sizes = ",".join(str(len(f.active_set)) for f in fit.fits)
         lams = ",".join(f"{f.lambda_selected:.6g}" for f in fit.fits)
-        nonconverged = sum(not f.converged for f in fit.fits)
+        nonconverged = sum(f.feasible and not f.converged for f in fit.fits)
         print(f"{tag}: active sizes [{sizes}] lambda [{lams}] nonconverged {nonconverged}/{fit.k} -> {path}")
     return EXIT_OK if all(fit.feasible for fit in fits.values()) else EXIT_ESTIMATOR
 
@@ -349,26 +350,12 @@ def cmd_paper_tables(args) -> int:
                 print(f"{stem} done ({report.runtime_seconds:.1f}s)", file=sys.stderr)
         table_path = os.path.join(args.out, f"table_{exp}.csv")
         with open(table_path, "w", newline="") as fh:
-            import csv as _csv
-
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(
                 ["k", "T", "estimator", "uncovered", "included", "share", "n_selected", "rmse", "rmsfe"]
             )
             for k, T, tag, row in rows:
-                writer.writerow(
-                    [
-                        k,
-                        T,
-                        tag,
-                        mc._fmt(row.true_model_uncovered),
-                        mc._fmt(row.true_model_included),
-                        mc._fmt(row.share_relevant),
-                        mc._fmt(row.n_selected),
-                        mc._fmt(row.rmse),
-                        mc._fmt(row.rmsfe),
-                    ]
-                )
+                writer.writerow([k, T, tag, *(mc.format_cell(getattr(row, name)) for name in mc.METRICS)])
         print(f"wrote {table_path}")
     return EXIT_OK
 

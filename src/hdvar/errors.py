@@ -17,10 +17,6 @@ class NotStationary(HdvarError):
     """The companion matrix has spectral radius at or above one."""
 
 
-class Overflow(HdvarError):
-    """An iterate left the representable range (spectral radius far above one)."""
-
-
 class NonConvergence(HdvarError):
     """An iterative scheme exhausted its iteration budget."""
 

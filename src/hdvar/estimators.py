@@ -369,7 +369,9 @@ def system_fit_to_dict(fit: SystemFit) -> dict:
         "estimator": fit.estimator_tag,
         "k": fit.k,
         "p": fit.p,
-        "lambda_per_equation": [float(f.lambda_selected) for f in fit.fits],
+        "lambda_per_equation": [
+            None if np.isnan(f.lambda_selected) else float(f.lambda_selected) for f in fit.fits
+        ],
         "beta": [float(v) for v in fit.coefficients.reshape(-1)],
         "active_sets": [[int(j) for j in f.active_set] for f in fit.fits],
         "feasible": [bool(f.feasible) for f in fit.fits],
@@ -381,6 +383,7 @@ def system_fit_to_dict(fit: SystemFit) -> dict:
 def system_fit_from_dict(d: dict) -> SystemFit:
     k, p, kp = int(d["k"]), int(d["p"]), int(d["kp"])
     coef = np.asarray(d["beta"], dtype=np.float64).reshape(k, kp)
+    lams = np.asarray(d["lambda_per_equation"], dtype=np.float64)  # null (undefined lambda) -> NaN
     fits = []
     for i in range(k):
         beta = coef[i]
@@ -388,7 +391,7 @@ def system_fit_from_dict(d: dict) -> SystemFit:
             EquationFit(
                 beta=beta,
                 active_set=np.asarray(d["active_sets"][i], dtype=np.intp),
-                lambda_selected=float(d["lambda_per_equation"][i]),
+                lambda_selected=float(lams[i]),
                 estimator_tag=d["estimator"],
                 bic_value=np.nan,
                 df=float(len(d["active_sets"][i])),

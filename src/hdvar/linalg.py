@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import NonConvergence, NotPositiveDefinite, NotStationary, Overflow, SingularDesign
+from .errors import NonConvergence, NotPositiveDefinite, NotStationary, SingularDesign
 
 __all__ = [
     "cholesky_solve",
@@ -18,6 +18,15 @@ __all__ = [
     "lyapunov_doubling",
     "operator_norm_2",
 ]
+
+
+# Tolerances and iteration budgets; the docstrings say how each is used.
+SYM_TOL = 1e-10
+PIVOT_TOL = 1e-12
+RANK_TOL = 1e-10
+NORM_TOL = 1e-10
+NORM_MAX_ITER = 1000
+LYAPUNOV_MAX_ITER = 200
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -29,33 +38,34 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def cholesky_solve(A, B, sym_tol: float = 1e-10, pivot_tol: float = 1e-12):
+def cholesky_solve(A, B):
     """Solve A X = B for symmetric positive-definite A via Cholesky.
 
-    Raises NotPositiveDefinite when A is asymmetric beyond ``sym_tol`` (relative)
-    or a pivot falls at or below ``pivot_tol`` times the largest diagonal entry.
+    Raises NotPositiveDefinite when A is asymmetric beyond ``SYM_TOL`` (relative)
+    or a squared pivot falls at or below ``PIVOT_TOL`` times the largest diagonal
+    entry.
     """
     A = _as_matrix(A)
     B = np.asarray(B, dtype=np.float64)
     scale = np.abs(A).max() if A.size else 0.0
-    if scale > 0 and np.abs(A - A.T).max() > sym_tol * scale:
+    if scale > 0 and np.abs(A - A.T).max() > SYM_TOL * scale:
         raise NotPositiveDefinite("matrix is not symmetric within tolerance")
     try:
         L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     max_diag = np.max(np.diag(A)) if A.size else 0.0
-    if np.min(np.diag(L)) ** 2 <= pivot_tol * max_diag:
+    if np.min(np.diag(L)) ** 2 <= PIVOT_TOL * max_diag:
         raise NotPositiveDefinite("pivot below positive-definiteness threshold")
     Z = scipy.linalg.solve_triangular(L, B, lower=True, check_finite=False)
     return scipy.linalg.solve_triangular(L.T, Z, lower=False, check_finite=False)
 
 
-def least_squares(X, y, rank_tol: float = 1e-10) -> np.ndarray:
+def least_squares(X, y) -> np.ndarray:
     """Minimize ||y - X b||^2 through a QR factorization.
 
     Raises SingularDesign when the smallest pivot of X'X is at or below
-    ``rank_tol`` times the largest (the caller should fall back to a
+    ``RANK_TOL`` times the largest (the caller should fall back to a
     penalized estimator).
     """
     X = _as_matrix(X)
@@ -64,16 +74,18 @@ def least_squares(X, y, rank_tol: float = 1e-10) -> np.ndarray:
         raise SingularDesign("fewer rows than columns")
     Q, R = np.linalg.qr(X)
     d = np.abs(np.diag(R))
-    if d.size and d.min() ** 2 <= rank_tol * d.max() ** 2:
+    if d.size and d.min() ** 2 <= RANK_TOL * d.max() ** 2:
         raise SingularDesign("rank-deficient design")
     return scipy.linalg.solve_triangular(R, Q.T @ y, lower=False, check_finite=False)
 
 
-def operator_norm_2(M, tol: float = 1e-10, max_iter: int = 1000) -> float:
+def operator_norm_2(M) -> float:
     """Spectral norm of M by power iteration on the Gram matrix M'M.
 
-    The starting vector is drawn from a fixed counter-based stream, so the
-    result is deterministic.
+    Stops once successive estimates differ by at most ``NORM_TOL`` relative
+    (absolute below one), or after ``NORM_MAX_ITER`` steps.  The starting
+    vector is drawn from a fixed counter-based stream, so the result is
+    deterministic.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.size == 0:
@@ -84,71 +96,43 @@ def operator_norm_2(M, tol: float = 1e-10, max_iter: int = 1000) -> float:
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(NORM_MAX_ITER):
         w = H @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         est = np.sqrt(nw)
-        if abs(est - prev) <= tol * max(est, 1.0):
+        if abs(est - prev) <= NORM_TOL * max(est, 1.0):
             return float(est)
         prev = est
     return float(prev)
 
 
-def spectral_radius(F, tol: float = 1e-6, max_doublings: int = 60) -> float:
-    """Modulus of the dominant eigenvalue via the norm-doubling scheme.
-
-    Tracks rho_m = ||F^(2^m)||^(1/2^m) with the operator 2-norm obtained by
-    power iteration, renormalizing between squarings so the iterates stay
-    representable; stops when two successive estimates differ by less than
-    ``tol``.
-    """
+def spectral_radius(F) -> float:
+    """Largest eigenvalue modulus of the square matrix F (QR algorithm)."""
     F = _as_matrix(F)
     if F.shape[0] != F.shape[1]:
         raise ValueError("matrix must be square")
-    norm = operator_norm_2(F, tol=min(tol, 1e-8) * 1e-3)
-    if not np.isfinite(norm):
-        raise Overflow("matrix norm not representable")
-    if norm == 0.0:
-        return 0.0
-    G = F / norm
-    log_scale = np.log(norm)
-    prev = np.exp(log_scale)  # m = 0 estimate
-    for m in range(1, max_doublings + 1):
-        G = G @ G
-        if not np.all(np.isfinite(G)):
-            raise Overflow("squared iterate overflowed")
-        norm = operator_norm_2(G, tol=min(tol, 1e-8) * 1e-3)
-        if not np.isfinite(norm):
-            raise Overflow("matrix norm not representable")
-        log_scale = 2.0 * log_scale + np.log(norm) if norm > 0.0 else -np.inf
-        if norm == 0.0:
-            return 0.0  # nilpotent
-        G = G / norm
-        est = np.exp(log_scale / 2.0**m)
-        if abs(est - prev) < tol:
-            return float(est)
-        prev = est
-    raise NonConvergence(f"spectral radius did not settle in {max_doublings} doublings")
+    return float(np.abs(np.linalg.eigvals(F)).max(initial=0.0))
 
 
-def lyapunov_doubling(F, Omega, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+def lyapunov_doubling(F, Omega, tol: float = 1e-10) -> np.ndarray:
     """Solve the discrete Lyapunov equation G = F G F' + Omega.
 
     Uses the doubling iteration G_{m+1} = G_m + A_m G_m A_m', A_{m+1} = A_m^2
     started from G_0 = Omega, A_0 = F, stopping once the increment max-norm
-    drops below ``tol``.  Requires spectral_radius(F) < 1 - 1e-8.
+    drops below ``tol``, and raising NonConvergence after ``LYAPUNOV_MAX_ITER``
+    doublings.  Requires spectral_radius(F) < 1 - 1e-8.
     """
     F = _as_matrix(F)
     Omega = _as_matrix(Omega)
-    rho = spectral_radius(F, tol=1e-8)
+    rho = spectral_radius(F)
     if rho >= 1.0 - 1e-8:
         raise NotStationary(f"spectral radius {rho:.6f} too close to one")
     G = Omega.copy()
     A = F.copy()
-    for _ in range(max_iter):
+    for _ in range(LYAPUNOV_MAX_ITER):
         inc = A @ G @ A.T
         G = G + inc
         if np.abs(inc).max() < tol:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -26,12 +27,15 @@ __all__ = [
     "EXPERIMENT_GRID",
     "ExperimentSpec",
     "McRow",
+    "COLUMNS",
+    "METRICS",
     "McReport",
     "make_dgp",
     "rmse",
     "rmsfe",
     "selection_metrics",
     "run_experiment",
+    "format_cell",
     "report_to_csv",
     "report_to_json",
 ]
@@ -121,6 +125,12 @@ class McRow:
     rmsfe: float
     infeasible: bool
     n_failed: int
+
+
+# report columns, in McRow's field order; the six metrics sit between the
+# estimator tag and the two feasibility fields
+COLUMNS = tuple(f.name for f in dataclasses.fields(McRow))
+METRICS = COLUMNS[1:-2]
 
 
 @dataclass
@@ -288,20 +298,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
     )
 
 
-_CSV_COLUMNS = [
-    "estimator",
-    "true_model_uncovered",
-    "true_model_included",
-    "share_relevant",
-    "n_selected",
-    "rmse",
-    "rmsfe",
-    "infeasible",
-    "n_failed",
-]
-
-
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """CSV cell of one report value."""
     if isinstance(value, float) and math.isnan(value):
         return ""  # infeasible entries render as blank cells
     if isinstance(value, bool):
@@ -315,25 +313,9 @@ def report_to_csv(report: McReport, path: str) -> None:
     """One row per estimator, columns = the six metrics plus feasibility."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(COLUMNS)
         for tag in report.spec.estimators:
-            row = report.rows[tag]
-            writer.writerow(
-                [
-                    _fmt(v)
-                    for v in (
-                        row.estimator,
-                        row.true_model_uncovered,
-                        row.true_model_included,
-                        row.share_relevant,
-                        row.n_selected,
-                        row.rmse,
-                        row.rmsfe,
-                        row.infeasible,
-                        row.n_failed,
-                    )
-                ]
-            )
+            writer.writerow([format_cell(getattr(report.rows[tag], name)) for name in COLUMNS])
 
 
 def _nan_to_none(x):
@@ -352,17 +334,8 @@ def report_to_json(report: McReport, path: str) -> None:
         "lambda_ratio": spec.lambda_ratio,
         "seeds": list(report.seeds),
         "estimators": {
-            tag: {
-                "true_model_uncovered": _nan_to_none(row.true_model_uncovered),
-                "true_model_included": _nan_to_none(row.true_model_included),
-                "share_relevant": _nan_to_none(row.share_relevant),
-                "n_selected": _nan_to_none(row.n_selected),
-                "rmse": _nan_to_none(row.rmse),
-                "rmsfe": _nan_to_none(row.rmsfe),
-                "infeasible": row.infeasible,
-                "n_failed": row.n_failed,
-            }
-            for tag, row in ((t, report.rows[t]) for t in spec.estimators)
+            tag: {name: _nan_to_none(getattr(report.rows[tag], name)) for name in COLUMNS[1:]}
+            for tag in spec.estimators
         },
         "event_frequencies": report.event_frequencies,
     }

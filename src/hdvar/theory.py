@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import var
-from .errors import MissingInnovations, NonConvergence, NotStationary, SingularSubGram, ZeroKappa
+from .errors import (
+    MissingInnovations, NonConvergence, NotPositiveDefinite, NotStationary, SingularSubGram, ZeroKappa,
+)
 from .linalg import cholesky_solve, operator_norm_2
 from .solver import PenaltySpec, lasso_cd
 
@@ -47,17 +49,10 @@ class TheoryParams:
 
     ``a_const`` is the unpinned positive constant of the probability bounds
     (theory constant: bounds involving it are parametric, not absolute).
-    ``kappa_gamma`` holds per-equation population restricted eigenvalues
-    kappa_i, ``kappa_gamma_sbar`` the kappa(s_bar) value used by the
-    covariance-concentration event, and ``f_norm_sum`` the product
-    ||Gamma|| * sum_i ||F^i||.
     """
 
     q: float = 0.5
     a_const: float = 1.0
-    kappa_gamma: np.ndarray | None = None
-    kappa_gamma_sbar: float | None = None
-    f_norm_sum: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -135,6 +130,14 @@ def adalasso_probability(T: int, k: int, p: int, s_i: int, zeta_value: float, a_
 # ---------------------------------------------------------------------------
 # Restricted eigenvalue estimation
 
+# Subsets of one size are enumerated while there are at most RE_ENUM_CAP of
+# them, else RE_N_SUBSETS are sampled; each subset gets RE_N_STARTS random cone
+# points and RE_N_ITERS projected-gradient steps per refined start.
+RE_ENUM_CAP = 5000
+RE_N_SUBSETS = 200
+RE_N_STARTS = 24
+RE_N_ITERS = 300
+
 
 def _subset_rng(seed: int, subset: tuple) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *subset])))
@@ -159,7 +162,7 @@ def _ratio(psi: np.ndarray, delta: np.ndarray, mask_r: np.ndarray) -> float:
     return float(delta @ psi @ delta / denom)
 
 
-def _minimize_subset(psi, subset, rng, n_starts, n_iters, lipschitz):
+def _minimize_subset(psi, subset, rng, lipschitz):
     m = psi.shape[0]
     R = np.asarray(subset, dtype=np.intp)
     mask_r = np.zeros(m, dtype=bool)
@@ -182,6 +185,9 @@ def _minimize_subset(psi, subset, rng, n_starts, n_iters, lipschitz):
         B = psi[np.ix_(Rc, R)]
         try:
             U = cholesky_solve(A + 1e-12 * np.eye(len(Rc)) * max(A.max(), 1.0), B)
+        except NotPositiveDefinite:
+            pass  # the off-R block is singular even after regularization: no candidates
+        else:
             S = psi[np.ix_(R, R)] - B.T @ U
             ws, Vs = np.linalg.eigh((S + S.T) / 2.0)
             for col in range(Vs.shape[1]):
@@ -194,10 +200,8 @@ def _minimize_subset(psi, subset, rng, n_starts, n_iters, lipschitz):
                     cand = _cone_scale(cand, mask_r)
                     best = min(best, _ratio(psi, cand, mask_r))
                     starts.append(cand)
-        except Exception:
-            pass
 
-    for _ in range(n_starts):
+    for _ in range(RE_N_STARTS):
         d = rng.standard_normal(m)
         nr = np.linalg.norm(d[R])
         if nr == 0.0:
@@ -209,14 +213,14 @@ def _minimize_subset(psi, subset, rng, n_starts, n_iters, lipschitz):
 
     # projected gradient refinement from the most promising starts
     order = np.argsort([_ratio(psi, d, mask_r) for d in starts])
-    for idx in order[: min(len(starts), max(4, n_starts // 2))]:
+    for idx in order[: min(len(starts), max(4, RE_N_STARTS // 2))]:
         d = starts[idx].copy()
         nr = np.linalg.norm(d[R])
         if nr == 0.0:
             continue
         d /= nr
         step = 0.9 / max(lipschitz, 1e-12)
-        for it in range(n_iters):
+        for it in range(RE_N_ITERS):
             f = _ratio(psi, d, mask_r)
             if f < best:
                 best = f
@@ -234,19 +238,11 @@ def _minimize_subset(psi, subset, rng, n_starts, n_iters, lipschitz):
     return best
 
 
-def restricted_eigenvalue(
-    psi,
-    r: int,
-    enum_cap: int = 5000,
-    n_subsets: int = 200,
-    n_starts: int = 24,
-    n_iters: int = 300,
-    seed: int = 0,
-) -> float:
+def restricted_eigenvalue(psi, r: int, seed: int = 0) -> float:
     """Upper estimate of kappa^2(r): min of d'Psi d / ||d_R||^2 over index sets
     |R| <= r and the cone ||d_{R^c}||_1 <= 3 ||d_R||_1.
 
-    Subsets are enumerated when C(m, r) is within ``enum_cap`` and sampled
+    Subsets are enumerated when C(m, r) is within ``RE_ENUM_CAP`` and sampled
     otherwise; each subset problem is attacked with canonical eigenvector
     candidates, Schur-complement candidates, random cone points, and projected
     gradient refinement.  The estimate is the minimum over all evaluated
@@ -261,12 +257,12 @@ def restricted_eigenvalue(
     lipschitz = float(np.linalg.eigvalsh((psi + psi.T) / 2.0).max())
     best = np.inf
     for size in range(1, r + 1):
-        if math.comb(m, size) <= enum_cap:
+        if math.comb(m, size) <= RE_ENUM_CAP:
             subsets = itertools.combinations(range(m), size)
         else:
             master = _subset_rng(seed, (size,))
             seen = set()
-            while len(seen) < n_subsets:
+            while len(seen) < RE_N_SUBSETS:
                 seen.add(tuple(sorted(master.choice(m, size=size, replace=False).tolist())))
             # bias toward weak-diagonal subsets, which tend to minimize
             diag_order = np.argsort(np.diag(psi))
@@ -275,7 +271,7 @@ def restricted_eigenvalue(
         for subset in subsets:
             subset = tuple(subset)
             rng = _subset_rng(seed, subset)
-            val = _minimize_subset(psi, subset, rng, n_starts, n_iters, lipschitz)
+            val = _minimize_subset(psi, subset, rng, lipschitz)
             best = min(best, val)
     return float(best)
 
@@ -317,10 +313,7 @@ def event_flags(
     gamma = var.population_gamma(model)
     max_cov_dev = float(np.abs(problem.psi - gamma).max())
     if kappa_sbar_sq is None:
-        if params.kappa_gamma_sbar is not None:
-            kappa_sbar_sq = params.kappa_gamma_sbar**2
-        else:
-            kappa_sbar_sq = restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))
+        kappa_sbar_sq = restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))
     s_bar = max(int(truth.s_bar), 1)
     c_threshold = (1.0 - params.q) * kappa_sbar_sq / (16.0 * s_bar)
     max_yy = float(np.abs(problem.psi).max())
@@ -389,11 +382,14 @@ def system_bound(est_bounds) -> float:
     return float(np.sum(est_bounds))
 
 
-def f_norm_sum(model: var.VarModel, T: int | None = None, term_tol: float = 1e-12) -> float:
+NORM_SERIES_TOL = 1e-12
+
+
+def f_norm_sum(model: var.VarModel, T: int | None = None) -> float:
     """||Gamma|| * sum_{i=0}^{T} ||F^i|| with operator 2-norms via power iteration.
 
-    The series is truncated at the first term below ``term_tol`` or at i = T,
-    whichever comes first.
+    The series is truncated at the first term below ``NORM_SERIES_TOL`` or at
+    i = T, whichever comes first.
     """
     form = var.companion(model)
     if form.rho >= 1.0 - 1e-8:
@@ -410,7 +406,7 @@ def f_norm_sum(model: var.VarModel, T: int | None = None, term_tol: float = 1e-1
         M = M @ form.F
         term = operator_norm_2(M)
         total += term
-        if term < term_tol:
+        if term < NORM_SERIES_TOL:
             break
         if i > 1_000_000:
             raise NonConvergence("norm series did not fall below the truncation tolerance")
@@ -472,7 +468,7 @@ def sign_recovery_conditions(
         h = xe[J] - lambda_t * b
         try:
             t2 = cholesky_solve(psi_jj, h)
-        except Exception as exc:
+        except NotPositiveDefinite as exc:
             raise SingularSubGram(str(exc)) from exc
         cand = beta_star[J] + t2
         foc2_ok = bool(np.all(np.sign(cand) == np.sign(beta_star[J])))

@@ -130,6 +130,23 @@ class TestFit:
         argv = ["fit", "--data", str(dataset_dir), "--estimators", tags, "--lambda", lam, "--experiment", "A"]
         assert run(argv + ["--k", "10", "--out", str(dataset_dir / "fits")]) == 2
 
+    def test_infeasible_fit_strict_json(self, tmp_path, capsys):
+        # m = kp = 50 >= T = 40: full OLS is infeasible in every equation and its lambda undefined
+        run(["simulate", "--experiment", "C", "--k", "10", "--T", "40", "--out", str(tmp_path)])
+        out = tmp_path / "fits"
+        assert run(["fit", "--data", str(tmp_path), "--estimators", "full_ols", "--out", str(out)]) == 4
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads((out / "fit_full_ols.json").read_text(), parse_constant=reject)
+        assert payload["lambda_per_equation"] == [None] * 10
+        fit = estimators.load_system_fit(str(out / "fit_full_ols.json"))
+        assert all(np.isnan(f.lambda_selected) and not f.feasible for f in fit.fits)
+        assert estimators.system_fit_to_dict(fit) == payload
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("full_ols:"))
+        assert "nonconverged 0/10" in line  # infeasible equations never iterated
+
     def test_oracle_without_truth_is_config_error(self, dataset_dir):
         code = run(["fit", "--data", str(dataset_dir), "--estimators", "oracle_ols", "--out", str(dataset_dir)])
         assert code == 2

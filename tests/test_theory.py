@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdvar import estimators, mc, theory, var
-from hdvar.errors import MissingInnovations, ZeroKappa
+from hdvar.errors import MissingInnovations, SingularSubGram, ZeroKappa
 from hdvar.solver import PenaltySpec, lambda_max, lasso_cd
 from helpers import random_spd, restricted_eigenvalue_bruteforce
 
@@ -358,6 +358,23 @@ class TestSignRecovery:
         # psi_{j,J} = 0 off support, eps = 0: FOC1 left side vanishes
         assert rep["foc1_ok"]
         assert rep["foc1_margin"] >= 0
+
+    def test_singular_support_gram_raises(self):
+        # two identical support columns make Psi_JJ singular
+        rng = rng_for(106)
+        X = rng.standard_normal((50, 3))
+        X[:, 1] = X[:, 0]
+        beta = np.array([0.5, 0.5, 0.0])
+        problem = var.RegressionProblem(
+            X=np.asfortranarray(X),
+            ys=np.ascontiguousarray((X @ beta)[None, :]),
+            psi=(X.T @ X) / 50,
+            k=1,
+            p=3,
+        )
+        truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
+        with pytest.raises(SingularSubGram):
+            theory.sign_recovery_conditions(problem, 0, beta, 1e-3, truth, theory.TheoryParams())
 
     def test_iff_equivalence_against_realized_solve(self):
         params = theory.TheoryParams()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdvar import var
+from hdvar import mc, var
 from hdvar.errors import NotStationary
 from hdvar.linalg import least_squares
 
@@ -21,6 +21,12 @@ class TestCompanion:
         form = var.companion(ar1(0.9))
         assert np.allclose(form.F, [[0.9]])
         assert form.rho == pytest.approx(0.9, abs=1e-6)
+
+    def test_design_radii_exact(self):
+        # B's nonzero blocks give lambda^4 - 0.75 lambda^3 + 0.5; C's roots have modulus 0.95
+        rho_b = var.companion(mc.make_dgp("B", 10)[0]).rho
+        assert rho_b == pytest.approx(max(abs(np.roots([1, -0.75, 0, 0, 0.5]))), abs=1e-12)
+        assert var.companion(mc.make_dgp("C", 10)[0]).rho == pytest.approx(0.95, abs=1e-12)
 
     def test_block_structure(self):
         rng = np.random.Generator(np.random.Philox(0))
