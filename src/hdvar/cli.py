@@ -207,7 +207,8 @@ def cmd_mc(args) -> int:
     else:
         path = os.path.join(args.out, f"{stem}.json")
         mc.report_to_json(report, path)
-    print(f"wrote {path} ({report.runtime_seconds:.1f}s)", file=sys.stderr)
+    nonconverged = " ".join(f"{tag} {c['nonconverged']}/{c['fits']}" for tag, c in report.solver.items())
+    print(f"wrote {path} ({report.runtime_seconds:.1f}s) nonconverged: {nonconverged}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -258,7 +259,9 @@ def cmd_diag(args) -> int:
     for idx, data in enumerate(datasets):
         plan = estimators.FitPlan(data)
         problem = plan.problem
-        flags = theory.event_flags(data, model, truth, params, lambda_t=lam_t, kappa_sbar_sq=kappa_sbar_sq)
+        flags = theory.event_flags(
+            data, model, truth, params, lambda_t=lam_t, kappa_sbar_sq=kappa_sbar_sq, problem=problem, gamma=gamma
+        )
         entry = {
             "replication": idx,
             "events": {

@@ -139,6 +139,9 @@ class McReport:
     rows: dict
     seeds: tuple
     event_frequencies: dict | None = None
+    # per estimator: {"nonconverged": feasible selected fits with converged=False,
+    # "fits": equation fits attempted}
+    solver: dict = field(default_factory=dict)
     runtime_seconds: float = field(default=0.0, compare=False)
     # runtime stays out of serialized reports so reruns are byte-identical
 
@@ -184,17 +187,18 @@ def selection_metrics(fits, truth):
     )
 
 
-def _run_replication(spec: ExperimentSpec, model, truth, r: int, kappa_sbar_sq):
+def _run_replication(spec: ExperimentSpec, model, truth, r: int, gamma, kappa_sbar_sq):
     seed = spec.base_seed + r
     full = var.simulate(model, spec.T + 1, seed=seed)
     data = var.truncate_dataset(full, spec.T)
     realized = full.path[spec.T]
-    fits = estimators.fit_menu(data, spec.estimators, truth=truth, n_lambda=spec.n_lambda, ratio=spec.lambda_ratio)
+    problem = var.stack(data)
+    fits = estimators.fit_menu(problem, spec.estimators, truth=truth, n_lambda=spec.n_lambda, ratio=spec.lambda_ratio)
     forecasts = {tag: var.forecast_one_step(fit.coefficients, data) for tag, fit in fits.items()}
     out = {"rep": r, "seed": seed, "realized": realized, "fits": fits, "forecasts": forecasts}
     if spec.theory_checks:
         flags = theory.event_flags(
-            data, model, truth, theory.TheoryParams(), kappa_sbar_sq=kappa_sbar_sq
+            data, model, truth, theory.TheoryParams(), kappa_sbar_sq=kappa_sbar_sq, problem=problem, gamma=gamma
         )
         out["events"] = flags
     return out
@@ -234,7 +238,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
     """
     start = time.perf_counter()
     model, truth = make_dgp(spec.experiment, spec.k)
-    kappa_sbar_sq = None
+    gamma = kappa_sbar_sq = None
     if spec.theory_checks:
         gamma = var.population_gamma(model)
         kappa_sbar_sq = theory.restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))
@@ -244,17 +248,23 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
             results = list(
                 pool.map(
                     _run_replication,
-                    *zip(*[(spec, model, truth, r, kappa_sbar_sq) for r in reps]),
+                    *zip(*[(spec, model, truth, r, gamma, kappa_sbar_sq) for r in reps]),
                     chunksize=max(1, spec.n_reps // (4 * threads)),
                 )
             )
     else:
-        results = [_run_replication(spec, model, truth, r, kappa_sbar_sq) for r in reps]
+        results = [_run_replication(spec, model, truth, r, gamma, kappa_sbar_sq) for r in reps]
     results.sort(key=lambda d: d["rep"])
 
     rows = {}
+    solver = {}
     for tag in spec.estimators:
         fits = [res["fits"][tag] for res in results]
+        equations = [eq for f in fits for eq in f.fits]
+        solver[tag] = {
+            "nonconverged": sum(eq.feasible and not eq.converged for eq in equations),
+            "fits": len(equations),
+        }
         n_failed = sum(not f.feasible for f in fits)
         if n_failed:
             rows[tag] = McRow(tag, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, True, n_failed)
@@ -294,6 +304,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
         rows=rows,
         seeds=tuple(spec.base_seed + r for r in reps),
         event_frequencies=events,
+        solver=solver,
         runtime_seconds=time.perf_counter() - start,
     )
 
@@ -338,6 +349,7 @@ def report_to_json(report: McReport, path: str) -> None:
             for tag in spec.estimators
         },
         "event_frequencies": report.event_frequencies,
+        "solver": report.solver,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

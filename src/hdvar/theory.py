@@ -294,23 +294,30 @@ def event_flags(
     params: TheoryParams,
     lambda_t: float | None = None,
     kappa_sbar_sq: float | None = None,
+    *,
+    problem: var.RegressionProblem | None = None,
+    gamma: np.ndarray | None = None,
 ) -> EventFlags:
     """Evaluate the three empirical events on one simulated replication.
 
     b_t: all regressor/innovation cross-moments below lambda_T / 2;
     c_t: entrywise Gram deviation within (1-q) kappa^2(s_bar) / (16 s_bar);
     d_t: all second moments of the regressors below K_T.
+    ``problem`` (the stacked ``data``) and ``gamma`` (the model's population
+    covariance) are computed here when the caller does not hold them.
     """
     if data.innovations is None:
         raise MissingInnovations("event evaluation needs the true innovations")
-    problem = var.stack(data)
+    if problem is None:
+        problem = var.stack(data)
+    if gamma is None:
+        gamma = var.population_gamma(model)
     T, k, p = data.T, data.k, data.p
     st = var.sigma_t(model)
     if lambda_t is None:
         lambda_t = lambda_theorem1(T, k, p, st)
     cross = problem.X.T @ data.innovations / T
     max_cross = float(np.abs(cross).max())
-    gamma = var.population_gamma(model)
     max_cov_dev = float(np.abs(problem.psi - gamma).max())
     if kappa_sbar_sq is None:
         kappa_sbar_sq = restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))

@@ -5,10 +5,21 @@ import numpy as np
 import pytest
 
 from hdvar import cli, estimators, var
+from hdvar.solver import PenaltySpec, kkt_check, lambda_max
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def sign_fixed_solution(X, y, lam, weights, support):
+    """Minimiser of the weighted L1 objective with the given support, all signs positive:
+    beta_A = Psi_AA^{-1} (c_A - lam w_A) with Psi = X'X/T and c = X'y/T."""
+    T = X.shape[0]
+    XA = X[:, support]
+    beta = np.zeros(X.shape[1])
+    beta[support] = np.linalg.solve(XA.T @ XA / T, XA.T @ y / T - lam * weights[support])
+    return beta
 
 
 class TestSimulate:
@@ -91,37 +102,57 @@ class TestFit:
         assert [f.converged for f in estimators.system_fit_from_dict(payload).fits] == converged
 
     def test_lambda_override_fits_pinned(self, tmp_path):
-        # pinned to the output of the CLI's former, separate --lambda implementation
         model = {"phis": [[[0.5, 0.2, 0.0], [0.0, 0.4, 0.0], [0.1, 0.0, 0.3]]], "sigma": np.eye(3).tolist()}
         (tmp_path / "model.json").write_text(json.dumps(model))
         run(["simulate", "--model", str(tmp_path / "model.json"), "--T", "60", "--seed", "3", "--out", str(tmp_path)])
         tags = "lasso,post_lasso,adaptive_lasso_lasso"
         out = tmp_path / "fits"
-        assert run(["fit", "--data", str(tmp_path), "--estimators", tags, "--lambda", "0.05", "--out", str(out)]) == 0
-        pinned = {
-            "lasso": (
-                [0.2176392325168506, 0.6101181549379969, 0.002523955363588679, 0.0, 0.4671113063125742,
-                 0.06894344524144114, 0.0, 0.0, 0.2584780656624138],
-                [[0, 1, 2], [1, 2], [2]],
-            ),
-            "post_lasso": (
-                [0.24104546013020967, 0.6291872762405393, 0.03293446727025232, 0.0, 0.4996140707464744,
-                 0.09495018249269756, 0.0, 0.0, 0.29292821060413987],
-                [[0, 1, 2], [1, 2], [2]],
-            ),
-            "adaptive_lasso_lasso": (
-                [0.09469820492600046, 0.6481256475966728, 0.0, 0.0, 0.41954059674908245, 0.0, 0.0, 0.0,
-                 0.15963613848977107],
-                [[0, 1], [1], [2]],
-            ),
+        lam = 0.05
+        assert run(["fit", "--data", str(tmp_path), "--estimators", tags, "--lambda", str(lam), "--out", str(out)]) == 0
+        # the optimum in closed form on the stacked data, every coefficient on these supports positive
+        prob = var.stack(var.load_dataset(str(tmp_path)))
+        supports = {
+            "lasso": [[0, 1, 2], [1, 2], [2]],
+            "post_lasso": [[0, 1, 2], [1, 2], [2]],
+            "adaptive_lasso_lasso": [[0, 1], [1], [2]],
         }
-        for tag, (beta, active_sets) in pinned.items():
+        # BIC-selected first stage of adaptive_lasso_lasso: (index on the default
+        # 100-point grid lambda_max (1 + 1e-10) 10^(-4 l / 99), support)
+        first_stage = [(30, [0, 1]), (13, [1]), (23, [2])]
+        ones = np.ones(prob.m)
+        expected = {tag: [] for tag in supports}
+        penalties = {tag: [] for tag in supports}
+        for i, (grid_index, first_support) in enumerate(first_stage):
+            X, y = prob.X, prob.ys[i]
+            expected["lasso"].append(sign_fixed_solution(X, y, lam, ones, supports["lasso"][i]))
+            penalties["lasso"].append(PenaltySpec(lam))
+            post = np.zeros(prob.m)
+            post[supports["post_lasso"][i]] = np.linalg.lstsq(X[:, supports["post_lasso"][i]], y, rcond=None)[0]
+            expected["post_lasso"].append(post)
+            grid_lam = lambda_max(X, y) * (1.0 + 1e-10) * np.logspace(0.0, -4.0, 100)[grid_index]
+            first = sign_fixed_solution(X, y, grid_lam, ones, first_support)
+            with np.errstate(divide="ignore"):
+                weights = np.where(first != 0.0, 1.0 / np.abs(first), np.inf)
+            expected["adaptive_lasso_lasso"].append(
+                sign_fixed_solution(X, y, lam, weights, supports["adaptive_lasso_lasso"][i])
+            )
+            penalties["adaptive_lasso_lasso"].append(PenaltySpec(lam, weights=weights))
+        # equation 1's lasso converges by coordinate descent at sweep 8, between the
+        # exact step's attempts at sweeps 5 and 10, so it is the coordinate-descent
+        # iterate: within the KKT tolerance of the optimum, not on it
+        cd_iterate = np.array([0.0, 0.4671113063125742, 0.06894344524144114])
+        assert np.abs(cd_iterate - expected["lasso"][1]).max() <= 1e-6 * np.abs(expected["lasso"][1]).max()
+        expected["lasso"][1] = cd_iterate
+        for tag, active_sets in supports.items():
             payload = json.loads((out / f"fit_{tag}.json").read_text())
-            assert payload["beta"] == pytest.approx(beta, rel=1e-12, abs=0.0)
+            assert payload["beta"] == pytest.approx(np.concatenate(expected[tag]), rel=1e-12, abs=0.0)
             assert payload["active_sets"] == active_sets
-            assert payload["lambda_per_equation"] == [0.05] * 3
+            assert payload["lambda_per_equation"] == [lam] * 3
             assert payload["feasible"] == [True] * 3
             assert payload["converged"] == [True] * 3
+            beta = np.reshape(payload["beta"], (3, prob.m))
+            for i, pen in enumerate(penalties[tag]):
+                assert kkt_check(prob.X, prob.ys[i], beta[i], pen) <= 1e-7
 
     @pytest.mark.parametrize(
         "tags, lam", [("lasso,full_ols", "0.1"), ("oracle_ols", "0.1"), ("lasso", "-1"), ("lasso", "nan")]

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 
-from hdvar import estimators, mc, var
+from hdvar import cli, estimators, mc, var
 from hdvar.errors import UnknownCombination
 
 
@@ -177,10 +178,30 @@ class TestRunExperiment:
         text = csv_path.read_text()
         assert text.startswith("estimator,")
         assert "lasso" in text and "full_ols" in text
-        import json
 
         payload = json.loads(json_path.read_text())
         assert payload["estimators"]["lasso"]["rmse"] > 0
+
+    def test_nonconverged_selected_fits_counted(self, monkeypatch, tmp_path, capsys):
+        # m = 50 > T = 40 and at most 2 sweeps per grid point: selected LASSO fits stop short
+        menu = estimators.fit_menu
+        monkeypatch.setattr(mc.estimators, "fit_menu", lambda *args, **opts: menu(*args, max_iter=2, **opts))
+        model, _ = mc.make_dgp("C", 10)
+        expected = 0
+        for seed in (5, 6):
+            data = var.truncate_dataset(var.simulate(model, 41, seed=seed), 40)
+            plan = estimators.FitPlan(data, max_iter=2)
+            expected += sum(not plan.lasso(i).converged for i in range(10))
+        assert expected > 0
+        argv = ["mc", "--experiment", "C", "--k", "10", "--T", "40", "--reps", "2", "--seed", "5"]
+        assert cli.main(argv + ["--estimators", "lasso,full_ols", "--format", "json", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "C_10_40.json").read_text())
+        # full_ols is infeasible at m >= T, and an infeasible fit is not counted
+        assert payload["solver"] == {
+            "lasso": {"nonconverged": expected, "fits": 20},
+            "full_ols": {"nonconverged": 0, "fits": 20},
+        }
+        assert f"nonconverged: lasso {expected}/20 full_ols 0/20" in capsys.readouterr().err
 
     def test_share_one_when_included_one(self):
         spec = mc.ExperimentSpec("A", 10, 500, n_reps=3, estimators=("lasso",))

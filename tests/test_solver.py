@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from hdvar.errors import AllWeightsInfinite
 from hdvar.linalg import cholesky_solve, least_squares
+from hdvar import solver
 from hdvar.solver import (
+    EXACT_EVERY,
     PenaltySpec,
     kkt_check,
     lambda_max,
@@ -13,7 +15,6 @@ from hdvar.solver import (
     lasso_path,
     objective,
     ridge_path,
-    soft_threshold,
 )
 
 
@@ -44,27 +45,6 @@ def grid_search_2d(X, y, pen, lo=-2.0, hi=2.0, step=1e-3):
     total = f1[:, None] + f2[None, :] + 2 * G[0, 1] * np.outer(b1, b2) + const
     idx = np.unravel_index(np.argmin(total), total.shape)
     return np.array([b1[idx[0]], b2[idx[1]]]), float(total[idx])
-
-
-class TestSoftThreshold:
-    def test_inside(self):
-        assert soft_threshold(0.5, 1.0) == 0.0
-
-    def test_positive(self):
-        assert soft_threshold(2.0, 1.0) == 1.0
-
-    def test_negative(self):
-        assert soft_threshold(-3.0, 0.5) == -2.5
-
-    def test_exact_tie_is_zero(self):
-        assert soft_threshold(1.0, 1.0) == 0.0
-        assert soft_threshold(-1.0, 1.0) == 0.0
-
-    @given(st.floats(-1e6, 1e6), st.floats(0, 1e6))
-    def test_shrinks_toward_zero(self, z, gamma):
-        out = soft_threshold(z, gamma)
-        assert abs(out) == max(abs(z) - gamma, 0.0)
-        assert out * z >= 0.0
 
 
 class TestLassoCd:
@@ -250,6 +230,73 @@ class TestGramForm:
         assert kkt_check(X, y, res.beta, pen) <= 1e-10 + 1e-12
         cold = lasso_cd(X, y, pen, tol=1e-10)
         assert np.abs(res.beta - cold.beta).max() <= 1e-8
+
+
+class TestExactStep:
+    """The sign-fixed step lasso_cd tries every EXACT_EVERY sweeps."""
+
+    @pytest.fixture
+    def step_outcomes(self, monkeypatch):
+        """True for each accepted attempt of the step, False for each rejected one."""
+        outcomes = []
+        step = solver._sign_fixed_step
+
+        def recorded(*args):
+            result = step(*args)
+            outcomes.append(result is not None)
+            return result
+
+        monkeypatch.setattr(solver, "_sign_fixed_step", recorded)
+        return outcomes
+
+    def test_near_unit_root_path_converges(self, step_outcomes):
+        prob = experiment_problem("C", 10, 1000)  # m = 50, seed 0
+        path = lasso_path(prob.X, prob.ys[0])
+        for lam, res in path:
+            assert res.converged
+            assert kkt_check(prob.X, prob.ys[0], res.beta, PenaltySpec(lam)) <= 1e-7
+        # coordinate descent alone takes 1,965 sweeps on this path
+        assert sum(res.iterations for _, res in path) == 518
+        assert step_outcomes.count(True) == 87
+        # a rejected candidate leaves the sweeps to reach the tolerance
+        assert step_outcomes.count(False) == 12
+
+    def test_fast_paths_keep_the_coordinate_descent_iterate(self, step_outcomes):
+        prob = experiment_problem("A", 10, 500)
+        X, y = prob.X, prob.ys[0]
+        warm = None
+        for lam, res in lasso_path(X, y):
+            assert res.iterations < EXACT_EVERY
+            capped = lasso_cd(X, y, PenaltySpec(lam), max_iter=EXACT_EVERY - 1, warm_start=warm)
+            assert np.array_equal(res.beta, capped.beta)
+            warm = res.beta
+        assert not step_outcomes
+
+    def test_rejected_candidate_keeps_sweeping(self, step_outcomes):
+        # strongly correlated columns: at sweep 5 the iterate's support is still wrong
+        rng = rng_for(1)
+        X = rng.standard_normal((40, 4))
+        X[:, 1:] = 0.95 * X[:, :1] + np.sqrt(1 - 0.95**2) * X[:, 1:]
+        y = X @ rng.standard_normal(4) + rng.standard_normal(40)
+        pen = PenaltySpec(0.3 * lambda_max(X, y))
+        res = lasso_cd(X, y, pen)
+        assert step_outcomes == [False]
+        assert res.iterations == 8
+        assert res.converged
+        assert kkt_check(X, y, res.beta, pen) <= 1e-7
+        assert not lasso_cd(X, y, pen, max_iter=EXACT_EVERY + 1).converged
+
+    def test_accepted_step_descends(self, step_outcomes):
+        prob = experiment_problem("C", 10, 1000)
+        X, y = prob.X, prob.ys[0]
+        pen = PenaltySpec(0.01 * lambda_max(X, y))
+        res = lasso_cd(X, y, pen, track_objective=True)
+        assert step_outcomes[-1]
+        # one value per sweep, then the accepted candidate's
+        assert len(res.objective_history) == res.iterations + 1
+        assert np.all(np.diff(res.objective_history) <= 1e-12)
+        assert res.objective_history[-1] == objective(X, y, res.beta, pen)
+        assert res.max_kkt_violation <= 1e-7
 
 
 class TestRidge:
