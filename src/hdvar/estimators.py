@@ -17,7 +17,7 @@ import numpy as np
 from . import var
 from .errors import SingularDesign
 from .linalg import least_squares
-from .solver import PenaltySpec, SolverResult, lambda_max, lasso_cd, lasso_path, ridge_path
+from .solver import PenaltySpec, SolverResult, adaptive_weights, lambda_max, lasso_cd, lasso_path, ridge_path
 
 __all__ = [
     "ESTIMATOR_TAGS",
@@ -28,8 +28,6 @@ __all__ = [
     "bic",
     "fit_lasso_bic",
     "fit_post_lasso",
-    "fit_adaptive_lasso",
-    "fit_ridge_bic",
     "fit_oracle_ols",
     "fit_full_ols",
     "FitPlan",
@@ -92,6 +90,8 @@ class EquationFit:
     converged: bool = True
     feasible: bool = True
     failure: str | None = None
+    # BIC chose the last computed point of a lambda grid
+    bic_at_grid_end: bool = False
 
     @classmethod
     def infeasible(cls, m: int, tag: str, reason: str) -> "EquationFit":
@@ -122,20 +122,23 @@ class SystemFit:
         return all(f.feasible for f in self.fits)
 
 
-def bic(rss: float, df: float, T: int) -> float:
-    """log(RSS) + (log T / T) * df; a perfect fit returns the -inf sentinel."""
-    if rss <= 0.0:
-        return -np.inf
-    return float(np.log(rss) + np.log(T) / T * df)
+def bic(rss, df, T: int):
+    """log(RSS) + (log T / T) * df, elementwise over arrays; a perfect fit
+    (RSS <= 0) gets the -inf sentinel."""
+    rss = np.asarray(rss, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(rss <= 0.0, -np.inf, np.log(rss) + np.log(T) / T * np.asarray(df, dtype=np.float64))
+    return float(values) if values.ndim == 0 else values
 
 
-def _active_set(beta: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(beta)
-
-
-def _rss(problem: var.RegressionProblem, i: int, beta: np.ndarray) -> float:
-    r = problem.ys[i] - problem.X @ beta
-    return float(r @ r)
+def _bic_select(X, y, B, df, T: int) -> tuple:
+    """(index, BIC, RSS) of the first BIC minimum over the fits in the columns of B."""
+    R = X @ B  # the one T x n temporary: fitted values, then residuals
+    np.subtract(y[:, None], R, out=R)
+    rss = np.einsum("ij,ij->j", R, R)
+    values = bic(rss, df, T)
+    best = int(np.argmin(values))  # first minimum = largest lambda
+    return best, float(values[best]), float(rss[best])
 
 
 def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -> EquationFit:
@@ -145,10 +148,11 @@ def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -
     if len(idx):
         coef = least_squares(problem.X[:, idx], problem.ys[i])
         beta[idx] = coef
-    rss = _rss(problem, i, beta)
+    r = problem.ys[i] - problem.X @ beta
+    rss = float(r @ r)
     return EquationFit(
         beta=beta,
-        active_set=_active_set(beta),
+        active_set=np.flatnonzero(beta),
         lambda_selected=0.0,
         estimator_tag=tag,
         bic_value=bic(rss, float(len(idx)), T),
@@ -158,21 +162,15 @@ def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -
 
 
 def _l1_fit(
-    problem: var.RegressionProblem,
-    i: int,
-    tag: str,
-    weights: np.ndarray | None = None,
-    lam: float | None = None,
-    n_lambda: int = 100,
-    ratio: float = 1e-4,
-    tol: float = 1e-7,
-    max_iter: int = 1000,
+    problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=None, n_lambda=100, ratio=1e-4, **cd_opts
 ) -> EquationFit:
     """The penalized stage every L1 estimator ends in: weighted LASSO fits, then BIC.
 
     Without ``lam`` the candidates are the warm-started ``lasso_path`` grid; a
-    fixed ``lam`` is a one-point grid, solved as given from a cold start.
-    BIC's df is the active-set size and ties resolve to the larger lambda.
+    fixed ``lam`` is a one-point grid, solved as given from a cold start;
+    ``cd_opts`` (``tol``, ``max_iter``) go to the solver.  BIC scores the
+    whole path at once; its df is the active-set size and ties resolve to the
+    larger lambda.
     """
     X, y = problem.X, problem.ys[i]
     if weights is not None and not np.isfinite(weights).any():
@@ -180,31 +178,24 @@ def _l1_fit(
         zero = SolverResult(beta=np.zeros(problem.m), iterations=0, max_kkt_violation=0.0, converged=True)
         path = [(0.0 if lam is None else float(lam), zero)]
     elif lam is None:
-        path = lasso_path(X, y, weights=weights, n_lambda=n_lambda, ratio=ratio, tol=tol, max_iter=max_iter)
+        path = lasso_path(X, y, weights=weights, n_lambda=n_lambda, ratio=ratio, **cd_opts)
     else:
-        path = [(float(lam), lasso_cd(X, y, PenaltySpec(lam=lam, weights=weights), tol=tol, max_iter=max_iter))]
-    values = []
-    for grid_lam, res in path:
-        rss = _rss(problem, i, res.beta)
-        values.append((bic(rss, float(len(_active_set(res.beta))), problem.T), rss, grid_lam, res))
-    bval, rss, lam_selected, res = min(values, key=lambda v: v[0])  # first minimum = largest lambda
-    active = _active_set(res.beta)
+        path = [(float(lam), lasso_cd(X, y, PenaltySpec(lam=lam, weights=weights), **cd_opts))]
+    B = np.column_stack([res.beta for _, res in path])
+    df = np.count_nonzero(B, axis=0)
+    best, bval, rss = _bic_select(X, y, B, df, problem.T)
+    lam_selected, res = path[best]
     return EquationFit(
         beta=res.beta,
-        active_set=active,
+        active_set=np.flatnonzero(res.beta),
         lambda_selected=lam_selected,
         estimator_tag=tag,
         bic_value=bval,
-        df=float(len(active)),
+        df=float(df[best]),
         rss=rss,
         converged=res.converged,
+        bic_at_grid_end=len(path) > 1 and best == len(path) - 1,
     )
-
-
-def _adaptive_weights(stage1: np.ndarray) -> np.ndarray:
-    """1/|first-stage coefficient|; coordinates the first stage zeroed are excluded."""
-    with np.errstate(divide="ignore"):
-        return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
 
 
 class FitPlan:
@@ -255,8 +246,7 @@ class FitPlan:
             lmax = lambda_max(X, y) or 1.0  # a zero response has lambda_max 0
             grid = T * lmax * np.logspace(0.0, np.log10(self.opts["ratio"]), self.opts["n_lambda"])
             B, df = ridge_path(X, y, grid, eig=self._gram_eig)
-            R = y[:, None] - X @ B
-            best = int(np.argmin([bic(float(r @ r), float(d), T) for r, d in zip(R.T, df)]))  # first = largest lambda
+            best = _bic_select(X, y, B, df, T)[0]
             self._ridge[i] = (B[:, best], float(grid[best]))
         return self._ridge[i]
 
@@ -269,7 +259,7 @@ class FitPlan:
             return fit_post_lasso(self.problem, i, lasso_fit=self.lasso(i, lam))
         if tag in ("adaptive_lasso_lasso", "adaptive_lasso_ridge"):
             stage1 = self.lasso(i).beta if tag == "adaptive_lasso_lasso" else self.ridge_bic(i)[0]
-            return _l1_fit(self.problem, i, tag, weights=_adaptive_weights(stage1), lam=lam, **self.opts)
+            return _l1_fit(self.problem, i, tag, weights=adaptive_weights(stage1), lam=lam, **self.opts)
         if tag == "oracle_ols":
             if self.truth is None:
                 raise ValueError("oracle_ols requires the true sparsity structure")
@@ -285,23 +275,15 @@ class FitPlan:
         return SystemFit(estimator_tag=tag, fits=fits, coefficients=coef, k=self.problem.k, p=self.problem.p)
 
 
-def fit_lasso_bic(
-    problem: var.RegressionProblem,
-    i: int,
-    n_lambda: int = 100,
-    ratio: float = 1e-4,
-    tol: float = 1e-7,
-    max_iter: int = 1000,
-) -> EquationFit:
-    """LASSO with the penalty chosen by BIC over a log-spaced grid."""
-    return _l1_fit(problem, i, "lasso", n_lambda=n_lambda, ratio=ratio, tol=tol, max_iter=max_iter)
+def fit_lasso_bic(problem: var.RegressionProblem, i: int, **opts) -> EquationFit:
+    """LASSO with the penalty chosen by BIC over a log-spaced grid; ``opts`` are
+    ``n_lambda``, ``ratio``, ``tol`` and ``max_iter``."""
+    return _l1_fit(problem, i, "lasso", **opts)
 
 
-def fit_post_lasso(problem: var.RegressionProblem, i: int, lasso_fit: EquationFit | None = None, **opts) -> EquationFit:
+def fit_post_lasso(problem: var.RegressionProblem, i: int, lasso_fit: EquationFit) -> EquationFit:
     """Least squares refit on the LASSO active set (zeros elsewhere); it carries
-    the LASSO fit's penalty level and convergence flag."""
-    if lasso_fit is None:
-        lasso_fit = fit_lasso_bic(problem, i, **opts)
+    the LASSO fit's penalty level, convergence flag and grid-end flag."""
     active = lasso_fit.active_set
     if len(active) >= problem.T:
         return EquationFit.infeasible(problem.m, "post_lasso", "too_many_selected")
@@ -311,24 +293,8 @@ def fit_post_lasso(problem: var.RegressionProblem, i: int, lasso_fit: EquationFi
         return EquationFit.infeasible(problem.m, "post_lasso", "singular_design")
     fit.lambda_selected = lasso_fit.lambda_selected
     fit.converged = lasso_fit.converged
+    fit.bic_at_grid_end = lasso_fit.bic_at_grid_end
     return fit
-
-
-def fit_ridge_bic(problem: var.RegressionProblem, i: int, n_lambda: int, ratio: float):
-    """Ridge first stage of equation i: (coefficients, BIC-selected lambda)."""
-    return FitPlan(problem, n_lambda=n_lambda, ratio=ratio).ridge_bic(i)
-
-
-def fit_adaptive_lasso(problem: var.RegressionProblem, i: int, init: str = "lasso", **opts) -> EquationFit:
-    """Two-stage weighted LASSO with weights 1/|first-stage coefficient|.
-
-    Coordinates zeroed by the first stage get infinite weight (hard exclusion);
-    the stage-two grid is recomputed from the weighted lambda_max and the
-    penalty is again chosen by BIC.  An empty first stage gives the zero fit.
-    """
-    if init not in ("lasso", "ridge"):
-        raise ValueError(f"unknown first-stage estimator: {init}")
-    return FitPlan(problem, **opts).equation(f"adaptive_lasso_{init}", i)
 
 
 def fit_oracle_ols(problem: var.RegressionProblem, i: int, truth: SparsityInfo) -> EquationFit:

@@ -139,8 +139,8 @@ class McReport:
     rows: dict
     seeds: tuple
     event_frequencies: dict | None = None
-    # per estimator: {"nonconverged": feasible selected fits with converged=False,
-    # "fits": equation fits attempted}
+    # per estimator: "fits" (equation fits attempted), and over the feasible ones
+    # "nonconverged", "bic_at_grid_end" and "mean_df_over_T" (None if none)
     solver: dict = field(default_factory=dict)
     runtime_seconds: float = field(default=0.0, compare=False)
     # runtime stays out of serialized reports so reruns are byte-identical
@@ -261,9 +261,12 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
     for tag in spec.estimators:
         fits = [res["fits"][tag] for res in results]
         equations = [eq for f in fits for eq in f.fits]
+        selected = [eq for eq in equations if eq.feasible]
         solver[tag] = {
-            "nonconverged": sum(eq.feasible and not eq.converged for eq in equations),
+            "nonconverged": sum(not eq.converged for eq in selected),
             "fits": len(equations),
+            "bic_at_grid_end": sum(eq.bic_at_grid_end for eq in selected),
+            "mean_df_over_T": float(np.mean([eq.df for eq in selected])) / spec.T if selected else None,
         }
         n_failed = sum(not f.feasible for f in fits)
         if n_failed:

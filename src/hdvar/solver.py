@@ -18,6 +18,11 @@ Numer. Anal. 20(3)).  The candidate is accepted only if its signs equal s
 and its full KKT residual is within ``tol``; otherwise it is discarded and
 the sweeps go on from the coordinate-descent iterate.  A fit that converges
 within EXACT_EVERY sweeps never reaches the step.
+
+The lambda path is the unit of work: ``lasso_path`` checks its weights and
+forms Psi, c and the pinned coordinates once, then runs one coordinate-descent
+kernel per grid point, carrying beta and the exact gradient g = c - Psi beta
+from one point to the next.  ``lasso_cd`` is the same kernel at one lambda.
 """
 
 from __future__ import annotations
@@ -39,9 +44,17 @@ __all__ = [
     "lasso_cd",
     "kkt_check",
     "lambda_max",
+    "adaptive_weights",
     "lasso_path",
     "ridge_path",
 ]
+
+
+def _lam_w(lam: float, weights: np.ndarray | None, m: int) -> np.ndarray:
+    """Per-coordinate thresholds lam*w_j with 0*inf resolved to exclusion."""
+    if weights is None:
+        return np.full(m, float(lam))
+    return np.where(np.isinf(weights), np.inf, lam * weights).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -62,12 +75,9 @@ class PenaltySpec:
 
     def lam_w(self, m: int) -> np.ndarray:
         """Per-coordinate thresholds lam*w_j with 0*inf resolved to exclusion."""
-        if self.weights is None:
-            return np.full(m, float(self.lam))
-        if len(self.weights) != m:
+        if self.weights is not None and len(self.weights) != m:
             raise ValueError("weight length does not match design")
-        out = np.where(np.isinf(self.weights), np.inf, self.lam * self.weights)
-        return out.astype(np.float64)
+        return _lam_w(self.lam, self.weights, m)
 
 
 @dataclass
@@ -103,9 +113,10 @@ def _kkt_residual(g: np.ndarray, beta: np.ndarray, lam_w: np.ndarray) -> float:
         return 0.0
     sign = np.sign(beta)
     idle = sign == 0.0
-    # lam_w_j sign(beta_j) on the active set only: an idle coordinate's 0 * inf stays out
+    # lam_w_j sign(beta_j) on the active set only and lam_w_j on the idle set only,
+    # so an infinite lam_w_j never meets a 0 (an active one reports inf)
     subgradient = np.multiply(lam_w, sign, out=np.zeros_like(g), where=~idle)
-    return max(0.0, float((np.abs(g - subgradient) - lam_w * idle).max()))
+    return max(0.0, float((np.abs(g - subgradient) - np.where(idle, lam_w, 0.0)).max()))
 
 
 def _gram(X, y) -> tuple:
@@ -113,12 +124,33 @@ def _gram(X, y) -> tuple:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     T = X.shape[0]
+    if T < 1:
+        raise ValueError("need at least one observation")
     return (X.T @ X) / T, (X.T @ y) / T
 
 
+def _free_residual(g: list, b: list, thresholds: list, free: list) -> float:
+    """_kkt_residual on Python floats over the free coordinates, by the same IEEE
+    operations: |g_j -+ lam_w_j| on the active set, |g_j| - lam_w_j on idle ones.
+    A pinned coordinate (zero, with g_j = 0 or lam_w_j infinite) adds at most 0."""
+    viol = 0.0
+    for j in free:
+        bj = b[j]
+        if bj > 0.0:
+            r = abs(g[j] - thresholds[j])
+        elif bj < 0.0:
+            r = abs(g[j] + thresholds[j])
+        else:
+            r = abs(g[j]) - thresholds[j]
+        if r > viol:
+            viol = r
+    return viol
+
+
 def _sign_fixed_step(psi, c, beta, lam_w, tol) -> tuple | None:
-    """(candidate, KKT residual) of the exact minimiser with beta's support and signs,
-    or None when the system is singular, a sign flips or the residual exceeds ``tol``."""
+    """(candidate, its gradient c - Psi candidate, KKT residual) of the exact minimiser
+    with beta's support and signs, or None when the system is singular, a sign
+    flips or the residual exceeds ``tol``."""
     active = np.flatnonzero(beta)
     sign = np.sign(beta[active])
     try:
@@ -129,55 +161,27 @@ def _sign_fixed_step(psi, c, beta, lam_w, tol) -> tuple | None:
         return None
     cand = np.zeros_like(beta)
     cand[active] = beta_a
-    viol = _kkt_residual(c - psi @ cand, cand, lam_w)
-    return (cand, viol) if viol <= tol else None
+    g = c - psi @ cand
+    viol = _kkt_residual(g, cand, lam_w)
+    return (cand, g, viol) if viol <= tol else None
 
 
-def lasso_cd(
-    X,
-    y,
-    pen: PenaltySpec,
-    tol: float = 1e-7,
-    max_iter: int = 1000,
-    warm_start: np.ndarray | None = None,
-    track_objective: bool = False,
-    gram: tuple | None = None,
-) -> SolverResult:
-    """Minimize the weighted L1 objective by cyclic coordinate descent.
-
-    With the gradient g = c - Psi beta kept up to date, the coordinate update
-    is beta_j <- S(g_j + Psi_jj beta_j, lam*w_j) / Psi_jj; zero columns and
-    infinitely weighted coordinates are pinned to zero.  ``gram`` passes
-    a precomputed ``(Psi, c)``.  After every sweep g is recomputed exactly,
-    and every EXACT_EVERY sweeps the exact sign-fixed step is tried (see the
-    module docstring); converged means the KKT residual of the returned beta
-    is at most ``tol`` within ``max_iter`` full sweeps (otherwise
-    ``converged`` is False).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    T, m = X.shape
-    if T < 1:
-        raise ValueError("need at least one observation")
-    psi, c = _gram(X, y) if gram is None else gram
-    lam_w = pen.lam_w(m)
-    if warm_start is not None:
-        beta = np.array(warm_start, dtype=np.float64, copy=True)
-        if beta.shape != (m,):
-            raise ValueError("warm start has wrong length")
-    else:
-        beta = np.zeros(m)
-    pinned = (psi.diagonal() == 0.0) | np.isinf(lam_w)
-    beta[pinned] = 0.0
-    free = np.flatnonzero(~pinned).tolist()
-    # the scalar work runs on Python floats, which index faster than arrays
-    diag = psi.diagonal().tolist()
-    thresholds = lam_w.tolist()
+def _sweep_state(psi, pinned) -> tuple:
+    """Psi's rows, its diagonal as floats and the free (unpinned) coordinates."""
     # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales
-    rows = list(psi)
+    return list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist()
+
+
+def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter, on_iterate=None) -> tuple:
+    """Coordinate descent at one penalty from ``beta`` and its exact gradient
+    ``g = c - Psi beta`` over the ``free`` coordinates (see ``_sweep_state``);
+    returns (beta, g, sweeps, KKT residual).  After every sweep g is
+    recomputed exactly, and every EXACT_EVERY sweeps the sign-fixed step is
+    tried; ``on_iterate`` sees each iterate.
+    """
+    # the scalar work runs on Python floats, which index faster than arrays
+    thresholds = lam_w.tolist()
     b = beta.tolist()
-    g = c - psi @ beta
-    history = [] if track_objective else None
     sweeps = 0
     viol = np.inf
     for sweeps in range(1, max_iter + 1):
@@ -197,19 +201,52 @@ def lasso_cd(
                 g = daxpy(rows[j], g, a=bj - new)
                 b[j] = new
         beta = np.array(b)
-        if track_objective:
-            history.append(objective(X, y, beta, pen))
+        if on_iterate is not None:
+            on_iterate(beta)
         g = c - psi @ beta
-        viol = _kkt_residual(g, beta, lam_w)
+        viol = _free_residual(g.tolist(), b, thresholds, free)
         if viol <= tol:
             break
         if sweeps % EXACT_EVERY == 0:
-            cand = _sign_fixed_step(psi, c, beta, lam_w, tol)
-            if cand is not None:
-                beta, viol = cand
-                if track_objective:
-                    history.append(objective(X, y, beta, pen))
+            step = _sign_fixed_step(psi, c, beta, lam_w, tol)
+            if step is not None:
+                beta, g, viol = step
+                if on_iterate is not None:
+                    on_iterate(beta)
                 break
+    return beta, g, sweeps, viol
+
+
+def lasso_cd(
+    X, y, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start: np.ndarray | None = None, track_objective=False
+) -> SolverResult:
+    """Minimize the weighted L1 objective by cyclic coordinate descent at one penalty.
+
+    With the gradient g = c - Psi beta kept up to date, the coordinate update
+    is beta_j <- S(g_j + Psi_jj beta_j, lam*w_j) / Psi_jj; zero columns and
+    infinitely weighted coordinates are pinned to zero.  This is one call of
+    the kernel ``lasso_path`` runs at each grid point (see the module
+    docstring); converged means the KKT residual of the returned beta is at
+    most ``tol`` within ``max_iter`` full sweeps (otherwise ``converged`` is
+    False).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m = X.shape[1]
+    psi, c = _gram(X, y)
+    lam_w = pen.lam_w(m)
+    if warm_start is not None:
+        beta = np.array(warm_start, dtype=np.float64, copy=True)
+        if beta.shape != (m,):
+            raise ValueError("warm start has wrong length")
+    else:
+        beta = np.zeros(m)
+    pinned = (psi.diagonal() == 0.0) | np.isinf(lam_w)
+    beta[pinned] = 0.0
+    history = [] if track_objective else None
+    on_iterate = None if history is None else (lambda b: history.append(objective(X, y, b, pen)))
+    state = _sweep_state(psi, pinned)
+    beta, _, sweeps, viol = _descend(psi, c, *state, lam_w, beta, c - psi @ beta, tol, max_iter, on_iterate)
     return SolverResult(
         beta=beta,
         iterations=sweeps,
@@ -246,47 +283,45 @@ def lambda_max(X, y, weights: np.ndarray | None = None) -> float:
     return float((g[finite] / w[finite]).max())
 
 
-def lasso_path(
-    X,
-    y,
-    weights: np.ndarray | None = None,
-    n_lambda: int = 100,
-    ratio: float = 1e-4,
-    tol: float = 1e-7,
-    max_iter: int = 1000,
-) -> list:
+def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
+    """1/|first-stage coefficient|; coordinates the first stage zeroed are excluded."""
+    with np.errstate(divide="ignore"):
+        return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
+
+
+def lasso_path(X, y, weights: np.ndarray | None = None, n_lambda=100, ratio=1e-4, tol=1e-7, max_iter=1000) -> list:
     """Warm-started fits on a log-spaced grid from lambda_max down to ratio*lambda_max.
 
-    X'X/T and X'y/T are formed once and shared by every grid point.  Returns
-    [(lambda, SolverResult), ...] ordered by decreasing lambda.
+    The weights are checked, and X'X/T, X'y/T and the pinned coordinates
+    formed, once per path; each grid point is one call of the ``lasso_cd``
+    kernel, started from the previous point's beta and its exact gradient.
+    Returns [(lambda, SolverResult), ...] ordered by decreasing lambda.
     """
     if n_lambda < 2:
         raise ValueError("need at least two grid points")
     if not 0 < ratio < 1:
         raise ValueError("ratio must lie in (0, 1)")
     X_f = np.asfortranarray(X, dtype=np.float64)
-    lmax = lambda_max(X_f, y, weights)
-    stats = _gram(X_f, y)
+    m = X_f.shape[1]
+    psi, c = _gram(X_f, y)
+    w = PenaltySpec(0.0, weights).weights  # checked once per path
+    if w is not None and len(w) != m:
+        raise ValueError("weight length does not match design")
+    lmax = lambda_max(X_f, y, w)
     if lmax == 0.0:
         grid = np.zeros(n_lambda)
     else:
         # the 1e-10 margin keeps the top-of-path solution exactly zero even when
         # the solver's gradient differs from lambda_max's by rounding
         grid = lmax * (1.0 + 1e-10) * np.logspace(0.0, np.log10(ratio), n_lambda)
+    excluded = np.zeros(m, dtype=bool) if w is None else np.isinf(w)
+    state = _sweep_state(psi, (psi.diagonal() == 0.0) | excluded)
+    beta = np.zeros(m)
+    g = c - psi @ beta
     out = []
-    warm = None
-    for lam in grid:
-        res = lasso_cd(
-            X_f,
-            y,
-            PenaltySpec(lam=float(lam), weights=weights),
-            tol=tol,
-            max_iter=max_iter,
-            warm_start=warm,
-            gram=stats,
-        )
-        out.append((float(lam), res))
-        warm = res.beta
+    for lam in grid.tolist():
+        beta, g, sweeps, viol = _descend(psi, c, *state, _lam_w(lam, w, m), beta, g, tol, max_iter)
+        out.append((lam, SolverResult(beta=beta, iterations=sweeps, max_kkt_violation=viol, converged=viol <= tol)))
     return out
 
 

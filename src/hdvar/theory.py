@@ -19,7 +19,7 @@ from .errors import (
     MissingInnovations, NonConvergence, NotPositiveDefinite, NotStationary, SingularSubGram, ZeroKappa,
 )
 from .linalg import cholesky_solve, operator_norm_2
-from .solver import PenaltySpec, lasso_cd
+from .solver import PenaltySpec, adaptive_weights, lasso_cd
 
 __all__ = [
     "TheoryParams",
@@ -32,7 +32,6 @@ __all__ = [
     "thm1_probability",
     "adalasso_probability",
     "restricted_eigenvalue",
-    "re_perturbation_bound",
     "event_flags",
     "thm1_rhs_check",
     "thm3_bounds",
@@ -276,13 +275,6 @@ def restricted_eigenvalue(psi, r: int, seed: int = 0) -> float:
     return float(best)
 
 
-def re_perturbation_bound(kappa_a_sq: float, s: int, delta: float) -> float:
-    """Transfer bound max(0, kappa_A^2 - 16 s delta) for an entrywise perturbation."""
-    if kappa_a_sq < 0 or s < 0 or delta < 0:
-        raise ValueError("inputs must be nonnegative")
-    return max(0.0, kappa_a_sq - 16.0 * s * delta)
-
-
 # ---------------------------------------------------------------------------
 # Empirical events and inequality checks
 
@@ -448,8 +440,7 @@ def sign_recovery_conditions(
     mask[J] = True
     Jc = np.flatnonzero(~mask)
     eps = problem.ys[i] - problem.X @ beta_star
-    with np.errstate(divide="ignore"):
-        w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
+    w = adaptive_weights(stage1)
     l1_err = float(np.abs(stage1 - beta_star).sum())
     beta_min_i = float(truth.beta_min_i[i])
     report = {
@@ -510,7 +501,6 @@ def sign_recovery_conditions(
 def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth, tol=1e-9):
     """Solve the stage-two weighted problem and compare its sign pattern to truth."""
     stage1 = np.asarray(stage1_beta, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
+    w = adaptive_weights(stage1)
     res = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam=lambda_t, weights=w), tol=tol, max_iter=5000)
     return bool(np.all(np.sign(res.beta) == np.sign(truth.beta[i]))), res

@@ -5,7 +5,6 @@ from hdvar import estimators, mc, var
 from hdvar.estimators import (
     SparsityInfo,
     bic,
-    fit_adaptive_lasso,
     fit_full_ols,
     fit_lasso_bic,
     fit_oracle_ols,
@@ -150,12 +149,12 @@ class TestAdaptiveLasso:
         prob, truth, _ = simulated_problem(seed=10, T=200)
         for i in range(3):
             stage1 = fit_lasso_bic(prob, i)
-            ada = fit_adaptive_lasso(prob, i, init="lasso")
+            ada = estimators.FitPlan(prob).equation("adaptive_lasso_lasso", i)
             assert set(ada.active_set.tolist()) <= set(stage1.active_set.tolist())
 
     def test_ridge_init_no_hard_exclusion(self):
         prob, truth, _ = simulated_problem(seed=11, T=200)
-        beta1, _ = estimators.fit_ridge_bic(prob, 0, 50, 1e-4)
+        beta1, _ = estimators.FitPlan(prob, n_lambda=50, ratio=1e-4).ridge_bic(0)
         assert np.all(beta1 != 0.0)  # ridge is dense
 
     def test_ridge_stage_matches_cholesky_loop(self):
@@ -173,7 +172,7 @@ class TestAdaptiveLasso:
                 value = bic(float(r @ r), float(np.trace(cholesky_solve(A, G))), T)
                 if best is None or value < best[0]:
                     best = (value, lam, beta)
-            beta1, lam1 = estimators.fit_ridge_bic(prob, i, 100, 1e-4)
+            beta1, lam1 = estimators.FitPlan(prob, n_lambda=100, ratio=1e-4).ridge_bic(i)
             assert lam1 == best[1]
             assert np.abs(beta1 - best[2]).max() <= 1e-12
 
@@ -197,7 +196,7 @@ class TestAdaptiveLasso:
         y = rng.standard_normal(500)
         prob = problem_from(X, y)
         stage1 = fit_lasso_bic(prob, 0)
-        ada = fit_adaptive_lasso(prob, 0, init="lasso")
+        ada = estimators.FitPlan(prob).equation("adaptive_lasso_lasso", 0)
         if len(stage1.active_set) == 0:
             assert np.all(ada.beta == 0.0)
             assert ada.feasible

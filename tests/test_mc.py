@@ -198,10 +198,40 @@ class TestRunExperiment:
         payload = json.loads((tmp_path / "C_10_40.json").read_text())
         # full_ols is infeasible at m >= T, and an infeasible fit is not counted
         assert payload["solver"] == {
-            "lasso": {"nonconverged": expected, "fits": 20},
-            "full_ols": {"nonconverged": 0, "fits": 20},
+            "lasso": {"nonconverged": expected, "fits": 20, "bic_at_grid_end": 12, "mean_df_over_T": 0.94625},
+            "full_ols": {"nonconverged": 0, "fits": 20, "bic_at_grid_end": 0, "mean_df_over_T": None},
         }
         assert f"nonconverged: lasso {expected}/20 full_ols 0/20" in capsys.readouterr().err
+
+    def test_grid_end_and_selected_df_counted(self, monkeypatch):
+        tags = estimators.ESTIMATOR_TAGS
+        # m = 50 > T = 40: the LASSO BIC runs to the end of the grid and keeps more than T regressors;
+        # max_iter=50 keeps the non-converging grid points cheap
+        menu = estimators.fit_menu
+        monkeypatch.setattr(mc.estimators, "fit_menu", lambda *args, **opts: menu(*args, max_iter=50, **opts))
+        report = mc.run_experiment(mc.ExperimentSpec("C", 10, 40, n_reps=1, base_seed=5, estimators=tags))
+        assert {tag: (c["bic_at_grid_end"], c["mean_df_over_T"]) for tag, c in report.solver.items()} == {
+            "lasso": (10, 1.1375),
+            "post_lasso": (0, None),  # too_many_selected in every equation
+            "adaptive_lasso_lasso": (10, 0.9025000000000001),
+            "adaptive_lasso_ridge": (10, 0.975),
+            "oracle_ols": (0, 0.125),
+            "full_ols": (0, None),
+        }
+        monkeypatch.undo()
+        report = mc.run_experiment(mc.ExperimentSpec("A", 10, 200, n_reps=2, base_seed=5, estimators=tags))
+        # the LASSO and its refit stop inside the grid; the adaptive stage on a
+        # LASSO first stage mostly ends with every finite-weight coordinate
+        # active, where a smaller lambda only lowers RSS, so its BIC falls to
+        # the grid end
+        assert {tag: (c["bic_at_grid_end"], c["mean_df_over_T"]) for tag, c in report.solver.items()} == {
+            "lasso": (0, 0.006),
+            "post_lasso": (0, 0.006),
+            "adaptive_lasso_lasso": (19, 0.00575),
+            "adaptive_lasso_ridge": (0, 0.00525),
+            "oracle_ols": (0, 0.005),
+            "full_ols": (0, 0.05),
+        }
 
     def test_share_one_when_included_one(self):
         spec = mc.ExperimentSpec("A", 10, 500, n_reps=3, estimators=("lasso",))

@@ -137,6 +137,12 @@ class TestKktCheck:
         res = lasso_cd(X, y, pen, tol=1e-9)
         assert kkt_check(X, y, res.beta, pen) <= 1e-9 + 1e-12
 
+    def test_nonzero_excluded_coordinate_is_infinite_violation(self):
+        # an infinite weight forces b_j = 0, so a nonzero b_j has no finite violation
+        X, y = random_instance(19, T=30, m=3)
+        pen = PenaltySpec(0.01, weights=np.array([np.inf, 1.0, 1.0]))
+        assert kkt_check(X, y, np.array([0.5, 0.0, 0.0]), pen) == np.inf
+
 
 class TestLambdaMax:
     def test_orthogonal_response(self):
@@ -196,6 +202,118 @@ def experiment_problem(experiment, k, T, seed=0):
 
     model, _ = mc.make_dgp(experiment, k)
     return var.stack(var.simulate(model, T, seed=seed))
+
+
+def adaptive_instance():
+    """A/10/500 equation 0 with column 3 zeroed, and adaptive weights from a path
+    point: infinite off that point's support, finite on the zero column."""
+    prob = experiment_problem("A", 10, 500)
+    X = np.array(prob.X, order="F")
+    X[:, 3] = 0.0
+    y = prob.ys[0]
+    stage1 = lasso_path(X, y)[40][1].beta
+    with np.errstate(divide="ignore"):
+        w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
+    w[3] = 1.0
+    assert np.isinf(w).any() and np.isfinite(w).sum() > 1
+    return X, y, w
+
+
+class TestPathKernel:
+    """lasso_path runs the lasso_cd kernel once per grid point, carrying (beta, g)."""
+
+    @pytest.mark.parametrize(
+        "case",
+        # C/10/40 has m = 50 > T = 40; max_iter=50 leaves some grid points unconverged
+        ["A/10/500", "C/10/1000", "adaptive", "C/10/40"],
+    )
+    def test_path_equals_warm_started_lasso_cd_chain(self, case):
+        opts = {}
+        if case == "adaptive":
+            X, y, w = adaptive_instance()
+        else:
+            experiment, k, T = case.split("/")
+            prob = experiment_problem(experiment, int(k), int(T))
+            X, y, w = prob.X, prob.ys[0], None
+            if case == "C/10/40":
+                opts = {"max_iter": 50}
+        path = lasso_path(X, y, weights=w, **opts)
+        if case == "C/10/40":
+            assert not all(res.converged for _, res in path)
+        warm = None
+        for lam, res in path:
+            ref = lasso_cd(X, y, PenaltySpec(lam, weights=w), warm_start=warm, **opts)
+            assert np.array_equal(res.beta, ref.beta)
+            assert res.iterations == ref.iterations
+            assert res.converged == ref.converged
+            assert res.max_kkt_violation == ref.max_kkt_violation
+            warm = ref.beta
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(
+                # active coordinate
+                st.tuples(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0),
+                    st.floats(min_value=0.0, allow_nan=False),
+                ),
+                # idle coordinate, +0.0 or -0.0
+                st.tuples(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0]),
+                    st.floats(min_value=0.0, allow_nan=False),
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    def test_float_residual_equals_kkt_residual(self, coords):
+        g, b, thresholds = (list(col) for col in zip(*coords)) if coords else ([], [], [])
+        with np.errstate(over="ignore"):
+            expected = solver._kkt_residual(np.array(g, dtype=float), np.array(b, dtype=float), np.array(thresholds))
+        every = list(range(len(g)))
+        assert solver._free_residual(g, b, thresholds, every) == expected
+        # leaving out pinned coordinates (zero and infinitely weighted) changes nothing
+        free = [j for j in every if b[j] != 0.0 or thresholds[j] != np.inf]
+        assert solver._free_residual(g, b, thresholds, free) == expected
+
+
+class TestValidation:
+    """Out-of-range inputs raise; lasso_path checks its own once per path."""
+
+    def test_lasso_cd_negative_lambda(self):
+        with pytest.raises(ValueError):
+            PenaltySpec(-0.1)
+
+    def test_lasso_cd_warm_start_length(self):
+        X, y = random_instance(20, T=20, m=3)
+        with pytest.raises(ValueError):
+            lasso_cd(X, y, PenaltySpec(0.1), warm_start=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_path_rejects_negative_or_nan_weight(self, bad):
+        X, y = random_instance(21, T=20, m=3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            lasso_path(X, y, weights=np.array([1.0, bad, 1.0]))
+
+    def test_path_rejects_wrong_weight_length(self):
+        X, y = random_instance(22, T=20, m=3)
+        with pytest.raises(ValueError, match="length"):
+            lasso_path(X, y, weights=np.ones(4))
+
+    @pytest.mark.parametrize("n_lambda", [1, 0])
+    def test_path_rejects_short_grid(self, n_lambda):
+        X, y = random_instance(23, T=20, m=3)
+        with pytest.raises(ValueError, match="two grid points"):
+            lasso_path(X, y, n_lambda=n_lambda)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.5])
+    def test_path_rejects_ratio_outside_unit_interval(self, ratio):
+        X, y = random_instance(24, T=20, m=3)
+        with pytest.raises(ValueError, match="ratio"):
+            lasso_path(X, y, ratio=ratio)
 
 
 class TestGramForm:

@@ -141,38 +141,6 @@ class TestRestrictedEigenvalue:
         assert vals[1] >= vals[2] - 1e-12
 
 
-class TestPerturbationBound:
-    def test_zero_delta(self):
-        assert theory.re_perturbation_bound(0.8, 3, 0.0) == 0.8
-
-    def test_exact_cancellation(self):
-        assert theory.re_perturbation_bound(16 * 3 * 0.01, 3, 0.01) == 0.0
-
-    def test_pointwise_proof_inequality(self):
-        # v'Bv >= v'Av - 16 s delta ||v_J||^2 for cone vectors v
-        rng = rng_for(103)
-        for trial in range(10):
-            m = 8
-            A = random_spd(rng, m)
-            E = rng.uniform(-1, 1, (m, m)) * 0.01
-            E = (E + E.T) / 2
-            B = A + E
-            delta = np.abs(E).max()
-            s = 3
-            J = rng.choice(m, size=s, replace=False)
-            mask = np.zeros(m, bool)
-            mask[J] = True
-            for _ in range(200):
-                v = rng.standard_normal(m)
-                off = np.abs(v[~mask]).sum()
-                on = np.abs(v[mask]).sum()
-                if off > 3 * on:
-                    v[~mask] *= 3 * on / off
-                lhs = v @ B @ v
-                rhs = v @ A @ v - 16 * s * delta * np.sum(v[mask] ** 2)
-                assert lhs >= rhs - 1e-12 * max(1.0, abs(lhs))
-
-
 class TestEventFlags:
     def setup_method(self):
         self.model, self.truth = mc.make_dgp("A", 10)
