@@ -28,12 +28,19 @@ EXIT_ESTIMATOR = 4
 EXIT_DIAG = 5
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# flags several commands share; each command registers only those it reads
+_SHARED_FLAGS = {
+    "seed": lambda p: p.add_argument("--seed", type=int, default=0),
+    "threads": lambda p: p.add_argument("--threads", type=int, default=1),
+    "format": lambda p: p.add_argument("--format", choices=("csv", "json"), default="csv"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *shared: str) -> None:
     parser.add_argument("--config", help="JSON file with defaults for this command")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    for name in shared:
+        _SHARED_FLAGS[name](parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p_sim = new_command("simulate", help="simulate a VAR path to CSV + metadata")
-    _add_common(p_sim)
+    _add_common(p_sim, "seed")
     p_sim.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
     p_sim.add_argument("--k", type=int)
     p_sim.add_argument("--model", help="JSON file with {phis: [[..]..], sigma: [[..]..]}")
@@ -65,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--k", type=int)
 
     p_mc = new_command("mc", help="run one Monte Carlo experiment")
-    _add_common(p_mc)
+    _add_common(p_mc, "seed", "threads", "format")
     p_mc.add_argument("--experiment", required=True, choices=tuple(mc.EXPERIMENT_GRID))
     p_mc.add_argument("--k", type=int, required=True)
     p_mc.add_argument("--T", type=int, required=True)
@@ -74,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--theory-checks", action="store_true", dest="theory_checks")
 
     p_diag = new_command("diag", help="finite-sample diagnostics on simulated replications")
-    _add_common(p_diag)
+    # diag runs serially; it accepts --threads because perfbench passes it to every command
+    _add_common(p_diag, "seed", "threads")
     p_diag.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
     p_diag.add_argument("--k", type=int)
     p_diag.add_argument("--T", type=int)
@@ -86,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--skip-foc", action="store_true", help="omit sign-recovery FOC outcomes")
 
     p_tab = new_command("paper-tables", help="run the full experiment grid and assemble tables")
-    _add_common(p_tab)
+    _add_common(p_tab, "seed", "threads")
     p_tab.add_argument("--reps", type=int, default=100)
     p_tab.add_argument("--experiments", default="A,B,C,D")
     p_tab.add_argument("--k-list", default="", help="restrict k values (comma-separated)")
@@ -284,7 +292,7 @@ def cmd_diag(args) -> int:
                 )
                 entry["foc"].append({k2: _json_safe(v) for k2, v in rep.items()})
         replications.append(entry)
-    payload = {"config": _diag_config(args), "bounds": bounds, "replications": replications}
+    payload = {"config": _diag_config(args, T, len(datasets)), "bounds": bounds, "replications": replications}
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "diagnostics.json")
     with open(path, "w") as fh:
@@ -294,12 +302,13 @@ def cmd_diag(args) -> int:
     return EXIT_OK
 
 
-def _diag_config(args) -> dict:
+def _diag_config(args, T: int, reps: int) -> dict:
+    """The configuration a diag run used; T and reps are those of the datasets it ran on."""
     return {
         "experiment": args.experiment,
         "k": args.k,
-        "T": args.T,
-        "reps": args.reps,
+        "T": T,
+        "reps": reps,
         "seed": args.seed,
         "q": args.q,
         "a_const": args.a_const,

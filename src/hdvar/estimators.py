@@ -17,7 +17,9 @@ import numpy as np
 from . import var
 from .errors import SingularDesign
 from .linalg import least_squares
-from .solver import PenaltySpec, SolverResult, adaptive_weights, lambda_max, lasso_cd, lasso_path, ridge_path
+from .solver import (
+    LAMBDA_RATIO, N_LAMBDA, PenaltySpec, SolverResult, adaptive_weights, lambda_max, lasso_cd, lasso_path, ridge_path
+)
 
 __all__ = [
     "ESTIMATOR_TAGS",
@@ -161,16 +163,13 @@ def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -
     )
 
 
-def _l1_fit(
-    problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=None, n_lambda=100, ratio=1e-4, **cd_opts
-) -> EquationFit:
+def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=None) -> EquationFit:
     """The penalized stage every L1 estimator ends in: weighted LASSO fits, then BIC.
 
     Without ``lam`` the candidates are the warm-started ``lasso_path`` grid; a
-    fixed ``lam`` is a one-point grid, solved as given from a cold start;
-    ``cd_opts`` (``tol``, ``max_iter``) go to the solver.  BIC scores the
-    whole path at once; its df is the active-set size and ties resolve to the
-    larger lambda.
+    fixed ``lam`` is a one-point grid, solved as given from a cold start.  BIC
+    scores the whole path at once; its df is the active-set size and ties
+    resolve to the larger lambda.
     """
     X, y = problem.X, problem.ys[i]
     if weights is not None and not np.isfinite(weights).any():
@@ -178,9 +177,9 @@ def _l1_fit(
         zero = SolverResult(beta=np.zeros(problem.m), iterations=0, max_kkt_violation=0.0, converged=True)
         path = [(0.0 if lam is None else float(lam), zero)]
     elif lam is None:
-        path = lasso_path(X, y, weights=weights, n_lambda=n_lambda, ratio=ratio, **cd_opts)
+        path = lasso_path(X, y, weights=weights)
     else:
-        path = [(float(lam), lasso_cd(X, y, PenaltySpec(lam=lam, weights=weights), **cd_opts))]
+        path = [(float(lam), lasso_cd(X, y, PenaltySpec(lam=lam, weights=weights)))]
     B = np.column_stack([res.beta for _, res in path])
     df = np.count_nonzero(B, axis=0)
     best, bval, rss = _bic_select(X, y, B, df, problem.T)
@@ -210,18 +209,9 @@ class FitPlan:
     first stages stay BIC-tuned.
     """
 
-    def __init__(
-        self,
-        data,
-        truth: SparsityInfo | None = None,
-        n_lambda: int = 100,
-        ratio: float = 1e-4,
-        tol: float = 1e-7,
-        max_iter: int = 1000,
-    ):
+    def __init__(self, data, truth: SparsityInfo | None = None):
         self.problem = data if isinstance(data, var.RegressionProblem) else var.stack(data)
         self.truth = truth
-        self.opts = {"n_lambda": n_lambda, "ratio": ratio, "tol": tol, "max_iter": max_iter}
         self._lasso = {}  # (equation, fixed lambda or None) -> LASSO fit
         self._ridge = {}  # equation -> (coefficients, lambda)
 
@@ -233,7 +223,7 @@ class FitPlan:
     def lasso(self, i: int, lam: float | None = None) -> EquationFit:
         """LASSO fit of equation i, BIC-tuned or at the fixed ``lam``."""
         if (i, lam) not in self._lasso:
-            self._lasso[i, lam] = _l1_fit(self.problem, i, "lasso", lam=lam, **self.opts)
+            self._lasso[i, lam] = _l1_fit(self.problem, i, "lasso", lam=lam)
         return self._lasso[i, lam]
 
     def ridge_bic(self, i: int) -> tuple:
@@ -244,7 +234,7 @@ class FitPlan:
         if i not in self._ridge:
             X, y, T = self.problem.X, self.problem.ys[i], self.problem.T
             lmax = lambda_max(X, y) or 1.0  # a zero response has lambda_max 0
-            grid = T * lmax * np.logspace(0.0, np.log10(self.opts["ratio"]), self.opts["n_lambda"])
+            grid = T * lmax * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
             B, df = ridge_path(X, y, grid, eig=self._gram_eig)
             best = _bic_select(X, y, B, df, T)[0]
             self._ridge[i] = (B[:, best], float(grid[best]))
@@ -259,7 +249,7 @@ class FitPlan:
             return fit_post_lasso(self.problem, i, lasso_fit=self.lasso(i, lam))
         if tag in ("adaptive_lasso_lasso", "adaptive_lasso_ridge"):
             stage1 = self.lasso(i).beta if tag == "adaptive_lasso_lasso" else self.ridge_bic(i)[0]
-            return _l1_fit(self.problem, i, tag, weights=adaptive_weights(stage1), lam=lam, **self.opts)
+            return _l1_fit(self.problem, i, tag, weights=adaptive_weights(stage1), lam=lam)
         if tag == "oracle_ols":
             if self.truth is None:
                 raise ValueError("oracle_ols requires the true sparsity structure")
@@ -275,10 +265,9 @@ class FitPlan:
         return SystemFit(estimator_tag=tag, fits=fits, coefficients=coef, k=self.problem.k, p=self.problem.p)
 
 
-def fit_lasso_bic(problem: var.RegressionProblem, i: int, **opts) -> EquationFit:
-    """LASSO with the penalty chosen by BIC over a log-spaced grid; ``opts`` are
-    ``n_lambda``, ``ratio``, ``tol`` and ``max_iter``."""
-    return _l1_fit(problem, i, "lasso", **opts)
+def fit_lasso_bic(problem: var.RegressionProblem, i: int) -> EquationFit:
+    """LASSO with the penalty chosen by BIC over the ``lasso_path`` grid."""
+    return _l1_fit(problem, i, "lasso")
 
 
 def fit_post_lasso(problem: var.RegressionProblem, i: int, lasso_fit: EquationFit) -> EquationFit:
@@ -318,15 +307,15 @@ def fit_full_ols(problem: var.RegressionProblem, i: int) -> EquationFit:
         return EquationFit.infeasible(problem.m, "full_ols", "singular_design")
 
 
-def fit_menu(data, tags, truth: SparsityInfo | None = None, lam: float | None = None, **opts) -> dict:
+def fit_menu(data, tags, truth: SparsityInfo | None = None, lam: float | None = None) -> dict:
     """{tag: SystemFit} for every tag in ``tags``, through one FitPlan of ``data``."""
-    plan = FitPlan(data, truth, **opts)
+    plan = FitPlan(data, truth)
     return {tag: plan.fit(tag, lam) for tag in tags}
 
 
-def fit_system(data, tag: str, truth: SparsityInfo | None = None, lam: float | None = None, **opts) -> SystemFit:
+def fit_system(data, tag: str, truth: SparsityInfo | None = None, lam: float | None = None) -> SystemFit:
     """Apply the chosen per-equation fit to all k equations."""
-    return FitPlan(data, truth, **opts).fit(tag, lam)
+    return FitPlan(data, truth).fit(tag, lam)
 
 
 def system_fit_to_dict(fit: SystemFit) -> dict:

@@ -24,8 +24,6 @@ __all__ = [
 SYM_TOL = 1e-10
 PIVOT_TOL = 1e-12
 RANK_TOL = 1e-10
-NORM_TOL = 1e-10
-NORM_MAX_ITER = 1000
 LYAPUNOV_MAX_ITER = 200
 
 
@@ -80,33 +78,11 @@ def least_squares(X, y) -> np.ndarray:
 
 
 def operator_norm_2(M) -> float:
-    """Spectral norm of M by power iteration on the Gram matrix M'M.
-
-    Stops once successive estimates differ by at most ``NORM_TOL`` relative
-    (absolute below one), or after ``NORM_MAX_ITER`` steps.  The starting
-    vector is drawn from a fixed counter-based stream, so the result is
-    deterministic.
-    """
+    """Spectral norm of M: its largest singular value (SVD)."""
     M = np.asarray(M, dtype=np.float64)
     if M.size == 0:
         return 0.0
-    H = M.T @ M
-    n = H.shape[0]
-    rng = np.random.Generator(np.random.Philox(0x5EED))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(NORM_MAX_ITER):
-        w = H @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        est = np.sqrt(nw)
-        if abs(est - prev) <= NORM_TOL * max(est, 1.0):
-            return float(est)
-        prev = est
-    return float(prev)
+    return float(np.linalg.norm(M, 2))
 
 
 def spectral_radius(F) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import estimators, theory, var
 from .errors import UnknownCombination
+from .solver import LAMBDA_RATIO, N_LAMBDA
 
 __all__ = [
     "EXPERIMENT_GRID",
@@ -100,8 +101,6 @@ class ExperimentSpec:
     base_seed: int = 0
     estimators: tuple = ("lasso",)
     theory_checks: bool = False
-    n_lambda: int = 100
-    lambda_ratio: float = 1e-4
 
     def __post_init__(self):
         exp = self.experiment.upper()
@@ -193,7 +192,7 @@ def _run_replication(spec: ExperimentSpec, model, truth, r: int, gamma, kappa_sb
     data = var.truncate_dataset(full, spec.T)
     realized = full.path[spec.T]
     problem = var.stack(data)
-    fits = estimators.fit_menu(problem, spec.estimators, truth=truth, n_lambda=spec.n_lambda, ratio=spec.lambda_ratio)
+    fits = estimators.fit_menu(problem, spec.estimators, truth=truth)
     forecasts = {tag: var.forecast_one_step(fit.coefficients, data) for tag, fit in fits.items()}
     out = {"rep": r, "seed": seed, "realized": realized, "fits": fits, "forecasts": forecasts}
     if spec.theory_checks:
@@ -344,8 +343,8 @@ def report_to_json(report: McReport, path: str) -> None:
         "T": spec.T,
         "n_reps": spec.n_reps,
         "base_seed": spec.base_seed,
-        "n_lambda": spec.n_lambda,
-        "lambda_ratio": spec.lambda_ratio,
+        "n_lambda": N_LAMBDA,
+        "lambda_ratio": LAMBDA_RATIO,
         "seeds": list(report.seeds),
         "estimators": {
             tag: {name: _nan_to_none(getattr(report.rows[tag], name)) for name in COLUMNS[1:]}

@@ -19,10 +19,13 @@ and its full KKT residual is within ``tol``; otherwise it is discarded and
 the sweeps go on from the coordinate-descent iterate.  A fit that converges
 within EXACT_EVERY sweeps never reaches the step.
 
-The lambda path is the unit of work: ``lasso_path`` checks its weights and
-forms Psi, c and the pinned coordinates once, then runs one coordinate-descent
-kernel per grid point, carrying beta and the exact gradient g = c - Psi beta
-from one point to the next.  ``lasso_cd`` is the same kernel at one lambda.
+Every L1 fit runs through one setup, ``_fit_grid``: it forms Psi and c,
+checks the weights, pins zero columns and infinitely weighted coordinates to
+zero, and builds the sweep state once; then it runs one coordinate-descent
+kernel per penalty of a lambda sequence, carrying beta and the exact gradient
+g = c - Psi beta from one point to the next.  ``lasso_path`` runs it on a
+log-spaced grid of N_LAMBDA points from lambda_max down to LAMBDA_RATIO
+times lambda_max, and ``lasso_cd`` on the one-point grid [lam].
 """
 
 from __future__ import annotations
@@ -34,8 +37,12 @@ from scipy.linalg.blas import daxpy
 
 from .errors import AllWeightsInfinite
 
-# sweeps between attempts of the exact sign-fixed step in lasso_cd
+# sweeps between attempts of the exact sign-fixed step
 EXACT_EVERY = 5
+# the lambda grid of every BIC-tuned fit: N_LAMBDA log-spaced points from
+# lambda_max down to LAMBDA_RATIO * lambda_max
+N_LAMBDA = 100
+LAMBDA_RATIO = 1e-4
 
 __all__ = [
     "PenaltySpec",
@@ -86,7 +93,6 @@ class SolverResult:
     iterations: int
     max_kkt_violation: float
     converged: bool
-    objective_history: list | None = None
 
 
 def objective(X, y, beta, pen: PenaltySpec) -> float:
@@ -117,16 +123,6 @@ def _kkt_residual(g: np.ndarray, beta: np.ndarray, lam_w: np.ndarray) -> float:
     # so an infinite lam_w_j never meets a 0 (an active one reports inf)
     subgradient = np.multiply(lam_w, sign, out=np.zeros_like(g), where=~idle)
     return max(0.0, float((np.abs(g - subgradient) - np.where(idle, lam_w, 0.0)).max()))
-
-
-def _gram(X, y) -> tuple:
-    """The sufficient statistics of the L1 objective: Psi = X'X/T and c = X'y/T."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    T = X.shape[0]
-    if T < 1:
-        raise ValueError("need at least one observation")
-    return (X.T @ X) / T, (X.T @ y) / T
 
 
 def _free_residual(g: list, b: list, thresholds: list, free: list) -> float:
@@ -166,18 +162,12 @@ def _sign_fixed_step(psi, c, beta, lam_w, tol) -> tuple | None:
     return (cand, g, viol) if viol <= tol else None
 
 
-def _sweep_state(psi, pinned) -> tuple:
-    """Psi's rows, its diagonal as floats and the free (unpinned) coordinates."""
-    # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales
-    return list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist()
-
-
-def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter, on_iterate=None) -> tuple:
+def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter) -> tuple:
     """Coordinate descent at one penalty from ``beta`` and its exact gradient
-    ``g = c - Psi beta`` over the ``free`` coordinates (see ``_sweep_state``);
+    ``g = c - Psi beta`` over the ``free`` coordinates (see ``_fit_grid``);
     returns (beta, g, sweeps, KKT residual).  After every sweep g is
     recomputed exactly, and every EXACT_EVERY sweeps the sign-fixed step is
-    tried; ``on_iterate`` sees each iterate.
+    tried.
     """
     # the scalar work runs on Python floats, which index faster than arrays
     thresholds = lam_w.tolist()
@@ -201,8 +191,6 @@ def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter, on_iterate
                 g = daxpy(rows[j], g, a=bj - new)
                 b[j] = new
         beta = np.array(b)
-        if on_iterate is not None:
-            on_iterate(beta)
         g = c - psi @ beta
         viol = _free_residual(g.tolist(), b, thresholds, free)
         if viol <= tol:
@@ -211,49 +199,56 @@ def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter, on_iterate
             step = _sign_fixed_step(psi, c, beta, lam_w, tol)
             if step is not None:
                 beta, g, viol = step
-                if on_iterate is not None:
-                    on_iterate(beta)
                 break
     return beta, g, sweeps, viol
 
 
-def lasso_cd(
-    X, y, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start: np.ndarray | None = None, track_objective=False
-) -> SolverResult:
+def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, tol, max_iter) -> list:
+    """SolverResults of the weighted L1 fits at each penalty of ``grid``, in order.
+
+    The one setup of every L1 fit: Psi = X'X/T and c = X'y/T are formed, the
+    weights checked, zero columns and infinitely weighted coordinates pinned
+    to zero and the sweep state built once.  The first fit starts from
+    ``start`` (zero if None) and each later one from the fit before it, with
+    its exact gradient.  A fit converged if its KKT residual is at most
+    ``tol`` within ``max_iter`` full sweeps.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    T, m = X.shape
+    if T < 1:
+        raise ValueError("need at least one observation")
+    psi, c = (X.T @ X) / T, (X.T @ y) / T
+    if weights is not None and len(weights) != m:
+        raise ValueError("weight length does not match design")
+    beta = np.zeros(m) if start is None else np.array(start, dtype=np.float64, copy=True)
+    if beta.shape != (m,):
+        raise ValueError("warm start has wrong length")
+    pinned = psi.diagonal() == 0.0
+    if weights is not None:
+        pinned |= np.isinf(weights)
+    beta[pinned] = 0.0
+    # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales
+    state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist())
+    g = c - psi @ beta
+    out = []
+    for lam in grid:
+        beta, g, sweeps, viol = _descend(psi, c, *state, _lam_w(lam, weights, m), beta, g, tol, max_iter)
+        out.append(SolverResult(beta=beta, iterations=sweeps, max_kkt_violation=viol, converged=viol <= tol))
+    return out
+
+
+def lasso_cd(X, y, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start: np.ndarray | None = None) -> SolverResult:
     """Minimize the weighted L1 objective by cyclic coordinate descent at one penalty.
 
     With the gradient g = c - Psi beta kept up to date, the coordinate update
     is beta_j <- S(g_j + Psi_jj beta_j, lam*w_j) / Psi_jj; zero columns and
-    infinitely weighted coordinates are pinned to zero.  This is one call of
-    the kernel ``lasso_path`` runs at each grid point (see the module
-    docstring); converged means the KKT residual of the returned beta is at
-    most ``tol`` within ``max_iter`` full sweeps (otherwise ``converged`` is
-    False).
+    infinitely weighted coordinates are pinned to zero.  This is the solver
+    setup of ``lasso_path`` on the one-point grid [pen.lam], started from
+    ``warm_start`` (zero if None); converged means the KKT residual of the
+    returned beta is at most ``tol`` within ``max_iter`` full sweeps.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    m = X.shape[1]
-    psi, c = _gram(X, y)
-    lam_w = pen.lam_w(m)
-    if warm_start is not None:
-        beta = np.array(warm_start, dtype=np.float64, copy=True)
-        if beta.shape != (m,):
-            raise ValueError("warm start has wrong length")
-    else:
-        beta = np.zeros(m)
-    pinned = (psi.diagonal() == 0.0) | np.isinf(lam_w)
-    beta[pinned] = 0.0
-    history = [] if track_objective else None
-    on_iterate = None if history is None else (lambda b: history.append(objective(X, y, b, pen)))
-    state = _sweep_state(psi, pinned)
-    beta, _, sweeps, viol = _descend(psi, c, *state, lam_w, beta, c - psi @ beta, tol, max_iter, on_iterate)
-    return SolverResult(
-        beta=beta,
-        iterations=sweeps,
-        max_kkt_violation=viol,
-        converged=viol <= tol,
-        objective_history=history,
-    )
+    return _fit_grid(X, y, pen.weights, [pen.lam], warm_start, tol, max_iter)[0]
 
 
 def kkt_check(X, y, beta, pen: PenaltySpec) -> float:
@@ -275,6 +270,8 @@ def lambda_max(X, y, weights: np.ndarray | None = None) -> float:
     if weights is None:
         return float(g.max()) if g.size else 0.0
     w = np.asarray(weights, dtype=np.float64)
+    if w.shape != g.shape:
+        raise ValueError("weight length does not match design")
     finite = np.isfinite(w)
     if not finite.any():
         raise AllWeightsInfinite("no coordinate carries a finite weight")
@@ -289,40 +286,30 @@ def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
         return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
 
 
-def lasso_path(X, y, weights: np.ndarray | None = None, n_lambda=100, ratio=1e-4, tol=1e-7, max_iter=1000) -> list:
+def lasso_path(
+    X, y, weights: np.ndarray | None = None, n_lambda=N_LAMBDA, ratio=LAMBDA_RATIO, tol=1e-7, max_iter=1000
+) -> list:
     """Warm-started fits on a log-spaced grid from lambda_max down to ratio*lambda_max.
 
-    The weights are checked, and X'X/T, X'y/T and the pinned coordinates
-    formed, once per path; each grid point is one call of the ``lasso_cd``
-    kernel, started from the previous point's beta and its exact gradient.
+    The grid runs through the one solver setup (see ``_fit_grid``), each point
+    started from the previous point's beta and its exact gradient.
     Returns [(lambda, SolverResult), ...] ordered by decreasing lambda.
     """
     if n_lambda < 2:
         raise ValueError("need at least two grid points")
     if not 0 < ratio < 1:
         raise ValueError("ratio must lie in (0, 1)")
-    X_f = np.asfortranarray(X, dtype=np.float64)
-    m = X_f.shape[1]
-    psi, c = _gram(X_f, y)
-    w = PenaltySpec(0.0, weights).weights  # checked once per path
-    if w is not None and len(w) != m:
-        raise ValueError("weight length does not match design")
-    lmax = lambda_max(X_f, y, w)
+    X = np.asfortranarray(X, dtype=np.float64)
+    w = PenaltySpec(0.0, weights).weights  # nonnegative and not NaN
+    lmax = lambda_max(X, y, w)
     if lmax == 0.0:
         grid = np.zeros(n_lambda)
     else:
         # the 1e-10 margin keeps the top-of-path solution exactly zero even when
         # the solver's gradient differs from lambda_max's by rounding
         grid = lmax * (1.0 + 1e-10) * np.logspace(0.0, np.log10(ratio), n_lambda)
-    excluded = np.zeros(m, dtype=bool) if w is None else np.isinf(w)
-    state = _sweep_state(psi, (psi.diagonal() == 0.0) | excluded)
-    beta = np.zeros(m)
-    g = c - psi @ beta
-    out = []
-    for lam in grid.tolist():
-        beta, g, sweeps, viol = _descend(psi, c, *state, _lam_w(lam, w, m), beta, g, tol, max_iter)
-        out.append((lam, SolverResult(beta=beta, iterations=sweeps, max_kkt_violation=viol, converged=viol <= tol)))
-    return out
+    grid = grid.tolist()
+    return list(zip(grid, _fit_grid(X, y, w, grid, None, tol, max_iter)))
 
 
 def ridge_path(X, y, grid, eig: tuple | None = None) -> tuple:

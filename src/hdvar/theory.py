@@ -385,7 +385,7 @@ NORM_SERIES_TOL = 1e-12
 
 
 def f_norm_sum(model: var.VarModel, T: int | None = None) -> float:
-    """||Gamma|| * sum_{i=0}^{T} ||F^i|| with operator 2-norms via power iteration.
+    """||Gamma|| * sum_{i=0}^{T} ||F^i|| with exact operator 2-norms (largest singular values).
 
     The series is truncated at the first term below ``NORM_SERIES_TOL`` or at
     i = T, whichever comes first.

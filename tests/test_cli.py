@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 
@@ -91,10 +92,12 @@ class TestFit:
         assert "nonconverged 0/10" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tag", estimators.PENALIZED_TAGS)
-    def test_lambda_override_reports_nonconvergence(self, dataset_dir, tag):
+    def test_lambda_override_reports_nonconvergence(self, dataset_dir, tag, monkeypatch):
         data = var.load_dataset(str(dataset_dir))
         assert all(f.converged for f in estimators.fit_system(data, tag, lam=1e-4).fits)
-        fit = estimators.fit_system(data, tag, lam=1e-4, max_iter=1)
+        for name in ("lasso_path", "lasso_cd"):
+            monkeypatch.setattr(estimators, name, functools.partial(getattr(estimators, name), max_iter=1))
+        fit = estimators.fit_system(data, tag, lam=1e-4)
         converged = [f.converged for f in fit.fits]
         assert not all(converged)
         payload = json.loads(json.dumps(estimators.system_fit_to_dict(fit)))
@@ -193,6 +196,15 @@ class TestFit:
         b = var.forecast_one_step(loaded.coefficients, data)
         assert np.array_equal(a, b)
 
+    def test_format_is_not_a_fit_option(self, dataset_dir):
+        argv = ["fit", "--data", str(dataset_dir), "--out", str(dataset_dir / "fits")]
+        assert run(argv + ["--format", "json"]) == 2
+        cfg = dataset_dir / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        assert run(argv + ["--config", str(cfg)]) == 2
+        assert not (dataset_dir / "fits").exists()
+        assert run(argv) == 0
+
     def test_unknown_estimator_tag(self, dataset_dir):
         code = run(["fit", "--data", str(dataset_dir), "--estimators", "magic", "--out", str(dataset_dir)])
         assert code == 2
@@ -263,6 +275,20 @@ class TestMcCommand:
 
 
 class TestConfigFile:
+    def test_shared_flags_only_where_read(self):
+        shared = {"seed", "threads", "format"}
+        registered = {
+            name: shared & {action.dest for action in p._actions}
+            for name, p in cli.build_parser()._command_parsers.items()
+        }
+        assert registered == {
+            "simulate": {"seed"},
+            "fit": set(),
+            "mc": {"seed", "threads", "format"},
+            "diag": {"seed", "threads"},
+            "paper-tables": {"seed", "threads"},
+        }
+
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "A", "k": 10, "T": 80, "reps": 2}))
@@ -324,6 +350,7 @@ class TestDiag:
         assert code == 0
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert len(payload["replications"]) == 2
+        assert (payload["config"]["T"], payload["config"]["reps"]) == (100, 2)
         rep = payload["replications"][0]
         assert rep["events"]["b_t"] is True
         for check in rep["iq_checks"]:
@@ -363,6 +390,14 @@ class TestDiag:
         assert bounds["kappa_sbar_sq"] == fresh
         pred, est = theory.thm3_bounds(1, bounds["lambda_t"], fresh, 0.5)
         assert bounds["thm3"] == [{"pred_bound": pred, "est_bound": est}] * 10
+
+    def test_data_mode_records_the_dataset_it_ran(self, tmp_path):
+        run(["simulate", "--experiment", "A", "--k", "10", "--T", "60", "--out", str(tmp_path)])
+        argv = ["diag", "--data", str(tmp_path), "--experiment", "A", "--k", "10", "--skip-foc"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert len(payload["replications"]) == 1
+        assert (payload["config"]["T"], payload["config"]["reps"]) == (60, 1)
 
     def test_diag_without_innovations_exit_5(self, tmp_path):
         run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--out", str(tmp_path)])

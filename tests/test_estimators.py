@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -69,22 +71,24 @@ class TestLassoBic:
             empty += len(fit.active_set) == 0
         assert empty >= 90
 
-    def test_noiseless_zero_rss_rule(self):
+    def test_noiseless_zero_rss_rule(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(3))
         X = rng.standard_normal((60, 4))
         beta = np.array([1.0, 0.0, -2.0, 0.0])
-        fit = fit_lasso_bic(problem_from(X, X @ beta), 0, ratio=1e-8)
+        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, ratio=1e-8))
+        fit = fit_lasso_bic(problem_from(X, X @ beta), 0)
         assert fit.rss <= 1e-8
         assert np.isfinite(fit.lambda_selected)
 
-    def test_bic_ties_resolve_to_larger_lambda(self):
+    def test_bic_ties_resolve_to_larger_lambda(self, monkeypatch):
         # exact interpolation makes every small-lambda fit hit the -inf
         # sentinel; the selection must take the largest such lambda
         rng = np.random.Generator(np.random.Philox(30))
         X = rng.standard_normal((40, 3))
         beta = np.array([2.0, -1.0, 0.5])
         prob = problem_from(X, X @ beta)
-        fit = fit_lasso_bic(prob, 0, ratio=1e-10)
+        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, ratio=1e-10))
+        fit = fit_lasso_bic(prob, 0)
         from hdvar.solver import lasso_path
 
         path = lasso_path(prob.X, prob.ys[0], ratio=1e-10)
@@ -152,9 +156,10 @@ class TestAdaptiveLasso:
             ada = estimators.FitPlan(prob).equation("adaptive_lasso_lasso", i)
             assert set(ada.active_set.tolist()) <= set(stage1.active_set.tolist())
 
-    def test_ridge_init_no_hard_exclusion(self):
+    def test_ridge_init_no_hard_exclusion(self, monkeypatch):
         prob, truth, _ = simulated_problem(seed=11, T=200)
-        beta1, _ = estimators.FitPlan(prob, n_lambda=50, ratio=1e-4).ridge_bic(0)
+        monkeypatch.setattr(estimators, "N_LAMBDA", 50)
+        beta1, _ = estimators.FitPlan(prob).ridge_bic(0)
         assert np.all(beta1 != 0.0)  # ridge is dense
 
     def test_ridge_stage_matches_cholesky_loop(self):
@@ -172,7 +177,7 @@ class TestAdaptiveLasso:
                 value = bic(float(r @ r), float(np.trace(cholesky_solve(A, G))), T)
                 if best is None or value < best[0]:
                     best = (value, lam, beta)
-            beta1, lam1 = estimators.FitPlan(prob, n_lambda=100, ratio=1e-4).ridge_bic(i)
+            beta1, lam1 = estimators.FitPlan(prob).ridge_bic(i)
             assert lam1 == best[1]
             assert np.abs(beta1 - best[2]).max() <= 1e-12
 
@@ -304,13 +309,14 @@ class TestFitPlan:
         # C/10/40 has m = 50 > T; a short max_iter keeps its non-converging grid points cheap
         [("A", 10, 200, {}), ("C", 10, 40, {"max_iter": 50})],
     )
-    def test_menu_equals_per_tag_fits(self, experiment, k, T, opts):
+    def test_menu_equals_per_tag_fits(self, experiment, k, T, opts, monkeypatch):
         model, truth = mc.make_dgp(experiment, k)
         data = var.simulate(model, T, seed=0)
-        menu = estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth, **opts)
+        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, **opts))
+        menu = estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth)
         assert list(menu) == list(estimators.ESTIMATOR_TAGS)
         for tag in estimators.ESTIMATOR_TAGS:
-            assert_same_system_fit(menu[tag], fit_system(data, tag, truth=truth, **opts))
+            assert_same_system_fit(menu[tag], fit_system(data, tag, truth=truth))
         assert menu["full_ols"].feasible == (k * model.p < T)
 
     def test_each_shared_stage_runs_once(self, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 
@@ -184,13 +185,12 @@ class TestRunExperiment:
 
     def test_nonconverged_selected_fits_counted(self, monkeypatch, tmp_path, capsys):
         # m = 50 > T = 40 and at most 2 sweeps per grid point: selected LASSO fits stop short
-        menu = estimators.fit_menu
-        monkeypatch.setattr(mc.estimators, "fit_menu", lambda *args, **opts: menu(*args, max_iter=2, **opts))
+        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, max_iter=2))
         model, _ = mc.make_dgp("C", 10)
         expected = 0
         for seed in (5, 6):
             data = var.truncate_dataset(var.simulate(model, 41, seed=seed), 40)
-            plan = estimators.FitPlan(data, max_iter=2)
+            plan = estimators.FitPlan(data)
             expected += sum(not plan.lasso(i).converged for i in range(10))
         assert expected > 0
         argv = ["mc", "--experiment", "C", "--k", "10", "--T", "40", "--reps", "2", "--seed", "5"]
@@ -207,8 +207,7 @@ class TestRunExperiment:
         tags = estimators.ESTIMATOR_TAGS
         # m = 50 > T = 40: the LASSO BIC runs to the end of the grid and keeps more than T regressors;
         # max_iter=50 keeps the non-converging grid points cheap
-        menu = estimators.fit_menu
-        monkeypatch.setattr(mc.estimators, "fit_menu", lambda *args, **opts: menu(*args, max_iter=50, **opts))
+        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, max_iter=50))
         report = mc.run_experiment(mc.ExperimentSpec("C", 10, 40, n_reps=1, base_seed=5, estimators=tags))
         assert {tag: (c["bic_at_grid_end"], c["mean_df_over_T"]) for tag, c in report.solver.items()} == {
             "lasso": (10, 1.1375),

@@ -74,8 +74,9 @@ class TestLassoCd:
     def test_objective_descent(self):
         X, y = random_instance(2, T=40, m=8)
         pen = PenaltySpec(0.05 * lambda_max(X, y))
-        res = lasso_cd(X, y, pen, track_objective=True)
-        hist = np.array(res.objective_history)
+        res = lasso_cd(X, y, pen)
+        # the objective after each sweep: a fit capped at n sweeps stops at the n-th iterate
+        hist = [objective(X, y, lasso_cd(X, y, pen, max_iter=n).beta, pen) for n in range(1, res.iterations + 1)]
         assert np.all(np.diff(hist) <= 1e-12)
 
     def test_solution_scaling(self):
@@ -303,6 +304,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="length"):
             lasso_path(X, y, weights=np.ones(4))
 
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda X, y, w: lambda_max(X, y, w),
+            lambda X, y, w: lasso_cd(X, y, PenaltySpec(0.1, weights=w)),
+        ],
+        ids=["lambda_max", "lasso_cd"],
+    )
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_rejects_wrong_weight_length(self, fit, length):
+        X, y = random_instance(22, T=20, m=3)
+        with pytest.raises(ValueError, match="weight length does not match design"):
+            fit(X, y, np.ones(length))
+
     @pytest.mark.parametrize("n_lambda", [1, 0])
     def test_path_rejects_short_grid(self, n_lambda):
         X, y = random_instance(23, T=20, m=3)
@@ -408,12 +423,13 @@ class TestExactStep:
         prob = experiment_problem("C", 10, 1000)
         X, y = prob.X, prob.ys[0]
         pen = PenaltySpec(0.01 * lambda_max(X, y))
-        res = lasso_cd(X, y, pen, track_objective=True)
+        res = lasso_cd(X, y, pen)
         assert step_outcomes[-1]
-        # one value per sweep, then the accepted candidate's
-        assert len(res.objective_history) == res.iterations + 1
-        assert np.all(np.diff(res.objective_history) <= 1e-12)
-        assert res.objective_history[-1] == objective(X, y, res.beta, pen)
+        # a fit capped at n sweeps stops at the n-th iterate; at n = iterations,
+        # at the accepted candidate
+        hist = [objective(X, y, lasso_cd(X, y, pen, max_iter=n).beta, pen) for n in range(1, res.iterations + 1)]
+        assert np.all(np.diff(hist) <= 1e-12)
+        assert hist[-1] == objective(X, y, res.beta, pen)
         assert res.max_kkt_violation <= 1e-7
 
 
