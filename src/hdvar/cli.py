@@ -36,6 +36,10 @@ _SHARED_FLAGS = {
 }
 
 
+# defaults of the diag flags that only the simulate mode reads
+_DIAG_SIMULATE = {"seed": 0, "reps": 20}
+
+
 def _add_common(parser: argparse.ArgumentParser, *shared: str) -> None:
     parser.add_argument("--config", help="JSON file with defaults for this command")
     parser.add_argument("--out", default=".", help="output directory")
@@ -86,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
     p_diag.add_argument("--k", type=int)
     p_diag.add_argument("--T", type=int)
-    p_diag.add_argument("--reps", type=int, default=20)
+    p_diag.add_argument("--reps", type=int, help=f"default {_DIAG_SIMULATE['reps']}")
+    # --seed, --T and --reps apply to simulated replications only; None marks them unset
+    p_diag.set_defaults(seed=None)
     p_diag.add_argument("--data", help="load this dataset instead of simulating")
     p_diag.add_argument("--name", default="dataset")
     p_diag.add_argument("--q", type=float, default=0.5)
@@ -215,8 +221,11 @@ def cmd_mc(args) -> int:
     else:
         path = os.path.join(args.out, f"{stem}.json")
         mc.report_to_json(report, path)
-    nonconverged = " ".join(f"{tag} {c['nonconverged']}/{c['fits']}" for tag, c in report.solver.items())
-    print(f"wrote {path} ({report.runtime_seconds:.1f}s) nonconverged: {nonconverged}", file=sys.stderr)
+    counts = " ".join(
+        f"{name}: " + " ".join(f"{tag} {c[name]}/{c['fits']}" for tag, c in report.solver.items())
+        for name in ("nonconverged", "bic_at_grid_end")
+    )
+    print(f"wrote {path} ({report.runtime_seconds:.1f}s) {counts}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -224,18 +233,22 @@ def cmd_diag(args) -> int:
     if args.data:
         if not (args.experiment and args.k):
             raise ConfigError("--data mode needs --experiment and --k for the generating model")
+        simulate_only = [f"--{name}" for name in ("seed", "T", "reps") if getattr(args, name) is not None]
+        if simulate_only:
+            raise ConfigError(f"--data runs on the loaded dataset, so {', '.join(simulate_only)} cannot be set")
         model, truth = _load_model(args)
         datasets = [var.load_dataset(args.data, name=args.name)]
         if datasets[0].innovations is None:
             print("dataset has no innovation record; diagnostics need simulated data", file=sys.stderr)
             return EXIT_DIAG
+        seed = None
     else:
         if not (args.experiment and args.k and args.T):
             raise ConfigError("specify --experiment, --k and --T (or --data)")
         model, truth = _load_model(args)
-        datasets = [
-            var.simulate(model, args.T, seed=args.seed + r) for r in range(args.reps)
-        ]
+        seed = _DIAG_SIMULATE["seed"] if args.seed is None else args.seed
+        reps = _DIAG_SIMULATE["reps"] if args.reps is None else args.reps
+        datasets = [var.simulate(model, args.T, seed=seed + r) for r in range(reps)]
     params = theory.TheoryParams(q=args.q, a_const=args.a_const)
     T, k, p = datasets[0].T, model.k, model.p
     st = var.sigma_t(model)
@@ -292,7 +305,7 @@ def cmd_diag(args) -> int:
                 )
                 entry["foc"].append({k2: _json_safe(v) for k2, v in rep.items()})
         replications.append(entry)
-    payload = {"config": _diag_config(args, T, len(datasets)), "bounds": bounds, "replications": replications}
+    payload = {"config": _diag_config(args, T, len(datasets), seed), "bounds": bounds, "replications": replications}
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "diagnostics.json")
     with open(path, "w") as fh:
@@ -302,14 +315,15 @@ def cmd_diag(args) -> int:
     return EXIT_OK
 
 
-def _diag_config(args, T: int, reps: int) -> dict:
-    """The configuration a diag run used; T and reps are those of the datasets it ran on."""
+def _diag_config(args, T: int, reps: int, seed: int | None) -> dict:
+    """The configuration a diag run used; T and reps are those of the datasets it
+    ran on, and the seed is None for a loaded dataset."""
     return {
         "experiment": args.experiment,
         "k": args.k,
         "T": T,
         "reps": reps,
-        "seed": args.seed,
+        "seed": seed,
         "q": args.q,
         "a_const": args.a_const,
     }

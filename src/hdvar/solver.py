@@ -14,18 +14,33 @@ coordinate descent tries an exact sign-fixed step.  Given the active set A
 and signs s of the current iterate, the minimiser with that support and
 those signs solves Psi_AA beta_A = c_A - lam w_A s, the step the homotopy
 algorithm takes between kinks (Osborne, Presnell and Turlach 2000, IMA J.
-Numer. Anal. 20(3)).  The candidate is accepted only if its signs equal s
-and its full KKT residual is within ``tol``; otherwise it is discarded and
-the sweeps go on from the coordinate-descent iterate.  A fit that converges
-within EXACT_EVERY sweeps never reaches the step.
+Numer. Anal. 20(3); Efron et al. 2004, Ann. Statist. 32(2)).  The candidate
+is accepted only if its signs equal s and its full KKT residual is within
+``tol``; otherwise it is discarded and the sweeps go on from the
+coordinate-descent iterate.  A fit that converges within EXACT_EVERY sweeps
+never reaches the step.
 
 Every L1 fit runs through one setup, ``_fit_grid``: it forms Psi and c,
 checks the weights, pins zero columns and infinitely weighted coordinates to
-zero, and builds the sweep state once; then it runs one coordinate-descent
-kernel per penalty of a lambda sequence, carrying beta and the exact gradient
-g = c - Psi beta from one point to the next.  ``lasso_path`` runs it on a
-log-spaced grid of N_LAMBDA points from lambda_max down to LAMBDA_RATIO
-times lambda_max, and ``lasso_cd`` on the one-point grid [lam].
+zero, and builds the sweep state and the thresholds lam*w of every penalty
+once; then it runs one coordinate-descent kernel per penalty of a lambda
+sequence, carrying beta and the exact gradient g = c - Psi beta from one
+point to the next.  ``lasso_path`` runs it on a log-spaced grid of N_LAMBDA
+points from lambda_max down to LAMBDA_RATIO times lambda_max, and
+``lasso_cd`` on the one-point grid [lam].
+
+Between kinks the solution is affine in lambda, and the setup follows the
+path with the same sign-fixed solve in two more places.  A point after one
+that ended on an accepted exact step first predicts: it solves on its
+predecessor's (A, s), dropping coordinates whose sign flipped or adding idle
+ones that violate their condition, up to PREDICT_CORRECTIONS times, before
+any sweep.  A point after one that converged by sweeping alone sweeps as
+before, so its iterate is unchanged.  And once a converged point has every
+free coordinate nonzero, one solve Psi_AA [u v] = [c_A, w_A s] gives
+beta(lam) = u - lam v for the rest of the grid, taken whole only if its
+signs at both ends equal s and every point's KKT residual is within ``tol``.
+Closed-form points report 0 iterations.  Every point's KKT residual is within
+``tol``, or it reports converged=False.
 """
 
 from __future__ import annotations
@@ -39,6 +54,8 @@ from .errors import AllWeightsInfinite
 
 # sweeps between attempts of the exact sign-fixed step
 EXACT_EVERY = 5
+# corrections of the support the predictor makes after a fit that ended on an exact step
+PREDICT_CORRECTIONS = 3
 # the lambda grid of every BIC-tuned fit: N_LAMBDA log-spaced points from
 # lambda_max down to LAMBDA_RATIO * lambda_max
 N_LAMBDA = 100
@@ -57,11 +74,13 @@ __all__ = [
 ]
 
 
-def _lam_w(lam: float, weights: np.ndarray | None, m: int) -> np.ndarray:
-    """Per-coordinate thresholds lam*w_j with 0*inf resolved to exclusion."""
+def _thresholds(grid, weights: np.ndarray | None, m: int) -> np.ndarray:
+    """len(grid) x m thresholds, row l holding lam_l*w_j, with 0*inf resolved to exclusion."""
+    lams = np.asarray(grid, dtype=np.float64)[:, None]
     if weights is None:
-        return np.full(m, float(lam))
-    return np.where(np.isinf(weights), np.inf, lam * weights).astype(np.float64)
+        return np.repeat(lams, m, axis=1)
+    with np.errstate(invalid="ignore"):  # 0 * inf, replaced by inf
+        return np.where(np.isinf(weights), np.inf, lams * weights)
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,7 @@ class PenaltySpec:
         """Per-coordinate thresholds lam*w_j with 0*inf resolved to exclusion."""
         if self.weights is not None and len(self.weights) != m:
             raise ValueError("weight length does not match design")
-        return _lam_w(self.lam, self.weights, m)
+        return _thresholds([self.lam], self.weights, m)[0]
 
 
 @dataclass
@@ -103,17 +122,19 @@ def objective(X, y, beta, pen: PenaltySpec) -> float:
     T = X.shape[0]
     r = y - X @ beta
     lam_w = pen.lam_w(X.shape[1])
-    pterm = np.where(beta != 0.0, lam_w * np.abs(beta), 0.0)
+    # lam_w_j |beta_j| on the nonzero coordinates only, so an infinite lam_w_j never meets a 0
+    pterm = np.multiply(lam_w, np.abs(beta), out=np.zeros_like(beta), where=beta != 0.0)
     if np.any(np.isnan(pterm)):
         return np.inf
     return float(r @ r / T + 2.0 * pterm.sum())
 
 
-def _kkt_residual(g: np.ndarray, beta: np.ndarray, lam_w: np.ndarray) -> float:
+def _kkt_residual(g: np.ndarray, beta: np.ndarray, lam_w: np.ndarray):
     """Largest stationarity violation given the gradient g = X'(y - X beta)/T.
 
     Active coordinates contribute |g_j - lam_w_j sign(beta_j)|, idle ones
-    max(0, |g_j| - lam_w_j), which is 0 where lam_w_j is infinite.
+    max(0, |g_j| - lam_w_j), which is 0 where lam_w_j is infinite.  On n x m
+    arrays, one fit per row, it returns the n residuals.
     """
     if not g.size:
         return 0.0
@@ -122,7 +143,8 @@ def _kkt_residual(g: np.ndarray, beta: np.ndarray, lam_w: np.ndarray) -> float:
     # lam_w_j sign(beta_j) on the active set only and lam_w_j on the idle set only,
     # so an infinite lam_w_j never meets a 0 (an active one reports inf)
     subgradient = np.multiply(lam_w, sign, out=np.zeros_like(g), where=~idle)
-    return max(0.0, float((np.abs(g - subgradient) - np.where(idle, lam_w, 0.0)).max()))
+    viol = (np.abs(g - subgradient) - np.where(idle, lam_w, 0.0)).max(axis=-1)
+    return np.maximum(viol, 0.0) if viol.ndim else max(0.0, float(viol))
 
 
 def _free_residual(g: list, b: list, thresholds: list, free: list) -> float:
@@ -143,31 +165,75 @@ def _free_residual(g: list, b: list, thresholds: list, free: list) -> float:
     return viol
 
 
-def _sign_fixed_step(psi, c, beta, lam_w, tol) -> tuple | None:
-    """(candidate, its gradient c - Psi candidate, KKT residual) of the exact minimiser
-    with beta's support and signs, or None when the system is singular, a sign
-    flips or the residual exceeds ``tol``."""
-    active = np.flatnonzero(beta)
-    sign = np.sign(beta[active])
+def _support_solve(psi, active, rhs) -> np.ndarray | None:
+    """Psi_AA^{-1} rhs on the support ``active``, or None when Psi_AA is singular."""
     try:
-        beta_a = np.linalg.solve(psi[np.ix_(active, active)], c[active] - lam_w[active] * sign)
+        return np.linalg.solve(psi[np.ix_(active, active)], rhs)
     except np.linalg.LinAlgError:
         return None
-    if not np.array_equal(np.sign(beta_a), sign):
+
+
+def _sign_fixed_step(psi, c, s, lam_w, tol, corrections=0) -> tuple | None:
+    """(candidate, its gradient c - Psi candidate, KKT residual) of the exact minimiser
+    with the support and signs of the sign vector ``s`` (updated in place), or None
+    when no candidate has unchanged signs and a residual within ``tol``.
+
+    A rejected candidate is corrected, and solved again, up to ``corrections``
+    times: coordinates whose sign flipped leave the support; if none flipped,
+    the idle coordinates with |g_j| > lam_w_j enter it with the sign of g_j.
+    """
+    for _ in range(1 + corrections):
+        active = np.flatnonzero(s)
+        sign = s[active]
+        beta_a = _support_solve(psi, active, c[active] - lam_w[active] * sign)
+        if beta_a is None:
+            return None
+        flipped = np.sign(beta_a) != sign
+        if flipped.any():
+            s[active[flipped]] = 0.0
+            continue
+        cand = np.zeros_like(c)
+        cand[active] = beta_a
+        g = c - psi @ cand
+        viol = _kkt_residual(g, cand, lam_w)
+        if viol <= tol:
+            return cand, g, viol
+        # pinned coordinates never enter: they have g_j = 0 or lam_w_j = inf
+        enter = (cand == 0.0) & (np.abs(g) > lam_w)
+        if not enter.any():
+            return None
+        s[enter] = np.sign(g[enter])
+    return None
+
+
+def _affine_tail(psi, c, beta, w, grid, lam_ws, tol) -> list | None:
+    """SolverResults at the penalties ``grid`` (thresholds ``lam_ws``, one row each)
+    on the affine path beta(lam) = u - lam v with beta's support A and signs s,
+    where Psi_AA [u v] = [c_A, w_A s] (w = 1 if None); None unless the signs at both ends of
+    ``grid`` equal s and every point's KKT residual is within ``tol``."""
+    active = np.flatnonzero(beta)
+    sign = np.sign(beta[active])
+    ws = sign if w is None else w[active] * sign
+    uv = _support_solve(psi, active, np.column_stack([c[active], ws]))
+    if uv is None:
         return None
-    cand = np.zeros_like(beta)
-    cand[active] = beta_a
-    g = c - psi @ cand
-    viol = _kkt_residual(g, cand, lam_w)
-    return (cand, g, viol) if viol <= tol else None
+    B = np.zeros((len(grid), len(beta)))
+    B[:, active] = uv[:, 0] - np.multiply.outer(grid, uv[:, 1])
+    # each beta_j is affine in lam, so equal signs at both ends hold in between
+    if not (np.array_equal(np.sign(B[0, active]), sign) and np.array_equal(np.sign(B[-1, active]), sign)):
+        return None
+    viol = _kkt_residual(c - B @ psi, B, lam_ws)
+    if viol.max() > tol:
+        return None
+    return [SolverResult(beta=b, iterations=0, max_kkt_violation=float(v), converged=True) for b, v in zip(B, viol)]
 
 
 def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter) -> tuple:
     """Coordinate descent at one penalty from ``beta`` and its exact gradient
     ``g = c - Psi beta`` over the ``free`` coordinates (see ``_fit_grid``);
-    returns (beta, g, sweeps, KKT residual).  After every sweep g is
-    recomputed exactly, and every EXACT_EVERY sweeps the sign-fixed step is
-    tried.
+    returns (beta, g, sweeps, KKT residual, whether an exact step ended it).
+    After every sweep g is recomputed exactly, and every EXACT_EVERY sweeps
+    the sign-fixed step is tried.
     """
     # the scalar work runs on Python floats, which index faster than arrays
     thresholds = lam_w.tolist()
@@ -196,11 +262,11 @@ def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter) -> tuple:
         if viol <= tol:
             break
         if sweeps % EXACT_EVERY == 0:
-            step = _sign_fixed_step(psi, c, beta, lam_w, tol)
+            step = _sign_fixed_step(psi, c, np.sign(beta), lam_w, tol)
             if step is not None:
                 beta, g, viol = step
-                break
-    return beta, g, sweeps, viol
+                return beta, g, sweeps, viol, True
+    return beta, g, sweeps, viol, False
 
 
 def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, tol, max_iter) -> list:
@@ -208,10 +274,13 @@ def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, 
 
     The one setup of every L1 fit: Psi = X'X/T and c = X'y/T are formed, the
     weights checked, zero columns and infinitely weighted coordinates pinned
-    to zero and the sweep state built once.  The first fit starts from
-    ``start`` (zero if None) and each later one from the fit before it, with
-    its exact gradient.  A fit converged if its KKT residual is at most
-    ``tol`` within ``max_iter`` full sweeps.
+    to zero, and the sweep state and the thresholds of every penalty built
+    once.  The first fit starts from ``start`` (zero if None) and each later
+    one from the fit before it, with its exact gradient, or in closed form:
+    predicted after a fit that ended on an exact step, or on the affine tail
+    once a converged fit has full support (see the module docstring).  A fit
+    converged if its KKT residual is at most ``tol`` within ``max_iter`` full
+    sweeps.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -228,13 +297,27 @@ def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, 
     if weights is not None:
         pinned |= np.isinf(weights)
     beta[pinned] = 0.0
+    n_free = m - int(pinned.sum())
     # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales
     state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist())
     g = c - psi @ beta
+    grid = np.asarray(grid, dtype=np.float64)
+    lam_ws = _thresholds(grid, weights, m)
     out = []
-    for lam in grid:
-        beta, g, sweeps, viol = _descend(psi, c, *state, _lam_w(lam, weights, m), beta, g, tol, max_iter)
+    stepped = full = False
+    for l, lam_w in enumerate(lam_ws):
+        step = _sign_fixed_step(psi, c, np.sign(beta), lam_w, tol, PREDICT_CORRECTIONS) if stepped else None
+        if step is None:
+            beta, g, sweeps, viol, stepped = _descend(psi, c, *state, lam_w, beta, g, tol, max_iter)
+        else:
+            (beta, g, viol), sweeps = step, 0
         out.append(SolverResult(beta=beta, iterations=sweeps, max_kkt_violation=viol, converged=viol <= tol))
+        # the tail is tried once each time the converged support becomes full
+        was_full, full = full, 0 < n_free == np.count_nonzero(beta) and viol <= tol
+        if full and not was_full and l + 1 < len(grid):
+            tail = _affine_tail(psi, c, beta, weights, grid[l + 1 :], lam_ws[l + 1 :], tol)
+            if tail is not None:
+                return out + tail
     return out
 
 

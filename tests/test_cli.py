@@ -267,6 +267,16 @@ class TestMcCommand:
         b = (dirs[1] / "A_10_100.json").read_bytes()
         assert a == b
 
+    def test_summary_line_counts_grid_end(self, tmp_path, capsys):
+        argv = ["mc", "--experiment", "A", "--k", "10", "--T", "200", "--reps", "2", "--seed", "5"]
+        assert run(argv + ["--estimators", "lasso,adaptive_lasso_lasso", "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().err.strip()
+        assert line.startswith(f"wrote {tmp_path / 'A_10_200.csv'} (")
+        # the adaptive stage ends with every finite-weight coordinate active in 19 of 20 equations
+        assert line.endswith(
+            "nonconverged: lasso 0/20 adaptive_lasso_lasso 0/20 bic_at_grid_end: lasso 0/20 adaptive_lasso_lasso 19/20"
+        )
+
     def test_invalid_combination_is_config_error(self, tmp_path):
         code = run(
             ["mc", "--experiment", "B", "--k", "100", "--T", "100", "--reps", "1", "--out", str(tmp_path)]
@@ -350,7 +360,7 @@ class TestDiag:
         assert code == 0
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert len(payload["replications"]) == 2
-        assert (payload["config"]["T"], payload["config"]["reps"]) == (100, 2)
+        assert (payload["config"]["T"], payload["config"]["reps"], payload["config"]["seed"]) == (100, 2, 0)
         rep = payload["replications"][0]
         assert rep["events"]["b_t"] is True
         for check in rep["iq_checks"]:
@@ -398,6 +408,23 @@ class TestDiag:
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert len(payload["replications"]) == 1
         assert (payload["config"]["T"], payload["config"]["reps"]) == (60, 1)
+        # the dataset's meta.json records no seed, so the config holds none
+        assert payload["config"]["seed"] is None
+
+    @pytest.mark.parametrize(
+        "extra", [["--reps", "7"], ["--T", "999"], ["--seed", "4"], ["--seed", "0"], {"reps": 20}, {"seed": 0}]
+    )
+    def test_data_mode_rejects_simulation_flags(self, tmp_path, extra, capsys):
+        run(["simulate", "--experiment", "A", "--k", "10", "--T", "60", "--seed", "4", "--out", str(tmp_path)])
+        argv = ["diag", "--data", str(tmp_path), "--experiment", "A", "--k", "10", "--skip-foc", "--out", str(tmp_path)]
+        flag = f"--{next(iter(extra))}" if isinstance(extra, dict) else extra[0]
+        if isinstance(extra, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(extra))
+            extra = ["--config", str(cfg)]
+        assert run(argv + extra) == 2
+        assert f"so {flag} cannot be set" in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.json").exists()
 
     def test_diag_without_innovations_exit_5(self, tmp_path):
         run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--out", str(tmp_path)])

@@ -14,7 +14,7 @@ from hdvar.estimators import (
     fit_system,
 )
 from hdvar.linalg import cholesky_solve, least_squares
-from hdvar.solver import PenaltySpec, lambda_max, lasso_cd
+from hdvar.solver import PenaltySpec, kkt_check, lambda_max, lasso_cd, lasso_path
 
 
 def problem_from(X, y):
@@ -50,8 +50,6 @@ class TestBic:
     def test_argmin_selection_matches_recomputation(self):
         prob, truth, _ = simulated_problem(seed=4)
         fit = fit_lasso_bic(prob, 0)
-        from hdvar.solver import lasso_path
-
         path = lasso_path(prob.X, prob.ys[0])
         values = []
         for lam, res in path:
@@ -89,8 +87,6 @@ class TestLassoBic:
         prob = problem_from(X, X @ beta)
         monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, ratio=1e-10))
         fit = fit_lasso_bic(prob, 0)
-        from hdvar.solver import lasso_path
-
         path = lasso_path(prob.X, prob.ys[0], ratio=1e-10)
         tied = [
             lam
@@ -99,6 +95,25 @@ class TestLassoBic:
         ]
         if tied:
             assert fit.lambda_selected == pytest.approx(max(tied))
+
+    def test_selection_on_the_diag_design_is_the_coordinate_descent_iterate(self):
+        # A/10/100, the cell of the theory diagnostics: every equation's BIC-selected
+        # fit is the lasso_cd warm-start chain's iterate at its lambda, bit for bit
+        model, _ = mc.make_dgp("A", 10)
+        for seed in range(10):
+            plan = estimators.FitPlan(var.simulate(model, 100, seed=seed))
+            X = plan.problem.X
+            for i, y in enumerate(plan.problem.ys):
+                fit = plan.lasso(i)
+                warm = None
+                for lam, _ in lasso_path(X, y):
+                    warm = lasso_cd(X, y, PenaltySpec(lam), warm_start=warm).beta
+                    if lam == fit.lambda_selected:
+                        break
+                assert lam == fit.lambda_selected
+                assert np.array_equal(fit.beta, warm)
+                assert fit.converged
+                assert kkt_check(X, y, fit.beta, PenaltySpec(lam)) <= 1e-7
 
     def test_active_set_matches_nonzeros(self):
         prob, _, _ = simulated_problem(seed=5)

@@ -201,7 +201,9 @@ class TestRunExperiment:
             "lasso": {"nonconverged": expected, "fits": 20, "bic_at_grid_end": 12, "mean_df_over_T": 0.94625},
             "full_ols": {"nonconverged": 0, "fits": 20, "bic_at_grid_end": 0, "mean_df_over_T": None},
         }
-        assert f"nonconverged: lasso {expected}/20 full_ols 0/20" in capsys.readouterr().err
+        assert f"nonconverged: lasso {expected}/20 full_ols 0/20 bic_at_grid_end: lasso 12/20 full_ols 0/20\n" in (
+            capsys.readouterr().err
+        )
 
     def test_grid_end_and_selected_df_counted(self, monkeypatch):
         tags = estimators.ESTIMATOR_TAGS
@@ -210,10 +212,10 @@ class TestRunExperiment:
         monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, max_iter=50))
         report = mc.run_experiment(mc.ExperimentSpec("C", 10, 40, n_reps=1, base_seed=5, estimators=tags))
         assert {tag: (c["bic_at_grid_end"], c["mean_df_over_T"]) for tag, c in report.solver.items()} == {
-            "lasso": (10, 1.1375),
-            "post_lasso": (0, None),  # too_many_selected in every equation
-            "adaptive_lasso_lasso": (10, 0.9025000000000001),
-            "adaptive_lasso_ridge": (10, 0.975),
+            "lasso": (9, 1.0825),
+            "post_lasso": (1, 0.975),  # too_many_selected in 9 of 10 equations
+            "adaptive_lasso_lasso": (10, 0.8925000000000001),
+            "adaptive_lasso_ridge": (10, 0.9574999999999999),
             "oracle_ols": (0, 0.125),
             "full_ols": (0, None),
         }

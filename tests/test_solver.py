@@ -241,14 +241,41 @@ class TestPathKernel:
         path = lasso_path(X, y, weights=w, **opts)
         if case == "C/10/40":
             assert not all(res.converged for _, res in path)
-        warm = None
+        n_free = np.count_nonzero(X.any(axis=0) & (True if w is None else np.isfinite(w)))
+        prev, closed = None, 0
         for lam, res in path:
-            ref = lasso_cd(X, y, PenaltySpec(lam, weights=w), warm_start=warm, **opts)
-            assert np.array_equal(res.beta, ref.beta)
-            assert res.iterations == ref.iterations
-            assert res.converged == ref.converged
-            assert res.max_kkt_violation == ref.max_kkt_violation
-            warm = ref.beta
+            pen = PenaltySpec(lam, weights=w)
+            ref = lasso_cd(X, y, pen, warm_start=None if prev is None else prev.beta, **opts)
+            assert res.converged == (res.max_kkt_violation <= 1e-7)
+            if res.iterations:
+                # a swept point is the lasso_cd kernel started from the point before it
+                assert np.array_equal(res.beta, ref.beta)
+                assert res.iterations == ref.iterations
+                assert res.converged == ref.converged
+                assert res.max_kkt_violation == ref.max_kkt_violation
+            else:
+                # a closed-form point follows a converged point that ended on an exact
+                # step (0 sweeps, or a multiple of EXACT_EVERY) or had full support; it
+                # is an exact minimiser, no worse than the kernel's iterate
+                closed += 1
+                assert prev.converged
+                assert prev.iterations % EXACT_EVERY == 0 or np.count_nonzero(prev.beta) == n_free
+                assert res.converged
+                assert kkt_check(X, y, res.beta, pen) <= 1e-7
+                assert objective(X, y, res.beta, pen) <= objective(X, y, ref.beta, pen) + 1e-12
+            prev = res
+        assert closed == {"A/10/500": 25, "C/10/1000": 86, "adaptive": 10, "C/10/40": 60}[case]
+
+    def test_grid_thresholds_are_each_penalty_times_the_weights(self):
+        # one outer product for the grid, the same IEEE multiply as lam * w per point
+        w = np.array([0.5, np.inf, 2.0, 0.0, 1.0 / 3.0])
+        grid = [3.0, 0.1, 1e-3, 0.0]
+        rows = solver._thresholds(grid, w, 5)
+        for lam, row in zip(grid, rows):
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(row, np.where(np.isinf(w), np.inf, lam * w))
+            assert np.array_equal(row, PenaltySpec(lam, weights=w).lam_w(5))
+        assert np.array_equal(solver._thresholds(grid, None, 2), np.column_stack([grid, grid]))
 
     @settings(max_examples=200)
     @given(
@@ -388,21 +415,30 @@ class TestExactStep:
         for lam, res in path:
             assert res.converged
             assert kkt_check(prob.X, prob.ys[0], res.beta, PenaltySpec(lam)) <= 1e-7
-        # coordinate descent alone takes 1,965 sweeps on this path
-        assert sum(res.iterations for _, res in path) == 518
-        assert step_outcomes.count(True) == 87
-        # a rejected candidate leaves the sweeps to reach the tolerance
-        assert step_outcomes.count(False) == 12
+        # coordinate descent alone takes 1,965 sweeps on this path, and with the
+        # step inside the sweeps only 518
+        assert sum(res.iterations for _, res in path) == 28
+        # after the first accepted step, the predictor solves each next point
+        # before any sweep, until the full-support tail closes the grid
+        assert step_outcomes.count(True) == 77
+        assert step_outcomes.count(False) == 0
+        assert sum(res.iterations == 0 for _, res in path) == 86
 
     def test_fast_paths_keep_the_coordinate_descent_iterate(self, step_outcomes):
         prob = experiment_problem("A", 10, 500)
         X, y = prob.X, prob.ys[0]
+        path = lasso_path(X, y)
         warm = None
-        for lam, res in lasso_path(X, y):
-            assert res.iterations < EXACT_EVERY
+        for lam, res in path[:75]:
+            assert 0 < res.iterations < EXACT_EVERY
             capped = lasso_cd(X, y, PenaltySpec(lam), max_iter=EXACT_EVERY - 1, warm_start=warm)
             assert np.array_equal(res.beta, capped.beta)
             warm = res.beta
+        assert np.count_nonzero(path[74][1].beta) == prob.m
+        # from the first point with full support on, the tail is closed form
+        for lam, res in path[75:]:
+            assert res.iterations == 0 and res.converged
+            assert kkt_check(X, y, res.beta, PenaltySpec(lam)) <= 1e-7
         assert not step_outcomes
 
     def test_rejected_candidate_keeps_sweeping(self, step_outcomes):
@@ -431,6 +467,85 @@ class TestExactStep:
         assert np.all(np.diff(hist) <= 1e-12)
         assert hist[-1] == objective(X, y, res.beta, pen)
         assert res.max_kkt_violation <= 1e-7
+
+
+def affine_oracle(X, y, beta, grid, w=None):
+    """u - lam v for every lam in ``grid``, where u and v solve the normal equations
+    X_A'X_A/T [u v] = [X_A'y/T, w_A s] on beta's support A with signs s, by Cholesky."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    T, m = X.shape
+    A = np.flatnonzero(beta)
+    ws = (np.ones(m) if w is None else w)[A] * np.sign(beta[A])
+    factor = cho_factor(X[:, A].T @ X[:, A] / T)
+    u, v = cho_solve(factor, X[:, A].T @ y / T), cho_solve(factor, ws)
+    B = np.zeros((len(grid), m))
+    B[:, A] = u - np.outer(grid, v)
+    return B
+
+
+def crossing_instance():
+    """m = 4 correlated columns whose path reaches full support at grid point 8 with
+    every sign +1, after which coefficient 0 crosses zero and ends negative."""
+    rng = rng_for(138)
+    X = rng.standard_normal((100, 4))
+    X[:, 1:] = 0.4 * X[:, :1] + np.sqrt(1 - 0.4**2) * X[:, 1:]
+    y = X @ rng.uniform(-1, 1, 4) + 0.1 * rng.standard_normal(100)
+    return X, y
+
+
+class TestPathFollowing:
+    """Closed-form points of a path: the predictor after an exact step and the full-support tail."""
+
+    @pytest.mark.parametrize("case", ["A/10/500", "adaptive"])
+    def test_tail_points_are_affine_in_lambda(self, case):
+        if case == "adaptive":
+            X, y, w = adaptive_instance()
+        else:
+            prob = experiment_problem("A", 10, 500)
+            X, y, w = prob.X, prob.ys[0], None
+        path = lasso_path(X, y, weights=w)
+        start = {"A/10/500": 75, "adaptive": 90}[case]
+        assert path[start - 1][1].iterations > 0
+        tail = path[start:]
+        expected = affine_oracle(X, y, path[start - 1][1].beta, [lam for lam, _ in tail], w)
+        for (lam, res), beta in zip(tail, expected):
+            assert res.iterations == 0 and res.converged
+            np.testing.assert_allclose(res.beta, beta, rtol=1e-9, atol=1e-13)
+            assert kkt_check(X, y, res.beta, PenaltySpec(lam, weights=w)) <= 1e-7
+        if case == "adaptive":
+            # infinitely weighted coordinates and the zero column stay pinned on every point
+            pinned = np.isinf(w) | ~X.any(axis=0)
+            assert pinned.sum() > 1
+            assert all(np.all(res.beta[pinned] == 0.0) for _, res in path)
+
+    @pytest.mark.parametrize("exact_every", [EXACT_EVERY, 10**9], ids=["exact-step", "sweeps-only"])
+    def test_sign_crossing_rejects_the_tail(self, monkeypatch, exact_every):
+        X, y = crossing_instance()
+        monkeypatch.setattr(solver, "EXACT_EVERY", exact_every)
+        outcomes = []
+        tail = solver._affine_tail
+
+        def recorded(*args):
+            result = tail(*args)
+            outcomes.append(result is not None)
+            return result
+
+        monkeypatch.setattr(solver, "_affine_tail", recorded)
+        path = lasso_path(X, y, n_lambda=30, ratio=1e-3)
+        first_full = next(l for l, (_, res) in enumerate(path) if np.count_nonzero(res.beta) == 4)
+        assert first_full == 8
+        assert np.array_equal(np.sign(path[first_full][1].beta), np.ones(4))
+        assert path[-1][1].beta[0] < 0.0
+        # the tail through the first full support is rejected; it is taken once
+        # the support is full again, past the crossing
+        assert outcomes == [False, True]
+        if exact_every > 1000:
+            # with no exact step, the sweeps carry the path across the crossing
+            assert all(res.iterations > 0 for _, res in path[first_full + 1 : 20])
+        for lam, res in path:
+            assert res.converged
+            assert kkt_check(X, y, res.beta, PenaltySpec(lam)) <= 1e-7
 
 
 class TestRidge:
