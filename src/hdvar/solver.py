@@ -173,7 +173,7 @@ def _support_solve(psi, active, rhs) -> np.ndarray | None:
         return None
 
 
-def _sign_fixed_step(psi, c, s, lam_w, tol, corrections=0) -> tuple | None:
+def _sign_fixed_step(psi, c, s, lam_w, tol, max_support, corrections=0) -> tuple | None:
     """(candidate, its gradient c - Psi candidate, KKT residual) of the exact minimiser
     with the support and signs of the sign vector ``s`` (updated in place), or None
     when no candidate has unchanged signs and a residual within ``tol``.
@@ -181,9 +181,13 @@ def _sign_fixed_step(psi, c, s, lam_w, tol, corrections=0) -> tuple | None:
     A rejected candidate is corrected, and solved again, up to ``corrections``
     times: coordinates whose sign flipped leave the support; if none flipped,
     the idle coordinates with |g_j| > lam_w_j enter it with the sign of g_j.
+    A support larger than ``max_support``, the number of observations, is
+    rejected unsolved: Psi = X'X/T has rank at most T, so Psi_AA is singular.
     """
     for _ in range(1 + corrections):
         active = np.flatnonzero(s)
+        if len(active) > max_support:
+            return None
         sign = s[active]
         beta_a = _support_solve(psi, active, c[active] - lam_w[active] * sign)
         if beta_a is None:
@@ -206,12 +210,15 @@ def _sign_fixed_step(psi, c, s, lam_w, tol, corrections=0) -> tuple | None:
     return None
 
 
-def _affine_tail(psi, c, beta, w, grid, lam_ws, tol) -> list | None:
+def _affine_tail(psi, c, beta, w, grid, lam_ws, tol, max_support) -> list | None:
     """SolverResults at the penalties ``grid`` (thresholds ``lam_ws``, one row each)
     on the affine path beta(lam) = u - lam v with beta's support A and signs s,
     where Psi_AA [u v] = [c_A, w_A s] (w = 1 if None); None unless the signs at both ends of
-    ``grid`` equal s and every point's KKT residual is within ``tol``."""
+    ``grid`` equal s and every point's KKT residual is within ``tol``.  A support
+    larger than ``max_support`` is rejected unsolved (see ``_sign_fixed_step``)."""
     active = np.flatnonzero(beta)
+    if len(active) > max_support:
+        return None
     sign = np.sign(beta[active])
     ws = sign if w is None else w[active] * sign
     uv = _support_solve(psi, active, np.column_stack([c[active], ws]))
@@ -228,12 +235,12 @@ def _affine_tail(psi, c, beta, w, grid, lam_ws, tol) -> list | None:
     return [SolverResult(beta=b, iterations=0, max_kkt_violation=float(v), converged=True) for b, v in zip(B, viol)]
 
 
-def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter) -> tuple:
+def _descend(psi, c, rows, diag, free, max_support, lam_w, beta, g, tol, max_iter) -> tuple:
     """Coordinate descent at one penalty from ``beta`` and its exact gradient
     ``g = c - Psi beta`` over the ``free`` coordinates (see ``_fit_grid``);
     returns (beta, g, sweeps, KKT residual, whether an exact step ended it).
     After every sweep g is recomputed exactly, and every EXACT_EVERY sweeps
-    the sign-fixed step is tried.
+    the sign-fixed step is tried on supports of at most ``max_support``.
     """
     # the scalar work runs on Python floats, which index faster than arrays
     thresholds = lam_w.tolist()
@@ -262,7 +269,7 @@ def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter) -> tuple:
         if viol <= tol:
             break
         if sweeps % EXACT_EVERY == 0:
-            step = _sign_fixed_step(psi, c, np.sign(beta), lam_w, tol)
+            step = _sign_fixed_step(psi, c, np.sign(beta), lam_w, tol, max_support)
             if step is not None:
                 beta, g, viol = step
                 return beta, g, sweeps, viol, True
@@ -298,15 +305,16 @@ def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, 
         pinned |= np.isinf(weights)
     beta[pinned] = 0.0
     n_free = m - int(pinned.sum())
-    # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales
-    state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist())
+    # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales;
+    # no exact step is solved on a support of more than T coordinates
+    state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist(), T)
     g = c - psi @ beta
     grid = np.asarray(grid, dtype=np.float64)
     lam_ws = _thresholds(grid, weights, m)
     out = []
     stepped = full = False
     for l, lam_w in enumerate(lam_ws):
-        step = _sign_fixed_step(psi, c, np.sign(beta), lam_w, tol, PREDICT_CORRECTIONS) if stepped else None
+        step = _sign_fixed_step(psi, c, np.sign(beta), lam_w, tol, T, PREDICT_CORRECTIONS) if stepped else None
         if step is None:
             beta, g, sweeps, viol, stepped = _descend(psi, c, *state, lam_w, beta, g, tol, max_iter)
         else:
@@ -315,7 +323,7 @@ def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, 
         # the tail is tried once each time the converged support becomes full
         was_full, full = full, 0 < n_free == np.count_nonzero(beta) and viol <= tol
         if full and not was_full and l + 1 < len(grid):
-            tail = _affine_tail(psi, c, beta, weights, grid[l + 1 :], lam_ws[l + 1 :], tol)
+            tail = _affine_tail(psi, c, beta, weights, grid[l + 1 :], lam_ws[l + 1 :], tol, T)
             if tail is not None:
                 return out + tail
     return out

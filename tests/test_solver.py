@@ -455,6 +455,25 @@ class TestExactStep:
         assert kkt_check(X, y, res.beta, pen) <= 1e-7
         assert not lasso_cd(X, y, pen, max_iter=EXACT_EVERY + 1).converged
 
+    def test_no_solve_on_a_support_larger_than_T(self, monkeypatch):
+        # C/10/40: m = 50 > T = 40, and Psi = X'X/T has rank at most T, so every
+        # Psi_AA with |A| > T is singular and its step is rejected unsolved
+        sizes = []
+        solve = solver._support_solve
+
+        def recorded(psi, active, rhs):
+            sizes.append(len(active))
+            return solve(psi, active, rhs)
+
+        monkeypatch.setattr(solver, "_support_solve", recorded)
+        prob = experiment_problem("C", 10, 40)
+        path = lasso_path(prob.X, prob.ys[0])
+        assert sizes and max(sizes) <= prob.T
+        # the solves on larger supports were all rejected, so skipping them
+        # leaves the sweeps and the unconverged points as they were
+        assert sum(res.iterations for _, res in path) == 5534
+        assert sum(not res.converged for _, res in path) == 5
+
     def test_accepted_step_descends(self, step_outcomes):
         prob = experiment_problem("C", 10, 1000)
         X, y = prob.X, prob.ys[0]

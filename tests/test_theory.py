@@ -137,8 +137,34 @@ class TestRestrictedEigenvalue:
         rng = rng_for(102)
         psi = random_spd(rng, 6)
         vals = [theory.restricted_eigenvalue(psi, r, seed=7) for r in (1, 2, 3)]
-        assert vals[0] >= vals[1] - 1e-12
-        assert vals[1] >= vals[2] - 1e-12
+        # the points searched for r are searched again, from the same seeds, for r + 1
+        assert vals[0] >= vals[1] >= vals[2]
+
+    @pytest.mark.parametrize(
+        "experiment, k, r, value",
+        [("A", 10, 1, 0.013333333333333334), ("D", 10, 10, 0.010314574493491727)],
+    )
+    def test_design_values_pinned(self, experiment, k, r, value):
+        # values of the search that refined one start at a time, which the
+        # batched search reproduces up to rounding
+        gamma = var.population_gamma(mc.make_dgp(experiment, k)[0])
+        assert theory.restricted_eigenvalue(gamma, r) == pytest.approx(value, rel=1e-12)
+
+    def test_oracle_instances_pinned(self):
+        # the 20 instances of acceptance criterion 7, against the one-start-at-a-time search
+        pinned = [
+            0.014904069907926734, 0.31267691601619196, 0.28465965797851744, 0.10228636072100081,
+            0.12777250431962514, 0.20059605173273312, 0.17564379868906901, 0.04767768279078272,
+            0.16906425967066932, 0.020875409692781902, 0.14488764108219984, 0.050390421919788805,
+            0.13937373863221864, 0.0476964751628003, 0.06504547669193106, 0.025092796752401107,
+            0.09696320134783858, 0.5856442241863101, 0.07456019509781459, 0.07764002905814174,
+        ]
+        rng = np.random.Generator(np.random.Philox(777))
+        for trial, value in enumerate(pinned):
+            m = int(rng.integers(3, 7))
+            r = int(rng.integers(1, 3))
+            psi = random_spd(rng, m)
+            assert theory.restricted_eigenvalue(psi, r, seed=trial) == pytest.approx(value, rel=1e-12)
 
 
 class TestEventFlags:
