@@ -29,18 +29,19 @@ point to the next.  ``lasso_path`` runs it on a log-spaced grid of N_LAMBDA
 points from lambda_max down to LAMBDA_RATIO times lambda_max, and
 ``lasso_cd`` on the one-point grid [lam].
 
-Between kinks the solution is affine in lambda, and the setup follows the
-path with the same sign-fixed solve in two more places.  A point after one
-that ended on an accepted exact step first predicts: it solves on its
-predecessor's (A, s), dropping coordinates whose sign flipped or adding idle
-ones that violate their condition, up to PREDICT_CORRECTIONS times, before
-any sweep.  A point after one that converged by sweeping alone sweeps as
-before, so its iterate is unchanged.  And once a converged point has every
-free coordinate nonzero, one solve Psi_AA [u v] = [c_A, w_A s] gives
-beta(lam) = u - lam v for the rest of the grid, taken whole only if its
-signs at both ends equal s and every point's KKT residual is within ``tol``.
-Closed-form points report 0 iterations.  Every point's KKT residual is within
-``tol``, or it reports converged=False.
+Once a grid point is known exactly, because it ended on an accepted exact
+step or converged with every free coordinate nonzero, the exact homotopy
+follows the rest of the grid from that point's support A and signs s.
+Between kinks the solution is affine in lambda: beta_A(lam) = u - lam v with
+Psi_AA [u v] = [c_A, w_A s], one Cholesky solve per kink.  The next kink is
+the largest lam at which an idle coordinate reaches |g_j| = lam w_j and
+enters, or an active one crosses zero and leaves.  One KKT check covers
+every point computed this way, and the prefix within ``tol`` is taken, with
+0 iterations; coordinate descent goes on from the last point taken, at the
+first point above ``tol``, at a support larger than T, or where Psi_AA is
+not positive definite.  The points before the first exact one are the
+coordinate-descent iterates.  Every point's KKT residual is within ``tol``,
+or it reports converged=False.
 """
 
 from __future__ import annotations
@@ -49,13 +50,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dposv
 
 from .errors import AllWeightsInfinite
 
 # sweeps between attempts of the exact sign-fixed step
 EXACT_EVERY = 5
-# corrections of the support the predictor makes after a fit that ended on an exact step
-PREDICT_CORRECTIONS = 3
+# relative margin below the current penalty that the homotopy's next kink must clear
+KINK_MARGIN = 1e-12
 # the lambda grid of every BIC-tuned fit: N_LAMBDA log-spaced points from
 # lambda_max down to LAMBDA_RATIO * lambda_max
 N_LAMBDA = 100
@@ -136,7 +138,7 @@ def _kkt_residual(g: np.ndarray, beta: np.ndarray, lam_w: np.ndarray):
     max(0, |g_j| - lam_w_j), which is 0 where lam_w_j is infinite.  On n x m
     arrays, one fit per row, it returns the n residuals.
     """
-    if not g.size:
+    if not g.shape[-1]:
         return 0.0
     sign = np.sign(beta)
     idle = sign == 0.0
@@ -166,73 +168,96 @@ def _free_residual(g: list, b: list, thresholds: list, free: list) -> float:
 
 
 def _support_solve(psi, active, rhs) -> np.ndarray | None:
-    """Psi_AA^{-1} rhs on the support ``active``, or None when Psi_AA is singular."""
-    try:
-        return np.linalg.solve(psi[np.ix_(active, active)], rhs)
-    except np.linalg.LinAlgError:
-        return None
+    """Psi_AA^{-1} rhs on the support ``active`` by Cholesky, or None when Psi_AA is
+    not positive definite."""
+    _, x, info = dposv(psi[active[:, None], active], rhs)
+    return None if info else x
 
 
-def _sign_fixed_step(psi, c, s, lam_w, tol, max_support, corrections=0) -> tuple | None:
+def _sign_fixed_step(psi, c, s, lam_w, tol, max_support) -> tuple | None:
     """(candidate, its gradient c - Psi candidate, KKT residual) of the exact minimiser
-    with the support and signs of the sign vector ``s`` (updated in place), or None
-    when no candidate has unchanged signs and a residual within ``tol``.
-
-    A rejected candidate is corrected, and solved again, up to ``corrections``
-    times: coordinates whose sign flipped leave the support; if none flipped,
-    the idle coordinates with |g_j| > lam_w_j enter it with the sign of g_j.
-    A support larger than ``max_support``, the number of observations, is
-    rejected unsolved: Psi = X'X/T has rank at most T, so Psi_AA is singular.
+    with the support and signs of the sign vector ``s``, or None unless its signs
+    equal s and its residual is within ``tol``.  A support larger than
+    ``max_support``, the number of observations, is rejected unsolved: Psi = X'X/T
+    has rank at most T, so Psi_AA is singular.
     """
-    for _ in range(1 + corrections):
-        active = np.flatnonzero(s)
-        if len(active) > max_support:
-            return None
-        sign = s[active]
-        beta_a = _support_solve(psi, active, c[active] - lam_w[active] * sign)
-        if beta_a is None:
-            return None
-        flipped = np.sign(beta_a) != sign
-        if flipped.any():
-            s[active[flipped]] = 0.0
-            continue
-        cand = np.zeros_like(c)
-        cand[active] = beta_a
-        g = c - psi @ cand
-        viol = _kkt_residual(g, cand, lam_w)
-        if viol <= tol:
-            return cand, g, viol
-        # pinned coordinates never enter: they have g_j = 0 or lam_w_j = inf
-        enter = (cand == 0.0) & (np.abs(g) > lam_w)
-        if not enter.any():
-            return None
-        s[enter] = np.sign(g[enter])
-    return None
-
-
-def _affine_tail(psi, c, beta, w, grid, lam_ws, tol, max_support) -> list | None:
-    """SolverResults at the penalties ``grid`` (thresholds ``lam_ws``, one row each)
-    on the affine path beta(lam) = u - lam v with beta's support A and signs s,
-    where Psi_AA [u v] = [c_A, w_A s] (w = 1 if None); None unless the signs at both ends of
-    ``grid`` equal s and every point's KKT residual is within ``tol``.  A support
-    larger than ``max_support`` is rejected unsolved (see ``_sign_fixed_step``)."""
-    active = np.flatnonzero(beta)
+    active = np.flatnonzero(s)
     if len(active) > max_support:
         return None
-    sign = np.sign(beta[active])
-    ws = sign if w is None else w[active] * sign
-    uv = _support_solve(psi, active, np.column_stack([c[active], ws]))
-    if uv is None:
+    sign = s[active]
+    beta_a = _support_solve(psi, active, c[active] - lam_w[active] * sign)
+    if beta_a is None or not np.array_equal(np.sign(beta_a), sign):
         return None
-    B = np.zeros((len(grid), len(beta)))
-    B[:, active] = uv[:, 0] - np.multiply.outer(grid, uv[:, 1])
-    # each beta_j is affine in lam, so equal signs at both ends hold in between
-    if not (np.array_equal(np.sign(B[0, active]), sign) and np.array_equal(np.sign(B[-1, active]), sign)):
-        return None
-    viol = _kkt_residual(c - B @ psi, B, lam_ws)
-    if viol.max() > tol:
-        return None
-    return [SolverResult(beta=b, iterations=0, max_kkt_violation=float(v), converged=True) for b, v in zip(B, viol)]
+    cand = np.zeros_like(c)
+    cand[active] = beta_a
+    g = c - psi @ cand
+    viol = _kkt_residual(g, cand, lam_w)
+    return (cand, g, viol) if viol <= tol else None
+
+
+def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
+    """Rows beta(grid[i]) for the leading penalties of ``grid`` (all below ``lam``)
+    that the exact homotopy reaches from ``beta``, the fit at ``lam`` with gradient
+    ``g``, over the ``free`` coordinates with weights ``w``.
+
+    Between kinks beta_A(lam) = u - lam v on the support A with signs s, where
+    Psi_AA [u v] = [c_A, w_A s].  The next kink is the largest lam below the
+    current one, by a relative KINK_MARGIN, at which an idle g_j = c_j - Psi_jA
+    beta_A reaches +-lam w_j (j enters with that sign) or an active beta_j
+    changes sign before the step ends (j leaves).  ``beta`` may leave idle
+    coordinates violating their condition by up to the KKT tolerance; the
+    largest violator enters at ``lam``.  The path stops at a support larger
+    than ``max_support``, a Psi_AA that is not positive definite, or a kink
+    that would not move lam.  The rows are not checked here.
+    """
+    s = np.sign(beta)
+    excess = np.where(free & (s == 0.0), np.abs(g) - lam * w, 0.0)
+    j = int(np.argmax(excess))
+    if excess[j] > 0.0:
+        s[j] = np.sign(g[j])
+    B = np.zeros((len(grid), len(c)))
+    n = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            active = s.nonzero()[0]
+            if len(active) > max_support:
+                break
+            sign = s[active]
+            # Fortran order, as LAPACK takes it
+            uv = _support_solve(psi, active, np.array([c[active], w[active] * sign]).T)
+            if uv is None:
+                break
+            u, v = uv[:, 0], uv[:, 1]
+            # on the idle set, g(lam) = a + lam b
+            full = np.zeros((len(c), 2))
+            full[active] = uv
+            ab = psi @ full
+            a, b = c - ab[:, 0], ab[:, 1]
+            idle = free & (s == 0.0)
+            below = lam * (1.0 - KINK_MARGIN)
+            up, down = a / (w - b), -a / (w + b)
+            # g_j reaches a bound as lam falls only if it moves towards it
+            up = np.where(idle & (b < w) & (up > 0.0) & (up < below), up, 0.0)
+            down = np.where(idle & (-b < w) & (down > 0.0) & (down < below), down, 0.0)
+            enter = np.maximum(up, down)
+            j = int(enter.argmax())
+            kink, new_sign = enter[j], 1.0 if up[j] >= down[j] else -1.0
+            # an active coordinate leaves where u_j - lam v_j crosses zero, if its
+            # sign changes before the step ends
+            crossed = np.sign(u - max(kink, grid[-1]) * v) != sign
+            if crossed.any():
+                cross = np.divide(u, v, out=np.zeros_like(u), where=crossed & (v != 0.0))
+                i = int(cross.argmax())
+                if cross[i] > kink:
+                    kink, j, new_sign = cross[i], active[i], 0.0
+            # the grid descends, so the points of this segment are the next ones >= kink
+            end = n + int(np.count_nonzero(grid[n:] >= kink))
+            B[n:end, active] = u - np.multiply.outer(grid[n:end], v)
+            n = end
+            if n == len(grid) or kink >= below:
+                break
+            s[j], lam = new_sign, kink
+    return B[:n]
 
 
 def _descend(psi, c, rows, diag, free, max_support, lam_w, beta, g, tol, max_iter) -> tuple:
@@ -283,11 +308,13 @@ def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, 
     weights checked, zero columns and infinitely weighted coordinates pinned
     to zero, and the sweep state and the thresholds of every penalty built
     once.  The first fit starts from ``start`` (zero if None) and each later
-    one from the fit before it, with its exact gradient, or in closed form:
-    predicted after a fit that ended on an exact step, or on the affine tail
-    once a converged fit has full support (see the module docstring).  A fit
-    converged if its KKT residual is at most ``tol`` within ``max_iter`` full
-    sweeps.
+    one by coordinate descent from the fit before it, with its exact gradient,
+    until a fit is exact: ended on an exact step, or converged with every free
+    coordinate nonzero.  From there ``_homotopy`` computes the following fits,
+    and those up to the first with a KKT residual above ``tol`` are taken;
+    coordinate descent resumes after them (see the module docstring).  A
+    swept fit converged if its KKT residual is at most ``tol`` within
+    ``max_iter`` full sweeps.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -308,24 +335,27 @@ def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, 
     # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales;
     # no exact step is solved on a support of more than T coordinates
     state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist(), T)
+    # the homotopy's weights, finite everywhere; pinned coordinates never enter
+    w = np.ones(m) if weights is None else np.where(pinned, 1.0, weights)
     g = c - psi @ beta
     grid = np.asarray(grid, dtype=np.float64)
     lam_ws = _thresholds(grid, weights, m)
     out = []
-    stepped = full = False
-    for l, lam_w in enumerate(lam_ws):
-        step = _sign_fixed_step(psi, c, np.sign(beta), lam_w, tol, T, PREDICT_CORRECTIONS) if stepped else None
-        if step is None:
-            beta, g, sweeps, viol, stepped = _descend(psi, c, *state, lam_w, beta, g, tol, max_iter)
-        else:
-            (beta, g, viol), sweeps = step, 0
+    while len(out) < len(grid):
+        l = len(out)
+        beta, g, sweeps, viol, stepped = _descend(psi, c, *state, lam_ws[l], beta, g, tol, max_iter)
         out.append(SolverResult(beta=beta, iterations=sweeps, max_kkt_violation=viol, converged=viol <= tol))
-        # the tail is tried once each time the converged support becomes full
-        was_full, full = full, 0 < n_free == np.count_nonzero(beta) and viol <= tol
-        if full and not was_full and l + 1 < len(grid):
-            tail = _affine_tail(psi, c, beta, weights, grid[l + 1 :], lam_ws[l + 1 :], tol, T)
-            if tail is not None:
-                return out + tail
+        # a point is exact if it ended on an exact step or converged with full support
+        if l + 1 == len(grid) or not (stepped or (viol <= tol and 0 < n_free == np.count_nonzero(beta))):
+            continue
+        B = _homotopy(psi, c, w, ~pinned, beta, g, grid[l], grid[l + 1 :], T)
+        G = c - B @ psi
+        viols = _kkt_residual(G, B, lam_ws[l + 1 : l + 1 + len(B)])
+        # the prefix within tol is taken; the kernel goes on from its last point
+        k = next((i for i, v in enumerate(viols) if v > tol), len(B))
+        out += [SolverResult(beta=b, iterations=0, max_kkt_violation=float(v), converged=True) for b, v in zip(B[:k], viols)]
+        if k:
+            beta, g = B[k - 1], G[k - 1]
     return out
 
 

@@ -207,15 +207,16 @@ class TestRunExperiment:
 
     def test_grid_end_and_selected_df_counted(self, monkeypatch):
         tags = estimators.ESTIMATOR_TAGS
-        # m = 50 > T = 40: the LASSO BIC runs to the end of the grid and keeps more than T regressors;
-        # max_iter=50 keeps the non-converging grid points cheap
+        # m = 50 > T = 40: the LASSO BIC runs to the end of the grid, where the
+        # path keeps up to T regressors; max_iter=50 keeps any non-converging
+        # grid point cheap
         monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, max_iter=50))
         report = mc.run_experiment(mc.ExperimentSpec("C", 10, 40, n_reps=1, base_seed=5, estimators=tags))
         assert {tag: (c["bic_at_grid_end"], c["mean_df_over_T"]) for tag, c in report.solver.items()} == {
-            "lasso": (9, 1.0825),
-            "post_lasso": (1, 0.975),  # too_many_selected in 9 of 10 equations
-            "adaptive_lasso_lasso": (10, 0.8925000000000001),
-            "adaptive_lasso_ridge": (10, 0.9574999999999999),
+            "lasso": (10, 0.9949999999999999),
+            "post_lasso": (2, 0.975),  # too_many_selected in 8 of 10 equations
+            "adaptive_lasso_lasso": (10, 0.9),
+            "adaptive_lasso_ridge": (10, 0.96),
             "oracle_ols": (0, 0.125),
             "full_ols": (0, None),
         }

@@ -225,22 +225,23 @@ class TestPathKernel:
 
     @pytest.mark.parametrize(
         "case",
-        # C/10/40 has m = 50 > T = 40; max_iter=50 leaves some grid points unconverged
-        ["A/10/500", "C/10/1000", "adaptive", "C/10/40"],
+        # C/10/40 has m = 50 > T = 40; at max_iter=4 no exact step is tried and
+        # the support never becomes full, so every point is swept and some stay
+        # unconverged
+        ["A/10/500", "C/10/1000", "adaptive", "C/10/40", "C/10/40/max_iter=4"],
     )
     def test_path_equals_warm_started_lasso_cd_chain(self, case):
         opts = {}
         if case == "adaptive":
             X, y, w = adaptive_instance()
         else:
-            experiment, k, T = case.split("/")
+            experiment, k, T = case.split("/")[:3]
             prob = experiment_problem(experiment, int(k), int(T))
             X, y, w = prob.X, prob.ys[0], None
-            if case == "C/10/40":
-                opts = {"max_iter": 50}
+            if case.startswith("C/10/40"):
+                opts = {"max_iter": 4 if case.endswith("max_iter=4") else 50}
         path = lasso_path(X, y, weights=w, **opts)
-        if case == "C/10/40":
-            assert not all(res.converged for _, res in path)
+        assert all(res.converged for _, res in path) == (case != "C/10/40/max_iter=4")
         n_free = np.count_nonzero(X.any(axis=0) & (True if w is None else np.isfinite(w)))
         prev, closed = None, 0
         for lam, res in path:
@@ -254,9 +255,10 @@ class TestPathKernel:
                 assert res.converged == ref.converged
                 assert res.max_kkt_violation == ref.max_kkt_violation
             else:
-                # a closed-form point follows a converged point that ended on an exact
-                # step (0 sweeps, or a multiple of EXACT_EVERY) or had full support; it
-                # is an exact minimiser, no worse than the kernel's iterate
+                # a continuation point follows a converged point that ended on an exact
+                # step (a multiple of EXACT_EVERY sweeps), had full support, or is itself
+                # a continuation point; it is an exact minimiser, no worse than the
+                # kernel's iterate
                 closed += 1
                 assert prev.converged
                 assert prev.iterations % EXACT_EVERY == 0 or np.count_nonzero(prev.beta) == n_free
@@ -264,7 +266,7 @@ class TestPathKernel:
                 assert kkt_check(X, y, res.beta, pen) <= 1e-7
                 assert objective(X, y, res.beta, pen) <= objective(X, y, ref.beta, pen) + 1e-12
             prev = res
-        assert closed == {"A/10/500": 25, "C/10/1000": 86, "adaptive": 10, "C/10/40": 60}[case]
+        assert closed == {"A/10/500": 25, "C/10/1000": 86, "adaptive": 10, "C/10/40": 95, "C/10/40/max_iter=4": 0}[case]
 
     def test_grid_thresholds_are_each_penalty_times_the_weights(self):
         # one outer product for the grid, the same IEEE multiply as lam * w per point
@@ -418,9 +420,8 @@ class TestExactStep:
         # coordinate descent alone takes 1,965 sweeps on this path, and with the
         # step inside the sweeps only 518
         assert sum(res.iterations for _, res in path) == 28
-        # after the first accepted step, the predictor solves each next point
-        # before any sweep, until the full-support tail closes the grid
-        assert step_outcomes.count(True) == 77
+        # after the first accepted step the homotopy follows the rest of the grid
+        assert step_outcomes.count(True) == 1
         assert step_outcomes.count(False) == 0
         assert sum(res.iterations == 0 for _, res in path) == 86
 
@@ -457,7 +458,8 @@ class TestExactStep:
 
     def test_no_solve_on_a_support_larger_than_T(self, monkeypatch):
         # C/10/40: m = 50 > T = 40, and Psi = X'X/T has rank at most T, so every
-        # Psi_AA with |A| > T is singular and its step is rejected unsolved
+        # Psi_AA with |A| > T is singular; neither the exact step nor the
+        # homotopy solves on such a support
         sizes = []
         solve = solver._support_solve
 
@@ -469,10 +471,11 @@ class TestExactStep:
         prob = experiment_problem("C", 10, 40)
         path = lasso_path(prob.X, prob.ys[0])
         assert sizes and max(sizes) <= prob.T
-        # the solves on larger supports were all rejected, so skipping them
-        # leaves the sweeps and the unconverged points as they were
-        assert sum(res.iterations for _, res in path) == 5534
-        assert sum(not res.converged for _, res in path) == 5
+        # the homotopy, from the exact step at point 4, follows the path up to a
+        # support of T and on to the end of the grid
+        assert max(sizes) == prob.T
+        assert sum(res.iterations for _, res in path) == 9
+        assert all(res.converged for _, res in path)
 
     def test_accepted_step_descends(self, step_outcomes):
         prob = experiment_problem("C", 10, 1000)
@@ -514,7 +517,7 @@ def crossing_instance():
 
 
 class TestPathFollowing:
-    """Closed-form points of a path: the predictor after an exact step and the full-support tail."""
+    """Continuation points of a path: the exact homotopy from the first exact point on."""
 
     @pytest.mark.parametrize("case", ["A/10/500", "adaptive"])
     def test_tail_points_are_affine_in_lambda(self, case):
@@ -538,33 +541,57 @@ class TestPathFollowing:
             assert pinned.sum() > 1
             assert all(np.all(res.beta[pinned] == 0.0) for _, res in path)
 
+    @pytest.mark.parametrize("case", ["A/10/500", "C/10/1000", "B/10/500", "adaptive"])
+    def test_continuation_points_are_exact(self, case):
+        if case == "adaptive":
+            X, y, w = adaptive_instance()
+        else:
+            experiment, k, T = case.split("/")
+            prob = experiment_problem(experiment, int(k), int(T))
+            X, y, w = prob.X, prob.ys[0], None
+        path = lasso_path(X, y, weights=w)
+        # every point after the first exact one is a continuation point, exact
+        # up to rounding
+        start = next(l for l, (_, res) in enumerate(path) if res.iterations == 0)
+        assert start >= 2 and path[start - 1][1].iterations > 0
+        for lam, res in path[start:]:
+            assert res.iterations == 0 and res.converged
+            assert res.max_kkt_violation <= 1e-12
+            assert kkt_check(X, y, res.beta, PenaltySpec(lam, weights=w)) <= 1e-12
+
     @pytest.mark.parametrize("exact_every", [EXACT_EVERY, 10**9], ids=["exact-step", "sweeps-only"])
-    def test_sign_crossing_rejects_the_tail(self, monkeypatch, exact_every):
+    def test_sign_crossing_drops_the_coordinate(self, monkeypatch, exact_every):
         X, y = crossing_instance()
         monkeypatch.setattr(solver, "EXACT_EVERY", exact_every)
-        outcomes = []
-        tail = solver._affine_tail
-
-        def recorded(*args):
-            result = tail(*args)
-            outcomes.append(result is not None)
-            return result
-
-        monkeypatch.setattr(solver, "_affine_tail", recorded)
         path = lasso_path(X, y, n_lambda=30, ratio=1e-3)
         first_full = next(l for l, (_, res) in enumerate(path) if np.count_nonzero(res.beta) == 4)
         assert first_full == 8
         assert np.array_equal(np.sign(path[first_full][1].beta), np.ones(4))
-        assert path[-1][1].beta[0] < 0.0
-        # the tail through the first full support is rejected; it is taken once
-        # the support is full again, past the crossing
-        assert outcomes == [False, True]
-        if exact_every > 1000:
-            # with no exact step, the sweeps carry the path across the crossing
-            assert all(res.iterations > 0 for _, res in path[first_full + 1 : 20])
+        # the homotopy starts at the exact step of point 4, or, with no step, at
+        # the first full support
+        start = 4 if exact_every == EXACT_EVERY else first_full
+        assert path[start][1].iterations > 0
+        assert all(res.iterations == 0 for _, res in path[start + 1 :])
+        # coefficient 0 enters at point 6, leaves between points 8 and 9, is
+        # exactly 0 until it enters again with the other sign at point 19
+        b0 = [res.beta[0] for _, res in path]
+        assert b0[5] == 0.0 and all(b > 0.0 for b in b0[6:9])
+        assert all(b == 0.0 for b in b0[9:19]) and all(b < 0.0 for b in b0[19:])
+        # each continuation point is the sign-fixed minimiser of its segment
+        for lam, res in path[start + 1 :]:
+            np.testing.assert_allclose(res.beta, affine_oracle(X, y, res.beta, [lam])[0], rtol=1e-9, atol=1e-13)
         for lam, res in path:
             assert res.converged
             assert kkt_check(X, y, res.beta, PenaltySpec(lam)) <= 1e-7
+
+    def test_more_regressors_than_observations_converges(self):
+        # C/10/40, m = 50 > T = 40: the homotopy follows each path to a support
+        # of T, where the fit interpolates, and on to the end of the grid
+        prob = experiment_problem("C", 10, 40)
+        for y in prob.ys[:2]:
+            path = lasso_path(prob.X, y)
+            assert all(res.converged for _, res in path)
+            assert max(np.count_nonzero(res.beta) for _, res in path) == prob.T
 
 
 class TestRidge:
