@@ -140,22 +140,26 @@ def _estimator_list(raw: str) -> tuple:
     return tags
 
 
-def _load_model(args) -> tuple:
-    """Model plus truth from --experiment/--k or an inline model JSON."""
+def _load_model(args, data: var.Dataset | None = None) -> tuple:
+    """Model plus truth from --experiment/--k or an inline model JSON; the model
+    must have the shape of ``data`` when that is given."""
     if args.experiment and args.k:
         try:
-            return mc.make_dgp(args.experiment, args.k)
+            model, truth = mc.make_dgp(args.experiment, args.k)
         except UnknownCombination as exc:
             raise ConfigError(str(exc)) from exc
-    if getattr(args, "model", None):
+    elif getattr(args, "model", None):
         with open(args.model) as fh:
             payload = json.load(fh)
         phis = tuple(np.asarray(P, dtype=np.float64) for P in payload["phis"])
         sigma = np.asarray(payload["sigma"], dtype=np.float64)
         model = var.VarModel(phis=phis, sigma=sigma)
         truth = estimators.SparsityInfo.from_coefficients(var.coefficient_matrix(model))
-        return model, truth
-    raise ConfigError("specify --experiment with --k, or --model")
+    else:
+        raise ConfigError("specify --experiment with --k, or --model")
+    if data is not None and truth.beta.shape != (data.k, data.k * data.p):
+        raise ConfigError("truth dimensions do not match the dataset")
+    return model, truth
 
 
 def cmd_simulate(args) -> int:
@@ -177,9 +181,7 @@ def cmd_fit(args) -> int:
     if any(t == "oracle_ols" for t in tags):
         if not (args.experiment and args.k):
             raise ConfigError("oracle_ols needs --experiment and --k to reconstruct the truth")
-        model, truth = _load_model(args)
-        if truth.beta.shape != (data.k, data.k * data.p):
-            raise ConfigError("truth dimensions do not match the dataset")
+        _, truth = _load_model(args, data)
     if args.lam is not None:
         if not args.lam >= 0:
             raise ConfigError("--lambda must be a nonnegative number")
@@ -236,8 +238,8 @@ def cmd_diag(args) -> int:
         simulate_only = [f"--{name}" for name in ("seed", "T", "reps") if getattr(args, name) is not None]
         if simulate_only:
             raise ConfigError(f"--data runs on the loaded dataset, so {', '.join(simulate_only)} cannot be set")
-        model, truth = _load_model(args)
         datasets = [var.load_dataset(args.data, name=args.name)]
+        model, truth = _load_model(args, datasets[0])
         if datasets[0].innovations is None:
             print("dataset has no innovation record; diagnostics need simulated data", file=sys.stderr)
             return EXIT_DIAG
@@ -248,6 +250,8 @@ def cmd_diag(args) -> int:
         model, truth = _load_model(args)
         seed = _DIAG_SIMULATE["seed"] if args.seed is None else args.seed
         reps = _DIAG_SIMULATE["reps"] if args.reps is None else args.reps
+        if min(args.T, reps) < 1:
+            raise ConfigError("--T and --reps must be at least one")
         datasets = [var.simulate(model, args.T, seed=seed + r) for r in range(reps)]
     params = theory.TheoryParams(q=args.q, a_const=args.a_const)
     T, k, p = datasets[0].T, model.k, model.p
@@ -352,28 +356,34 @@ def _json_safe(obj):
 
 def cmd_paper_tables(args) -> int:
     tags = _estimator_list(args.estimators)
-    exps = [e.strip().upper() for e in args.experiments.split(",") if e.strip()]
-    t_values = [int(t) for t in args.t_list.split(",") if t.strip()]
-    k_filter = {int(v) for v in args.k_list.split(",") if v.strip()}
-    os.makedirs(args.out, exist_ok=True)
+    exps = list(dict.fromkeys(e.strip().upper() for e in args.experiments.split(",") if e.strip()))
     for exp in exps:
         if exp not in mc.EXPERIMENT_GRID:
             raise ConfigError(f"unknown experiment {exp!r}")
+    # every value is parsed and every cell specified, and so validated, before the first cell runs
+    try:
+        t_values = [int(t) for t in args.t_list.split(",") if t.strip()]
+        k_filter = {int(v) for v in args.k_list.split(",") if v.strip()}
+        specs = [
+            mc.ExperimentSpec(exp, k, T, n_reps=args.reps, base_seed=args.seed, estimators=tags)
+            for exp in exps
+            for k in mc.EXPERIMENT_GRID[exp]
+            if not k_filter or k in k_filter
+            for T in t_values
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not specs:
+        raise ConfigError("no cell of the grid matches --experiments, --k-list and --T-list")
+    os.makedirs(args.out, exist_ok=True)
+    for exp in exps:
         rows = []
-        for k in mc.EXPERIMENT_GRID[exp]:
-            if k_filter and k not in k_filter:
-                continue
-            for T in t_values:
-                spec = mc.ExperimentSpec(
-                    experiment=exp, k=k, T=T, n_reps=args.reps, base_seed=args.seed, estimators=tags
-                )
-                report = mc.run_experiment(spec, threads=args.threads)
-                stem = f"{exp}_{k}_{T}"
-                mc.report_to_csv(report, os.path.join(args.out, f"{stem}.csv"))
-                for tag in tags:
-                    row = report.rows[tag]
-                    rows.append((k, T, tag, row))
-                print(f"{stem} done ({report.runtime_seconds:.1f}s)", file=sys.stderr)
+        for spec in (s for s in specs if s.experiment == exp):
+            report = mc.run_experiment(spec, threads=args.threads)
+            stem = f"{exp}_{spec.k}_{spec.T}"
+            mc.report_to_csv(report, os.path.join(args.out, f"{stem}.csv"))
+            rows.extend((spec.k, spec.T, tag, report.rows[tag]) for tag in tags)
+            print(f"{stem} done ({report.runtime_seconds:.1f}s)", file=sys.stderr)
         table_path = os.path.join(args.out, f"table_{exp}.csv")
         with open(table_path, "w", newline="") as fh:
             writer = csv.writer(fh)

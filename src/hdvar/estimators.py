@@ -28,17 +28,13 @@ __all__ = [
     "EquationFit",
     "SystemFit",
     "bic",
-    "fit_lasso_bic",
     "fit_post_lasso",
     "fit_oracle_ols",
     "fit_full_ols",
     "FitPlan",
     "fit_menu",
-    "fit_system",
     "system_fit_to_dict",
-    "system_fit_from_dict",
     "save_system_fit",
-    "load_system_fit",
 ]
 
 ESTIMATOR_TAGS = (
@@ -265,11 +261,6 @@ class FitPlan:
         return SystemFit(estimator_tag=tag, fits=fits, coefficients=coef, k=self.problem.k, p=self.problem.p)
 
 
-def fit_lasso_bic(problem: var.RegressionProblem, i: int) -> EquationFit:
-    """LASSO with the penalty chosen by BIC over the ``lasso_path`` grid."""
-    return _l1_fit(problem, i, "lasso")
-
-
 def fit_post_lasso(problem: var.RegressionProblem, i: int, lasso_fit: EquationFit) -> EquationFit:
     """Least squares refit on the LASSO active set (zeros elsewhere); it carries
     the LASSO fit's penalty level, convergence flag and grid-end flag."""
@@ -313,11 +304,6 @@ def fit_menu(data, tags, truth: SparsityInfo | None = None, lam: float | None = 
     return {tag: plan.fit(tag, lam) for tag in tags}
 
 
-def fit_system(data, tag: str, truth: SparsityInfo | None = None, lam: float | None = None) -> SystemFit:
-    """Apply the chosen per-equation fit to all k equations."""
-    return FitPlan(data, truth).fit(tag, lam)
-
-
 def system_fit_to_dict(fit: SystemFit) -> dict:
     kp = fit.coefficients.shape[1]
     return {
@@ -335,35 +321,7 @@ def system_fit_to_dict(fit: SystemFit) -> dict:
     }
 
 
-def system_fit_from_dict(d: dict) -> SystemFit:
-    k, p, kp = int(d["k"]), int(d["p"]), int(d["kp"])
-    coef = np.asarray(d["beta"], dtype=np.float64).reshape(k, kp)
-    lams = np.asarray(d["lambda_per_equation"], dtype=np.float64)  # null (undefined lambda) -> NaN
-    fits = []
-    for i in range(k):
-        beta = coef[i]
-        fits.append(
-            EquationFit(
-                beta=beta,
-                active_set=np.asarray(d["active_sets"][i], dtype=np.intp),
-                lambda_selected=float(lams[i]),
-                estimator_tag=d["estimator"],
-                bic_value=np.nan,
-                df=float(len(d["active_sets"][i])),
-                rss=np.nan,
-                converged=bool(d["converged"][i]),
-                feasible=bool(d["feasible"][i]),
-            )
-        )
-    return SystemFit(estimator_tag=d["estimator"], fits=tuple(fits), coefficients=coef, k=k, p=p)
-
-
 def save_system_fit(fit: SystemFit, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(system_fit_to_dict(fit), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def load_system_fit(path: str) -> SystemFit:
-    with open(path) as fh:
-        return system_fit_from_dict(json.load(fh))

@@ -111,6 +111,10 @@ class ExperimentSpec:
             if tag not in estimators.ESTIMATOR_TAGS:
                 raise ValueError(f"unknown estimator tag {tag!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if self.T < 1:
+            raise ValueError("T must be at least one")
+        if self.n_reps < 1:
+            raise ValueError("need at least one replication")
 
 
 @dataclass
@@ -147,8 +151,6 @@ class McReport:
 
 def rmse(fits, truth) -> float:
     """sqrt(mean over replications of ||beta_hat - beta*||_F^2) over the system."""
-    if not fits:
-        raise ValueError("need at least one replication")
     errs = [float(np.sum((f.coefficients - truth.beta) ** 2)) for f in fits]
     return float(math.sqrt(np.mean(errs)))
 
@@ -163,8 +165,6 @@ def rmsfe(forecasts, realized, k: int) -> float:
 
 def selection_metrics(fits, truth):
     """(uncovered, included, share of relevant, mean selected count) over the system."""
-    if not fits:
-        raise ValueError("need at least one replication")
     total_s = int(truth.s.sum())
     uncovered = []
     included = []
@@ -186,7 +186,7 @@ def selection_metrics(fits, truth):
     )
 
 
-def _run_replication(spec: ExperimentSpec, model, truth, r: int, gamma, kappa_sbar_sq):
+def _run_replication(spec: ExperimentSpec, model, truth, r: int, lambda_t, gamma, kappa_sbar_sq):
     seed = spec.base_seed + r
     full = var.simulate(model, spec.T + 1, seed=seed)
     data = var.truncate_dataset(full, spec.T)
@@ -196,10 +196,10 @@ def _run_replication(spec: ExperimentSpec, model, truth, r: int, gamma, kappa_sb
     forecasts = {tag: var.forecast_one_step(fit.coefficients, data) for tag, fit in fits.items()}
     out = {"rep": r, "seed": seed, "realized": realized, "fits": fits, "forecasts": forecasts}
     if spec.theory_checks:
-        flags = theory.event_flags(
-            data, model, truth, theory.TheoryParams(), kappa_sbar_sq=kappa_sbar_sq, problem=problem, gamma=gamma
+        params = theory.TheoryParams()
+        out["events"] = theory.event_flags(
+            data, model, truth, params, lambda_t=lambda_t, kappa_sbar_sq=kappa_sbar_sq, problem=problem, gamma=gamma
         )
-        out["events"] = flags
     return out
 
 
@@ -237,8 +237,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
     """
     start = time.perf_counter()
     model, truth = make_dgp(spec.experiment, spec.k)
-    gamma = kappa_sbar_sq = None
+    lambda_t = gamma = kappa_sbar_sq = None
     if spec.theory_checks:
+        lambda_t = theory.lambda_theorem1(spec.T, model.k, model.p, var.sigma_t(model))
         gamma = var.population_gamma(model)
         kappa_sbar_sq = theory.restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))
     reps = range(spec.n_reps)
@@ -247,12 +248,12 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
             results = list(
                 pool.map(
                     _run_replication,
-                    *zip(*[(spec, model, truth, r, gamma, kappa_sbar_sq) for r in reps]),
+                    *zip(*[(spec, model, truth, r, lambda_t, gamma, kappa_sbar_sq) for r in reps]),
                     chunksize=max(1, spec.n_reps // (4 * threads)),
                 )
             )
     else:
-        results = [_run_replication(spec, model, truth, r, gamma, kappa_sbar_sq) for r in reps]
+        results = [_run_replication(spec, model, truth, r, lambda_t, gamma, kappa_sbar_sq) for r in reps]
     results.sort(key=lambda d: d["rep"])
 
     rows = {}
@@ -297,9 +298,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
             "max_cross_mean": float(np.mean([f.max_cross for f in flags])),
             "max_cov_dev_mean": float(np.mean([f.max_cov_dev for f in flags])),
             "max_yy_mean": float(np.mean([f.max_yy for f in flags])),
-            "lambda_t": flags[0].lambda_t if flags else np.nan,
-            "k_t": flags[0].k_t if flags else np.nan,
-            "c_t_threshold": flags[0].c_t_threshold if flags else np.nan,
+            "lambda_t": flags[0].lambda_t,
+            "k_t": flags[0].k_t,
+            "c_t_threshold": flags[0].c_t_threshold,
         }
     return McReport(
         spec=spec,

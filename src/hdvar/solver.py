@@ -407,28 +407,23 @@ def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
         return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
 
 
-def lasso_path(
-    X, y, weights: np.ndarray | None = None, n_lambda=N_LAMBDA, ratio=LAMBDA_RATIO, tol=1e-7, max_iter=1000
-) -> list:
-    """Warm-started fits on a log-spaced grid from lambda_max down to ratio*lambda_max.
+def lasso_path(X, y, weights: np.ndarray | None = None, tol=1e-7, max_iter=1000) -> list:
+    """Warm-started fits on N_LAMBDA log-spaced points from lambda_max down to
+    LAMBDA_RATIO * lambda_max (both read at call time).
 
     The grid runs through the one solver setup (see ``_fit_grid``), each point
     started from the previous point's beta and its exact gradient.
     Returns [(lambda, SolverResult), ...] ordered by decreasing lambda.
     """
-    if n_lambda < 2:
-        raise ValueError("need at least two grid points")
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must lie in (0, 1)")
     X = np.asfortranarray(X, dtype=np.float64)
     w = PenaltySpec(0.0, weights).weights  # nonnegative and not NaN
     lmax = lambda_max(X, y, w)
     if lmax == 0.0:
-        grid = np.zeros(n_lambda)
+        grid = np.zeros(N_LAMBDA)
     else:
         # the 1e-10 margin keeps the top-of-path solution exactly zero even when
         # the solver's gradient differs from lambda_max's by rounding
-        grid = lmax * (1.0 + 1e-10) * np.logspace(0.0, np.log10(ratio), n_lambda)
+        grid = lmax * (1.0 + 1e-10) * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
     grid = grid.tolist()
     return list(zip(grid, _fit_grid(X, y, w, grid, None, tol, max_iter)))
 

@@ -29,17 +29,14 @@ __all__ = [
     "TheoryParams",
     "EventFlags",
     "lambda_theorem1",
-    "lambda_oracle_ols",
     "k_t",
     "pi_q",
     "zeta",
     "thm1_probability",
-    "adalasso_probability",
     "restricted_eigenvalue",
     "event_flags",
     "thm1_rhs_check",
     "thm3_bounds",
-    "oracle_ols_bound",
     "system_bound",
     "f_norm_sum",
     "sign_recovery_conditions",
@@ -88,14 +85,6 @@ def lambda_theorem1(T: int, k: int, p: int, sigma_t: float) -> float:
     return math.sqrt(val)
 
 
-def lambda_oracle_ols(T: int, s_i: int, sigma_t: float) -> float:
-    """Oracle-OLS penalty scale sqrt(8 ln(1+T)^5 ln(1+s)^2 ln(s) sigma^4 / T)."""
-    if s_i < 1:
-        raise ValueError("s_i must be at least one")
-    val = 8.0 * math.log(1 + T) ** 5 * math.log(1 + s_i) ** 2 * math.log(s_i) * sigma_t**4 / T
-    return math.sqrt(val)
-
-
 def k_t(T: int, k: int, p: int, sigma_t: float) -> float:
     """Second-moment envelope ln(1+k)^2 ln(1+p)^2 ln(T) sigma^2."""
     return math.log(1 + k) ** 2 * math.log(1 + p) ** 2 * math.log(T) * sigma_t**2
@@ -119,15 +108,6 @@ def pi_q(s: int, k: int, p: int, T: int, zeta_value: float) -> float:
 def thm1_probability(T: int, k: int, p: int, a_const: float = 1.0) -> float:
     """Lower bound 1 - 2(k^2 p)^(1-ln(1+T)) - 2(1+T)^(-1/A) on the cross-moment event."""
     return 1.0 - 2.0 * (float(k) ** 2 * p) ** (1.0 - math.log(1 + T)) - 2.0 * (1.0 + T) ** (-1.0 / a_const)
-
-
-def adalasso_probability(T: int, k: int, p: int, s_i: int, zeta_value: float, a_const: float = 1.0) -> float:
-    """Lower bound on the sign-recovery event of the two-stage estimator."""
-    return (
-        thm1_probability(T, k, p, a_const)
-        - 2.0 * T ** (-1.0 / a_const)
-        - pi_q(s_i, k, p, T, zeta_value)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -307,39 +287,30 @@ def event_flags(
     model: var.VarModel,
     truth,
     params: TheoryParams,
-    lambda_t: float | None = None,
-    kappa_sbar_sq: float | None = None,
     *,
-    problem: var.RegressionProblem | None = None,
-    gamma: np.ndarray | None = None,
+    lambda_t: float,
+    kappa_sbar_sq: float,
+    problem: var.RegressionProblem,
+    gamma: np.ndarray,
 ) -> EventFlags:
     """Evaluate the three empirical events on one simulated replication.
 
     b_t: all regressor/innovation cross-moments below lambda_T / 2;
     c_t: entrywise Gram deviation within (1-q) kappa^2(s_bar) / (16 s_bar);
     d_t: all second moments of the regressors below K_T.
-    ``problem`` (the stacked ``data``) and ``gamma`` (the model's population
-    covariance) are computed here when the caller does not hold them.
+    ``problem`` is the stacked ``data``, ``gamma`` the model's population
+    covariance and ``kappa_sbar_sq`` its restricted eigenvalue kappa^2(s_bar).
     """
     if data.innovations is None:
         raise MissingInnovations("event evaluation needs the true innovations")
-    if problem is None:
-        problem = var.stack(data)
-    if gamma is None:
-        gamma = var.population_gamma(model)
     T, k, p = data.T, data.k, data.p
-    st = var.sigma_t(model)
-    if lambda_t is None:
-        lambda_t = lambda_theorem1(T, k, p, st)
     cross = problem.X.T @ data.innovations / T
     max_cross = float(np.abs(cross).max())
     max_cov_dev = float(np.abs(problem.psi - gamma).max())
-    if kappa_sbar_sq is None:
-        kappa_sbar_sq = restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))
     s_bar = max(int(truth.s_bar), 1)
     c_threshold = (1.0 - params.q) * kappa_sbar_sq / (16.0 * s_bar)
     max_yy = float(np.abs(problem.psi).max())
-    kt = k_t(T, k, p, st)
+    kt = k_t(T, k, p, var.sigma_t(model))
     return EventFlags(
         b_t=bool(max_cross < lambda_t / 2.0),
         c_t=bool(max_cov_dev <= c_threshold),
@@ -392,13 +363,6 @@ def thm3_bounds(s_i: int, lambda_t: float, kappa_sq: float, q: float):
     return base * lambda_t**2, base * lambda_t
 
 
-def oracle_ols_bound(s_i: int, lambda_tilde: float, phi_min_gamma_jj: float, q: float) -> float:
-    """Oracle-OLS estimation bound lambda_tilde * s / (2 q phi_min(Gamma_JJ))."""
-    if phi_min_gamma_jj <= 0:
-        raise ValueError("phi_min must be positive")
-    return lambda_tilde * s_i / (2.0 * q * phi_min_gamma_jj)
-
-
 def system_bound(est_bounds) -> float:
     """System-wide estimation bound: sum of the per-equation bounds."""
     return float(np.sum(est_bounds))
@@ -442,8 +406,8 @@ def sign_recovery_conditions(
     lambda_t: float,
     truth,
     params: TheoryParams,
-    gamma: np.ndarray | None = None,
-    sigma_t_value: float | None = None,
+    gamma: np.ndarray,
+    sigma_t_value: float,
 ) -> dict:
     """Premise, the two sufficient inequalities, and the exact first-order
     conditions for the stage-two weighted fit to reproduce sign(beta*).
@@ -453,7 +417,8 @@ def sign_recovery_conditions(
     FOC2 checks the sign consistency of the candidate solution on the true
     support, with b = (sign(beta*_j) / |stage1_j|)_{j in J}.  The report's
     ``foc_ok`` is True exactly when the stage-two minimizer at this penalty
-    recovers the full sign pattern.
+    recovers the full sign pattern.  The sufficient inequalities read the
+    population covariance ``gamma`` and sigma_T (``sigma_t_value``).
     """
     stage1 = np.asarray(stage1_beta, dtype=np.float64)
     beta_star = truth.beta[i]
@@ -506,18 +471,17 @@ def sign_recovery_conditions(
             }
         )
 
-    # sufficient conditions (need population quantities)
-    if gamma is not None and sigma_t_value is not None and len(J):
-        phi_min = float(np.linalg.eigvalsh(gamma[np.ix_(J, J)]).min())
-        s_i = len(J)
-        kt = k_t(problem.T, problem.k, problem.p, sigma_t_value)
-        lhs_a1 = (
-            s_i * kt / (params.q * phi_min) * (0.5 + 2.0 / beta_min_i) * l1_err + l1_err / 2.0
-        )
-        lhs_a2 = math.sqrt(s_i) / (params.q * phi_min) * (lambda_t / 2.0 + 2.0 * lambda_t / beta_min_i)
-        report["adalasso1"] = {"lhs": float(lhs_a1), "rhs": 1.0, "ok": bool(lhs_a1 <= 1.0)}
-        report["adalasso2"] = {"lhs": float(lhs_a2), "rhs": beta_min_i, "ok": bool(lhs_a2 <= beta_min_i)}
-        report["phi_min_gamma_jj"] = phi_min
+    # sufficient conditions, from the population covariance gamma
+    phi_min = float(np.linalg.eigvalsh(gamma[np.ix_(J, J)]).min())
+    s_i = len(J)
+    kt = k_t(problem.T, problem.k, problem.p, sigma_t_value)
+    lhs_a1 = (
+        s_i * kt / (params.q * phi_min) * (0.5 + 2.0 / beta_min_i) * l1_err + l1_err / 2.0
+    )
+    lhs_a2 = math.sqrt(s_i) / (params.q * phi_min) * (lambda_t / 2.0 + 2.0 * lambda_t / beta_min_i)
+    report["adalasso1"] = {"lhs": float(lhs_a1), "rhs": 1.0, "ok": bool(lhs_a1 <= 1.0)}
+    report["adalasso2"] = {"lhs": float(lhs_a2), "rhs": beta_min_i, "ok": bool(lhs_a2 <= beta_min_i)}
+    report["phi_min_gamma_jj"] = phi_min
     return report
 
 

@@ -145,13 +145,16 @@ def test_criterion_06_theorem1_deterministic_suite():
     st = var.sigma_t(model)
     lam = theory.lambda_theorem1(T, 10, 1, st)
     params = theory.TheoryParams()
+    gamma = var.population_gamma(model)
     start = time.perf_counter()
     n_bt = violations = 0
     worst = np.inf
     for seed in range(500):
         data = var.simulate(model, T, seed=seed)
         problem = var.stack(data)
-        flags = theory.event_flags(data, model, truth, params, lambda_t=lam, kappa_sbar_sq=1.0)
+        flags = theory.event_flags(
+            data, model, truth, params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
+        )
         if not flags.b_t:
             continue
         n_bt += 1
@@ -231,7 +234,7 @@ def test_criterion_09_foc_equivalence():
         data = var.simulate(model, 200, seed=seed)
         problem = var.stack(data)
         i = 0
-        stage1 = estimators.fit_lasso_bic(problem, i).beta
+        stage1 = estimators.FitPlan(problem).lasso(i).beta
         with np.errstate(divide="ignore"):
             w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
         lams = [lam_thm]

@@ -87,22 +87,21 @@ class TestFit:
             ]
         )
         assert code == 0
-        fit = estimators.load_system_fit(str(out / "fit_lasso.json"))
-        assert np.all(fit.coefficients == 0.0)
+        payload = json.loads((out / "fit_lasso.json").read_text())
+        assert payload["beta"] == [0.0] * 100
         assert "nonconverged 0/10" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tag", estimators.PENALIZED_TAGS)
     def test_lambda_override_reports_nonconvergence(self, dataset_dir, tag, monkeypatch):
         data = var.load_dataset(str(dataset_dir))
-        assert all(f.converged for f in estimators.fit_system(data, tag, lam=1e-4).fits)
+        assert all(f.converged for f in estimators.FitPlan(data).fit(tag, lam=1e-4).fits)
         for name in ("lasso_path", "lasso_cd"):
             monkeypatch.setattr(estimators, name, functools.partial(getattr(estimators, name), max_iter=1))
-        fit = estimators.fit_system(data, tag, lam=1e-4)
+        fit = estimators.FitPlan(data).fit(tag, lam=1e-4)
         converged = [f.converged for f in fit.fits]
         assert not all(converged)
         payload = json.loads(json.dumps(estimators.system_fit_to_dict(fit)))
         assert payload["converged"] == converged
-        assert [f.converged for f in estimators.system_fit_from_dict(payload).fits] == converged
 
     def test_lambda_override_fits_pinned(self, tmp_path):
         model = {"phis": [[[0.5, 0.2, 0.0], [0.0, 0.4, 0.0], [0.1, 0.0, 0.3]]], "sigma": np.eye(3).tolist()}
@@ -175,9 +174,7 @@ class TestFit:
 
         payload = json.loads((out / "fit_full_ols.json").read_text(), parse_constant=reject)
         assert payload["lambda_per_equation"] == [None] * 10
-        fit = estimators.load_system_fit(str(out / "fit_full_ols.json"))
-        assert all(np.isnan(f.lambda_selected) and not f.feasible for f in fit.fits)
-        assert estimators.system_fit_to_dict(fit) == payload
+        assert payload["feasible"] == payload["converged"] == [False] * 10
         line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("full_ols:"))
         assert "nonconverged 0/10" in line  # infeasible equations never iterated
 
@@ -190,10 +187,11 @@ class TestFit:
         code = run(["fit", "--data", str(dataset_dir), "--estimators", "lasso", "--out", str(out)])
         assert code == 0
         data = var.load_dataset(str(dataset_dir))
-        loaded = estimators.load_system_fit(str(out / "fit_lasso.json"))
-        direct = estimators.fit_system(data, "lasso")
+        payload = json.loads((out / "fit_lasso.json").read_text())
+        direct = estimators.FitPlan(data).fit("lasso")
+        assert payload["active_sets"] == [f.active_set.tolist() for f in direct.fits]
         a = var.forecast_one_step(direct.coefficients, data)
-        b = var.forecast_one_step(loaded.coefficients, data)
+        b = var.forecast_one_step(np.reshape(payload["beta"], (payload["k"], payload["kp"])), data)
         assert np.array_equal(a, b)
 
     def test_format_is_not_a_fit_option(self, dataset_dir):
@@ -282,6 +280,16 @@ class TestMcCommand:
             ["mc", "--experiment", "B", "--k", "100", "--T", "100", "--reps", "1", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "T, reps, message",
+        [("50", "0", "at least one replication"), ("50", "-2", "at least one replication"), ("-3", "1", "T must")],
+    )
+    def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps, message, capsys):
+        out = tmp_path / "out"
+        assert run(["mc", "--experiment", "A", "--k", "10", "--T", T, "--reps", reps, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -447,6 +455,22 @@ class TestDiag:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("T, reps", [("50", "0"), ("50", "-1"), ("-5", "2")])
+    def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps):
+        out = tmp_path / "out"
+        argv = ["diag", "--experiment", "A", "--k", "10", "--T", T, "--reps", reps, "--skip-foc"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, k", [("A", "20"), ("B", "10")])
+    def test_data_mode_rejects_a_model_of_another_shape(self, tmp_path, experiment, k, capsys):
+        run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        argv = ["diag", "--data", str(tmp_path), "--experiment", experiment, "--k", k, "--out", str(out)]
+        assert run(argv) == 2
+        assert "truth dimensions do not match the dataset" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPaperTables:
     def test_tiny_smoke(self, tmp_path):
@@ -470,3 +494,22 @@ class TestPaperTables:
         assert code == 0
         assert (tmp_path / "A_10_50.csv").exists()
         assert (tmp_path / "table_A.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--T-list", "50,abc"],
+            ["--T-list", "50,0"],
+            ["--k-list", "x"],
+            ["--k-list", "7"],
+            ["--experiments", "D,E"],
+            ["--reps", "0"],
+            ["--reps", "-3"],
+        ],
+    )
+    def test_bad_values_write_nothing(self, tmp_path, bad):
+        # every value is checked before the first cell runs: no cell report, no table
+        out = tmp_path / "out"
+        argv = ["paper-tables", "--reps", "1", "--experiments", "D", "--k-list", "10", "--T-list", "50"]
+        assert run(argv + ["--estimators", "lasso", *bad, "--out", str(out)]) == 2
+        assert not out.exists()

@@ -1,18 +1,11 @@
 import functools
+import json
 
 import numpy as np
 import pytest
 
-from hdvar import estimators, mc, var
-from hdvar.estimators import (
-    SparsityInfo,
-    bic,
-    fit_full_ols,
-    fit_lasso_bic,
-    fit_oracle_ols,
-    fit_post_lasso,
-    fit_system,
-)
+from hdvar import estimators, mc, solver, var
+from hdvar.estimators import FitPlan, SparsityInfo, bic, fit_full_ols, fit_oracle_ols, fit_post_lasso
 from hdvar.linalg import cholesky_solve, least_squares
 from hdvar.solver import PenaltySpec, kkt_check, lambda_max, lasso_cd, lasso_path
 
@@ -49,7 +42,7 @@ class TestBic:
 
     def test_argmin_selection_matches_recomputation(self):
         prob, truth, _ = simulated_problem(seed=4)
-        fit = fit_lasso_bic(prob, 0)
+        fit = FitPlan(prob).lasso(0)
         path = lasso_path(prob.X, prob.ys[0])
         values = []
         for lam, res in path:
@@ -65,7 +58,7 @@ class TestLassoBic:
             rng = np.random.Generator(np.random.Philox(seed))
             X = rng.standard_normal((500, 10))
             y = rng.standard_normal(500)
-            fit = fit_lasso_bic(problem_from(X, y), 0)
+            fit = FitPlan(problem_from(X, y)).lasso(0)
             empty += len(fit.active_set) == 0
         assert empty >= 90
 
@@ -73,8 +66,8 @@ class TestLassoBic:
         rng = np.random.Generator(np.random.Philox(3))
         X = rng.standard_normal((60, 4))
         beta = np.array([1.0, 0.0, -2.0, 0.0])
-        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, ratio=1e-8))
-        fit = fit_lasso_bic(problem_from(X, X @ beta), 0)
+        monkeypatch.setattr(solver, "LAMBDA_RATIO", 1e-8)
+        fit = FitPlan(problem_from(X, X @ beta)).lasso(0)
         assert fit.rss <= 1e-8
         assert np.isfinite(fit.lambda_selected)
 
@@ -85,9 +78,9 @@ class TestLassoBic:
         X = rng.standard_normal((40, 3))
         beta = np.array([2.0, -1.0, 0.5])
         prob = problem_from(X, X @ beta)
-        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, ratio=1e-10))
-        fit = fit_lasso_bic(prob, 0)
-        path = lasso_path(prob.X, prob.ys[0], ratio=1e-10)
+        monkeypatch.setattr(solver, "LAMBDA_RATIO", 1e-10)
+        fit = FitPlan(prob).lasso(0)
+        path = lasso_path(prob.X, prob.ys[0])
         tied = [
             lam
             for lam, res in path
@@ -101,7 +94,7 @@ class TestLassoBic:
         # fit is the lasso_cd warm-start chain's iterate at its lambda, bit for bit
         model, _ = mc.make_dgp("A", 10)
         for seed in range(10):
-            plan = estimators.FitPlan(var.simulate(model, 100, seed=seed))
+            plan = FitPlan(var.simulate(model, 100, seed=seed))
             X = plan.problem.X
             for i, y in enumerate(plan.problem.ys):
                 fit = plan.lasso(i)
@@ -117,14 +110,14 @@ class TestLassoBic:
 
     def test_active_set_matches_nonzeros(self):
         prob, _, _ = simulated_problem(seed=5)
-        fit = fit_lasso_bic(prob, 2)
+        fit = FitPlan(prob).lasso(2)
         assert np.array_equal(fit.active_set, np.flatnonzero(fit.beta))
 
 
 class TestPostLasso:
     def test_matches_oracle_when_support_found(self):
         prob, truth, _ = simulated_problem(seed=6, T=500)
-        lasso_fit = fit_lasso_bic(prob, 0)
+        lasso_fit = FitPlan(prob).lasso(0)
         post = fit_post_lasso(prob, 0, lasso_fit=lasso_fit)
         if np.array_equal(np.sort(lasso_fit.active_set), np.sort(truth.supports[0])):
             oracle = fit_oracle_ols(prob, 0, truth)
@@ -134,7 +127,7 @@ class TestPostLasso:
         rng = np.random.Generator(np.random.Philox(8))
         X = rng.standard_normal((200, 5))
         y = rng.standard_normal(200)
-        lasso_fit = fit_lasso_bic(problem_from(X, y), 0)
+        lasso_fit = FitPlan(problem_from(X, y)).lasso(0)
         if len(lasso_fit.active_set) == 0:
             post = fit_post_lasso(problem_from(X, y), 0, lasso_fit=lasso_fit)
             assert np.all(post.beta == 0.0)
@@ -167,14 +160,14 @@ class TestAdaptiveLasso:
     def test_stage2_active_subset_of_stage1(self):
         prob, truth, _ = simulated_problem(seed=10, T=200)
         for i in range(3):
-            stage1 = fit_lasso_bic(prob, i)
-            ada = estimators.FitPlan(prob).equation("adaptive_lasso_lasso", i)
+            stage1 = FitPlan(prob).lasso(i)
+            ada = FitPlan(prob).equation("adaptive_lasso_lasso", i)
             assert set(ada.active_set.tolist()) <= set(stage1.active_set.tolist())
 
     def test_ridge_init_no_hard_exclusion(self, monkeypatch):
         prob, truth, _ = simulated_problem(seed=11, T=200)
         monkeypatch.setattr(estimators, "N_LAMBDA", 50)
-        beta1, _ = estimators.FitPlan(prob).ridge_bic(0)
+        beta1, _ = FitPlan(prob).ridge_bic(0)
         assert np.all(beta1 != 0.0)  # ridge is dense
 
     def test_ridge_stage_matches_cholesky_loop(self):
@@ -192,7 +185,7 @@ class TestAdaptiveLasso:
                 value = bic(float(r @ r), float(np.trace(cholesky_solve(A, G))), T)
                 if best is None or value < best[0]:
                     best = (value, lam, beta)
-            beta1, lam1 = estimators.FitPlan(prob).ridge_bic(i)
+            beta1, lam1 = FitPlan(prob).ridge_bic(i)
             assert lam1 == best[1]
             assert np.abs(beta1 - best[2]).max() <= 1e-12
 
@@ -215,8 +208,8 @@ class TestAdaptiveLasso:
         X = rng.standard_normal((500, 6))
         y = rng.standard_normal(500)
         prob = problem_from(X, y)
-        stage1 = fit_lasso_bic(prob, 0)
-        ada = estimators.FitPlan(prob).equation("adaptive_lasso_lasso", 0)
+        stage1 = FitPlan(prob).lasso(0)
+        ada = FitPlan(prob).equation("adaptive_lasso_lasso", 0)
         if len(stage1.active_set) == 0:
             assert np.all(ada.beta == 0.0)
             assert ada.feasible
@@ -280,31 +273,35 @@ class TestFitSystem:
     def test_k1_reduces_to_single_equation(self):
         model = var.VarModel(phis=(np.array([[0.5]]),), sigma=np.array([[1.0]]))
         data = var.simulate(model, 200, seed=20)
-        sf = fit_system(data, "lasso")
+        sf = FitPlan(data).fit("lasso")
         prob = var.stack(data)
-        single = fit_lasso_bic(prob, 0)
+        single = FitPlan(prob).lasso(0)
         assert np.abs(sf.coefficients[0] - single.beta).max() <= 1e-12
 
     def test_zero_data_zero_fits(self):
         model = var.VarModel(phis=(0.5 * np.eye(2),), sigma=np.zeros((2, 2)))
         data = var.simulate(model, 50, seed=0)
-        sf = fit_system(data, "lasso")
+        sf = FitPlan(data).fit("lasso")
         assert np.all(sf.coefficients == 0.0)
 
     def test_system_shape_and_tags(self):
         _, truth, data = simulated_problem(seed=21, k=5, T=150)
-        sf = fit_system(data, "oracle_ols", truth=truth)
+        sf = FitPlan(data, truth).fit("oracle_ols")
         assert sf.coefficients.shape == (5, 5)
         assert all(f.estimator_tag == "oracle_ols" for f in sf.fits)
 
     def test_json_round_trip_preserves_forecasts(self, tmp_path):
         _, truth, data = simulated_problem(seed=22, k=5, T=150)
-        sf = fit_system(data, "lasso")
+        sf = FitPlan(data).fit("lasso")
         path = str(tmp_path / "fit.json")
         estimators.save_system_fit(sf, path)
-        loaded = estimators.load_system_fit(path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert (payload["estimator"], payload["k"], payload["p"], payload["kp"]) == ("lasso", 5, 1, 5)
+        assert payload["active_sets"] == [f.active_set.tolist() for f in sf.fits]
+        loaded = np.asarray(payload["beta"]).reshape(payload["k"], payload["kp"])
         a = var.forecast_one_step(sf.coefficients, data)
-        b = var.forecast_one_step(loaded.coefficients, data)
+        b = var.forecast_one_step(loaded, data)
         assert np.array_equal(a, b)
 
 
@@ -331,7 +328,7 @@ class TestFitPlan:
         menu = estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth)
         assert list(menu) == list(estimators.ESTIMATOR_TAGS)
         for tag in estimators.ESTIMATOR_TAGS:
-            assert_same_system_fit(menu[tag], fit_system(data, tag, truth=truth))
+            assert_same_system_fit(menu[tag], FitPlan(data, truth).fit(tag))
         assert menu["full_ols"].feasible == (k * model.p < T)
 
     def test_each_shared_stage_runs_once(self, monkeypatch):
@@ -354,10 +351,10 @@ class TestFitPlan:
 
     def test_fixed_lambda_replaces_bic_in_final_stage_only(self):
         prob, _, data = simulated_problem(seed=26, k=5, T=200)
-        plan = estimators.FitPlan(data)
+        plan = FitPlan(data)
         fit = plan.fit("adaptive_lasso_lasso", lam=1e-3)
         for i, f in enumerate(fit.fits):
-            stage1 = fit_lasso_bic(prob, i).beta
+            stage1 = FitPlan(prob).lasso(i).beta
             with np.errstate(divide="ignore"):
                 w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
             assert np.array_equal(f.beta, lasso_cd(prob.X, prob.ys[i], PenaltySpec(1e-3, weights=w)).beta)
@@ -370,14 +367,14 @@ class TestInvariants:
     def test_active_set_definition_for_all_estimators(self):
         prob, truth, data = simulated_problem(seed=23, k=5, T=200)
         for tag in estimators.ESTIMATOR_TAGS:
-            sf = fit_system(data, tag, truth=truth)
+            sf = FitPlan(data, truth).fit(tag)
             for f in sf.fits:
                 assert np.array_equal(f.active_set, np.flatnonzero(f.beta))
 
     def test_post_lasso_equals_oracle_when_sets_agree(self):
         prob, truth, data = simulated_problem(seed=24, k=5, T=500)
-        post = fit_system(data, "post_lasso", truth=truth)
-        oracle = fit_system(data, "oracle_ols", truth=truth)
+        post = FitPlan(data, truth).fit("post_lasso")
+        oracle = FitPlan(data, truth).fit("oracle_ols")
         for i in range(5):
             if np.array_equal(np.sort(post.fits[i].active_set), np.sort(truth.supports[i])):
                 assert np.abs(post.fits[i].beta - oracle.fits[i].beta).max() <= 1e-10

@@ -171,16 +171,19 @@ class TestLambdaMax:
 
 
 class TestLassoPath:
-    def test_first_point_zero(self):
+    def test_first_point_zero(self, monkeypatch):
         X, y = random_instance(13, T=40, m=6)
-        path = lasso_path(X, y, n_lambda=30)
+        monkeypatch.setattr(solver, "N_LAMBDA", 30)
+        path = lasso_path(X, y)
         assert np.all(path[0][1].beta == 0.0)
         lams = [lam for lam, _ in path]
         assert all(a > b for a, b in zip(lams, lams[1:]))
 
-    def test_two_point_path_matches_cold_fits(self):
+    def test_two_point_path_matches_cold_fits(self, monkeypatch):
         X, y = random_instance(14, T=50, m=4)
-        path = lasso_path(X, y, n_lambda=2, ratio=0.01, tol=1e-12)
+        monkeypatch.setattr(solver, "N_LAMBDA", 2)
+        monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.01)
+        path = lasso_path(X, y, tol=1e-12)
         for lam, res in path:
             cold = lasso_cd(X, y, PenaltySpec(lam), tol=1e-12)
             assert np.abs(res.beta - cold.beta).max() <= 1e-8
@@ -191,7 +194,7 @@ class TestLassoPath:
         model, _ = mc.make_dgp("A", 10)
         data = var.simulate(model, 200, seed=3)
         prob = var.stack(data)
-        path = lasso_path(prob.X, prob.ys[0], n_lambda=100)
+        path = lasso_path(prob.X, prob.ys[0])
         sizes = [int(np.count_nonzero(res.beta)) for _, res in path]
         pairs = list(zip(sizes, sizes[1:]))
         frac = np.mean([b >= a for a, b in pairs])
@@ -347,18 +350,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="weight length does not match design"):
             fit(X, y, np.ones(length))
 
-    @pytest.mark.parametrize("n_lambda", [1, 0])
-    def test_path_rejects_short_grid(self, n_lambda):
-        X, y = random_instance(23, T=20, m=3)
-        with pytest.raises(ValueError, match="two grid points"):
-            lasso_path(X, y, n_lambda=n_lambda)
-
-    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.5])
-    def test_path_rejects_ratio_outside_unit_interval(self, ratio):
-        X, y = random_instance(24, T=20, m=3)
-        with pytest.raises(ValueError, match="ratio"):
-            lasso_path(X, y, ratio=ratio)
-
 
 class TestGramForm:
     """The solver works on X'X/T and X'y/T; its reports must hold in terms of X."""
@@ -370,10 +361,12 @@ class TestGramForm:
             direct = kkt_check(prob.X, prob.ys[0], res.beta, PenaltySpec(lam))
             assert abs(res.max_kkt_violation - direct) <= 1e-12
 
-    def test_more_regressors_than_observations(self):
+    def test_more_regressors_than_observations(self, monkeypatch):
         prob = experiment_problem("C", 10, 40)  # m = 50 > T = 40
         assert prob.m > prob.T
-        path = lasso_path(prob.X, prob.ys[0], n_lambda=20, ratio=0.02)
+        monkeypatch.setattr(solver, "N_LAMBDA", 20)
+        monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.02)
+        path = lasso_path(prob.X, prob.ys[0])
         assert max(np.count_nonzero(res.beta) for _, res in path) > 20
         for lam, res in path:
             assert res.converged
@@ -563,7 +556,9 @@ class TestPathFollowing:
     def test_sign_crossing_drops_the_coordinate(self, monkeypatch, exact_every):
         X, y = crossing_instance()
         monkeypatch.setattr(solver, "EXACT_EVERY", exact_every)
-        path = lasso_path(X, y, n_lambda=30, ratio=1e-3)
+        monkeypatch.setattr(solver, "N_LAMBDA", 30)
+        monkeypatch.setattr(solver, "LAMBDA_RATIO", 1e-3)
+        path = lasso_path(X, y)
         first_full = next(l for l, (_, res) in enumerate(path) if np.count_nonzero(res.beta) == 4)
         assert first_full == 8
         assert np.array_equal(np.sign(path[first_full][1].beta), np.ones(4))

@@ -35,18 +35,6 @@ class TestPenaltyFormulas:
             )
         assert theory.lambda_theorem1(T, k, p, s) == pytest.approx(float(expected), rel=1e-14)
 
-    def test_lambda_oracle_ols_degenerate(self):
-        assert theory.lambda_oracle_ols(200, 1, 0.7) == 0.0
-        assert theory.lambda_oracle_ols(200, 5, 0.0) == 0.0
-
-    def test_lambda_oracle_ols_high_precision(self):
-        T, s_i, sig = 500, 5, 0.2
-        with mpmath.workdps(50):
-            expected = mpmath.sqrt(
-                8 * mpmath.log(1 + T) ** 5 * mpmath.log(1 + s_i) ** 2 * mpmath.log(s_i) * sig**4 / T
-            )
-        assert theory.lambda_oracle_ols(T, s_i, sig) == pytest.approx(float(expected), rel=1e-14)
-
     def test_k_t_values(self):
         assert theory.k_t(100, 5, 2, 0.0) == 0.0
         assert theory.k_t(1, 5, 2, 1.0) == 0.0
@@ -176,7 +164,10 @@ class TestEventFlags:
         model = var.VarModel(phis=(0.5 * np.eye(2),), sigma=np.zeros((2, 2)))
         truth = estimators.SparsityInfo.from_coefficients(var.coefficient_matrix(model))
         data = var.simulate(model, 50, seed=0)
-        flags = theory.event_flags(data, model, truth, self.params, lambda_t=0.1, kappa_sbar_sq=1.0)
+        problem = var.stack(data)
+        flags = theory.event_flags(
+            data, model, truth, self.params, lambda_t=0.1, kappa_sbar_sq=1.0, problem=problem, gamma=problem.psi
+        )
         assert flags.max_cross == 0.0
         assert flags.b_t
 
@@ -186,8 +177,9 @@ class TestEventFlags:
         tb = estimators.SparsityInfo.from_coefficients(np.zeros((2, 2)))
         d1 = var.simulate(base, 100, seed=5)
         d2 = var.simulate(scaled, 100, seed=5)
-        f1 = theory.event_flags(d1, base, tb, self.params, lambda_t=1.0, kappa_sbar_sq=1.0)
-        f2 = theory.event_flags(d2, scaled, tb, self.params, lambda_t=1.0, kappa_sbar_sq=1.0)
+        p1, p2 = var.stack(d1), var.stack(d2)
+        f1 = theory.event_flags(d1, base, tb, self.params, lambda_t=1.0, kappa_sbar_sq=1.0, problem=p1, gamma=p1.psi)
+        f2 = theory.event_flags(d2, scaled, tb, self.params, lambda_t=1.0, kappa_sbar_sq=1.0, problem=p2, gamma=p2.psi)
         # doubling the noise scale quadruples every quadratic statistic
         assert f2.max_cross == pytest.approx(4.0 * f1.max_cross, rel=1e-10)
         assert f2.max_yy == pytest.approx(4.0 * f1.max_yy, rel=1e-10)
@@ -195,20 +187,32 @@ class TestEventFlags:
     def test_requires_innovations(self):
         data = var.simulate(self.model, 50, seed=1)
         stripped = var.Dataset(k=data.k, p=data.p, T=data.T, initial=data.initial, path=data.path)
+        problem = var.stack(data)
         with pytest.raises(MissingInnovations):
-            theory.event_flags(stripped, self.model, self.truth, self.params)
+            theory.event_flags(
+                stripped,
+                self.model,
+                self.truth,
+                self.params,
+                lambda_t=0.1,
+                kappa_sbar_sq=1.0,
+                problem=problem,
+                gamma=problem.psi,
+            )
 
     def test_empirical_b_t_beats_theorem_bound(self):
         T = 500
         st = var.sigma_t(self.model)
         lam = theory.lambda_theorem1(T, 10, 1, st)
         bound = theory.thm1_probability(T, 10, 1, self.params.a_const)
+        gamma = var.population_gamma(self.model)
         hits = 0
         n = 200
         for seed in range(n):
             data = var.simulate(self.model, T, seed=seed)
+            problem = var.stack(data)
             flags = theory.event_flags(
-                data, self.model, self.truth, self.params, lambda_t=lam, kappa_sbar_sq=1.0
+                data, self.model, self.truth, self.params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
             )
             hits += flags.b_t
         if bound > 0:
@@ -238,10 +242,13 @@ class TestThm1Checks:
         st = var.sigma_t(model)
         lam = theory.lambda_theorem1(100, 10, 1, st)
         params = theory.TheoryParams()
+        gamma = var.population_gamma(model)
         for seed in range(25):
             data = var.simulate(model, 100, seed=seed)
             problem = var.stack(data)
-            flags = theory.event_flags(data, model, truth, params, lambda_t=lam, kappa_sbar_sq=1.0)
+            flags = theory.event_flags(
+                data, model, truth, params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
+            )
             if not flags.b_t:
                 continue
             for i in range(10):
@@ -274,11 +281,6 @@ class TestBounds:
         pred, est = theory.thm3_bounds(1, lam, ksq, 0.5)
         assert pred == pytest.approx(16.0 / (0.5 * ksq) * lam**2, rel=1e-12)
         assert est == pytest.approx(16.0 / (0.5 * ksq) * lam, rel=1e-12)
-
-    def test_oracle_ols_bound(self):
-        assert theory.oracle_ols_bound(1, 0.0, 0.4, 0.5) == 0.0
-        val = theory.oracle_ols_bound(5, 0.2, 0.4, 0.5)
-        assert val == pytest.approx(0.2 * 5 / (2 * 0.5 * 0.4), rel=1e-12)
 
     def test_system_bound_k1_and_sum(self):
         assert theory.system_bound([1.5]) == 1.5
@@ -328,7 +330,9 @@ class TestSignRecovery:
         )
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
         params = theory.TheoryParams()
-        rep = theory.sign_recovery_conditions(problem, 0, beta, 1e-6, truth, params)
+        rep = theory.sign_recovery_conditions(
+            problem, 0, beta, 1e-6, truth, params, gamma=problem.psi, sigma_t_value=1.0
+        )
         assert rep["foc2_ok"]
         realized, _ = theory.realized_sign_recovery(problem, 0, beta, 1e-6, truth)
         assert rep["foc_ok"] == realized
@@ -347,7 +351,7 @@ class TestSignRecovery:
         )
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
         rep = theory.sign_recovery_conditions(
-            problem, 0, beta, 1e-3, truth, theory.TheoryParams()
+            problem, 0, beta, 1e-3, truth, theory.TheoryParams(), gamma=problem.psi, sigma_t_value=1.0
         )
         # psi_{j,J} = 0 off support, eps = 0: FOC1 left side vanishes
         assert rep["foc1_ok"]
@@ -368,7 +372,9 @@ class TestSignRecovery:
         )
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
         with pytest.raises(SingularSubGram):
-            theory.sign_recovery_conditions(problem, 0, beta, 1e-3, truth, theory.TheoryParams())
+            theory.sign_recovery_conditions(
+                problem, 0, beta, 1e-3, truth, theory.TheoryParams(), gamma=problem.psi, sigma_t_value=1.0
+            )
 
     def test_iff_equivalence_against_realized_solve(self):
         params = theory.TheoryParams()
@@ -378,7 +384,7 @@ class TestSignRecovery:
             st = var.sigma_t(model)
             gamma = var.population_gamma(model)
             i = 0
-            stage1 = estimators.fit_lasso_bic(problem, i).beta
+            stage1 = estimators.FitPlan(problem).lasso(i).beta
             with np.errstate(divide="ignore"):
                 w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
             lams = [theory.lambda_theorem1(problem.T, 5, 1, st)]
@@ -402,12 +408,3 @@ class TestProbabilityBounds:
     def test_thm1_probability_tends_to_one(self):
         vals = [theory.thm1_probability(T, 10, 1) for T in (50, 500, 5_000)]
         assert vals[0] < vals[1] < vals[2] < 1.0
-
-    def test_adalasso_probability_composition(self):
-        v = theory.adalasso_probability(500, 10, 1, 1, 0.01)
-        manual = (
-            theory.thm1_probability(500, 10, 1)
-            - 2 * 500 ** (-1.0)
-            - theory.pi_q(1, 10, 1, 500, 0.01)
-        )
-        assert v == pytest.approx(manual, rel=1e-12)
