@@ -163,6 +163,10 @@ def _load_model(args, data: var.Dataset | None = None) -> tuple:
 
 
 def cmd_simulate(args) -> int:
+    if args.T < 1:
+        raise ConfigError("--T must be at least one")
+    if args.burn_in is not None and args.burn_in < 0:
+        raise ConfigError("--burn-in must be nonnegative")
     model, _ = _load_model(args)
     form = var.companion(model)
     if form.rho >= 1.0:

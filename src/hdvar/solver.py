@@ -33,9 +33,11 @@ Once a grid point is known exactly, because it ended on an accepted exact
 step or converged with every free coordinate nonzero, the exact homotopy
 follows the rest of the grid from that point's support A and signs s.
 Between kinks the solution is affine in lambda: beta_A(lam) = u - lam v with
-Psi_AA [u v] = [c_A, w_A s], one Cholesky solve per kink.  The next kink is
-the largest lam at which an idle coordinate reaches |g_j| = lam w_j and
-enters, or an active one crosses zero and leaves.  One KKT check covers
+Psi_AA [u v] = [c_A, w_A s].  The next kink is the largest lam at which an
+idle coordinate reaches |g_j| = lam w_j and enters, or an active one crosses
+zero and leaves.  The lower Cholesky factor of Psi_AA is carried across
+kinks: an entry borders it with one row, in O(|A|^2), a drop refactors
+Psi_AA, and each kink solves for [u v] with the factor.  One KKT check covers
 every point computed this way, and the prefix within ``tol`` is taken, with
 0 iterations; coordinate descent goes on from the last point taken, at the
 first point above ``tol``, at a support larger than T, or where Psi_AA is
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
 from .errors import AllWeightsInfinite
 
@@ -167,13 +169,6 @@ def _free_residual(g: list, b: list, thresholds: list, free: list) -> float:
     return viol
 
 
-def _support_solve(psi, active, rhs) -> np.ndarray | None:
-    """Psi_AA^{-1} rhs on the support ``active`` by Cholesky, or None when Psi_AA is
-    not positive definite."""
-    _, x, info = dposv(psi[active[:, None], active], rhs)
-    return None if info else x
-
-
 def _sign_fixed_step(psi, c, s, lam_w, tol, max_support) -> tuple | None:
     """(candidate, its gradient c - Psi candidate, KKT residual) of the exact minimiser
     with the support and signs of the sign vector ``s``, or None unless its signs
@@ -185,8 +180,9 @@ def _sign_fixed_step(psi, c, s, lam_w, tol, max_support) -> tuple | None:
     if len(active) > max_support:
         return None
     sign = s[active]
-    beta_a = _support_solve(psi, active, c[active] - lam_w[active] * sign)
-    if beta_a is None or not np.array_equal(np.sign(beta_a), sign):
+    # Psi_AA beta_A = c_A - lam w_A s by Cholesky; info > 0 where Psi_AA is not positive definite
+    _, beta_a, info = dposv(psi[active[:, None], active], c[active] - lam_w[active] * sign)
+    if info or not np.array_equal(np.sign(beta_a), sign):
         return None
     cand = np.zeros_like(c)
     cand[active] = beta_a
@@ -206,9 +202,15 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
     beta_A reaches +-lam w_j (j enters with that sign) or an active beta_j
     changes sign before the step ends (j leaves).  ``beta`` may leave idle
     coordinates violating their condition by up to the KKT tolerance; the
-    largest violator enters at ``lam``.  The path stops at a support larger
-    than ``max_support``, a Psi_AA that is not positive definite, or a kink
-    that would not move lam.  The rows are not checked here.
+    largest violator enters at ``lam``.
+
+    A lower Cholesky factor L of Psi_AA, with A in order of entry, and the
+    columns Psi[:, A] are kept across kinks: an entering j borders L with the
+    row (q', d), where L q = Psi_Aj and d^2 = Psi_jj - q'q, and a leaving one
+    refactors Psi_AA.  The path stops at a support larger than
+    ``max_support``, a Psi_AA that is not positive definite (d^2 <= 0 or a
+    failed refactorisation), or a kink that would not move lam.  The rows are
+    not checked here.
     """
     s = np.sign(beta)
     excess = np.where(free & (s == 0.0), np.abs(g) - lam * w, 0.0)
@@ -217,31 +219,37 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
         s[j] = np.sign(g[j])
     B = np.zeros((len(grid), len(c)))
     n = 0
+    active = s.nonzero()[0]
+    k = len(active)
+    if k > max_support:
+        return B[:n]
+    # the support A in order of entry, the columns Psi[:, A] and the right-hand
+    # sides [c_A, w_A s_A], each in its leading k slots
+    cap = min(len(c), max_support)
+    order, cols, rhs = np.empty(cap, dtype=np.intp), np.empty((len(c), cap), order="F"), np.empty((cap, 2))
+    order[:k], cols[:, :k], rhs[:k] = active, psi[:, active], np.array([c[active], w[active] * s[active]]).T
+    L, info = dpotrf(psi[active[:, None], active], lower=1)
+    # the grid ascending, for searchsorted, and the coordinates that cannot enter
+    ascending, busy = -grid, ~free | (s != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            active = s.nonzero()[0]
-            if len(active) > max_support:
-                break
+        while not info and k:
+            active = order[:k]
             sign = s[active]
-            # Fortran order, as LAPACK takes it
-            uv = _support_solve(psi, active, np.array([c[active], w[active] * sign]).T)
-            if uv is None:
-                break
+            uv, _ = dpotrs(L, rhs[:k], lower=1)
             u, v = uv[:, 0], uv[:, 1]
             # on the idle set, g(lam) = a + lam b
-            full = np.zeros((len(c), 2))
-            full[active] = uv
-            ab = psi @ full
+            ab = cols[:, :k] @ uv
             a, b = c - ab[:, 0], ab[:, 1]
-            idle = free & (s == 0.0)
             below = lam * (1.0 - KINK_MARGIN)
-            up, down = a / (w - b), -a / (w + b)
-            # g_j reaches a bound as lam falls only if it moves towards it
-            up = np.where(idle & (b < w) & (up > 0.0) & (up < below), up, 0.0)
-            down = np.where(idle & (-b < w) & (down > 0.0) & (down < below), down, 0.0)
-            enter = np.maximum(up, down)
-            j = int(enter.argmax())
-            kink, new_sign = enter[j], 1.0 if up[j] >= down[j] else -1.0
+            # an idle g_j reaches sign(a_j) lam w_j as lam falls, at
+            # |a_j| / (w_j - sign(a_j) b_j), only if it moves towards that bound; a
+            # masked assignment, because the active coordinates' denominators are about 0
+            sa = np.sign(a)
+            den = w - sa * b
+            t = np.abs(a) / den
+            t[busy | (den <= 0.0) | (t >= below)] = 0.0
+            j = int(t.argmax())
+            kink, new_sign = t[j], sa[j]
             # an active coordinate leaves where u_j - lam v_j crosses zero, if its
             # sign changes before the step ends
             crossed = np.sign(u - max(kink, grid[-1]) * v) != sign
@@ -251,12 +259,31 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
                 if cross[i] > kink:
                     kink, j, new_sign = cross[i], active[i], 0.0
             # the grid descends, so the points of this segment are the next ones >= kink
-            end = n + int(np.count_nonzero(grid[n:] >= kink))
-            B[n:end, active] = u - np.multiply.outer(grid[n:end], v)
-            n = end
+            end = int(ascending.searchsorted(-kink, side="right"))
+            if end > n:
+                B[n:end, active] = u - grid[n:end, None] * v
+                n = end
             if n == len(grid) or kink >= below:
                 break
-            s[j], lam = new_sign, kink
+            s[j], busy[j], lam = new_sign, new_sign != 0.0, kink
+            if new_sign == 0.0:
+                k -= 1
+                for kept in (order, cols.T, rhs):
+                    kept[i:k] = kept[i + 1 : k + 1]
+                L, info = dpotrf(cols[order[:k], :k], lower=1)
+                continue
+            if k == max_support:
+                break
+            q, info = dtrtrs(L, cols[j, :k], lower=1)
+            d2 = psi[j, j] - q @ q
+            if not d2 > 0.0:
+                break
+            bordered = np.zeros((k + 1, k + 1), order="F")
+            bordered[:k, :k] = L
+            bordered[k, :k] = q
+            bordered[k, k] = np.sqrt(d2)
+            order[k], cols[:, k], rhs[k] = j, psi[:, j], (c[j], w[j] * new_sign)
+            L, k = bordered, k + 1
     return B[:n]
 
 

@@ -161,9 +161,11 @@ def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0)
     Innovations are N(0, Sigma), drawn as standard normals through the Philox
     stream and mapped through a (symmetric PSD) square root of Sigma; the
     recursion starts from a zero state and discards ``burn_in`` steps
-    (default 200 + 10 p).  Identical (seed, parameters) give bit-identical
-    output.  The T innovations belonging to the estimation sample are
-    retained on the dataset.
+    (default 200 + 10 p).  Each step is one product of the stacked lag
+    matrices [Phi_p ... Phi_1] with the p previous observations, oldest
+    first.  Identical (seed, parameters) give bit-identical output.  The T
+    innovations belonging to the estimation sample are retained on the
+    dataset.
     """
     k, p = model.k, model.p
     form = companion(model)
@@ -181,12 +183,11 @@ def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0)
         w, V = np.linalg.eigh(model.sigma)
         L = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     eps = z @ L.T
+    # rows t..t+p-1 of states hold the p observations before row p+t, oldest first
+    lags = np.hstack(model.phis[::-1])
     states = np.zeros((p + n_steps, k))
     for t in range(n_steps):
-        acc = eps[t].copy()
-        for l, P in enumerate(model.phis):
-            acc += P @ states[p + t - 1 - l]
-        states[p + t] = acc
+        states[p + t] = lags @ states[t : t + p].ravel() + eps[t]
     initial = states[p + burn_in : p + burn_in + p]
     path = states[p + burn_in + p :]
     innov = eps[burn_in + p :]

@@ -4,7 +4,9 @@ These deliberately avoid the library's own optimization routines: the
 restricted-eigenvalue oracle decomposes the cone program into an exhaustive
 angle grid over the on-support block and an exact convex inner minimization
 (FISTA with l1-ball projection), which is a different route than the
-estimator's joint projected-gradient search.
+estimator's joint projected-gradient search.  The simulation reference runs
+the VAR recursion with one product per lag, where ``var.simulate`` takes one
+product with the stacked lag matrices.
 """
 
 import itertools
@@ -102,3 +104,21 @@ def restricted_eigenvalue_bruteforce(psi, r, angle_step=1e-3, refine=True):
 def random_spd(rng, m, extra=2):
     G = rng.standard_normal((m, m + extra))
     return G @ G.T / (m + extra)
+
+
+def simulate_per_lag(model, T, seed=0):
+    """The p initial plus T observations ``var.simulate(model, T, seed=seed)``
+    draws, by y_t = eps_t + Phi_1 y_{t-1} + ... + Phi_p y_{t-p} from a zero
+    state with one product per lag, after the default 200 + 10 p burn-in steps."""
+    from hdvar import var
+
+    k, p = model.k, model.p
+    n_steps = 200 + 10 * p + p + T
+    eps = var.make_rng(seed).standard_normal((n_steps, k)) @ np.linalg.cholesky(model.sigma).T
+    states = np.zeros((p + n_steps, k))
+    for t in range(n_steps):
+        acc = eps[t].copy()
+        for l, P in enumerate(model.phis):
+            acc += P @ states[p + t - 1 - l]
+        states[p + t] = acc
+    return states[-(p + T) :]

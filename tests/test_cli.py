@@ -64,6 +64,20 @@ class TestSimulate:
         code = run(["simulate", "--T", "10", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--T", "-2"], "--T must be at least one"),
+            (["--T", "0"], "--T must be at least one"),
+            (["--T", "5", "--burn-in", "-3"], "--burn-in must be nonnegative"),
+        ],
+    )
+    def test_bad_length_is_config_error(self, tmp_path, extra, message, capsys):
+        out = tmp_path / "out"
+        assert run(["simulate", "--experiment", "A", "--k", "10", *extra, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     @pytest.fixture()

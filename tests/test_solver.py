@@ -453,20 +453,27 @@ class TestExactStep:
         # C/10/40: m = 50 > T = 40, and Psi = X'X/T has rank at most T, so every
         # Psi_AA with |A| > T is singular; neither the exact step nor the
         # homotopy solves on such a support
-        sizes = []
-        solve = solver._support_solve
+        # the exact step solves with dposv, and the homotopy with dpotrs on its factor
+        step_sizes, factor_sizes = [], []
+        step_solve, factor_solve = solver.dposv, solver.dpotrs
 
-        def recorded(psi, active, rhs):
-            sizes.append(len(active))
-            return solve(psi, active, rhs)
+        def recorded_step(a, b, **kwargs):
+            step_sizes.append(len(a))
+            return step_solve(a, b, **kwargs)
 
-        monkeypatch.setattr(solver, "_support_solve", recorded)
+        def recorded_factor(L, b, **kwargs):
+            factor_sizes.append(len(L))
+            return factor_solve(L, b, **kwargs)
+
+        monkeypatch.setattr(solver, "dposv", recorded_step)
+        monkeypatch.setattr(solver, "dpotrs", recorded_factor)
         prob = experiment_problem("C", 10, 40)
         path = lasso_path(prob.X, prob.ys[0])
-        assert sizes and max(sizes) <= prob.T
-        # the homotopy, from the exact step at point 4, follows the path up to a
-        # support of T and on to the end of the grid
-        assert max(sizes) == prob.T
+        sizes = step_sizes + factor_sizes
+        assert step_sizes and factor_sizes and max(sizes) <= prob.T
+        # the homotopy, from the exact step at point 4, carries its factor up to a
+        # support of T and follows the path on to the end of the grid
+        assert max(factor_sizes) == prob.T
         assert sum(res.iterations for _, res in path) == 9
         assert all(res.converged for _, res in path)
 
@@ -544,13 +551,16 @@ class TestPathFollowing:
             X, y, w = prob.X, prob.ys[0], None
         path = lasso_path(X, y, weights=w)
         # every point after the first exact one is a continuation point, exact
-        # up to rounding
+        # up to rounding: the factor the homotopy carries across kinks gives
+        # the fresh solve on the point's own support and signs
         start = next(l for l, (_, res) in enumerate(path) if res.iterations == 0)
         assert start >= 2 and path[start - 1][1].iterations > 0
         for lam, res in path[start:]:
             assert res.iterations == 0 and res.converged
             assert res.max_kkt_violation <= 1e-12
             assert kkt_check(X, y, res.beta, PenaltySpec(lam, weights=w)) <= 1e-12
+            fresh = affine_oracle(X, y, res.beta, [lam], w)[0]
+            assert np.abs(res.beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
     @pytest.mark.parametrize("exact_every", [EXACT_EVERY, 10**9], ids=["exact-step", "sweeps-only"])
     def test_sign_crossing_drops_the_coordinate(self, monkeypatch, exact_every):
@@ -572,9 +582,12 @@ class TestPathFollowing:
         b0 = [res.beta[0] for _, res in path]
         assert b0[5] == 0.0 and all(b > 0.0 for b in b0[6:9])
         assert all(b == 0.0 for b in b0[9:19]) and all(b < 0.0 for b in b0[19:])
-        # each continuation point is the sign-fixed minimiser of its segment
+        # each continuation point is the sign-fixed minimiser of its segment, also
+        # after the factor was refactored at the drop and bordered at the re-entry
         for lam, res in path[start + 1 :]:
-            np.testing.assert_allclose(res.beta, affine_oracle(X, y, res.beta, [lam])[0], rtol=1e-9, atol=1e-13)
+            fresh = affine_oracle(X, y, res.beta, [lam])[0]
+            np.testing.assert_allclose(res.beta, fresh, rtol=1e-9, atol=1e-13)
+            assert np.abs(res.beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
         for lam, res in path:
             assert res.converged
             assert kkt_check(X, y, res.beta, PenaltySpec(lam)) <= 1e-7

@@ -4,6 +4,7 @@ import pytest
 from hdvar import mc, var
 from hdvar.errors import NotStationary
 from hdvar.linalg import least_squares
+from helpers import simulate_per_lag
 
 
 def ar1(phi=0.5, s2=1.0):
@@ -75,6 +76,20 @@ class TestSimulate:
     def test_not_stationary(self):
         with pytest.raises(NotStationary):
             var.simulate(ar1(1.01), 10, seed=0)
+
+    @pytest.mark.parametrize("experiment, p", [("A", 1), ("B", 4), ("C", 5), ("D", 1)])
+    def test_stacked_lag_product_matches_per_lag_recursion(self, experiment, p):
+        model, _ = mc.make_dgp(experiment, 10)
+        assert model.p == p
+        data = var.simulate(model, 200, seed=4)
+        got = np.vstack([data.initial, data.path])
+        ref = simulate_per_lag(model, 200, seed=4)
+        if p == 1:
+            # one lag: the same product and the same sum
+            assert np.array_equal(got, ref)
+        else:
+            # the p products are summed in another order
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestPopulationMoments:
