@@ -137,6 +137,8 @@ def _estimator_list(raw: str) -> tuple:
             raise ConfigError(f"unknown estimator tag {tag!r}")
     if not tags:
         raise ConfigError("no estimators requested")
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"estimator tags repeat in {raw!r}")
     return tags
 
 
@@ -187,8 +189,8 @@ def cmd_fit(args) -> int:
             raise ConfigError("oracle_ols needs --experiment and --k to reconstruct the truth")
         _, truth = _load_model(args, data)
     if args.lam is not None:
-        if not args.lam >= 0:
-            raise ConfigError("--lambda must be a nonnegative number")
+        if not 0 <= args.lam < math.inf:
+            raise ConfigError("--lambda must be a finite nonnegative number")
         for tag in tags:
             if tag not in estimators.PENALIZED_TAGS:
                 raise ConfigError(f"--lambda does not apply to {tag}")
@@ -236,6 +238,10 @@ def cmd_mc(args) -> int:
 
 
 def cmd_diag(args) -> int:
+    try:
+        params = theory.TheoryParams(q=args.q, a_const=args.a_const)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.data:
         if not (args.experiment and args.k):
             raise ConfigError("--data mode needs --experiment and --k for the generating model")
@@ -257,7 +263,6 @@ def cmd_diag(args) -> int:
         if min(args.T, reps) < 1:
             raise ConfigError("--T and --reps must be at least one")
         datasets = [var.simulate(model, args.T, seed=seed + r) for r in range(reps)]
-    params = theory.TheoryParams(q=args.q, a_const=args.a_const)
     T, k, p = datasets[0].T, model.k, model.p
     st = var.sigma_t(model)
     lam_t = theory.lambda_theorem1(T, k, p, st)
@@ -421,6 +426,8 @@ def main(argv=None) -> int:
             cfg = _load_config(args, parser._command_parsers[args.command])
             parser._command_parsers[args.command].set_defaults(**cfg)
             args = parser.parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError("--threads must be at least one")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

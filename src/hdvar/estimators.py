@@ -4,6 +4,12 @@ Estimator tags: lasso, post_lasso, adaptive_lasso_lasso, adaptive_lasso_ridge,
 oracle_ols, full_ols.  Infeasible combinations (e.g. full OLS with more
 regressors than observations) yield explicit infeasible markers instead of
 exceptions, so reports carry blank cells instead of aborting the run.
+
+Every BIC choice is scored from sufficient statistics: the RSS each
+``lasso_path`` point carries, or the closed-form ridge RSS, with no residual
+matrix.  The k equations share one design, so the Psi = X'X/T that
+``var.stack`` forms is the only Gram matrix of a dataset: every L1 fit and
+the ridge eigendecomposition run on it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from . import var
 from .errors import SingularDesign
 from .linalg import least_squares
 from .solver import (
-    LAMBDA_RATIO, N_LAMBDA, PenaltySpec, SolverResult, adaptive_weights, lambda_max, lasso_cd, lasso_path, ridge_path
+    LAMBDA_RATIO, N_LAMBDA, PenaltySpec, adaptive_weights, lambda_max, lasso_cd, lasso_path, ridge_path
 )
 
 __all__ = [
@@ -129,16 +135,6 @@ def bic(rss, df, T: int):
     return float(values) if values.ndim == 0 else values
 
 
-def _bic_select(X, y, B, df, T: int) -> tuple:
-    """(index, BIC, RSS) of the first BIC minimum over the fits in the columns of B."""
-    R = X @ B  # the one T x n temporary: fitted values, then residuals
-    np.subtract(y[:, None], R, out=R)
-    rss = np.einsum("ij,ij->j", R, R)
-    values = bic(rss, df, T)
-    best = int(np.argmin(values))  # first minimum = largest lambda
-    return best, float(values[best]), float(rss[best])
-
-
 def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -> EquationFit:
     m = problem.m
     T = problem.T
@@ -162,44 +158,50 @@ def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -
 def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=None) -> EquationFit:
     """The penalized stage every L1 estimator ends in: weighted LASSO fits, then BIC.
 
-    Without ``lam`` the candidates are the warm-started ``lasso_path`` grid; a
-    fixed ``lam`` is a one-point grid, solved as given from a cold start.  BIC
-    scores the whole path at once; its df is the active-set size and ties
-    resolve to the larger lambda.
+    Without ``lam`` the candidates are the warm-started ``lasso_path`` grid,
+    and BIC scores the whole path at once from the RSS the path carries; its
+    df is the active-set size and ties resolve to the larger lambda.  A fixed
+    ``lam`` is a one-point grid, solved as given from a cold start.  Both run
+    on the dataset's Psi.  The selected fit's RSS and BIC come from its
+    residual.
     """
-    X, y = problem.X, problem.ys[i]
+    X, y, T = problem.X, problem.ys[i], problem.T
+    at_grid_end = False
     if weights is not None and not np.isfinite(weights).any():
         # empty first stage: every coordinate is excluded, nothing to refit
-        zero = SolverResult(beta=np.zeros(problem.m), iterations=0, max_kkt_violation=0.0, converged=True)
-        path = [(0.0 if lam is None else float(lam), zero)]
+        beta, lam_selected, converged = np.zeros(problem.m), 0.0 if lam is None else float(lam), True
     elif lam is None:
-        path = lasso_path(X, y, weights=weights)
+        path = lasso_path(X, y, weights=weights, psi=problem.psi)
+        best = int(np.argmin(bic(path.rss, np.count_nonzero(path.beta, axis=1), T)))  # first minimum = largest lambda
+        beta, lam_selected, converged = path.beta[best].copy(), float(path.lambdas[best]), bool(path.converged[best])
+        at_grid_end = len(path.lambdas) > 1 and best == len(path.lambdas) - 1
     else:
-        path = [(float(lam), lasso_cd(X, y, PenaltySpec(lam=lam, weights=weights)))]
-    B = np.column_stack([res.beta for _, res in path])
-    df = np.count_nonzero(B, axis=0)
-    best, bval, rss = _bic_select(X, y, B, df, problem.T)
-    lam_selected, res = path[best]
+        res = lasso_cd(X, y, PenaltySpec(lam=lam, weights=weights), psi=problem.psi)
+        beta, lam_selected, converged = res.beta, float(lam), res.converged
+    r = y - X @ beta
+    rss = float(r @ r)
+    df = np.count_nonzero(beta)
     return EquationFit(
-        beta=res.beta,
-        active_set=np.flatnonzero(res.beta),
+        beta=beta,
+        active_set=np.flatnonzero(beta),
         lambda_selected=lam_selected,
         estimator_tag=tag,
-        bic_value=bval,
-        df=float(df[best]),
+        bic_value=bic(rss, df, T),
+        df=float(df),
         rss=rss,
-        converged=res.converged,
-        bic_at_grid_end=len(path) > 1 and best == len(path) - 1,
+        converged=converged,
+        bic_at_grid_end=at_grid_end,
     )
 
 
 class FitPlan:
     """Every estimator on one dataset, with each shared stage run once.
 
-    The data are stacked once.  Per equation, the BIC-tuned LASSO runs once
-    and feeds ``lasso``, ``post_lasso`` and the first stage of
+    The data are stacked once, and the stacked problem's Psi = X'X/T serves
+    every path.  Per equation, the BIC-tuned LASSO runs once and feeds
+    ``lasso``, ``post_lasso`` and the first stage of
     ``adaptive_lasso_lasso``; the ridge first stage of ``adaptive_lasso_ridge``
-    comes, for every equation, from one eigendecomposition of X'X.  Each
+    comes, for every equation, from one eigendecomposition of Psi.  Each
     first stage goes through the same path -> BIC tail as the LASSO itself.
     ``fit(tag, lam)`` fixes the penalty of the final penalized stage only:
     first stages stay BIC-tuned.
@@ -213,8 +215,9 @@ class FitPlan:
 
     @functools.cached_property
     def _gram_eig(self) -> tuple:
-        X = self.problem.X
-        return np.linalg.eigh(X.T @ X)
+        """(d, V) with X'X = V diag(d) V', from the dataset's Psi = X'X/T."""
+        d, V = np.linalg.eigh(self.problem.psi)
+        return self.problem.T * d, V
 
     def lasso(self, i: int, lam: float | None = None) -> EquationFit:
         """LASSO fit of equation i, BIC-tuned or at the fixed ``lam``."""
@@ -225,14 +228,15 @@ class FitPlan:
     def ridge_bic(self, i: int) -> tuple:
         """(coefficients, lambda) of the ridge first stage of equation i.
 
-        BIC runs over the LASSO grid scaled by T, with df from the trace formula.
+        BIC runs over the LASSO grid scaled by T, with df from the trace formula
+        and the RSS in closed form from the eigendecomposition.
         """
         if i not in self._ridge:
             X, y, T = self.problem.X, self.problem.ys[i], self.problem.T
             lmax = lambda_max(X, y) or 1.0  # a zero response has lambda_max 0
             grid = T * lmax * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
-            B, df = ridge_path(X, y, grid, eig=self._gram_eig)
-            best = _bic_select(X, y, B, df, T)[0]
+            B, df, rss = ridge_path(X, y, grid, eig=self._gram_eig)
+            best = int(np.argmin(bic(rss, df, T)))
             self._ridge[i] = (B[:, best], float(grid[best]))
         return self._ridge[i]
 

@@ -20,14 +20,21 @@ is accepted only if its signs equal s and its full KKT residual is within
 coordinate-descent iterate.  A fit that converges within EXACT_EVERY sweeps
 never reaches the step.
 
-Every L1 fit runs through one setup, ``_fit_grid``: it forms Psi and c,
+Every L1 fit runs through one setup, ``_fit_grid``: given Psi, c and y'y it
 checks the weights, pins zero columns and infinitely weighted coordinates to
 zero, and builds the sweep state and the thresholds lam*w of every penalty
 once; then it runs one coordinate-descent kernel per penalty of a lambda
 sequence, carrying beta and the exact gradient g = c - Psi beta from one
-point to the next.  ``lasso_path`` runs it on a log-spaced grid of N_LAMBDA
-points from lambda_max down to LAMBDA_RATIO times lambda_max, and
-``lasso_cd`` on the one-point grid [lam].
+point to the next, and fills one row per point of a ``LassoPath``.
+``lasso_path`` runs it on a log-spaced grid of N_LAMBDA points from
+lambda_max down to LAMBDA_RATIO times lambda_max, and ``lasso_cd`` on the
+one-point grid [lam].  Both form Psi = X'X/T only when the caller does not
+hand it over; responses that share a design share its Psi.
+
+Each point's RSS ||y - X beta||^2 comes from its exact gradient, with no
+residual vector: RSS = T (y'y/T - beta'(c + g)).  Where that falls below
+RSS_EXACT_BELOW times y'y, cancellation would dominate it, so
+``lasso_path`` recomputes it from the residual.
 
 Once a grid point is known exactly, because it ended on an accepted exact
 step or converged with every free coordinate nonzero, the exact homotopy
@@ -64,10 +71,13 @@ KINK_MARGIN = 1e-12
 # lambda_max down to LAMBDA_RATIO * lambda_max
 N_LAMBDA = 100
 LAMBDA_RATIO = 1e-4
+# below this share of y'y a path point's RSS is recomputed from its residual
+RSS_EXACT_BELOW = 1e-3
 
 __all__ = [
     "PenaltySpec",
     "SolverResult",
+    "LassoPath",
     "objective",
     "lasso_cd",
     "kkt_check",
@@ -116,6 +126,42 @@ class SolverResult:
     iterations: int
     max_kkt_violation: float
     converged: bool
+
+
+@dataclass(frozen=True)
+class LassoPath:
+    """The fits of one lambda sequence, one row per penalty, in the order given."""
+
+    lambdas: np.ndarray  # n penalties
+    beta: np.ndarray  # n x m coefficients
+    iterations: np.ndarray  # n sweep counts, 0 at continuation points
+    max_kkt_violation: np.ndarray  # n KKT residuals
+    converged: np.ndarray  # n flags: KKT residual within tol
+    rss: np.ndarray  # n residual sums of squares ||y - X beta||^2
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """Psi = X'X/T."""
+    return (X.T @ X) / X.shape[0]
+
+
+def _moments(X, y, psi) -> tuple:
+    """(X, y, Psi, c = X'y/T, y'y) of a design and a response; Psi = X'X/T is
+    formed only if ``psi`` is None."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] < 1:
+        raise ValueError("need at least one observation")
+    return X, y, _gram(X) if psi is None else psi, (X.T @ y) / X.shape[0], float(y @ y)
+
+
+def _exact_small_rss(X, y, B, rss, yy: float) -> np.ndarray:
+    """``rss`` of the fits in the rows of B, each entry below RSS_EXACT_BELOW * y'y
+    replaced in place by ||y - X beta||^2 from its residual."""
+    for l in np.flatnonzero(rss < RSS_EXACT_BELOW * yy):
+        r = y - X @ B[l]
+        rss[l] = r @ r
+    return rss
 
 
 def objective(X, y, beta, pen: PenaltySpec) -> float:
@@ -229,8 +275,9 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
     order, cols, rhs = np.empty(cap, dtype=np.intp), np.empty((len(c), cap), order="F"), np.empty((cap, 2))
     order[:k], cols[:, :k], rhs[:k] = active, psi[:, active], np.array([c[active], w[active] * s[active]]).T
     L, info = dpotrf(psi[active[:, None], active], lower=1)
-    # the grid ascending, for searchsorted, and the coordinates that cannot enter
-    ascending, busy = -grid, ~free | (s != 0.0)
+    # the weights, -inf on the coordinates that cannot enter, and the grid as floats
+    entering, penalties = np.where(~free | (s != 0.0), -np.inf, w), grid.tolist()
+    last = penalties[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         while not info and k:
             active = order[:k]
@@ -241,31 +288,35 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
             ab = cols[:, :k] @ uv
             a, b = c - ab[:, 0], ab[:, 1]
             below = lam * (1.0 - KINK_MARGIN)
-            # an idle g_j reaches sign(a_j) lam w_j as lam falls, at
-            # |a_j| / (w_j - sign(a_j) b_j), only if it moves towards that bound; a
-            # masked assignment, because the active coordinates' denominators are about 0
+            # an idle g_j reaches sign(a_j) lam w_j as lam falls at
+            # t_j = |a_j| / (w_j - sign(a_j) b_j), and enters there if t_j is in
+            # [0, below).  A coordinate that cannot enter has w_j = -inf, so
+            # t_j <= 0, as for any negative denominator; t_j >= below, inf and
+            # NaN are zeroed.  With no positive t_j the kink is at most 0, below
+            # every grid point, so the segment runs to the end of the grid.
             sa = np.sign(a)
-            den = w - sa * b
-            t = np.abs(a) / den
-            t[busy | (den <= 0.0) | (t >= below)] = 0.0
+            t = np.abs(a) / (entering - sa * b)
+            t[~(t < below)] = 0.0
             j = int(t.argmax())
-            kink, new_sign = t[j], sa[j]
+            kink, new_sign = t.item(j), sa.item(j)
             # an active coordinate leaves where u_j - lam v_j crosses zero, if its
             # sign changes before the step ends
-            crossed = np.sign(u - max(kink, grid[-1]) * v) != sign
-            if crossed.any():
+            crossed = np.sign(u - max(kink, last) * v) != sign
+            if np.count_nonzero(crossed):
                 cross = np.divide(u, v, out=np.zeros_like(u), where=crossed & (v != 0.0))
                 i = int(cross.argmax())
                 if cross[i] > kink:
                     kink, j, new_sign = cross[i], active[i], 0.0
             # the grid descends, so the points of this segment are the next ones >= kink
-            end = int(ascending.searchsorted(-kink, side="right"))
+            end = n
+            while end < len(penalties) and penalties[end] >= kink:
+                end += 1
             if end > n:
                 B[n:end, active] = u - grid[n:end, None] * v
                 n = end
             if n == len(grid) or kink >= below:
                 break
-            s[j], busy[j], lam = new_sign, new_sign != 0.0, kink
+            s[j], entering[j], lam = new_sign, w[j] if new_sign == 0.0 else -np.inf, kink
             if new_sign == 0.0:
                 k -= 1
                 for kept in (order, cols.T, rhs):
@@ -328,27 +379,24 @@ def _descend(psi, c, rows, diag, free, max_support, lam_w, beta, g, tol, max_ite
     return beta, g, sweeps, viol, False
 
 
-def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, tol, max_iter) -> list:
-    """SolverResults of the weighted L1 fits at each penalty of ``grid``, in order.
+def _fit_grid(psi, c, yy: float, T: int, weights, grid, start, tol, max_iter) -> LassoPath:
+    """The weighted L1 fits at each penalty of ``grid``, in order, from Psi = X'X/T,
+    c = X'y/T, y'y and the number of observations T.
 
-    The one setup of every L1 fit: Psi = X'X/T and c = X'y/T are formed, the
-    weights checked, zero columns and infinitely weighted coordinates pinned
-    to zero, and the sweep state and the thresholds of every penalty built
-    once.  The first fit starts from ``start`` (zero if None) and each later
-    one by coordinate descent from the fit before it, with its exact gradient,
-    until a fit is exact: ended on an exact step, or converged with every free
-    coordinate nonzero.  From there ``_homotopy`` computes the following fits,
-    and those up to the first with a KKT residual above ``tol`` are taken;
-    coordinate descent resumes after them (see the module docstring).  A
-    swept fit converged if its KKT residual is at most ``tol`` within
-    ``max_iter`` full sweeps.
+    The one setup of every L1 fit: the weights are checked, zero columns and
+    infinitely weighted coordinates pinned to zero, and the sweep state and
+    the thresholds of every penalty built once.  The first fit starts from
+    ``start`` (zero if None) and each later one by coordinate descent from
+    the fit before it, with its exact gradient, until a fit is exact: ended
+    on an exact step, or converged with every free coordinate nonzero.  From
+    there ``_homotopy`` computes the following fits, and those up to the
+    first with a KKT residual above ``tol`` are taken; coordinate descent
+    resumes after them (see the module docstring).  A swept fit converged if
+    its KKT residual is at most ``tol`` within ``max_iter`` full sweeps.
+    Each fit's row of the result is filled as it is taken, its RSS from the
+    exact gradient the solver holds for it.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    T, m = X.shape
-    if T < 1:
-        raise ValueError("need at least one observation")
-    psi, c = (X.T @ X) / T, (X.T @ y) / T
+    m = len(c)
     if weights is not None and len(weights) != m:
         raise ValueError("weight length does not match design")
     beta = np.zeros(m) if start is None else np.array(start, dtype=np.float64, copy=True)
@@ -366,27 +414,33 @@ def _fit_grid(X, y, weights: np.ndarray | None, grid, start: np.ndarray | None, 
     w = np.ones(m) if weights is None else np.where(pinned, 1.0, weights)
     g = c - psi @ beta
     grid = np.asarray(grid, dtype=np.float64)
+    n = len(grid)
     lam_ws = _thresholds(grid, weights, m)
-    out = []
-    while len(out) < len(grid):
-        l = len(out)
-        beta, g, sweeps, viol, stepped = _descend(psi, c, *state, lam_ws[l], beta, g, tol, max_iter)
-        out.append(SolverResult(beta=beta, iterations=sweeps, max_kkt_violation=viol, converged=viol <= tol))
+    # one row per point: coefficients, exact gradient, sweeps, KKT residual
+    B, G, sweeps, viols = np.zeros((n, m)), np.empty((n, m)), np.zeros(n, dtype=np.intp), np.empty(n)
+    l = 0
+    while l < n:
+        beta, g, sweeps[l], viols[l], stepped = _descend(psi, c, *state, lam_ws[l], beta, g, tol, max_iter)
+        B[l], G[l] = beta, g
+        l += 1
         # a point is exact if it ended on an exact step or converged with full support
-        if l + 1 == len(grid) or not (stepped or (viol <= tol and 0 < n_free == np.count_nonzero(beta))):
+        if l == n or not (stepped or (viols[l - 1] <= tol and 0 < n_free == np.count_nonzero(beta))):
             continue
-        B = _homotopy(psi, c, w, ~pinned, beta, g, grid[l], grid[l + 1 :], T)
-        G = c - B @ psi
-        viols = _kkt_residual(G, B, lam_ws[l + 1 : l + 1 + len(B)])
+        H = _homotopy(psi, c, w, ~pinned, beta, g, grid[l - 1], grid[l:], T)
+        GH = c - H @ psi
+        vh = _kkt_residual(GH, H, lam_ws[l : l + len(H)])
         # the prefix within tol is taken; the kernel goes on from its last point
-        k = next((i for i, v in enumerate(viols) if v > tol), len(B))
-        out += [SolverResult(beta=b, iterations=0, max_kkt_violation=float(v), converged=True) for b, v in zip(B[:k], viols)]
+        k = next((i for i, v in enumerate(vh) if v > tol), len(H))
+        B[l : l + k], G[l : l + k], viols[l : l + k] = H[:k], GH[:k], vh[:k]
+        l += k
         if k:
-            beta, g = B[k - 1], G[k - 1]
-    return out
+            beta, g = H[k - 1], GH[k - 1]
+    # RSS/T = y'y/T - 2 beta'c + beta'Psi beta = y'y/T - beta'(c + g)
+    rss = yy - T * np.einsum("ij,ij->i", B, G + c)
+    return LassoPath(lambdas=grid, beta=B, iterations=sweeps, max_kkt_violation=viols, converged=viols <= tol, rss=rss)
 
 
-def lasso_cd(X, y, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start: np.ndarray | None = None) -> SolverResult:
+def lasso_cd(X, y, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start=None, psi=None) -> SolverResult:
     """Minimize the weighted L1 objective by cyclic coordinate descent at one penalty.
 
     With the gradient g = c - Psi beta kept up to date, the coordinate update
@@ -395,8 +449,16 @@ def lasso_cd(X, y, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start: np.nda
     setup of ``lasso_path`` on the one-point grid [pen.lam], started from
     ``warm_start`` (zero if None); converged means the KKT residual of the
     returned beta is at most ``tol`` within ``max_iter`` full sweeps.
+    ``psi`` is X'X/T where the caller holds it, formed here if None.
     """
-    return _fit_grid(X, y, pen.weights, [pen.lam], warm_start, tol, max_iter)[0]
+    X, y, psi, c, yy = _moments(X, y, psi)
+    fit = _fit_grid(psi, c, yy, X.shape[0], pen.weights, [pen.lam], warm_start, tol, max_iter)
+    return SolverResult(
+        beta=fit.beta[0],
+        iterations=int(fit.iterations[0]),
+        max_kkt_violation=float(fit.max_kkt_violation[0]),
+        converged=bool(fit.converged[0]),
+    )
 
 
 def kkt_check(X, y, beta, pen: PenaltySpec) -> float:
@@ -413,8 +475,12 @@ def lambda_max(X, y, weights: np.ndarray | None = None) -> float:
     """Smallest penalty level with an all-zero solution: max_j |(1/T)X_j'y| / w_j."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    T = X.shape[0]
-    g = np.abs(X.T @ y) / T
+    return _lambda_max((X.T @ y) / X.shape[0], weights)
+
+
+def _lambda_max(c: np.ndarray, weights) -> float:
+    """lambda_max from c = X'y/T."""
+    g = np.abs(c)
     if weights is None:
         return float(g.max()) if g.size else 0.0
     w = np.asarray(weights, dtype=np.float64)
@@ -434,25 +500,28 @@ def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
         return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
 
 
-def lasso_path(X, y, weights: np.ndarray | None = None, tol=1e-7, max_iter=1000) -> list:
+def lasso_path(X, y, weights: np.ndarray | None = None, tol=1e-7, max_iter=1000, psi=None) -> LassoPath:
     """Warm-started fits on N_LAMBDA log-spaced points from lambda_max down to
-    LAMBDA_RATIO * lambda_max (both read at call time).
+    LAMBDA_RATIO * lambda_max (both read at call time), by decreasing lambda.
 
     The grid runs through the one solver setup (see ``_fit_grid``), each point
-    started from the previous point's beta and its exact gradient.
-    Returns [(lambda, SolverResult), ...] ordered by decreasing lambda.
+    started from the previous point's beta and its exact gradient.  ``psi`` is
+    X'X/T where the caller holds it, formed here if None.  Each point's RSS
+    comes from its gradient, or from its residual where it is below
+    RSS_EXACT_BELOW times y'y.
     """
-    X = np.asfortranarray(X, dtype=np.float64)
+    X, y, psi, c, yy = _moments(np.asfortranarray(X, dtype=np.float64), y, psi)
     w = PenaltySpec(0.0, weights).weights  # nonnegative and not NaN
-    lmax = lambda_max(X, y, w)
+    lmax = _lambda_max(c, w)
     if lmax == 0.0:
         grid = np.zeros(N_LAMBDA)
     else:
         # the 1e-10 margin keeps the top-of-path solution exactly zero even when
         # the solver's gradient differs from lambda_max's by rounding
         grid = lmax * (1.0 + 1e-10) * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
-    grid = grid.tolist()
-    return list(zip(grid, _fit_grid(X, y, w, grid, None, tol, max_iter)))
+    path = _fit_grid(psi, c, yy, X.shape[0], w, grid, None, tol, max_iter)
+    _exact_small_rss(X, y, path.beta, path.rss, yy)
+    return path
 
 
 def ridge_path(X, y, grid, eig: tuple | None = None) -> tuple:
@@ -463,9 +532,12 @@ def ridge_path(X, y, grid, eig: tuple | None = None) -> tuple:
     df(lam) = trace(X (X'X + lam I)^{-1} X') = sum_j d_j / (d_j + lam)
     (Hastie, Tibshirani and Friedman, ESL 2nd ed., section 3.4.1), so one
     eigendecomposition serves the whole grid; responses that share X share it
-    through ``eig = (d, V)``.  The penalty is unscaled, matching the
-    degrees-of-freedom formula.  Returns (B, df): column l of the m x n matrix
-    B is the solution at grid[l].
+    through ``eig = (d, V)``.  With z = V'X'y the RSS is in closed form too:
+    ||y - X beta(lam)||^2 = y'y - sum_j z_j^2 (d_j + 2 lam) / (d_j + lam)^2,
+    recomputed from the residual where it is below RSS_EXACT_BELOW times y'y.
+    The penalty is unscaled, matching the degrees-of-freedom formula.
+    Returns (B, df, rss): column l of the m x n matrix B is the solution at
+    grid[l].
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -476,5 +548,8 @@ def ridge_path(X, y, grid, eig: tuple | None = None) -> tuple:
     # X'X is positive semidefinite; rounding can leave tiny negative eigenvalues
     d = np.clip(d, 0.0, None)
     shrink = 1.0 / (d[:, None] + grid[None, :])
-    B = V @ (shrink * (V.T @ (X.T @ y))[:, None])
-    return B, d @ shrink
+    z = V.T @ (X.T @ y)
+    B = V @ (shrink * z[:, None])
+    yy = float(y @ y)
+    rss = yy - (z * z) @ ((d[:, None] + 2.0 * grid[None, :]) * shrink * shrink)
+    return B, d @ shrink, _exact_small_rss(X, y, B.T, rss, yy)

@@ -57,7 +57,7 @@ class TheoryParams:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie strictly between 0 and 1")
-        if self.a_const <= 0:
+        if not self.a_const > 0:
             raise ValueError("a_const must be positive")
 
 
@@ -489,5 +489,6 @@ def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth, tol=1e-9):
     """Solve the stage-two weighted problem and compare its sign pattern to truth."""
     stage1 = np.asarray(stage1_beta, dtype=np.float64)
     w = adaptive_weights(stage1)
-    res = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam=lambda_t, weights=w), tol=tol, max_iter=5000)
+    pen = PenaltySpec(lam=lambda_t, weights=w)
+    res = lasso_cd(problem.X, problem.ys[i], pen, tol=tol, max_iter=5000, psi=problem.psi)
     return bool(np.all(np.sign(res.beta) == np.sign(truth.beta[i]))), res

@@ -177,6 +177,14 @@ class TestFit:
         argv = ["fit", "--data", str(dataset_dir), "--estimators", tags, "--lambda", lam, "--experiment", "A"]
         assert run(argv + ["--k", "10", "--out", str(dataset_dir / "fits")]) == 2
 
+    @pytest.mark.parametrize("lam", ["inf", "-inf", "Infinity"])
+    def test_nonfinite_lambda_writes_nothing(self, dataset_dir, lam, capsys):
+        # an infinite penalty would reach lambda_per_equation as a bare Infinity token, which is not JSON
+        out = dataset_dir / "fits"
+        assert run(["fit", "--data", str(dataset_dir), f"--lambda={lam}", "--out", str(out)]) == 2
+        assert "--lambda must be a finite nonnegative number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_fit_strict_json(self, tmp_path, capsys):
         # m = kp = 50 >= T = 40: full OLS is infeasible in every equation and its lambda undefined
         run(["simulate", "--experiment", "C", "--k", "10", "--T", "40", "--out", str(tmp_path)])
@@ -302,6 +310,64 @@ class TestMcCommand:
     def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps, message, capsys):
         out = tmp_path / "out"
         assert run(["mc", "--experiment", "A", "--k", "10", "--T", T, "--reps", reps, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCommandValidation:
+    """Configuration errors of fit, mc, diag and paper-tables exit 2 before any file is written."""
+
+    @pytest.fixture
+    def dataset_dir(self, tmp_path):
+        run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--out", str(tmp_path)])
+        return tmp_path
+
+    def command(self, name, dataset_dir):
+        return {
+            "fit": ["fit", "--data", str(dataset_dir)],
+            "mc": ["mc", "--experiment", "A", "--k", "10", "--T", "50", "--reps", "1"],
+            "diag": ["diag", "--experiment", "A", "--k", "10", "--T", "50", "--reps", "1", "--skip-foc"],
+            "paper-tables": ["paper-tables", "--reps", "1", "--experiments", "A", "--k-list", "10", "--T-list", "50"],
+        }[name]
+
+    @pytest.mark.parametrize("name", ["fit", "mc", "paper-tables"])
+    @pytest.mark.parametrize("tags", ["lasso,lasso", "lasso,oracle_ols, lasso"])
+    def test_repeated_estimator_tag(self, dataset_dir, name, tags, capsys):
+        out = dataset_dir / "out"
+        assert run(self.command(name, dataset_dir) + ["--estimators", tags, "--out", str(out)]) == 2
+        assert "estimator tags repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["mc", "diag", "paper-tables"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one(self, dataset_dir, name, threads, capsys):
+        out = dataset_dir / "out"
+        assert run(self.command(name, dataset_dir) + ["--threads", threads, "--out", str(out)]) == 2
+        assert "--threads must be at least one" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_below_one_from_config(self, dataset_dir):
+        cfg = dataset_dir / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 0}))
+        out = dataset_dir / "out"
+        assert run(self.command("mc", dataset_dir) + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--q", "0"], "q must lie strictly between 0 and 1"),
+            (["--q", "1"], "q must lie strictly between 0 and 1"),
+            (["--q", "-0.5"], "q must lie strictly between 0 and 1"),
+            (["--q", "nan"], "q must lie strictly between 0 and 1"),
+            (["--a-const", "0"], "a_const must be positive"),
+            (["--a-const", "-1"], "a_const must be positive"),
+            (["--a-const", "nan"], "a_const must be positive"),
+        ],
+    )
+    def test_diag_theory_constants(self, dataset_dir, flags, message, capsys):
+        out = dataset_dir / "out"
+        assert run(self.command("diag", dataset_dir) + [*flags, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 

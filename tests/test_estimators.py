@@ -45,9 +45,9 @@ class TestBic:
         fit = FitPlan(prob).lasso(0)
         path = lasso_path(prob.X, prob.ys[0])
         values = []
-        for lam, res in path:
-            rss = float(np.sum((prob.ys[0] - prob.X @ res.beta) ** 2))
-            values.append(bic(rss, float(np.count_nonzero(res.beta)), prob.T))
+        for beta in path.beta:
+            rss = float(np.sum((prob.ys[0] - prob.X @ beta) ** 2))
+            values.append(bic(rss, float(np.count_nonzero(beta)), prob.T))
         assert fit.bic_value == pytest.approx(min(values), abs=1e-12)
 
 
@@ -83,8 +83,8 @@ class TestLassoBic:
         path = lasso_path(prob.X, prob.ys[0])
         tied = [
             lam
-            for lam, res in path
-            if bic(float(np.sum((prob.ys[0] - prob.X @ res.beta) ** 2)), 0.0, 40) == -np.inf
+            for lam, beta in zip(path.lambdas, path.beta)
+            if bic(float(np.sum((prob.ys[0] - prob.X @ beta) ** 2)), 0.0, 40) == -np.inf
         ]
         if tied:
             assert fit.lambda_selected == pytest.approx(max(tied))
@@ -99,7 +99,7 @@ class TestLassoBic:
             for i, y in enumerate(plan.problem.ys):
                 fit = plan.lasso(i)
                 warm = None
-                for lam, _ in lasso_path(X, y):
+                for lam in lasso_path(X, y).lambdas:
                     warm = lasso_cd(X, y, PenaltySpec(lam), warm_start=warm).beta
                     if lam == fit.lambda_selected:
                         break
@@ -112,6 +112,43 @@ class TestLassoBic:
         prob, _, _ = simulated_problem(seed=5)
         fit = FitPlan(prob).lasso(2)
         assert np.array_equal(fit.active_set, np.flatnonzero(fit.beta))
+
+
+class TestSufficientStatistics:
+    """BIC scores paths from the RSS the solver carries; it selects what the residual form selects."""
+
+    @pytest.mark.parametrize(
+        "experiment, k, T, seeds", [("C", 10, 40, range(6)), ("B", 10, 30, range(3)), ("C", 20, 50, range(2))]
+    )
+    def test_selection_at_m_over_T_equals_residual_form(self, experiment, k, T, seeds):
+        model, _ = mc.make_dgp(experiment, k)
+        assert k * model.p >= T
+        for seed in seeds:
+            plan = FitPlan(var.simulate(model, T, seed=seed))
+            X = plan.problem.X
+            for i, y in enumerate(plan.problem.ys):
+                path = lasso_path(X, y, psi=plan.problem.psi)
+                R = y[:, None] - X @ path.beta.T
+                values = bic(np.einsum("ij,ij->j", R, R), np.count_nonzero(path.beta, axis=1), T)
+                fit = plan.lasso(i)
+                assert fit.lambda_selected == path.lambdas[np.argmin(values)]
+                assert fit.rss == pytest.approx(float(np.sum((y - X @ fit.beta) ** 2)), rel=1e-12)
+                assert fit.rss > 0.0
+                assert np.isfinite(fit.bic_value)
+
+    @pytest.mark.parametrize("experiment, k, T", [("A", 10, 500), ("C", 10, 40)])
+    def test_ridge_selection_equals_residual_form(self, experiment, k, T):
+        model, _ = mc.make_dgp(experiment, k)
+        plan = FitPlan(var.simulate(model, T, seed=0))
+        X = plan.problem.X
+        for i, y in enumerate(plan.problem.ys):
+            coef, lam = plan.ridge_bic(i)
+            grid = T * lambda_max(X, y) * np.logspace(0.0, np.log10(solver.LAMBDA_RATIO), solver.N_LAMBDA)
+            B, df, _ = solver.ridge_path(X, y, grid, eig=plan._gram_eig)
+            R = y[:, None] - X @ B
+            best = int(np.argmin(bic(np.einsum("ij,ij->j", R, R), df, T)))
+            assert lam == grid[best]
+            assert np.array_equal(coef, B[:, best])
 
 
 class TestPostLasso:
@@ -348,6 +385,40 @@ class TestFitPlan:
         estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth)
         # one LASSO path per equation shared by three tags, plus two adaptive second stages
         assert calls == {"stack": 1, "lasso_path": 3 * 5, "eigh": 1}
+
+    def test_gram_formed_once_per_dataset(self, monkeypatch):
+        # X'X/T is formed in var.stack and nowhere else: every L1 fit, BIC path
+        # or fixed lambda, runs on the dataset's Psi, and so does the ridge eigh
+        _, truth, data = simulated_problem(seed=25, k=5, T=200)
+        seen = {"stack": [], "_gram": [], "_fit_grid": [], "eigh": []}
+
+        def recording(module, name, keep):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[name].append(keep(args, out))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(var, "stack", lambda args, out: out)
+        recording(solver, "_gram", lambda args, out: out)
+        recording(solver, "_fit_grid", lambda args, out: args[0])
+        recording(np.linalg, "eigh", lambda args, out: args[0])
+        plan = FitPlan(data, truth)
+        for tag in estimators.ESTIMATOR_TAGS:
+            plan.fit(tag)
+        for tag in estimators.PENALIZED_TAGS:
+            plan.fit(tag, lam=1e-3)
+        psi = plan.problem.psi
+        assert seen["stack"] == [plan.problem]
+        assert seen["_gram"] == []
+        # per equation: the LASSO path, two adaptive paths, and the fixed-lambda
+        # LASSO (shared with post_lasso) and two fixed-lambda adaptive stages
+        assert len(seen["_fit_grid"]) == 6 * 5
+        assert all(p is psi for p in seen["_fit_grid"])
+        assert len(seen["eigh"]) == 1 and seen["eigh"][0] is psi
 
     def test_fixed_lambda_replaces_bic_in_final_stage_only(self):
         prob, _, data = simulated_problem(seed=26, k=5, T=200)

@@ -175,18 +175,17 @@ class TestLassoPath:
         X, y = random_instance(13, T=40, m=6)
         monkeypatch.setattr(solver, "N_LAMBDA", 30)
         path = lasso_path(X, y)
-        assert np.all(path[0][1].beta == 0.0)
-        lams = [lam for lam, _ in path]
-        assert all(a > b for a, b in zip(lams, lams[1:]))
+        assert np.all(path.beta[0] == 0.0)
+        assert np.all(np.diff(path.lambdas) < 0.0)
 
     def test_two_point_path_matches_cold_fits(self, monkeypatch):
         X, y = random_instance(14, T=50, m=4)
         monkeypatch.setattr(solver, "N_LAMBDA", 2)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.01)
         path = lasso_path(X, y, tol=1e-12)
-        for lam, res in path:
+        for lam, beta in zip(path.lambdas, path.beta):
             cold = lasso_cd(X, y, PenaltySpec(lam), tol=1e-12)
-            assert np.abs(res.beta - cold.beta).max() <= 1e-8
+            assert np.abs(beta - cold.beta).max() <= 1e-8
 
     def test_active_set_mostly_monotone_on_experiment_a(self):
         from hdvar import mc, var
@@ -195,7 +194,7 @@ class TestLassoPath:
         data = var.simulate(model, 200, seed=3)
         prob = var.stack(data)
         path = lasso_path(prob.X, prob.ys[0])
-        sizes = [int(np.count_nonzero(res.beta)) for _, res in path]
+        sizes = np.count_nonzero(path.beta, axis=1).tolist()
         pairs = list(zip(sizes, sizes[1:]))
         frac = np.mean([b >= a for a, b in pairs])
         assert frac >= 0.95
@@ -215,7 +214,7 @@ def adaptive_instance():
     X = np.array(prob.X, order="F")
     X[:, 3] = 0.0
     y = prob.ys[0]
-    stage1 = lasso_path(X, y)[40][1].beta
+    stage1 = lasso_path(X, y).beta[40]
     with np.errstate(divide="ignore"):
         w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
     w[3] = 1.0
@@ -244,31 +243,30 @@ class TestPathKernel:
             if case.startswith("C/10/40"):
                 opts = {"max_iter": 4 if case.endswith("max_iter=4") else 50}
         path = lasso_path(X, y, weights=w, **opts)
-        assert all(res.converged for _, res in path) == (case != "C/10/40/max_iter=4")
+        assert path.converged.all() == (case != "C/10/40/max_iter=4")
         n_free = np.count_nonzero(X.any(axis=0) & (True if w is None else np.isfinite(w)))
-        prev, closed = None, 0
-        for lam, res in path:
+        closed = 0
+        for l, lam in enumerate(path.lambdas):
             pen = PenaltySpec(lam, weights=w)
-            ref = lasso_cd(X, y, pen, warm_start=None if prev is None else prev.beta, **opts)
-            assert res.converged == (res.max_kkt_violation <= 1e-7)
-            if res.iterations:
+            ref = lasso_cd(X, y, pen, warm_start=path.beta[l - 1] if l else None, **opts)
+            assert path.converged[l] == (path.max_kkt_violation[l] <= 1e-7)
+            if path.iterations[l]:
                 # a swept point is the lasso_cd kernel started from the point before it
-                assert np.array_equal(res.beta, ref.beta)
-                assert res.iterations == ref.iterations
-                assert res.converged == ref.converged
-                assert res.max_kkt_violation == ref.max_kkt_violation
+                assert np.array_equal(path.beta[l], ref.beta)
+                assert path.iterations[l] == ref.iterations
+                assert path.converged[l] == ref.converged
+                assert path.max_kkt_violation[l] == ref.max_kkt_violation
             else:
                 # a continuation point follows a converged point that ended on an exact
                 # step (a multiple of EXACT_EVERY sweeps), had full support, or is itself
                 # a continuation point; it is an exact minimiser, no worse than the
                 # kernel's iterate
                 closed += 1
-                assert prev.converged
-                assert prev.iterations % EXACT_EVERY == 0 or np.count_nonzero(prev.beta) == n_free
-                assert res.converged
-                assert kkt_check(X, y, res.beta, pen) <= 1e-7
-                assert objective(X, y, res.beta, pen) <= objective(X, y, ref.beta, pen) + 1e-12
-            prev = res
+                assert path.converged[l - 1]
+                assert path.iterations[l - 1] % EXACT_EVERY == 0 or np.count_nonzero(path.beta[l - 1]) == n_free
+                assert path.converged[l]
+                assert kkt_check(X, y, path.beta[l], pen) <= 1e-7
+                assert objective(X, y, path.beta[l], pen) <= objective(X, y, ref.beta, pen) + 1e-12
         assert closed == {"A/10/500": 25, "C/10/1000": 86, "adaptive": 10, "C/10/40": 95, "C/10/40/max_iter=4": 0}[case]
 
     def test_grid_thresholds_are_each_penalty_times_the_weights(self):
@@ -357,9 +355,30 @@ class TestGramForm:
     @pytest.mark.parametrize("experiment,k,T", [("A", 10, 500), ("C", 10, 100), ("B", 10, 50)])
     def test_reported_kkt_matches_residual_form_on_paths(self, experiment, k, T):
         prob = experiment_problem(experiment, k, T)
-        for lam, res in lasso_path(prob.X, prob.ys[0]):
-            direct = kkt_check(prob.X, prob.ys[0], res.beta, PenaltySpec(lam))
-            assert abs(res.max_kkt_violation - direct) <= 1e-12
+        path = lasso_path(prob.X, prob.ys[0])
+        for lam, beta, reported in zip(path.lambdas, path.beta, path.max_kkt_violation):
+            direct = kkt_check(prob.X, prob.ys[0], beta, PenaltySpec(lam))
+            assert abs(reported - direct) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["A/10/500", "C/10/1000", "adaptive", "C/10/40", "B/10/30"])
+    def test_path_rss_matches_residual_form(self, case):
+        if case == "adaptive":
+            X, y, w = adaptive_instance()
+        else:
+            experiment, k, T = case.split("/")
+            prob = experiment_problem(experiment, int(k), int(T))
+            X, y, w = prob.X, prob.ys[0], None
+        path = lasso_path(X, y, weights=w)
+        R = y[:, None] - X @ path.beta.T
+        direct = np.einsum("ij,ij->j", R, R)
+        yy = y @ y
+        checked = direct >= 1e-6 * yy
+        assert checked.sum() >= 90
+        assert np.all(np.abs(path.rss - direct)[checked] <= 1e-12 * direct[checked])
+        # at m >= T the path nears interpolation; there the RSS is recomputed from
+        # the residual, so cancellation never drives it to the BIC's -inf sentinel
+        assert (direct < solver.RSS_EXACT_BELOW * yy).any() == (case in ("C/10/40", "B/10/30"))
+        assert np.all(path.rss > 0.0)
 
     def test_more_regressors_than_observations(self, monkeypatch):
         prob = experiment_problem("C", 10, 40)  # m = 50 > T = 40
@@ -367,10 +386,10 @@ class TestGramForm:
         monkeypatch.setattr(solver, "N_LAMBDA", 20)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.02)
         path = lasso_path(prob.X, prob.ys[0])
-        assert max(np.count_nonzero(res.beta) for _, res in path) > 20
-        for lam, res in path:
-            assert res.converged
-            assert kkt_check(prob.X, prob.ys[0], res.beta, PenaltySpec(lam)) <= 1e-7
+        assert np.count_nonzero(path.beta, axis=1).max() > 20
+        assert path.converged.all()
+        for lam, beta in zip(path.lambdas, path.beta):
+            assert kkt_check(prob.X, prob.ys[0], beta, PenaltySpec(lam)) <= 1e-7
 
     def test_warm_start_cannot_free_pinned_coordinates(self):
         rng = rng_for(2)
@@ -407,32 +426,32 @@ class TestExactStep:
     def test_near_unit_root_path_converges(self, step_outcomes):
         prob = experiment_problem("C", 10, 1000)  # m = 50, seed 0
         path = lasso_path(prob.X, prob.ys[0])
-        for lam, res in path:
-            assert res.converged
-            assert kkt_check(prob.X, prob.ys[0], res.beta, PenaltySpec(lam)) <= 1e-7
+        assert path.converged.all()
+        for lam, beta in zip(path.lambdas, path.beta):
+            assert kkt_check(prob.X, prob.ys[0], beta, PenaltySpec(lam)) <= 1e-7
         # coordinate descent alone takes 1,965 sweeps on this path, and with the
         # step inside the sweeps only 518
-        assert sum(res.iterations for _, res in path) == 28
+        assert path.iterations.sum() == 28
         # after the first accepted step the homotopy follows the rest of the grid
         assert step_outcomes.count(True) == 1
         assert step_outcomes.count(False) == 0
-        assert sum(res.iterations == 0 for _, res in path) == 86
+        assert np.count_nonzero(path.iterations == 0) == 86
 
     def test_fast_paths_keep_the_coordinate_descent_iterate(self, step_outcomes):
         prob = experiment_problem("A", 10, 500)
         X, y = prob.X, prob.ys[0]
         path = lasso_path(X, y)
         warm = None
-        for lam, res in path[:75]:
-            assert 0 < res.iterations < EXACT_EVERY
+        for lam, beta, iterations in zip(path.lambdas[:75], path.beta, path.iterations):
+            assert 0 < iterations < EXACT_EVERY
             capped = lasso_cd(X, y, PenaltySpec(lam), max_iter=EXACT_EVERY - 1, warm_start=warm)
-            assert np.array_equal(res.beta, capped.beta)
-            warm = res.beta
-        assert np.count_nonzero(path[74][1].beta) == prob.m
+            assert np.array_equal(beta, capped.beta)
+            warm = beta
+        assert np.count_nonzero(path.beta[74]) == prob.m
         # from the first point with full support on, the tail is closed form
-        for lam, res in path[75:]:
-            assert res.iterations == 0 and res.converged
-            assert kkt_check(X, y, res.beta, PenaltySpec(lam)) <= 1e-7
+        assert np.all(path.iterations[75:] == 0) and path.converged[75:].all()
+        for lam, beta in zip(path.lambdas[75:], path.beta[75:]):
+            assert kkt_check(X, y, beta, PenaltySpec(lam)) <= 1e-7
         assert not step_outcomes
 
     def test_rejected_candidate_keeps_sweeping(self, step_outcomes):
@@ -474,8 +493,8 @@ class TestExactStep:
         # the homotopy, from the exact step at point 4, carries its factor up to a
         # support of T and follows the path on to the end of the grid
         assert max(factor_sizes) == prob.T
-        assert sum(res.iterations for _, res in path) == 9
-        assert all(res.converged for _, res in path)
+        assert path.iterations.sum() == 9
+        assert path.converged.all()
 
     def test_accepted_step_descends(self, step_outcomes):
         prob = experiment_problem("C", 10, 1000)
@@ -528,18 +547,17 @@ class TestPathFollowing:
             X, y, w = prob.X, prob.ys[0], None
         path = lasso_path(X, y, weights=w)
         start = {"A/10/500": 75, "adaptive": 90}[case]
-        assert path[start - 1][1].iterations > 0
-        tail = path[start:]
-        expected = affine_oracle(X, y, path[start - 1][1].beta, [lam for lam, _ in tail], w)
-        for (lam, res), beta in zip(tail, expected):
-            assert res.iterations == 0 and res.converged
-            np.testing.assert_allclose(res.beta, beta, rtol=1e-9, atol=1e-13)
-            assert kkt_check(X, y, res.beta, PenaltySpec(lam, weights=w)) <= 1e-7
+        assert path.iterations[start - 1] > 0
+        expected = affine_oracle(X, y, path.beta[start - 1], path.lambdas[start:], w)
+        assert np.all(path.iterations[start:] == 0) and path.converged[start:].all()
+        for lam, beta, oracle in zip(path.lambdas[start:], path.beta[start:], expected):
+            np.testing.assert_allclose(beta, oracle, rtol=1e-9, atol=1e-13)
+            assert kkt_check(X, y, beta, PenaltySpec(lam, weights=w)) <= 1e-7
         if case == "adaptive":
             # infinitely weighted coordinates and the zero column stay pinned on every point
             pinned = np.isinf(w) | ~X.any(axis=0)
             assert pinned.sum() > 1
-            assert all(np.all(res.beta[pinned] == 0.0) for _, res in path)
+            assert np.all(path.beta[:, pinned] == 0.0)
 
     @pytest.mark.parametrize("case", ["A/10/500", "C/10/1000", "B/10/500", "adaptive"])
     def test_continuation_points_are_exact(self, case):
@@ -553,14 +571,14 @@ class TestPathFollowing:
         # every point after the first exact one is a continuation point, exact
         # up to rounding: the factor the homotopy carries across kinks gives
         # the fresh solve on the point's own support and signs
-        start = next(l for l, (_, res) in enumerate(path) if res.iterations == 0)
-        assert start >= 2 and path[start - 1][1].iterations > 0
-        for lam, res in path[start:]:
-            assert res.iterations == 0 and res.converged
-            assert res.max_kkt_violation <= 1e-12
-            assert kkt_check(X, y, res.beta, PenaltySpec(lam, weights=w)) <= 1e-12
-            fresh = affine_oracle(X, y, res.beta, [lam], w)[0]
-            assert np.abs(res.beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
+        start = int(np.argmax(path.iterations == 0))
+        assert start >= 2 and path.iterations[start - 1] > 0
+        assert np.all(path.iterations[start:] == 0) and path.converged[start:].all()
+        assert np.all(path.max_kkt_violation[start:] <= 1e-12)
+        for lam, beta in zip(path.lambdas[start:], path.beta[start:]):
+            assert kkt_check(X, y, beta, PenaltySpec(lam, weights=w)) <= 1e-12
+            fresh = affine_oracle(X, y, beta, [lam], w)[0]
+            assert np.abs(beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
     @pytest.mark.parametrize("exact_every", [EXACT_EVERY, 10**9], ids=["exact-step", "sweeps-only"])
     def test_sign_crossing_drops_the_coordinate(self, monkeypatch, exact_every):
@@ -569,28 +587,28 @@ class TestPathFollowing:
         monkeypatch.setattr(solver, "N_LAMBDA", 30)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 1e-3)
         path = lasso_path(X, y)
-        first_full = next(l for l, (_, res) in enumerate(path) if np.count_nonzero(res.beta) == 4)
+        first_full = int(np.argmax(np.count_nonzero(path.beta, axis=1) == 4))
         assert first_full == 8
-        assert np.array_equal(np.sign(path[first_full][1].beta), np.ones(4))
+        assert np.array_equal(np.sign(path.beta[first_full]), np.ones(4))
         # the homotopy starts at the exact step of point 4, or, with no step, at
         # the first full support
         start = 4 if exact_every == EXACT_EVERY else first_full
-        assert path[start][1].iterations > 0
-        assert all(res.iterations == 0 for _, res in path[start + 1 :])
+        assert path.iterations[start] > 0
+        assert np.all(path.iterations[start + 1 :] == 0)
         # coefficient 0 enters at point 6, leaves between points 8 and 9, is
         # exactly 0 until it enters again with the other sign at point 19
-        b0 = [res.beta[0] for _, res in path]
+        b0 = path.beta[:, 0]
         assert b0[5] == 0.0 and all(b > 0.0 for b in b0[6:9])
         assert all(b == 0.0 for b in b0[9:19]) and all(b < 0.0 for b in b0[19:])
         # each continuation point is the sign-fixed minimiser of its segment, also
         # after the factor was refactored at the drop and bordered at the re-entry
-        for lam, res in path[start + 1 :]:
-            fresh = affine_oracle(X, y, res.beta, [lam])[0]
-            np.testing.assert_allclose(res.beta, fresh, rtol=1e-9, atol=1e-13)
-            assert np.abs(res.beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
-        for lam, res in path:
-            assert res.converged
-            assert kkt_check(X, y, res.beta, PenaltySpec(lam)) <= 1e-7
+        for lam, beta in zip(path.lambdas[start + 1 :], path.beta[start + 1 :]):
+            fresh = affine_oracle(X, y, beta, [lam])[0]
+            np.testing.assert_allclose(beta, fresh, rtol=1e-9, atol=1e-13)
+            assert np.abs(beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
+        assert path.converged.all()
+        for lam, beta in zip(path.lambdas, path.beta):
+            assert kkt_check(X, y, beta, PenaltySpec(lam)) <= 1e-7
 
     def test_more_regressors_than_observations_converges(self):
         # C/10/40, m = 50 > T = 40: the homotopy follows each path to a support
@@ -598,14 +616,14 @@ class TestPathFollowing:
         prob = experiment_problem("C", 10, 40)
         for y in prob.ys[:2]:
             path = lasso_path(prob.X, y)
-            assert all(res.converged for _, res in path)
-            assert max(np.count_nonzero(res.beta) for _, res in path) == prob.T
+            assert path.converged.all()
+            assert np.count_nonzero(path.beta, axis=1).max() == prob.T
 
 
 class TestRidge:
     def test_penalty_dominated_limit(self):
         X, y = random_instance(15, T=30, m=5)
-        B, df = ridge_path(X, y, [1e8])
+        B, df, _ = ridge_path(X, y, [1e8])
         assert np.linalg.norm(B[:, 0]) < 1e-6
         assert df[0] < 1e-5 * 5
 
@@ -614,7 +632,7 @@ class TestRidge:
         X = np.eye(T)
         y = np.arange(1.0, T + 1)
         grid = np.array([0.1, 2.5, 40.0])
-        B, df = ridge_path(X, y, grid)
+        B, df, _ = ridge_path(X, y, grid)
         for l, lam in enumerate(grid):
             assert np.abs(B[:, l] - y / (1 + lam)).max() <= 1e-12
             assert df[l] == pytest.approx(T / (1 + lam), abs=1e-10)
@@ -624,17 +642,36 @@ class TestRidge:
         X = rng.standard_normal((20, 5))
         y = rng.standard_normal(20)
         grid = np.array([0.01, 0.7, 30.0])
-        B, df = ridge_path(X, y, grid)
+        B, df, _ = ridge_path(X, y, grid)
         G = X.T @ X
         for l, lam in enumerate(grid):
             A = G + lam * np.eye(5)
             assert np.abs(B[:, l] - cholesky_solve(A, X.T @ y)).max() <= 1e-8
             assert df[l] == pytest.approx(np.trace(cholesky_solve(A, G)), abs=1e-10)
 
+    @pytest.mark.parametrize("T, m", [(40, 6), (30, 50)])
+    def test_closed_form_rss_matches_residual_form(self, T, m):
+        # with m > T the smallest penalties nearly interpolate, and their RSS is
+        # recomputed from the residual
+        rng = rng_for(18)
+        X = rng.standard_normal((T, m))
+        y = X[:, :3] @ np.ones(3) + 0.1 * rng.standard_normal(T)
+        grid = T * np.logspace(1, -6, 50)
+        B, _, rss = ridge_path(X, y, grid)
+        R = y[:, None] - X @ B
+        direct = np.einsum("ij,ij->j", R, R)
+        yy = y @ y
+        assert (direct < solver.RSS_EXACT_BELOW * yy).any() == (m > T)
+        checked = direct >= 1e-6 * yy
+        assert np.all(np.abs(rss - direct)[checked] <= 1e-12 * direct[checked])
+        # the residual itself carries rounding of order 1e-16 |y| near interpolation
+        assert np.all(rss > 0.0)
+        np.testing.assert_allclose(rss, direct, rtol=1e-9, atol=0.0)
+
     def test_df_approaches_rank_at_tiny_lambda(self):
         rng = rng_for(17)
         X = rng.standard_normal((40, 6))
-        _, df = ridge_path(X, rng.standard_normal(40), [1e-10])
+        _, df, _ = ridge_path(X, rng.standard_normal(40), [1e-10])
         assert abs(df[0] - 6) < 1e-4
 
 
