@@ -426,8 +426,9 @@ def main(argv=None) -> int:
             cfg = _load_config(args, parser._command_parsers[args.command])
             parser._command_parsers[args.command].set_defaults(**cfg)
             args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError("--threads must be at least one")
+        threads = getattr(args, "threads", 1)
+        if type(threads) is not int or threads < 1:
+            raise ConfigError("--threads must be an integer of at least one")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

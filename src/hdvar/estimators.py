@@ -171,12 +171,12 @@ def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=
         # empty first stage: every coordinate is excluded, nothing to refit
         beta, lam_selected, converged = np.zeros(problem.m), 0.0 if lam is None else float(lam), True
     elif lam is None:
-        path = lasso_path(X, y, weights=weights, psi=problem.psi)
+        path = lasso_path(X, y, problem.psi, weights=weights)
         best = int(np.argmin(bic(path.rss, np.count_nonzero(path.beta, axis=1), T)))  # first minimum = largest lambda
         beta, lam_selected, converged = path.beta[best].copy(), float(path.lambdas[best]), bool(path.converged[best])
         at_grid_end = len(path.lambdas) > 1 and best == len(path.lambdas) - 1
     else:
-        res = lasso_cd(X, y, PenaltySpec(lam=lam, weights=weights), psi=problem.psi)
+        res = lasso_cd(X, y, problem.psi, PenaltySpec(lam=lam, weights=weights))
         beta, lam_selected, converged = res.beta, float(lam), res.converged
     r = y - X @ beta
     rss = float(r @ r)
@@ -235,7 +235,7 @@ class FitPlan:
             X, y, T = self.problem.X, self.problem.ys[i], self.problem.T
             lmax = lambda_max(X, y) or 1.0  # a zero response has lambda_max 0
             grid = T * lmax * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
-            B, df, rss = ridge_path(X, y, grid, eig=self._gram_eig)
+            B, df, rss = ridge_path(X, y, grid, self._gram_eig)
             best = int(np.argmin(bic(rss, df, T)))
             self._ridge[i] = (B[:, best], float(grid[best]))
         return self._ridge[i]

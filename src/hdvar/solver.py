@@ -28,8 +28,8 @@ sequence, carrying beta and the exact gradient g = c - Psi beta from one
 point to the next, and fills one row per point of a ``LassoPath``.
 ``lasso_path`` runs it on a log-spaced grid of N_LAMBDA points from
 lambda_max down to LAMBDA_RATIO times lambda_max, and ``lasso_cd`` on the
-one-point grid [lam].  Both form Psi = X'X/T only when the caller does not
-hand it over; responses that share a design share its Psi.
+one-point grid [lam].  Both take Psi = X'X/T from the caller, who forms it
+once per design; responses that share a design share its Psi.
 
 Each point's RSS ||y - X beta||^2 comes from its exact gradient, with no
 residual vector: RSS = T (y'y/T - beta'(c + g)).  Where that falls below
@@ -140,19 +140,18 @@ class LassoPath:
     rss: np.ndarray  # n residual sums of squares ||y - X beta||^2
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """Psi = X'X/T."""
-    return (X.T @ X) / X.shape[0]
-
-
 def _moments(X, y, psi) -> tuple:
-    """(X, y, Psi, c = X'y/T, y'y) of a design and a response; Psi = X'X/T is
-    formed only if ``psi`` is None."""
+    """(X, y, c = X'y/T, y'y) of a design and a response, after checking that
+    ``psi`` has the shape and the diagonal of X'X/T."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] < 1:
+    T, m = X.shape
+    if T < 1:
         raise ValueError("need at least one observation")
-    return X, y, _gram(X) if psi is None else psi, (X.T @ y) / X.shape[0], float(y @ y)
+    col_ss = np.einsum("ij,ij->j", X, X) / T
+    if np.shape(psi) != (m, m) or not np.allclose(np.diagonal(psi), col_ss, rtol=1e-10, atol=0.0):
+        raise ValueError("psi is not the Gram matrix X'X/T of this design")
+    return X, y, (X.T @ y) / T, float(y @ y)
 
 
 def _exact_small_rss(X, y, B, rss, yy: float) -> np.ndarray:
@@ -440,7 +439,7 @@ def _fit_grid(psi, c, yy: float, T: int, weights, grid, start, tol, max_iter) ->
     return LassoPath(lambdas=grid, beta=B, iterations=sweeps, max_kkt_violation=viols, converged=viols <= tol, rss=rss)
 
 
-def lasso_cd(X, y, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start=None, psi=None) -> SolverResult:
+def lasso_cd(X, y, psi, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start=None) -> SolverResult:
     """Minimize the weighted L1 objective by cyclic coordinate descent at one penalty.
 
     With the gradient g = c - Psi beta kept up to date, the coordinate update
@@ -449,9 +448,9 @@ def lasso_cd(X, y, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start=None, p
     setup of ``lasso_path`` on the one-point grid [pen.lam], started from
     ``warm_start`` (zero if None); converged means the KKT residual of the
     returned beta is at most ``tol`` within ``max_iter`` full sweeps.
-    ``psi`` is X'X/T where the caller holds it, formed here if None.
+    ``psi`` is the design's Gram matrix X'X/T.
     """
-    X, y, psi, c, yy = _moments(X, y, psi)
+    X, y, c, yy = _moments(X, y, psi)
     fit = _fit_grid(psi, c, yy, X.shape[0], pen.weights, [pen.lam], warm_start, tol, max_iter)
     return SolverResult(
         beta=fit.beta[0],
@@ -500,17 +499,16 @@ def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
         return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
 
 
-def lasso_path(X, y, weights: np.ndarray | None = None, tol=1e-7, max_iter=1000, psi=None) -> LassoPath:
+def lasso_path(X, y, psi, weights: np.ndarray | None = None, tol=1e-7, max_iter=1000) -> LassoPath:
     """Warm-started fits on N_LAMBDA log-spaced points from lambda_max down to
     LAMBDA_RATIO * lambda_max (both read at call time), by decreasing lambda.
 
     The grid runs through the one solver setup (see ``_fit_grid``), each point
     started from the previous point's beta and its exact gradient.  ``psi`` is
-    X'X/T where the caller holds it, formed here if None.  Each point's RSS
-    comes from its gradient, or from its residual where it is below
-    RSS_EXACT_BELOW times y'y.
+    the design's Gram matrix X'X/T.  Each point's RSS comes from its gradient,
+    or from its residual where it is below RSS_EXACT_BELOW times y'y.
     """
-    X, y, psi, c, yy = _moments(np.asfortranarray(X, dtype=np.float64), y, psi)
+    X, y, c, yy = _moments(np.asfortranarray(X, dtype=np.float64), y, psi)
     w = PenaltySpec(0.0, weights).weights  # nonnegative and not NaN
     lmax = _lambda_max(c, w)
     if lmax == 0.0:
@@ -524,15 +522,16 @@ def lasso_path(X, y, weights: np.ndarray | None = None, tol=1e-7, max_iter=1000,
     return path
 
 
-def ridge_path(X, y, grid, eig: tuple | None = None) -> tuple:
+def ridge_path(X, y, grid, eig: tuple) -> tuple:
     """Ridge solutions (X'X + lam I)^{-1} X'y and their exact degrees of freedom
     for every lam in ``grid``, in closed form.
 
     With X'X = V diag(d) V', beta(lam) = V diag(1/(d + lam)) V'X'y and
     df(lam) = trace(X (X'X + lam I)^{-1} X') = sum_j d_j / (d_j + lam)
     (Hastie, Tibshirani and Friedman, ESL 2nd ed., section 3.4.1), so one
-    eigendecomposition serves the whole grid; responses that share X share it
-    through ``eig = (d, V)``.  With z = V'X'y the RSS is in closed form too:
+    eigendecomposition ``eig = (d, V)`` of X'X, formed by the caller, serves
+    the whole grid and every response that shares X.  With z = V'X'y the RSS
+    is in closed form too:
     ||y - X beta(lam)||^2 = y'y - sum_j z_j^2 (d_j + 2 lam) / (d_j + lam)^2,
     recomputed from the residual where it is below RSS_EXACT_BELOW times y'y.
     The penalty is unscaled, matching the degrees-of-freedom formula.
@@ -544,7 +543,7 @@ def ridge_path(X, y, grid, eig: tuple | None = None) -> tuple:
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(grid <= 0):
         raise ValueError("ridge penalty must be positive")
-    d, V = np.linalg.eigh(X.T @ X) if eig is None else eig
+    d, V = eig
     # X'X is positive semidefinite; rounding can leave tiny negative eigenvalues
     d = np.clip(d, 0.0, None)
     shrink = 1.0 / (d[:, None] + grid[None, :])

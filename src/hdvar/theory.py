@@ -490,5 +490,5 @@ def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth, tol=1e-9):
     stage1 = np.asarray(stage1_beta, dtype=np.float64)
     w = adaptive_weights(stage1)
     pen = PenaltySpec(lam=lambda_t, weights=w)
-    res = lasso_cd(problem.X, problem.ys[i], pen, tol=tol, max_iter=5000, psi=problem.psi)
+    res = lasso_cd(problem.X, problem.ys[i], problem.psi, pen, tol=tol, max_iter=5000)
     return bool(np.all(np.sign(res.beta) == np.sign(truth.beta[i]))), res

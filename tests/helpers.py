@@ -101,6 +101,16 @@ def restricted_eigenvalue_bruteforce(psi, r, angle_step=1e-3, refine=True):
     return best
 
 
+def gram(X):
+    """The Gram matrix X'X/T that the solver takes alongside a design."""
+    return X.T @ X / len(X)
+
+
+def eig_of(X):
+    """The eigendecomposition (d, V) of X'X that ridge paths take."""
+    return np.linalg.eigh(X.T @ X)
+
+
 def random_spd(rng, m, extra=2):
     G = rng.standard_normal((m, m + extra))
     return G @ G.T / (m + extra)

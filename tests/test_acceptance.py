@@ -15,7 +15,7 @@ import pytest
 from hdvar import cli, estimators, mc, theory, var
 from hdvar.linalg import least_squares, lyapunov_doubling
 from hdvar.solver import PenaltySpec, kkt_check, lambda_max, lasso_cd, objective
-from helpers import random_spd, restricted_eigenvalue_bruteforce
+from helpers import gram, random_spd, restricted_eigenvalue_bruteforce
 from test_solver import grid_search_2d
 
 KKT_TOL = 1e-7
@@ -159,7 +159,7 @@ def test_criterion_06_theorem1_deterministic_suite():
             continue
         n_bt += 1
         for i in range(10):
-            res = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam), tol=KKT_TOL)
+            res = lasso_cd(problem.X, problem.ys[i], problem.psi, PenaltySpec(lam), tol=KKT_TOL)
             checks = theory.thm1_rhs_check(problem, i, res.beta, truth, lam)
             for c in checks.values():
                 worst = min(worst, c["slack"])
@@ -267,7 +267,7 @@ def test_criterion_10_solver_oracle():
         y = X @ beta + 0.5 * rng.standard_normal(T)
         lam = float(rng.uniform(0.05, 0.6)) * lambda_max(X, y)
         pen = PenaltySpec(lam)
-        res = lasso_cd(X, y, pen, tol=KKT_TOL)
+        res = lasso_cd(X, y, gram(X), pen, tol=KKT_TOL)
         assert res.converged
         worst_kkt = max(worst_kkt, kkt_check(X, y, res.beta, pen))
         _, f_grid = grid_search_2d(X, y, pen)
@@ -278,7 +278,7 @@ def test_criterion_10_solver_oracle():
     for trial in range(5):
         X = rng.standard_normal((50, 5))
         y = rng.standard_normal(50)
-        res = lasso_cd(X, y, PenaltySpec(0.0), tol=KKT_TOL)
+        res = lasso_cd(X, y, gram(X), PenaltySpec(0.0), tol=KKT_TOL)
         worst_ols = max(worst_ols, float(np.abs(res.beta - least_squares(X, y)).max()))
     ok = worst_gap <= 1e-5 and worst_kkt <= KKT_TOL and worst_ols <= 1e-6
     announce(

@@ -343,15 +343,18 @@ class TestCommandValidation:
     def test_threads_below_one(self, dataset_dir, name, threads, capsys):
         out = dataset_dir / "out"
         assert run(self.command(name, dataset_dir) + ["--threads", threads, "--out", str(out)]) == 2
-        assert "--threads must be at least one" in capsys.readouterr().err
+        assert "--threads must be an integer of at least one" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_below_one_from_config(self, dataset_dir):
+        # argparse converts flags and string defaults only, so a config file can carry other JSON values
         cfg = dataset_dir / "cfg.json"
-        cfg.write_text(json.dumps({"threads": 0}))
         out = dataset_dir / "out"
-        assert run(self.command("mc", dataset_dir) + ["--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
+        for command in ("mc", "diag"):
+            for value in (0, None, "0", 1.5, True):
+                cfg.write_text(json.dumps({"threads": value}))
+                assert run(self.command(command, dataset_dir) + ["--config", str(cfg), "--out", str(out)]) == 2
+                assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -43,7 +43,7 @@ class TestBic:
     def test_argmin_selection_matches_recomputation(self):
         prob, truth, _ = simulated_problem(seed=4)
         fit = FitPlan(prob).lasso(0)
-        path = lasso_path(prob.X, prob.ys[0])
+        path = lasso_path(prob.X, prob.ys[0], prob.psi)
         values = []
         for beta in path.beta:
             rss = float(np.sum((prob.ys[0] - prob.X @ beta) ** 2))
@@ -80,7 +80,7 @@ class TestLassoBic:
         prob = problem_from(X, X @ beta)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 1e-10)
         fit = FitPlan(prob).lasso(0)
-        path = lasso_path(prob.X, prob.ys[0])
+        path = lasso_path(prob.X, prob.ys[0], prob.psi)
         tied = [
             lam
             for lam, beta in zip(path.lambdas, path.beta)
@@ -99,8 +99,8 @@ class TestLassoBic:
             for i, y in enumerate(plan.problem.ys):
                 fit = plan.lasso(i)
                 warm = None
-                for lam in lasso_path(X, y).lambdas:
-                    warm = lasso_cd(X, y, PenaltySpec(lam), warm_start=warm).beta
+                for lam in lasso_path(X, y, plan.problem.psi).lambdas:
+                    warm = lasso_cd(X, y, plan.problem.psi, PenaltySpec(lam), warm_start=warm).beta
                     if lam == fit.lambda_selected:
                         break
                 assert lam == fit.lambda_selected
@@ -127,7 +127,7 @@ class TestSufficientStatistics:
             plan = FitPlan(var.simulate(model, T, seed=seed))
             X = plan.problem.X
             for i, y in enumerate(plan.problem.ys):
-                path = lasso_path(X, y, psi=plan.problem.psi)
+                path = lasso_path(X, y, plan.problem.psi)
                 R = y[:, None] - X @ path.beta.T
                 values = bic(np.einsum("ij,ij->j", R, R), np.count_nonzero(path.beta, axis=1), T)
                 fit = plan.lasso(i)
@@ -144,7 +144,7 @@ class TestSufficientStatistics:
         for i, y in enumerate(plan.problem.ys):
             coef, lam = plan.ridge_bic(i)
             grid = T * lambda_max(X, y) * np.logspace(0.0, np.log10(solver.LAMBDA_RATIO), solver.N_LAMBDA)
-            B, df, _ = solver.ridge_path(X, y, grid, eig=plan._gram_eig)
+            B, df, _ = solver.ridge_path(X, y, grid, plan._gram_eig)
             R = y[:, None] - X @ B
             best = int(np.argmin(bic(np.einsum("ij,ij->j", R, R), df, T)))
             assert lam == grid[best]
@@ -234,7 +234,7 @@ class TestAdaptiveLasso:
         with np.errstate(divide="ignore"):
             w = np.where(truth.beta[i] != 0.0, 1.0 / np.abs(truth.beta[i]), np.inf)
 
-        res = lasso_cd(prob.X, prob.ys[i], PenaltySpec(1e-10, weights=w), tol=1e-12)
+        res = lasso_cd(prob.X, prob.ys[i], prob.psi, PenaltySpec(1e-10, weights=w), tol=1e-12)
         J = truth.supports[i]
         ols = np.zeros(prob.m)
         ols[J] = least_squares(prob.X[:, J], prob.ys[i])
@@ -302,7 +302,7 @@ class TestOracleAndFullOls:
         prob = problem_from(X, y)
         full = fit_full_ols(prob, 0)
 
-        res = lasso_cd(prob.X, prob.ys[0], PenaltySpec(0.0), tol=1e-10)
+        res = lasso_cd(prob.X, prob.ys[0], prob.psi, PenaltySpec(0.0), tol=1e-10)
         assert np.abs(full.beta - res.beta).max() <= 1e-6
 
 
@@ -390,7 +390,7 @@ class TestFitPlan:
         # X'X/T is formed in var.stack and nowhere else: every L1 fit, BIC path
         # or fixed lambda, runs on the dataset's Psi, and so does the ridge eigh
         _, truth, data = simulated_problem(seed=25, k=5, T=200)
-        seen = {"stack": [], "_gram": [], "_fit_grid": [], "eigh": []}
+        seen = {"stack": [], "_fit_grid": [], "eigh": []}
 
         def recording(module, name, keep):
             fn = getattr(module, name)
@@ -403,7 +403,6 @@ class TestFitPlan:
             monkeypatch.setattr(module, name, wrapper)
 
         recording(var, "stack", lambda args, out: out)
-        recording(solver, "_gram", lambda args, out: out)
         recording(solver, "_fit_grid", lambda args, out: args[0])
         recording(np.linalg, "eigh", lambda args, out: args[0])
         plan = FitPlan(data, truth)
@@ -413,7 +412,6 @@ class TestFitPlan:
             plan.fit(tag, lam=1e-3)
         psi = plan.problem.psi
         assert seen["stack"] == [plan.problem]
-        assert seen["_gram"] == []
         # per equation: the LASSO path, two adaptive paths, and the fixed-lambda
         # LASSO (shared with post_lasso) and two fixed-lambda adaptive stages
         assert len(seen["_fit_grid"]) == 6 * 5
@@ -428,7 +426,7 @@ class TestFitPlan:
             stage1 = FitPlan(prob).lasso(i).beta
             with np.errstate(divide="ignore"):
                 w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
-            assert np.array_equal(f.beta, lasso_cd(prob.X, prob.ys[i], PenaltySpec(1e-3, weights=w)).beta)
+            assert np.array_equal(f.beta, lasso_cd(prob.X, prob.ys[i], prob.psi, PenaltySpec(1e-3, weights=w)).beta)
             assert f.lambda_selected == 1e-3
         with pytest.raises(ValueError):
             plan.fit("full_ols", lam=1e-3)

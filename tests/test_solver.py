@@ -16,6 +16,7 @@ from hdvar.solver import (
     objective,
     ridge_path,
 )
+from helpers import eig_of, gram
 
 
 def rng_for(seed):
@@ -51,13 +52,13 @@ class TestLassoCd:
     def test_zero_solution_at_large_lambda(self):
         X, y = random_instance(0, T=30, m=5)
         lam = 1.001 * lambda_max(X, y)
-        res = lasso_cd(X, y, PenaltySpec(lam))
+        res = lasso_cd(X, y, gram(X), PenaltySpec(lam))
         assert np.all(res.beta == 0.0)
         assert res.converged
 
     def test_lambda_zero_matches_ols(self):
         X, y = random_instance(1, T=50, m=5)
-        res = lasso_cd(X, y, PenaltySpec(0.0))
+        res = lasso_cd(X, y, gram(X), PenaltySpec(0.0))
         assert res.converged
         assert np.abs(res.beta - least_squares(X, y)).max() <= 1e-6
 
@@ -66,7 +67,7 @@ class TestLassoCd:
             X, y = random_instance(seed, T=20, m=2)
             lam = 0.3 * lambda_max(X, y)
             pen = PenaltySpec(lam)
-            res = lasso_cd(X, y, pen, tol=1e-10)
+            res = lasso_cd(X, y, gram(X), pen, tol=1e-10)
             _, f_grid = grid_search_2d(X, y, pen)
             f_cd = objective(X, y, res.beta, pen)
             assert f_cd <= f_grid + 1e-5
@@ -74,17 +75,17 @@ class TestLassoCd:
     def test_objective_descent(self):
         X, y = random_instance(2, T=40, m=8)
         pen = PenaltySpec(0.05 * lambda_max(X, y))
-        res = lasso_cd(X, y, pen)
+        res = lasso_cd(X, y, gram(X), pen)
         # the objective after each sweep: a fit capped at n sweeps stops at the n-th iterate
-        hist = [objective(X, y, lasso_cd(X, y, pen, max_iter=n).beta, pen) for n in range(1, res.iterations + 1)]
+        hist = [objective(X, y, lasso_cd(X, y, gram(X), pen, max_iter=n).beta, pen) for n in range(1, res.iterations + 1)]
         assert np.all(np.diff(hist) <= 1e-12)
 
     def test_solution_scaling(self):
         X, y = random_instance(3, T=30, m=4)
         lam0 = 0.2 * lambda_max(X, y)
-        base = lasso_cd(X, y, PenaltySpec(lam0), tol=1e-12)
+        base = lasso_cd(X, y, gram(X), PenaltySpec(lam0), tol=1e-12)
         for c in (2.0, 7.5):
-            scaled = lasso_cd(X, c * y, PenaltySpec(c * lam0), tol=1e-12)
+            scaled = lasso_cd(X, c * y, gram(X), PenaltySpec(c * lam0), tol=1e-12)
             denom = max(np.abs(c * base.beta).max(), 1e-12)
             assert np.abs(scaled.beta - c * base.beta).max() <= 1e-8 * denom
 
@@ -93,10 +94,10 @@ class TestLassoCd:
         w = np.ones(6)
         w[[1, 4]] = np.inf
         lam = 0.1 * lambda_max(X, y)
-        full = lasso_cd(X, y, PenaltySpec(lam, weights=w), tol=1e-12)
+        full = lasso_cd(X, y, gram(X), PenaltySpec(lam, weights=w), tol=1e-12)
         assert np.all(full.beta[[1, 4]] == 0.0)
         keep = [0, 2, 3, 5]
-        reduced = lasso_cd(X[:, keep], y, PenaltySpec(lam, weights=np.ones(4)), tol=1e-12)
+        reduced = lasso_cd(X[:, keep], y, gram(X[:, keep]), PenaltySpec(lam, weights=np.ones(4)), tol=1e-12)
         assert np.abs(full.beta[keep] - reduced.beta).max() <= 1e-8
 
     def test_zero_column_pinned(self):
@@ -104,20 +105,20 @@ class TestLassoCd:
         X = rng.standard_normal((20, 3))
         X[:, 1] = 0.0
         y = rng.standard_normal(20)
-        res = lasso_cd(X, y, PenaltySpec(0.0))
+        res = lasso_cd(X, y, gram(X), PenaltySpec(0.0))
         assert res.beta[1] == 0.0
         assert res.converged
 
     def test_warm_start_converges_immediately(self):
         X, y = random_instance(6, T=30, m=4)
         pen = PenaltySpec(0.1 * lambda_max(X, y))
-        first = lasso_cd(X, y, pen, tol=1e-10)
-        again = lasso_cd(X, y, pen, tol=1e-10, warm_start=first.beta)
+        first = lasso_cd(X, y, gram(X), pen, tol=1e-10)
+        again = lasso_cd(X, y, gram(X), pen, tol=1e-10, warm_start=first.beta)
         assert again.iterations <= 2
 
     def test_max_iter_reported(self):
         X, y = random_instance(7, T=40, m=10)
-        res = lasso_cd(X, y, PenaltySpec(1e-9 * lambda_max(X, y)), tol=1e-14, max_iter=1)
+        res = lasso_cd(X, y, gram(X), PenaltySpec(1e-9 * lambda_max(X, y)), tol=1e-14, max_iter=1)
         assert not res.converged
 
 
@@ -135,7 +136,7 @@ class TestKktCheck:
     def test_solver_output_passes(self):
         X, y = random_instance(10, T=30, m=6)
         pen = PenaltySpec(0.05 * lambda_max(X, y))
-        res = lasso_cd(X, y, pen, tol=1e-9)
+        res = lasso_cd(X, y, gram(X), pen, tol=1e-9)
         assert kkt_check(X, y, res.beta, pen) <= 1e-9 + 1e-12
 
     def test_nonzero_excluded_coordinate_is_infinite_violation(self):
@@ -161,7 +162,7 @@ class TestLambdaMax:
     def test_definition(self):
         X, y = random_instance(11, T=30, m=5)
         lam = lambda_max(X, y)
-        res = lasso_cd(X, y, PenaltySpec(1.01 * lam))
+        res = lasso_cd(X, y, gram(X), PenaltySpec(1.01 * lam))
         assert np.all(res.beta == 0.0)
 
     def test_all_weights_infinite(self):
@@ -174,7 +175,7 @@ class TestLassoPath:
     def test_first_point_zero(self, monkeypatch):
         X, y = random_instance(13, T=40, m=6)
         monkeypatch.setattr(solver, "N_LAMBDA", 30)
-        path = lasso_path(X, y)
+        path = lasso_path(X, y, gram(X))
         assert np.all(path.beta[0] == 0.0)
         assert np.all(np.diff(path.lambdas) < 0.0)
 
@@ -182,9 +183,9 @@ class TestLassoPath:
         X, y = random_instance(14, T=50, m=4)
         monkeypatch.setattr(solver, "N_LAMBDA", 2)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.01)
-        path = lasso_path(X, y, tol=1e-12)
+        path = lasso_path(X, y, gram(X), tol=1e-12)
         for lam, beta in zip(path.lambdas, path.beta):
-            cold = lasso_cd(X, y, PenaltySpec(lam), tol=1e-12)
+            cold = lasso_cd(X, y, gram(X), PenaltySpec(lam), tol=1e-12)
             assert np.abs(beta - cold.beta).max() <= 1e-8
 
     def test_active_set_mostly_monotone_on_experiment_a(self):
@@ -193,7 +194,7 @@ class TestLassoPath:
         model, _ = mc.make_dgp("A", 10)
         data = var.simulate(model, 200, seed=3)
         prob = var.stack(data)
-        path = lasso_path(prob.X, prob.ys[0])
+        path = lasso_path(prob.X, prob.ys[0], prob.psi)
         sizes = np.count_nonzero(path.beta, axis=1).tolist()
         pairs = list(zip(sizes, sizes[1:]))
         frac = np.mean([b >= a for a, b in pairs])
@@ -214,7 +215,7 @@ def adaptive_instance():
     X = np.array(prob.X, order="F")
     X[:, 3] = 0.0
     y = prob.ys[0]
-    stage1 = lasso_path(X, y).beta[40]
+    stage1 = lasso_path(X, y, gram(X)).beta[40]
     with np.errstate(divide="ignore"):
         w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
     w[3] = 1.0
@@ -242,13 +243,13 @@ class TestPathKernel:
             X, y, w = prob.X, prob.ys[0], None
             if case.startswith("C/10/40"):
                 opts = {"max_iter": 4 if case.endswith("max_iter=4") else 50}
-        path = lasso_path(X, y, weights=w, **opts)
+        path = lasso_path(X, y, gram(X), weights=w, **opts)
         assert path.converged.all() == (case != "C/10/40/max_iter=4")
         n_free = np.count_nonzero(X.any(axis=0) & (True if w is None else np.isfinite(w)))
         closed = 0
         for l, lam in enumerate(path.lambdas):
             pen = PenaltySpec(lam, weights=w)
-            ref = lasso_cd(X, y, pen, warm_start=path.beta[l - 1] if l else None, **opts)
+            ref = lasso_cd(X, y, gram(X), pen, warm_start=path.beta[l - 1] if l else None, **opts)
             assert path.converged[l] == (path.max_kkt_violation[l] <= 1e-7)
             if path.iterations[l]:
                 # a swept point is the lasso_cd kernel started from the point before it
@@ -321,24 +322,34 @@ class TestValidation:
     def test_lasso_cd_warm_start_length(self):
         X, y = random_instance(20, T=20, m=3)
         with pytest.raises(ValueError):
-            lasso_cd(X, y, PenaltySpec(0.1), warm_start=np.zeros(4))
+            lasso_cd(X, y, gram(X), PenaltySpec(0.1), warm_start=np.zeros(4))
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan])
     def test_path_rejects_negative_or_nan_weight(self, bad):
         X, y = random_instance(21, T=20, m=3)
         with pytest.raises(ValueError, match="nonnegative"):
-            lasso_path(X, y, weights=np.array([1.0, bad, 1.0]))
+            lasso_path(X, y, gram(X), weights=np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "fit", [lasso_path, lambda X, y, psi: lasso_cd(X, y, psi, PenaltySpec(0.1))], ids=["lasso_path", "lasso_cd"]
+    )
+    @pytest.mark.parametrize("other", ["shape", "design"])
+    def test_rejects_a_gram_of_another_design(self, fit, other):
+        X, y = random_instance(23, T=20, m=3)
+        psi = gram(X[:, :2]) if other == "shape" else gram(2.0 * X)
+        with pytest.raises(ValueError, match="Gram"):
+            fit(X, y, psi)
 
     def test_path_rejects_wrong_weight_length(self):
         X, y = random_instance(22, T=20, m=3)
         with pytest.raises(ValueError, match="length"):
-            lasso_path(X, y, weights=np.ones(4))
+            lasso_path(X, y, gram(X), weights=np.ones(4))
 
     @pytest.mark.parametrize(
         "fit",
         [
             lambda X, y, w: lambda_max(X, y, w),
-            lambda X, y, w: lasso_cd(X, y, PenaltySpec(0.1, weights=w)),
+            lambda X, y, w: lasso_cd(X, y, gram(X), PenaltySpec(0.1, weights=w)),
         ],
         ids=["lambda_max", "lasso_cd"],
     )
@@ -355,7 +366,7 @@ class TestGramForm:
     @pytest.mark.parametrize("experiment,k,T", [("A", 10, 500), ("C", 10, 100), ("B", 10, 50)])
     def test_reported_kkt_matches_residual_form_on_paths(self, experiment, k, T):
         prob = experiment_problem(experiment, k, T)
-        path = lasso_path(prob.X, prob.ys[0])
+        path = lasso_path(prob.X, prob.ys[0], prob.psi)
         for lam, beta, reported in zip(path.lambdas, path.beta, path.max_kkt_violation):
             direct = kkt_check(prob.X, prob.ys[0], beta, PenaltySpec(lam))
             assert abs(reported - direct) <= 1e-12
@@ -368,7 +379,7 @@ class TestGramForm:
             experiment, k, T = case.split("/")
             prob = experiment_problem(experiment, int(k), int(T))
             X, y, w = prob.X, prob.ys[0], None
-        path = lasso_path(X, y, weights=w)
+        path = lasso_path(X, y, gram(X), weights=w)
         R = y[:, None] - X @ path.beta.T
         direct = np.einsum("ij,ij->j", R, R)
         yy = y @ y
@@ -385,7 +396,7 @@ class TestGramForm:
         assert prob.m > prob.T
         monkeypatch.setattr(solver, "N_LAMBDA", 20)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.02)
-        path = lasso_path(prob.X, prob.ys[0])
+        path = lasso_path(prob.X, prob.ys[0], prob.psi)
         assert np.count_nonzero(path.beta, axis=1).max() > 20
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
@@ -397,12 +408,12 @@ class TestGramForm:
         X[:, 1] = 0.0
         y = rng.standard_normal(30)
         pen = PenaltySpec(0.01, weights=np.array([1.0, 1.0, np.inf, 1.0]))
-        res = lasso_cd(X, y, pen, warm_start=np.full(4, 0.5), tol=1e-10)
+        res = lasso_cd(X, y, gram(X), pen, warm_start=np.full(4, 0.5), tol=1e-10)
         assert res.beta[1] == 0.0  # zero column
         assert res.beta[2] == 0.0  # infinite weight
         assert res.converged
         assert kkt_check(X, y, res.beta, pen) <= 1e-10 + 1e-12
-        cold = lasso_cd(X, y, pen, tol=1e-10)
+        cold = lasso_cd(X, y, gram(X), pen, tol=1e-10)
         assert np.abs(res.beta - cold.beta).max() <= 1e-8
 
 
@@ -425,7 +436,7 @@ class TestExactStep:
 
     def test_near_unit_root_path_converges(self, step_outcomes):
         prob = experiment_problem("C", 10, 1000)  # m = 50, seed 0
-        path = lasso_path(prob.X, prob.ys[0])
+        path = lasso_path(prob.X, prob.ys[0], prob.psi)
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
             assert kkt_check(prob.X, prob.ys[0], beta, PenaltySpec(lam)) <= 1e-7
@@ -440,11 +451,11 @@ class TestExactStep:
     def test_fast_paths_keep_the_coordinate_descent_iterate(self, step_outcomes):
         prob = experiment_problem("A", 10, 500)
         X, y = prob.X, prob.ys[0]
-        path = lasso_path(X, y)
+        path = lasso_path(X, y, gram(X))
         warm = None
         for lam, beta, iterations in zip(path.lambdas[:75], path.beta, path.iterations):
             assert 0 < iterations < EXACT_EVERY
-            capped = lasso_cd(X, y, PenaltySpec(lam), max_iter=EXACT_EVERY - 1, warm_start=warm)
+            capped = lasso_cd(X, y, gram(X), PenaltySpec(lam), max_iter=EXACT_EVERY - 1, warm_start=warm)
             assert np.array_equal(beta, capped.beta)
             warm = beta
         assert np.count_nonzero(path.beta[74]) == prob.m
@@ -461,12 +472,12 @@ class TestExactStep:
         X[:, 1:] = 0.95 * X[:, :1] + np.sqrt(1 - 0.95**2) * X[:, 1:]
         y = X @ rng.standard_normal(4) + rng.standard_normal(40)
         pen = PenaltySpec(0.3 * lambda_max(X, y))
-        res = lasso_cd(X, y, pen)
+        res = lasso_cd(X, y, gram(X), pen)
         assert step_outcomes == [False]
         assert res.iterations == 8
         assert res.converged
         assert kkt_check(X, y, res.beta, pen) <= 1e-7
-        assert not lasso_cd(X, y, pen, max_iter=EXACT_EVERY + 1).converged
+        assert not lasso_cd(X, y, gram(X), pen, max_iter=EXACT_EVERY + 1).converged
 
     def test_no_solve_on_a_support_larger_than_T(self, monkeypatch):
         # C/10/40: m = 50 > T = 40, and Psi = X'X/T has rank at most T, so every
@@ -487,7 +498,7 @@ class TestExactStep:
         monkeypatch.setattr(solver, "dposv", recorded_step)
         monkeypatch.setattr(solver, "dpotrs", recorded_factor)
         prob = experiment_problem("C", 10, 40)
-        path = lasso_path(prob.X, prob.ys[0])
+        path = lasso_path(prob.X, prob.ys[0], prob.psi)
         sizes = step_sizes + factor_sizes
         assert step_sizes and factor_sizes and max(sizes) <= prob.T
         # the homotopy, from the exact step at point 4, carries its factor up to a
@@ -500,11 +511,11 @@ class TestExactStep:
         prob = experiment_problem("C", 10, 1000)
         X, y = prob.X, prob.ys[0]
         pen = PenaltySpec(0.01 * lambda_max(X, y))
-        res = lasso_cd(X, y, pen)
+        res = lasso_cd(X, y, gram(X), pen)
         assert step_outcomes[-1]
         # a fit capped at n sweeps stops at the n-th iterate; at n = iterations,
         # at the accepted candidate
-        hist = [objective(X, y, lasso_cd(X, y, pen, max_iter=n).beta, pen) for n in range(1, res.iterations + 1)]
+        hist = [objective(X, y, lasso_cd(X, y, gram(X), pen, max_iter=n).beta, pen) for n in range(1, res.iterations + 1)]
         assert np.all(np.diff(hist) <= 1e-12)
         assert hist[-1] == objective(X, y, res.beta, pen)
         assert res.max_kkt_violation <= 1e-7
@@ -545,7 +556,7 @@ class TestPathFollowing:
         else:
             prob = experiment_problem("A", 10, 500)
             X, y, w = prob.X, prob.ys[0], None
-        path = lasso_path(X, y, weights=w)
+        path = lasso_path(X, y, gram(X), weights=w)
         start = {"A/10/500": 75, "adaptive": 90}[case]
         assert path.iterations[start - 1] > 0
         expected = affine_oracle(X, y, path.beta[start - 1], path.lambdas[start:], w)
@@ -567,7 +578,7 @@ class TestPathFollowing:
             experiment, k, T = case.split("/")
             prob = experiment_problem(experiment, int(k), int(T))
             X, y, w = prob.X, prob.ys[0], None
-        path = lasso_path(X, y, weights=w)
+        path = lasso_path(X, y, gram(X), weights=w)
         # every point after the first exact one is a continuation point, exact
         # up to rounding: the factor the homotopy carries across kinks gives
         # the fresh solve on the point's own support and signs
@@ -586,7 +597,7 @@ class TestPathFollowing:
         monkeypatch.setattr(solver, "EXACT_EVERY", exact_every)
         monkeypatch.setattr(solver, "N_LAMBDA", 30)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 1e-3)
-        path = lasso_path(X, y)
+        path = lasso_path(X, y, gram(X))
         first_full = int(np.argmax(np.count_nonzero(path.beta, axis=1) == 4))
         assert first_full == 8
         assert np.array_equal(np.sign(path.beta[first_full]), np.ones(4))
@@ -615,7 +626,7 @@ class TestPathFollowing:
         # of T, where the fit interpolates, and on to the end of the grid
         prob = experiment_problem("C", 10, 40)
         for y in prob.ys[:2]:
-            path = lasso_path(prob.X, y)
+            path = lasso_path(prob.X, y, prob.psi)
             assert path.converged.all()
             assert np.count_nonzero(path.beta, axis=1).max() == prob.T
 
@@ -623,7 +634,7 @@ class TestPathFollowing:
 class TestRidge:
     def test_penalty_dominated_limit(self):
         X, y = random_instance(15, T=30, m=5)
-        B, df, _ = ridge_path(X, y, [1e8])
+        B, df, _ = ridge_path(X, y, [1e8], eig_of(X))
         assert np.linalg.norm(B[:, 0]) < 1e-6
         assert df[0] < 1e-5 * 5
 
@@ -632,7 +643,7 @@ class TestRidge:
         X = np.eye(T)
         y = np.arange(1.0, T + 1)
         grid = np.array([0.1, 2.5, 40.0])
-        B, df, _ = ridge_path(X, y, grid)
+        B, df, _ = ridge_path(X, y, grid, eig_of(X))
         for l, lam in enumerate(grid):
             assert np.abs(B[:, l] - y / (1 + lam)).max() <= 1e-12
             assert df[l] == pytest.approx(T / (1 + lam), abs=1e-10)
@@ -642,7 +653,7 @@ class TestRidge:
         X = rng.standard_normal((20, 5))
         y = rng.standard_normal(20)
         grid = np.array([0.01, 0.7, 30.0])
-        B, df, _ = ridge_path(X, y, grid)
+        B, df, _ = ridge_path(X, y, grid, eig_of(X))
         G = X.T @ X
         for l, lam in enumerate(grid):
             A = G + lam * np.eye(5)
@@ -657,7 +668,7 @@ class TestRidge:
         X = rng.standard_normal((T, m))
         y = X[:, :3] @ np.ones(3) + 0.1 * rng.standard_normal(T)
         grid = T * np.logspace(1, -6, 50)
-        B, _, rss = ridge_path(X, y, grid)
+        B, _, rss = ridge_path(X, y, grid, eig_of(X))
         R = y[:, None] - X @ B
         direct = np.einsum("ij,ij->j", R, R)
         yy = y @ y
@@ -671,7 +682,7 @@ class TestRidge:
     def test_df_approaches_rank_at_tiny_lambda(self):
         rng = rng_for(17)
         X = rng.standard_normal((40, 6))
-        _, df, _ = ridge_path(X, rng.standard_normal(40), [1e-10])
+        _, df, _ = ridge_path(X, rng.standard_normal(40), [1e-10], eig_of(X))
         assert abs(df[0] - 6) < 1e-4
 
 

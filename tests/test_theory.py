@@ -252,7 +252,7 @@ class TestThm1Checks:
             if not flags.b_t:
                 continue
             for i in range(10):
-                res = lasso_cd(problem.X, problem.ys[i], PenaltySpec(lam))
+                res = lasso_cd(problem.X, problem.ys[i], problem.psi, PenaltySpec(lam))
                 checks = theory.thm1_rhs_check(problem, i, res.beta, truth, lam)
                 for c in checks.values():
                     assert c["slack"] >= -10 * 1e-7
