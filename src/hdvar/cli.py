@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--T", type=int, required=True)
     p_mc.add_argument("--reps", type=int, default=100)
     p_mc.add_argument("--estimators", default="lasso", help="comma-separated tags")
-    p_mc.add_argument("--theory-checks", action="store_true", dest="theory_checks")
 
     p_diag = new_command("diag", help="finite-sample diagnostics on simulated replications")
     # diag runs serially; it accepts --threads because perfbench passes it to every command
@@ -113,10 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, what: str):
+    """The JSON value held in ``path``; a file that is not JSON is a configuration error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _load_config(args: argparse.Namespace, command_parser) -> dict:
     """Validate a JSON config file against the command's known flags."""
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(args.config, "config file")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     known = {
@@ -151,11 +158,14 @@ def _load_model(args, data: var.Dataset | None = None) -> tuple:
         except UnknownCombination as exc:
             raise ConfigError(str(exc)) from exc
     elif getattr(args, "model", None):
-        with open(args.model) as fh:
-            payload = json.load(fh)
-        phis = tuple(np.asarray(P, dtype=np.float64) for P in payload["phis"])
-        sigma = np.asarray(payload["sigma"], dtype=np.float64)
-        model = var.VarModel(phis=phis, sigma=sigma)
+        payload = _read_json(args.model, "model file")
+        if not (isinstance(payload, dict) and {"phis", "sigma"} <= payload.keys()):
+            raise ConfigError("model file must hold a JSON object with keys phis and sigma")
+        try:
+            phis = tuple(np.asarray(P, dtype=np.float64) for P in payload["phis"])
+            model = var.VarModel(phis=phis, sigma=np.asarray(payload["sigma"], dtype=np.float64))
+        except (TypeError, ValueError) as exc:  # not numbers, or not k x k matrices
+            raise ConfigError(f"model file {args.model}: {exc}") from exc
         truth = estimators.SparsityInfo.from_coefficients(var.coefficient_matrix(model))
     else:
         raise ConfigError("specify --experiment with --k, or --model")
@@ -216,7 +226,6 @@ def cmd_mc(args) -> int:
             n_reps=args.reps,
             base_seed=args.seed,
             estimators=tags,
-            theory_checks=args.theory_checks,
         )
     except (UnknownCombination, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -255,7 +264,7 @@ def cmd_diag(args) -> int:
             return EXIT_DIAG
         seed = None
     else:
-        if not (args.experiment and args.k and args.T):
+        if not (args.experiment and args.k) or args.T is None:
             raise ConfigError("specify --experiment, --k and --T (or --data)")
         model, truth = _load_model(args)
         seed = _DIAG_SIMULATE["seed"] if args.seed is None else args.seed
@@ -264,6 +273,8 @@ def cmd_diag(args) -> int:
             raise ConfigError("--T and --reps must be at least one")
         datasets = [var.simulate(model, args.T, seed=seed + r) for r in range(reps)]
     T, k, p = datasets[0].T, model.k, model.p
+    if T < 2:
+        raise ConfigError(f"diagnostics need at least two observations, and T = {T}")
     st = var.sigma_t(model)
     lam_t = theory.lambda_theorem1(T, k, p, st)
     gamma = var.population_gamma(model)

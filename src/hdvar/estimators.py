@@ -88,9 +88,7 @@ class EquationFit:
     active_set: np.ndarray
     lambda_selected: float
     estimator_tag: str
-    bic_value: float
     df: float
-    rss: float
     converged: bool = True
     feasible: bool = True
     failure: str | None = None
@@ -104,9 +102,7 @@ class EquationFit:
             active_set=np.array([], dtype=np.intp),
             lambda_selected=np.nan,
             estimator_tag=tag,
-            bic_value=np.nan,
             df=np.nan,
-            rss=np.nan,
             converged=False,
             feasible=False,
             failure=reason,
@@ -136,22 +132,15 @@ def bic(rss, df, T: int):
 
 
 def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -> EquationFit:
-    m = problem.m
-    T = problem.T
-    beta = np.zeros(m)
+    beta = np.zeros(problem.m)
     if len(idx):
-        coef = least_squares(problem.X[:, idx], problem.ys[i])
-        beta[idx] = coef
-    r = problem.ys[i] - problem.X @ beta
-    rss = float(r @ r)
+        beta[idx] = least_squares(problem.X[:, idx], problem.ys[i])
     return EquationFit(
         beta=beta,
         active_set=np.flatnonzero(beta),
         lambda_selected=0.0,
         estimator_tag=tag,
-        bic_value=bic(rss, float(len(idx)), T),
         df=float(len(idx)),
-        rss=rss,
     )
 
 
@@ -162,8 +151,7 @@ def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=
     and BIC scores the whole path at once from the RSS the path carries; its
     df is the active-set size and ties resolve to the larger lambda.  A fixed
     ``lam`` is a one-point grid, solved as given from a cold start.  Both run
-    on the dataset's Psi.  The selected fit's RSS and BIC come from its
-    residual.
+    on the dataset's Psi.
     """
     X, y, T = problem.X, problem.ys[i], problem.T
     at_grid_end = False
@@ -178,17 +166,12 @@ def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=
     else:
         res = lasso_cd(X, y, problem.psi, PenaltySpec(lam=lam, weights=weights))
         beta, lam_selected, converged = res.beta, float(lam), res.converged
-    r = y - X @ beta
-    rss = float(r @ r)
-    df = np.count_nonzero(beta)
     return EquationFit(
         beta=beta,
         active_set=np.flatnonzero(beta),
         lambda_selected=lam_selected,
         estimator_tag=tag,
-        bic_value=bic(rss, df, T),
-        df=float(df),
-        rss=rss,
+        df=float(np.count_nonzero(beta)),
         converged=converged,
         bic_at_grid_end=at_grid_end,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimators, theory, var
+from . import estimators, var
 from .errors import UnknownCombination
 from .solver import LAMBDA_RATIO, N_LAMBDA
 
@@ -100,7 +100,6 @@ class ExperimentSpec:
     n_reps: int = 100
     base_seed: int = 0
     estimators: tuple = ("lasso",)
-    theory_checks: bool = False
 
     def __post_init__(self):
         exp = self.experiment.upper()
@@ -141,7 +140,6 @@ class McReport:
     spec: ExperimentSpec
     rows: dict
     seeds: tuple
-    event_frequencies: dict | None = None
     # per estimator: "fits" (equation fits attempted), and over the feasible ones
     # "nonconverged", "bic_at_grid_end" and "mean_df_over_T" (None if none)
     solver: dict = field(default_factory=dict)
@@ -186,21 +184,13 @@ def selection_metrics(fits, truth):
     )
 
 
-def _run_replication(spec: ExperimentSpec, model, truth, r: int, lambda_t, gamma, kappa_sbar_sq):
-    seed = spec.base_seed + r
-    full = var.simulate(model, spec.T + 1, seed=seed)
+def _run_replication(spec: ExperimentSpec, model, truth, r: int):
+    full = var.simulate(model, spec.T + 1, seed=spec.base_seed + r)
     data = var.truncate_dataset(full, spec.T)
     realized = full.path[spec.T]
-    problem = var.stack(data)
-    fits = estimators.fit_menu(problem, spec.estimators, truth=truth)
+    fits = estimators.fit_menu(data, spec.estimators, truth=truth)
     forecasts = {tag: var.forecast_one_step(fit.coefficients, data) for tag, fit in fits.items()}
-    out = {"rep": r, "seed": seed, "realized": realized, "fits": fits, "forecasts": forecasts}
-    if spec.theory_checks:
-        params = theory.TheoryParams()
-        out["events"] = theory.event_flags(
-            data, model, truth, params, lambda_t=lambda_t, kappa_sbar_sq=kappa_sbar_sq, problem=problem, gamma=gamma
-        )
-    return out
+    return {"rep": r, "realized": realized, "fits": fits, "forecasts": forecasts}
 
 
 @contextlib.contextmanager
@@ -237,23 +227,18 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
     """
     start = time.perf_counter()
     model, truth = make_dgp(spec.experiment, spec.k)
-    lambda_t = gamma = kappa_sbar_sq = None
-    if spec.theory_checks:
-        lambda_t = theory.lambda_theorem1(spec.T, model.k, model.p, var.sigma_t(model))
-        gamma = var.population_gamma(model)
-        kappa_sbar_sq = theory.restricted_eigenvalue(gamma, max(int(truth.s_bar), 1))
     reps = range(spec.n_reps)
     if threads > 1:
         with _worker_pool(threads) as pool:
             results = list(
                 pool.map(
                     _run_replication,
-                    *zip(*[(spec, model, truth, r, lambda_t, gamma, kappa_sbar_sq) for r in reps]),
+                    *zip(*[(spec, model, truth, r) for r in reps]),
                     chunksize=max(1, spec.n_reps // (4 * threads)),
                 )
             )
     else:
-        results = [_run_replication(spec, model, truth, r, lambda_t, gamma, kappa_sbar_sq) for r in reps]
+        results = [_run_replication(spec, model, truth, r) for r in reps]
     results.sort(key=lambda d: d["rep"])
 
     rows = {}
@@ -288,25 +273,10 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
             infeasible=False,
             n_failed=0,
         )
-    events = None
-    if spec.theory_checks:
-        flags = [res["events"] for res in results]
-        events = {
-            "b_t": float(np.mean([f.b_t for f in flags])),
-            "c_t": float(np.mean([f.c_t for f in flags])),
-            "d_t": float(np.mean([f.d_t for f in flags])),
-            "max_cross_mean": float(np.mean([f.max_cross for f in flags])),
-            "max_cov_dev_mean": float(np.mean([f.max_cov_dev for f in flags])),
-            "max_yy_mean": float(np.mean([f.max_yy for f in flags])),
-            "lambda_t": flags[0].lambda_t,
-            "k_t": flags[0].k_t,
-            "c_t_threshold": flags[0].c_t_threshold,
-        }
     return McReport(
         spec=spec,
         rows=rows,
         seeds=tuple(spec.base_seed + r for r in reps),
-        event_frequencies=events,
         solver=solver,
         runtime_seconds=time.perf_counter() - start,
     )
@@ -351,7 +321,6 @@ def report_to_json(report: McReport, path: str) -> None:
             tag: {name: _nan_to_none(getattr(report.rows[tag], name)) for name in COLUMNS[1:]}
             for tag in spec.estimators
         },
-        "event_frequencies": report.event_frequencies,
         "solver": report.solver,
     }
     with open(path, "w") as fh:

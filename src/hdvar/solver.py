@@ -43,14 +43,14 @@ Between kinks the solution is affine in lambda: beta_A(lam) = u - lam v with
 Psi_AA [u v] = [c_A, w_A s].  The next kink is the largest lam at which an
 idle coordinate reaches |g_j| = lam w_j and enters, or an active one crosses
 zero and leaves.  The lower Cholesky factor of Psi_AA is carried across
-kinks: an entry borders it with one row, in O(|A|^2), a drop refactors
-Psi_AA, and each kink solves for [u v] with the factor.  One KKT check covers
-every point computed this way, and the prefix within ``tol`` is taken, with
-0 iterations; coordinate descent goes on from the last point taken, at the
-first point above ``tol``, at a support larger than T, or where Psi_AA is
-not positive definite.  The points before the first exact one are the
-coordinate-descent iterates.  Every point's KKT residual is within ``tol``,
-or it reports converged=False.
+kinks: an entry borders it with one row and a drop deletes one row by
+Givens rotations, each in O(|A|^2), and each kink solves for [u v] with
+the factor.  One KKT check covers every point computed this way, and the
+prefix within ``tol`` is taken, with 0 iterations; coordinate descent goes
+on from the last point taken, at the first point above ``tol``, at a
+support larger than T, or where Psi_AA is not positive definite.  The
+points before the first exact one are the coordinate-descent iterates.
+Every point's KKT residual is within ``tol``, or it reports converged=False.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr_delete
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
@@ -252,10 +253,11 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
     A lower Cholesky factor L of Psi_AA, with A in order of entry, and the
     columns Psi[:, A] are kept across kinks: an entering j borders L with the
     row (q', d), where L q = Psi_Aj and d^2 = Psi_jj - q'q, and a leaving one
-    refactors Psi_AA.  The path stops at a support larger than
-    ``max_support``, a Psi_AA that is not positive definite (d^2 <= 0 or a
-    failed refactorisation), or a kink that would not move lam.  The rows are
-    not checked here.
+    deletes its row of L: Givens rotations take L' without that column to
+    Q R, and R' is the new factor.  The path stops at a support larger than
+    ``max_support``, a Psi_AA that is not positive definite (d^2 <= 0, or a
+    zero or non-finite diagonal entry after a drop), or a kink that would
+    not move lam.  The rows are not checked here.
     """
     s = np.sign(beta)
     excess = np.where(free & (s == 0.0), np.abs(g) - lam * w, 0.0)
@@ -320,7 +322,11 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
                 k -= 1
                 for kept in (order, cols.T, rhs):
                     kept[i:k] = kept[i + 1 : k + 1]
-                L, info = dpotrf(cols[order[:k], :k], lower=1)
+                # Psi_AA = L L' loses row i of L: L' without column i is Q R by Givens
+                # rotations, so the new Psi_AA is R'R with R upper triangular
+                L = qr_delete(np.eye(k + 1), L.T, i, which="col", check_finite=False)[1][:k].T
+                diag = L.diagonal()
+                info = not (np.isfinite(diag).all() and diag.all())
                 continue
             if k == max_support:
                 break

@@ -79,6 +79,32 @@ class TestSimulate:
         assert not out.exists()
 
 
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("config", '{"reps": ', "is not valid JSON"),
+            ("model", '{"phis": [[[0.5]]], "sigma": ', "is not valid JSON"),
+            ("model", "[[[0.5]]]", "must hold a JSON object with keys phis and sigma"),
+            ("model", json.dumps({"sigma": [[1.0]]}), "must hold a JSON object with keys phis and sigma"),
+            ("model", json.dumps({"phis": [[[0.5, 0.1]]], "sigma": [[1.0]]}), "each Phi_l must be k x k"),
+            ("model", json.dumps({"phis": [[[0.5, 0.0], [0.0, 0.5]]], "sigma": [[1.0, 0.5], [0.1, 1.0]]}), "symmetric"),
+            ("model", json.dumps({"phis": [], "sigma": [[1.0]]}), "at least one lag matrix required"),
+        ],
+    )
+    def test_is_config_error_and_writes_nothing(self, tmp_path, command, text, message, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        if command == "config":
+            argv = ["mc", "--config", str(bad), "--experiment", "A", "--k", "10", "--T", "20", "--reps", "1"]
+        else:
+            argv = ["simulate", "--model", str(bad), "--T", "20"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFit:
     @pytest.fixture()
     def dataset_dir(self, tmp_path):
@@ -538,11 +564,25 @@ class TestDiag:
         )
         assert code == 5
 
-    @pytest.mark.parametrize("T, reps", [("50", "0"), ("50", "-1"), ("-5", "2")])
-    def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps):
+    @pytest.mark.parametrize("T, reps", [("50", "0"), ("50", "-1"), ("-5", "2"), ("0", "2")])
+    def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps, capsys):
         out = tmp_path / "out"
         argv = ["diag", "--experiment", "A", "--k", "10", "--T", T, "--reps", reps, "--skip-foc"]
         assert run(argv + ["--out", str(out)]) == 2
+        assert "--T and --reps must be at least one" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["simulate", "data"])
+    def test_a_single_observation_is_config_error(self, tmp_path, mode, capsys):
+        out = tmp_path / "out"
+        argv = ["diag", "--experiment", "A", "--k", "10", "--skip-foc", "--out", str(out)]
+        if mode == "simulate":
+            argv += ["--T", "1", "--reps", "1"]
+        else:
+            assert run(["simulate", "--experiment", "A", "--k", "10", "--T", "1", "--out", str(tmp_path)]) == 0
+            argv += ["--data", str(tmp_path)]
+        assert run(argv) == 2
+        assert "diagnostics need at least two observations, and T = 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment, k", [("A", "20"), ("B", "10")])

@@ -67,9 +67,7 @@ class TestMetrics:
                 active_set=np.flatnonzero(row),
                 lambda_selected=0.0,
                 estimator_tag="lasso",
-                bic_value=0.0,
                 df=float(np.count_nonzero(row)),
-                rss=1.0,
             )
             for row in coef
         )
@@ -163,12 +161,6 @@ class TestRunExperiment:
         assert row.infeasible
         assert np.isnan(row.rmse)
 
-    def test_theory_checks_included(self):
-        spec = mc.ExperimentSpec("A", 10, 100, n_reps=3, estimators=("lasso",), theory_checks=True)
-        report = mc.run_experiment(spec)
-        assert report.event_frequencies is not None
-        assert 0.0 <= report.event_frequencies["b_t"] <= 1.0
-
     def test_csv_and_json_outputs(self, tmp_path):
         spec = mc.ExperimentSpec("A", 10, 100, n_reps=2, estimators=("lasso", "full_ols"))
         report = mc.run_experiment(spec)
@@ -181,6 +173,9 @@ class TestRunExperiment:
         assert "lasso" in text and "full_ols" in text
 
         payload = json.loads(json_path.read_text())
+        assert sorted(payload) == [
+            "T", "base_seed", "estimators", "experiment", "k", "lambda_ratio", "n_lambda", "n_reps", "seeds", "solver"
+        ]
         assert payload["estimators"]["lasso"]["rmse"] > 0
 
     def test_nonconverged_selected_fits_counted(self, monkeypatch, tmp_path, capsys):

@@ -612,7 +612,7 @@ class TestPathFollowing:
         assert b0[5] == 0.0 and all(b > 0.0 for b in b0[6:9])
         assert all(b == 0.0 for b in b0[9:19]) and all(b < 0.0 for b in b0[19:])
         # each continuation point is the sign-fixed minimiser of its segment, also
-        # after the factor was refactored at the drop and bordered at the re-entry
+        # after the drop deleted a row of the factor and the re-entry bordered it
         for lam, beta in zip(path.lambdas[start + 1 :], path.beta[start + 1 :]):
             fresh = affine_oracle(X, y, beta, [lam])[0]
             np.testing.assert_allclose(beta, fresh, rtol=1e-9, atol=1e-13)
@@ -620,6 +620,30 @@ class TestPathFollowing:
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
             assert kkt_check(X, y, beta, PenaltySpec(lam)) <= 1e-7
+
+    @pytest.mark.parametrize("case", ["C/50/500", "A/100/100"])
+    def test_drops_from_large_supports_keep_the_rows_exact(self, monkeypatch, case):
+        # a drop deletes the leaving coordinate's row of the carried Cholesky factor
+        # by Givens rotations; the rows after drops from supports of more than 50
+        # are the fresh solves on their own supports and signs
+        drops = []
+        delete = solver.qr_delete
+
+        def recording(Q, R, i, **kw):
+            drops.append(R.shape[0])
+            return delete(Q, R, i, **kw)
+
+        monkeypatch.setattr(solver, "qr_delete", recording)
+        experiment, k, T = case.split("/")
+        prob = experiment_problem(experiment, int(k), int(T))
+        X, y = prob.X, prob.ys[0]
+        path = lasso_path(X, y, prob.psi)
+        assert sum(size > 50 for size in drops) > 10
+        start = int(np.argmax(path.iterations == 0))
+        assert np.all(path.iterations[start:] == 0) and path.converged[start:].all()
+        for lam, beta in zip(path.lambdas[start:], path.beta[start:]):
+            fresh = affine_oracle(X, y, beta, [lam])[0]
+            assert np.abs(beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
     def test_more_regressors_than_observations_converges(self):
         # C/10/40, m = 50 > T = 40: the homotopy follows each path to a support
