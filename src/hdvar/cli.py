@@ -152,7 +152,7 @@ def _estimator_list(raw: str) -> tuple:
 def _load_model(args, data: var.Dataset | None = None) -> tuple:
     """Model plus truth from --experiment/--k or an inline model JSON; the model
     must have the shape of ``data`` when that is given."""
-    if args.experiment and args.k:
+    if args.experiment and args.k is not None:
         try:
             model, truth = mc.make_dgp(args.experiment, args.k)
         except UnknownCombination as exc:
@@ -195,7 +195,7 @@ def cmd_fit(args) -> int:
     data = var.load_dataset(args.data, name=args.name)
     truth = None
     if any(t == "oracle_ols" for t in tags):
-        if not (args.experiment and args.k):
+        if not (args.experiment and args.k is not None):
             raise ConfigError("oracle_ols needs --experiment and --k to reconstruct the truth")
         _, truth = _load_model(args, data)
     if args.lam is not None:
@@ -252,7 +252,7 @@ def cmd_diag(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.data:
-        if not (args.experiment and args.k):
+        if not (args.experiment and args.k is not None):
             raise ConfigError("--data mode needs --experiment and --k for the generating model")
         simulate_only = [f"--{name}" for name in ("seed", "T", "reps") if getattr(args, name) is not None]
         if simulate_only:
@@ -264,7 +264,7 @@ def cmd_diag(args) -> int:
             return EXIT_DIAG
         seed = None
     else:
-        if not (args.experiment and args.k) or args.T is None:
+        if not (args.experiment and args.k is not None) or args.T is None:
             raise ConfigError("specify --experiment, --k and --T (or --data)")
         model, truth = _load_model(args)
         seed = _DIAG_SIMULATE["seed"] if args.seed is None else args.seed

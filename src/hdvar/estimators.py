@@ -23,9 +23,7 @@ import numpy as np
 from . import var
 from .errors import SingularDesign
 from .linalg import least_squares
-from .solver import (
-    LAMBDA_RATIO, N_LAMBDA, PenaltySpec, adaptive_weights, lambda_max, lasso_cd, lasso_path, ridge_path
-)
+from .solver import LAMBDA_RATIO, N_LAMBDA, adaptive_weights, lambda_max, lasso_path, ridge_path
 
 __all__ = [
     "ESTIMATOR_TAGS",
@@ -145,27 +143,24 @@ def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -
 
 
 def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=None) -> EquationFit:
-    """The penalized stage every L1 estimator ends in: weighted LASSO fits, then BIC.
+    """The penalized stage every L1 estimator ends in: a weighted ``lasso_path``
+    on the dataset's Psi, then BIC.
 
-    Without ``lam`` the candidates are the warm-started ``lasso_path`` grid,
-    and BIC scores the whole path at once from the RSS the path carries; its
-    df is the active-set size and ties resolve to the larger lambda.  A fixed
-    ``lam`` is a one-point grid, solved as given from a cold start.  Both run
-    on the dataset's Psi.
+    Without ``lam`` the candidates are the path's grid, and BIC scores the
+    whole path at once from the RSS the path carries; its df is the
+    active-set size and ties resolve to the larger lambda.  A fixed ``lam`` is
+    the one-point path [lam], whose only row BIC takes.
     """
     X, y, T = problem.X, problem.ys[i], problem.T
     at_grid_end = False
-    if weights is not None and not np.isfinite(weights).any():
-        # empty first stage: every coordinate is excluded, nothing to refit
-        beta, lam_selected, converged = np.zeros(problem.m), 0.0 if lam is None else float(lam), True
-    elif lam is None:
-        path = lasso_path(X, y, problem.psi, weights=weights)
+    if lam is None and weights is not None and not np.isfinite(weights).any():
+        # empty first stage: every coordinate is excluded, so there is no grid
+        beta, lam_selected, converged = np.zeros(problem.m), 0.0, True
+    else:
+        path = lasso_path(X, y, problem.psi, weights=weights, lam=lam)
         best = int(np.argmin(bic(path.rss, np.count_nonzero(path.beta, axis=1), T)))  # first minimum = largest lambda
         beta, lam_selected, converged = path.beta[best].copy(), float(path.lambdas[best]), bool(path.converged[best])
         at_grid_end = len(path.lambdas) > 1 and best == len(path.lambdas) - 1
-    else:
-        res = lasso_cd(X, y, problem.psi, PenaltySpec(lam=lam, weights=weights))
-        beta, lam_selected, converged = res.beta, float(lam), res.converged
     return EquationFit(
         beta=beta,
         active_set=np.flatnonzero(beta),

@@ -26,10 +26,11 @@ zero, and builds the sweep state and the thresholds lam*w of every penalty
 once; then it runs one coordinate-descent kernel per penalty of a lambda
 sequence, carrying beta and the exact gradient g = c - Psi beta from one
 point to the next, and fills one row per point of a ``LassoPath``.
-``lasso_path`` runs it on a log-spaced grid of N_LAMBDA points from
-lambda_max down to LAMBDA_RATIO times lambda_max, and ``lasso_cd`` on the
-one-point grid [lam].  Both take Psi = X'X/T from the caller, who forms it
-once per design; responses that share a design share its Psi.
+``lasso_path``, the one L1 entry point, runs it on a log-spaced grid of
+N_LAMBDA points from lambda_max down to LAMBDA_RATIO times lambda_max, or,
+given a fixed penalty, on the one-point grid [lam] from zero.  It takes
+Psi = X'X/T from the caller, who forms it once per design; responses that
+share a design share its Psi.
 
 Each point's RSS ||y - X beta||^2 comes from its exact gradient, with no
 residual vector: RSS = T (y'y/T - beta'(c + g)).  Where that falls below
@@ -76,12 +77,7 @@ LAMBDA_RATIO = 1e-4
 RSS_EXACT_BELOW = 1e-3
 
 __all__ = [
-    "PenaltySpec",
-    "SolverResult",
     "LassoPath",
-    "objective",
-    "lasso_cd",
-    "kkt_check",
     "lambda_max",
     "adaptive_weights",
     "lasso_path",
@@ -96,37 +92,6 @@ def _thresholds(grid, weights: np.ndarray | None, m: int) -> np.ndarray:
         return np.repeat(lams, m, axis=1)
     with np.errstate(invalid="ignore"):  # 0 * inf, replaced by inf
         return np.where(np.isinf(weights), np.inf, lams * weights)
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Penalty level and per-coordinate weights; an infinite weight excludes the coordinate."""
-
-    lam: float
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if np.any(w < 0) or np.any(np.isnan(w)):
-                raise ValueError("weights must be nonnegative")
-            object.__setattr__(self, "weights", w)
-
-    def lam_w(self, m: int) -> np.ndarray:
-        """Per-coordinate thresholds lam*w_j with 0*inf resolved to exclusion."""
-        if self.weights is not None and len(self.weights) != m:
-            raise ValueError("weight length does not match design")
-        return _thresholds([self.lam], self.weights, m)[0]
-
-
-@dataclass
-class SolverResult:
-    beta: np.ndarray
-    iterations: int
-    max_kkt_violation: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -162,21 +127,6 @@ def _exact_small_rss(X, y, B, rss, yy: float) -> np.ndarray:
         r = y - X @ B[l]
         rss[l] = r @ r
     return rss
-
-
-def objective(X, y, beta, pen: PenaltySpec) -> float:
-    """Value of (1/T)||y - X beta||^2 + 2*lam*sum w_j |beta_j|."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    T = X.shape[0]
-    r = y - X @ beta
-    lam_w = pen.lam_w(X.shape[1])
-    # lam_w_j |beta_j| on the nonzero coordinates only, so an infinite lam_w_j never meets a 0
-    pterm = np.multiply(lam_w, np.abs(beta), out=np.zeros_like(beta), where=beta != 0.0)
-    if np.any(np.isnan(pterm)):
-        return np.inf
-    return float(r @ r / T + 2.0 * pterm.sum())
 
 
 def _kkt_residual(g: np.ndarray, beta: np.ndarray, lam_w: np.ndarray):
@@ -384,19 +334,19 @@ def _descend(psi, c, rows, diag, free, max_support, lam_w, beta, g, tol, max_ite
     return beta, g, sweeps, viol, False
 
 
-def _fit_grid(psi, c, yy: float, T: int, weights, grid, start, tol, max_iter) -> LassoPath:
+def _fit_grid(psi, c, yy: float, T: int, weights, grid, tol, max_iter) -> LassoPath:
     """The weighted L1 fits at each penalty of ``grid``, in order, from Psi = X'X/T,
     c = X'y/T, y'y and the number of observations T.
 
     The one setup of every L1 fit: the weights are checked, zero columns and
     infinitely weighted coordinates pinned to zero, and the sweep state and
     the thresholds of every penalty built once.  The first fit starts from
-    ``start`` (zero if None) and each later one by coordinate descent from
-    the fit before it, with its exact gradient, until a fit is exact: ended
-    on an exact step, or converged with every free coordinate nonzero.  From
-    there ``_homotopy`` computes the following fits, and those up to the
-    first with a KKT residual above ``tol`` are taken; coordinate descent
-    resumes after them (see the module docstring).  A swept fit converged if
+    zero and each later one by coordinate descent from the fit before it,
+    with its exact gradient, until a fit is exact: ended on an exact step, or
+    converged with every free coordinate nonzero.  From there ``_homotopy``
+    computes the following fits, and those up to the first with a KKT
+    residual above ``tol`` are taken; coordinate descent resumes after them
+    (see the module docstring).  A swept fit converged if
     its KKT residual is at most ``tol`` within ``max_iter`` full sweeps.
     Each fit's row of the result is filled as it is taken, its RSS from the
     exact gradient the solver holds for it.
@@ -404,20 +354,16 @@ def _fit_grid(psi, c, yy: float, T: int, weights, grid, start, tol, max_iter) ->
     m = len(c)
     if weights is not None and len(weights) != m:
         raise ValueError("weight length does not match design")
-    beta = np.zeros(m) if start is None else np.array(start, dtype=np.float64, copy=True)
-    if beta.shape != (m,):
-        raise ValueError("warm start has wrong length")
     pinned = psi.diagonal() == 0.0
     if weights is not None:
         pinned |= np.isinf(weights)
-    beta[pinned] = 0.0
     n_free = m - int(pinned.sum())
     # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales;
     # no exact step is solved on a support of more than T coordinates
     state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist(), T)
     # the homotopy's weights, finite everywhere; pinned coordinates never enter
     w = np.ones(m) if weights is None else np.where(pinned, 1.0, weights)
-    g = c - psi @ beta
+    beta, g = np.zeros(m), c.copy()
     grid = np.asarray(grid, dtype=np.float64)
     n = len(grid)
     lam_ws = _thresholds(grid, weights, m)
@@ -443,37 +389,6 @@ def _fit_grid(psi, c, yy: float, T: int, weights, grid, start, tol, max_iter) ->
     # RSS/T = y'y/T - 2 beta'c + beta'Psi beta = y'y/T - beta'(c + g)
     rss = yy - T * np.einsum("ij,ij->i", B, G + c)
     return LassoPath(lambdas=grid, beta=B, iterations=sweeps, max_kkt_violation=viols, converged=viols <= tol, rss=rss)
-
-
-def lasso_cd(X, y, psi, pen: PenaltySpec, tol=1e-7, max_iter=1000, warm_start=None) -> SolverResult:
-    """Minimize the weighted L1 objective by cyclic coordinate descent at one penalty.
-
-    With the gradient g = c - Psi beta kept up to date, the coordinate update
-    is beta_j <- S(g_j + Psi_jj beta_j, lam*w_j) / Psi_jj; zero columns and
-    infinitely weighted coordinates are pinned to zero.  This is the solver
-    setup of ``lasso_path`` on the one-point grid [pen.lam], started from
-    ``warm_start`` (zero if None); converged means the KKT residual of the
-    returned beta is at most ``tol`` within ``max_iter`` full sweeps.
-    ``psi`` is the design's Gram matrix X'X/T.
-    """
-    X, y, c, yy = _moments(X, y, psi)
-    fit = _fit_grid(psi, c, yy, X.shape[0], pen.weights, [pen.lam], warm_start, tol, max_iter)
-    return SolverResult(
-        beta=fit.beta[0],
-        iterations=int(fit.iterations[0]),
-        max_kkt_violation=float(fit.max_kkt_violation[0]),
-        converged=bool(fit.converged[0]),
-    )
-
-
-def kkt_check(X, y, beta, pen: PenaltySpec) -> float:
-    """Largest stationarity violation of the weighted L1 objective at ``beta``."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    T, m = X.shape
-    g = X.T @ (y - X @ beta) / T
-    return _kkt_residual(g, beta, pen.lam_w(m))
 
 
 def lambda_max(X, y, weights: np.ndarray | None = None) -> float:
@@ -505,25 +420,33 @@ def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
         return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
 
 
-def lasso_path(X, y, psi, weights: np.ndarray | None = None, tol=1e-7, max_iter=1000) -> LassoPath:
-    """Warm-started fits on N_LAMBDA log-spaced points from lambda_max down to
-    LAMBDA_RATIO * lambda_max (both read at call time), by decreasing lambda.
+def lasso_path(X, y, psi, weights: np.ndarray | None = None, lam=None, tol=1e-7, max_iter=1000) -> LassoPath:
+    """Weighted L1 fits of min (1/T)||y - X b||^2 + 2*lam*sum_j w_j |b_j|, one row
+    per penalty, by decreasing lambda.
 
-    The grid runs through the one solver setup (see ``_fit_grid``), each point
-    started from the previous point's beta and its exact gradient.  ``psi`` is
-    the design's Gram matrix X'X/T.  Each point's RSS comes from its gradient,
-    or from its residual where it is below RSS_EXACT_BELOW times y'y.
+    Without ``lam`` the penalties are N_LAMBDA log-spaced points from lambda_max
+    down to LAMBDA_RATIO * lambda_max (both read at call time); a fixed ``lam``
+    is the one-point path [lam].  The grid runs through the one solver setup
+    (see ``_fit_grid``): the first point starts from zero and each later one
+    from the previous point's beta and its exact gradient.  A weight of inf
+    excludes its coordinate.  ``psi`` is the design's Gram matrix X'X/T.  Each
+    point's RSS comes from its gradient, or from its residual where it is
+    below RSS_EXACT_BELOW times y'y.
     """
     X, y, c, yy = _moments(np.asfortranarray(X, dtype=np.float64), y, psi)
-    w = PenaltySpec(0.0, weights).weights  # nonnegative and not NaN
-    lmax = _lambda_max(c, w)
-    if lmax == 0.0:
-        grid = np.zeros(N_LAMBDA)
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if w is not None and not (w >= 0.0).all():
+        raise ValueError("weights must be nonnegative")
+    if lam is not None:
+        if not 0.0 <= lam < np.inf:
+            raise ValueError("lambda must be finite and nonnegative")
+        grid = [lam]
     else:
         # the 1e-10 margin keeps the top-of-path solution exactly zero even when
-        # the solver's gradient differs from lambda_max's by rounding
-        grid = lmax * (1.0 + 1e-10) * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
-    path = _fit_grid(psi, c, yy, X.shape[0], w, grid, None, tol, max_iter)
+        # the solver's gradient differs from lambda_max's by rounding; a zero
+        # lambda_max gives a grid of zeros
+        grid = _lambda_max(c, w) * (1.0 + 1e-10) * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
+    path = _fit_grid(psi, c, yy, X.shape[0], w, grid, tol, max_iter)
     _exact_small_rss(X, y, path.beta, path.rss, yy)
     return path
 

@@ -23,7 +23,7 @@ from .errors import (
     MissingInnovations, NonConvergence, NotPositiveDefinite, NotStationary, SingularSubGram, ZeroKappa,
 )
 from .linalg import cholesky_solve, operator_norm_2
-from .solver import PenaltySpec, adaptive_weights, lasso_cd
+from .solver import adaptive_weights
 
 __all__ = [
     "TheoryParams",
@@ -483,12 +483,3 @@ def sign_recovery_conditions(
     report["adalasso2"] = {"lhs": float(lhs_a2), "rhs": beta_min_i, "ok": bool(lhs_a2 <= beta_min_i)}
     report["phi_min_gamma_jj"] = phi_min
     return report
-
-
-def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth, tol=1e-9):
-    """Solve the stage-two weighted problem and compare its sign pattern to truth."""
-    stage1 = np.asarray(stage1_beta, dtype=np.float64)
-    w = adaptive_weights(stage1)
-    pen = PenaltySpec(lam=lambda_t, weights=w)
-    res = lasso_cd(problem.X, problem.ys[i], problem.psi, pen, tol=tol, max_iter=5000)
-    return bool(np.all(np.sign(res.beta) == np.sign(truth.beta[i]))), res

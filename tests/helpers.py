@@ -1,17 +1,28 @@
-"""Independent oracles shared by the unit and acceptance tests.
+"""Independent oracles and references shared by the unit and acceptance tests.
 
-These deliberately avoid the library's own optimization routines: the
+The oracles deliberately avoid the library's own optimization routines: the
 restricted-eigenvalue oracle decomposes the cone program into an exhaustive
 angle grid over the on-support block and an exact convex inner minimization
 (FISTA with l1-ball projection), which is a different route than the
 estimator's joint projected-gradient search.  The simulation reference runs
 the VAR recursion with one product per lag, where ``var.simulate`` takes one
 product with the stacked lag matrices.
+
+The L1 references serve the solver and theory tests.  ``objective`` and
+``kkt_check`` evaluate the weighted L1 objective and its stationarity
+residual from the residual y - X beta, not from the Gram matrix the solver
+sweeps on; ``realized_sign_recovery`` runs the stage-two fit whose signs the
+theory's first-order conditions predict.  ``descend`` runs the solver's
+coordinate-descent kernel at one penalty from a given start, the fit a path
+point gets from the point before it, so tests can rebuild a path's swept
+points one by one.
 """
 
 import itertools
 
 import numpy as np
+
+from hdvar import solver
 
 
 def project_l1_ball_rows(U, radius=1.0):
@@ -132,3 +143,57 @@ def simulate_per_lag(model, T, seed=0):
             acc += P @ states[p + t - 1 - l]
         states[p + t] = acc
     return states[-(p + T) :]
+
+
+def penalty_thresholds(lam, weights, m):
+    """lam * w_j for each of the m coordinates, inf where w_j is inf (also at lam = 0)."""
+    return solver._thresholds([lam], None if weights is None else np.asarray(weights, dtype=np.float64), m)[0]
+
+
+def objective(X, y, beta, lam, weights=None):
+    """Value of (1/T)||y - X beta||^2 + 2*lam*sum w_j |beta_j|."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    r = y - X @ beta
+    lam_w = penalty_thresholds(lam, weights, X.shape[1])
+    # lam_w_j |beta_j| on the nonzero coordinates only, so an infinite lam_w_j never meets a 0
+    pterm = np.multiply(lam_w, np.abs(beta), out=np.zeros_like(beta), where=beta != 0.0)
+    if np.any(np.isnan(pterm)):
+        return np.inf
+    return float(r @ r / X.shape[0] + 2.0 * pterm.sum())
+
+
+def kkt_check(X, y, beta, lam, weights=None):
+    """Largest stationarity violation of the weighted L1 objective at ``beta``,
+    from the gradient X'(y - X beta)/T; inf where an infinitely weighted beta_j is nonzero."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    g = X.T @ (y - X @ beta) / X.shape[0]
+    return solver._kkt_residual(g, beta, penalty_thresholds(lam, weights, X.shape[1]))
+
+
+def descend(X, y, psi, lam, start=None, weights=None, tol=1e-7, max_iter=1000):
+    """(beta, sweeps, KKT residual) of the solver's coordinate-descent kernel
+    ``solver._descend`` at the one penalty ``lam``, from ``start`` (zero if
+    None) and its exact gradient g = c - Psi start, with the moments
+    ``lasso_path`` forms and the same coordinates pinned at zero."""
+    X, y, c, _ = solver._moments(np.asfortranarray(X, dtype=np.float64), y, psi)
+    T, m = X.shape
+    pinned = psi.diagonal() == 0.0
+    if weights is not None:
+        pinned |= np.isinf(weights)
+    beta = np.zeros(m) if start is None else np.where(pinned, 0.0, start)
+    state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist(), T)
+    lam_w = penalty_thresholds(lam, weights, m)
+    beta, _, sweeps, viol, _ = solver._descend(psi, c, *state, lam_w, beta, c - psi @ beta, tol, max_iter)
+    return beta, sweeps, viol
+
+
+def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth, tol=1e-9):
+    """Whether the stage-two LASSO of equation i at ``lambda_t``, weighted by
+    1/|stage1_beta|, has the sign pattern of the true coefficients."""
+    w = solver.adaptive_weights(np.asarray(stage1_beta, dtype=np.float64))
+    path = solver.lasso_path(problem.X, problem.ys[i], problem.psi, weights=w, lam=lambda_t, tol=tol, max_iter=5000)
+    return bool(np.all(np.sign(path.beta[0]) == np.sign(truth.beta[i])))

@@ -14,8 +14,8 @@ import pytest
 
 from hdvar import cli, estimators, mc, theory, var
 from hdvar.linalg import least_squares, lyapunov_doubling
-from hdvar.solver import PenaltySpec, kkt_check, lambda_max, lasso_cd, objective
-from helpers import gram, random_spd, restricted_eigenvalue_bruteforce
+from hdvar.solver import lambda_max, lasso_path
+from helpers import gram, kkt_check, objective, random_spd, realized_sign_recovery, restricted_eigenvalue_bruteforce
 from test_solver import grid_search_2d
 
 KKT_TOL = 1e-7
@@ -159,8 +159,8 @@ def test_criterion_06_theorem1_deterministic_suite():
             continue
         n_bt += 1
         for i in range(10):
-            res = lasso_cd(problem.X, problem.ys[i], problem.psi, PenaltySpec(lam), tol=KKT_TOL)
-            checks = theory.thm1_rhs_check(problem, i, res.beta, truth, lam)
+            beta = lasso_path(problem.X, problem.ys[i], problem.psi, lam=lam, tol=KKT_TOL).beta[0]
+            checks = theory.thm1_rhs_check(problem, i, beta, truth, lam)
             for c in checks.values():
                 worst = min(worst, c["slack"])
                 if c["slack"] < -10 * KKT_TOL:
@@ -247,7 +247,7 @@ def test_criterion_09_foc_equivalence():
             )
             if report["psi_jj_condition"] >= 1e8:
                 continue
-            realized, _ = theory.realized_sign_recovery(problem, i, stage1, lam, truth)
+            realized = realized_sign_recovery(problem, i, stage1, lam, truth)
             checked += 1
             mismatches += report["foc_ok"] != realized
     ok = mismatches == 0 and checked >= 100
@@ -266,20 +266,19 @@ def test_criterion_10_solver_oracle():
         beta = rng.uniform(-1.5, 1.5, 2)
         y = X @ beta + 0.5 * rng.standard_normal(T)
         lam = float(rng.uniform(0.05, 0.6)) * lambda_max(X, y)
-        pen = PenaltySpec(lam)
-        res = lasso_cd(X, y, gram(X), pen, tol=KKT_TOL)
-        assert res.converged
-        worst_kkt = max(worst_kkt, kkt_check(X, y, res.beta, pen))
-        _, f_grid = grid_search_2d(X, y, pen)
-        gap = objective(X, y, res.beta, pen) - f_grid
+        path = lasso_path(X, y, gram(X), lam=lam, tol=KKT_TOL)
+        assert path.converged[0]
+        worst_kkt = max(worst_kkt, kkt_check(X, y, path.beta[0], lam))
+        _, f_grid = grid_search_2d(X, y, lam)
+        gap = objective(X, y, path.beta[0], lam) - f_grid
         worst_gap = max(worst_gap, gap)
     # unpenalized fits against the least-squares kernel
     worst_ols = 0.0
     for trial in range(5):
         X = rng.standard_normal((50, 5))
         y = rng.standard_normal(50)
-        res = lasso_cd(X, y, gram(X), PenaltySpec(0.0), tol=KKT_TOL)
-        worst_ols = max(worst_ols, float(np.abs(res.beta - least_squares(X, y)).max()))
+        beta = lasso_path(X, y, gram(X), lam=0.0, tol=KKT_TOL).beta[0]
+        worst_ols = max(worst_ols, float(np.abs(beta - least_squares(X, y)).max()))
     ok = worst_gap <= 1e-5 and worst_kkt <= KKT_TOL and worst_ols <= 1e-6
     announce(
         10,

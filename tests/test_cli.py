@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hdvar import cli, estimators, var
-from hdvar.solver import PenaltySpec, kkt_check, lambda_max
+from hdvar.solver import lambda_max
+from helpers import kkt_check
 
 
 def run(argv):
@@ -135,8 +136,7 @@ class TestFit:
     def test_lambda_override_reports_nonconvergence(self, dataset_dir, tag, monkeypatch):
         data = var.load_dataset(str(dataset_dir))
         assert all(f.converged for f in estimators.FitPlan(data).fit(tag, lam=1e-4).fits)
-        for name in ("lasso_path", "lasso_cd"):
-            monkeypatch.setattr(estimators, name, functools.partial(getattr(estimators, name), max_iter=1))
+        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, max_iter=1))
         fit = estimators.FitPlan(data).fit(tag, lam=1e-4)
         converged = [f.converged for f in fit.fits]
         assert not all(converged)
@@ -163,11 +163,11 @@ class TestFit:
         first_stage = [(30, [0, 1]), (13, [1]), (23, [2])]
         ones = np.ones(prob.m)
         expected = {tag: [] for tag in supports}
-        penalties = {tag: [] for tag in supports}
+        penalty_weights = {tag: [] for tag in supports}
         for i, (grid_index, first_support) in enumerate(first_stage):
             X, y = prob.X, prob.ys[i]
             expected["lasso"].append(sign_fixed_solution(X, y, lam, ones, supports["lasso"][i]))
-            penalties["lasso"].append(PenaltySpec(lam))
+            penalty_weights["lasso"].append(None)
             post = np.zeros(prob.m)
             post[supports["post_lasso"][i]] = np.linalg.lstsq(X[:, supports["post_lasso"][i]], y, rcond=None)[0]
             expected["post_lasso"].append(post)
@@ -178,7 +178,7 @@ class TestFit:
             expected["adaptive_lasso_lasso"].append(
                 sign_fixed_solution(X, y, lam, weights, supports["adaptive_lasso_lasso"][i])
             )
-            penalties["adaptive_lasso_lasso"].append(PenaltySpec(lam, weights=weights))
+            penalty_weights["adaptive_lasso_lasso"].append(weights)
         # equation 1's lasso converges by coordinate descent at sweep 8, between the
         # exact step's attempts at sweeps 5 and 10, so it is the coordinate-descent
         # iterate: within the KKT tolerance of the optimum, not on it
@@ -193,8 +193,8 @@ class TestFit:
             assert payload["feasible"] == [True] * 3
             assert payload["converged"] == [True] * 3
             beta = np.reshape(payload["beta"], (3, prob.m))
-            for i, pen in enumerate(penalties[tag]):
-                assert kkt_check(prob.X, prob.ys[i], beta[i], pen) <= 1e-7
+            for i, weights in enumerate(penalty_weights[tag]):
+                assert kkt_check(prob.X, prob.ys[i], beta[i], lam, weights) <= 1e-7
 
     @pytest.mark.parametrize(
         "tags, lam", [("lasso,full_ols", "0.1"), ("oracle_ols", "0.1"), ("lasso", "-1"), ("lasso", "nan")]
@@ -398,6 +398,20 @@ class TestCommandValidation:
         out = dataset_dir / "out"
         assert run(self.command("diag", dataset_dir) + [*flags, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["simulate", "diag", "diag --data", "fit"])
+    def test_k_zero_reaches_the_design_check(self, dataset_dir, name, capsys):
+        # --k 0 is a value, not a missing flag
+        out = dataset_dir / "out"
+        argv = {
+            "simulate": ["simulate", "--T", "5"],
+            "diag": ["diag", "--T", "5"],
+            "diag --data": ["diag", "--data", str(dataset_dir)],
+            "fit": ["fit", "--data", str(dataset_dir), "--estimators", "oracle_ols"],
+        }[name]
+        assert run(argv + ["--experiment", "A", "--k", "0", "--out", str(out)]) == 2
+        assert "experiment 'A' with k=0 is not in the design" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -7,7 +7,8 @@ import pytest
 from hdvar import estimators, mc, solver, var
 from hdvar.estimators import FitPlan, SparsityInfo, bic, fit_full_ols, fit_oracle_ols, fit_post_lasso
 from hdvar.linalg import cholesky_solve, least_squares
-from hdvar.solver import PenaltySpec, kkt_check, lambda_max, lasso_cd, lasso_path
+from hdvar.solver import lambda_max, lasso_path
+from helpers import descend, kkt_check
 
 
 def problem_from(X, y):
@@ -92,7 +93,8 @@ class TestLassoBic:
 
     def test_selection_on_the_diag_design_is_the_coordinate_descent_iterate(self):
         # A/10/100, the cell of the theory diagnostics: every equation's BIC-selected
-        # fit is the lasso_cd warm-start chain's iterate at its lambda, bit for bit
+        # fit is the coordinate-descent kernel's iterate at its lambda, bit for bit,
+        # in a chain that starts each lambda from the fit at the one before it
         model, _ = mc.make_dgp("A", 10)
         for seed in range(10):
             plan = FitPlan(var.simulate(model, 100, seed=seed))
@@ -101,13 +103,13 @@ class TestLassoBic:
                 fit = plan.lasso(i)
                 warm = None
                 for lam in lasso_path(X, y, plan.problem.psi).lambdas:
-                    warm = lasso_cd(X, y, plan.problem.psi, PenaltySpec(lam), warm_start=warm).beta
+                    warm = descend(X, y, plan.problem.psi, lam, warm)[0]
                     if lam == fit.lambda_selected:
                         break
                 assert lam == fit.lambda_selected
                 assert np.array_equal(fit.beta, warm)
                 assert fit.converged
-                assert kkt_check(X, y, fit.beta, PenaltySpec(lam)) <= 1e-7
+                assert kkt_check(X, y, fit.beta, lam) <= 1e-7
 
     def test_active_set_matches_nonzeros(self):
         prob, _, _ = simulated_problem(seed=5)
@@ -232,11 +234,11 @@ class TestAdaptiveLasso:
         with np.errstate(divide="ignore"):
             w = np.where(truth.beta[i] != 0.0, 1.0 / np.abs(truth.beta[i]), np.inf)
 
-        res = lasso_cd(prob.X, prob.ys[i], prob.psi, PenaltySpec(1e-10, weights=w), tol=1e-12)
+        beta = lasso_path(prob.X, prob.ys[i], prob.psi, weights=w, lam=1e-10, tol=1e-12).beta[0]
         J = truth.supports[i]
         ols = np.zeros(prob.m)
         ols[J] = least_squares(prob.X[:, J], prob.ys[i])
-        assert np.abs(res.beta - ols).max() <= 1e-6
+        assert np.abs(beta - ols).max() <= 1e-6
 
     def test_empty_first_stage_returns_zero_fit(self):
         rng = np.random.Generator(np.random.Philox(13))
@@ -300,8 +302,8 @@ class TestOracleAndFullOls:
         prob = problem_from(X, y)
         full = fit_full_ols(prob, 0)
 
-        res = lasso_cd(prob.X, prob.ys[0], prob.psi, PenaltySpec(0.0), tol=1e-10)
-        assert np.abs(full.beta - res.beta).max() <= 1e-6
+        beta = lasso_path(prob.X, prob.ys[0], prob.psi, lam=0.0, tol=1e-10).beta[0]
+        assert np.abs(full.beta - beta).max() <= 1e-6
 
 
 class TestFitSystem:
@@ -425,10 +427,18 @@ class TestFitPlan:
             stage1 = FitPlan(prob).lasso(i).beta
             with np.errstate(divide="ignore"):
                 w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
-            assert np.array_equal(f.beta, lasso_cd(prob.X, prob.ys[i], prob.psi, PenaltySpec(1e-3, weights=w)).beta)
+            assert np.array_equal(f.beta, lasso_path(prob.X, prob.ys[i], prob.psi, weights=w, lam=1e-3).beta[0])
             assert f.lambda_selected == 1e-3
         with pytest.raises(ValueError):
             plan.fit("full_ols", lam=1e-3)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1e-3])
+    def test_fixed_lambda_must_be_finite_and_nonnegative(self, lam):
+        # a NaN penalty passes no threshold test, so unchecked it reads as a converged zero fit
+        _, _, data = simulated_problem(seed=26, k=5, T=200)
+        for tag in estimators.PENALIZED_TAGS:
+            with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+                FitPlan(data).fit(tag, lam=lam)
 
 
 class TestInvariants:

@@ -6,17 +6,8 @@ from hypothesis import strategies as st
 from hdvar.errors import AllWeightsInfinite
 from hdvar.linalg import cholesky_solve, least_squares
 from hdvar import solver
-from hdvar.solver import (
-    EXACT_EVERY,
-    PenaltySpec,
-    kkt_check,
-    lambda_max,
-    lasso_cd,
-    lasso_path,
-    objective,
-    ridge_path,
-)
-from helpers import eig_of, gram
+from hdvar.solver import EXACT_EVERY, lambda_max, lasso_path, ridge_path
+from helpers import descend, eig_of, gram, kkt_check, objective, penalty_thresholds
 
 
 def rng_for(seed):
@@ -31,10 +22,10 @@ def random_instance(seed, T=20, m=2, snr=1.0):
     return X, y
 
 
-def grid_search_2d(X, y, pen, lo=-2.0, hi=2.0, step=1e-3):
+def grid_search_2d(X, y, lam, lo=-2.0, hi=2.0, step=1e-3):
     """Brute-force minimizer of the objective over a 2-d grid."""
     T = X.shape[0]
-    lam_w = pen.lam_w(2)
+    lam_w = penalty_thresholds(lam, None, 2)
     b1 = np.arange(lo, hi + step / 2, step)
     b2 = b1
     G = X.T @ X / T
@@ -48,102 +39,102 @@ def grid_search_2d(X, y, pen, lo=-2.0, hi=2.0, step=1e-3):
     return np.array([b1[idx[0]], b2[idx[1]]]), float(total[idx])
 
 
+def fit_at(X, y, lam, weights=None, **opts):
+    """The fit at one fixed penalty: the only row of the one-point path [lam]."""
+    path = lasso_path(X, y, gram(X), weights=weights, lam=lam, **opts)
+    assert len(path.lambdas) == 1 and path.lambdas[0] == lam
+    return path.beta[0], path
+
+
 class TestLassoCd:
+    """Fits at one fixed penalty, the one-point paths of ``lasso_path``."""
+
     def test_zero_solution_at_large_lambda(self):
         X, y = random_instance(0, T=30, m=5)
         lam = 1.001 * lambda_max(X, y)
-        res = lasso_cd(X, y, gram(X), PenaltySpec(lam))
-        assert np.all(res.beta == 0.0)
-        assert res.converged
+        beta, path = fit_at(X, y, lam)
+        assert np.all(beta == 0.0)
+        assert path.converged[0]
 
     def test_lambda_zero_matches_ols(self):
         X, y = random_instance(1, T=50, m=5)
-        res = lasso_cd(X, y, gram(X), PenaltySpec(0.0))
-        assert res.converged
-        assert np.abs(res.beta - least_squares(X, y)).max() <= 1e-6
+        beta, path = fit_at(X, y, 0.0)
+        assert path.converged[0]
+        assert np.abs(beta - least_squares(X, y)).max() <= 1e-6
 
     def test_grid_search_oracle(self):
         for seed in range(5):
             X, y = random_instance(seed, T=20, m=2)
             lam = 0.3 * lambda_max(X, y)
-            pen = PenaltySpec(lam)
-            res = lasso_cd(X, y, gram(X), pen, tol=1e-10)
-            _, f_grid = grid_search_2d(X, y, pen)
-            f_cd = objective(X, y, res.beta, pen)
+            beta, _ = fit_at(X, y, lam, tol=1e-10)
+            _, f_grid = grid_search_2d(X, y, lam)
+            f_cd = objective(X, y, beta, lam)
             assert f_cd <= f_grid + 1e-5
 
     def test_objective_descent(self):
         X, y = random_instance(2, T=40, m=8)
-        pen = PenaltySpec(0.05 * lambda_max(X, y))
-        res = lasso_cd(X, y, gram(X), pen)
+        lam = 0.05 * lambda_max(X, y)
+        _, path = fit_at(X, y, lam)
         # the objective after each sweep: a fit capped at n sweeps stops at the n-th iterate
-        hist = [objective(X, y, lasso_cd(X, y, gram(X), pen, max_iter=n).beta, pen) for n in range(1, res.iterations + 1)]
+        hist = [objective(X, y, fit_at(X, y, lam, max_iter=n)[0], lam) for n in range(1, path.iterations[0] + 1)]
         assert np.all(np.diff(hist) <= 1e-12)
 
     def test_solution_scaling(self):
         X, y = random_instance(3, T=30, m=4)
         lam0 = 0.2 * lambda_max(X, y)
-        base = lasso_cd(X, y, gram(X), PenaltySpec(lam0), tol=1e-12)
+        base, _ = fit_at(X, y, lam0, tol=1e-12)
         for c in (2.0, 7.5):
-            scaled = lasso_cd(X, c * y, gram(X), PenaltySpec(c * lam0), tol=1e-12)
-            denom = max(np.abs(c * base.beta).max(), 1e-12)
-            assert np.abs(scaled.beta - c * base.beta).max() <= 1e-8 * denom
+            scaled, _ = fit_at(X, c * y, c * lam0, tol=1e-12)
+            denom = max(np.abs(c * base).max(), 1e-12)
+            assert np.abs(scaled - c * base).max() <= 1e-8 * denom
 
     def test_infinite_weight_exclusion(self):
         X, y = random_instance(4, T=30, m=6)
         w = np.ones(6)
         w[[1, 4]] = np.inf
         lam = 0.1 * lambda_max(X, y)
-        full = lasso_cd(X, y, gram(X), PenaltySpec(lam, weights=w), tol=1e-12)
-        assert np.all(full.beta[[1, 4]] == 0.0)
+        full, _ = fit_at(X, y, lam, weights=w, tol=1e-12)
+        assert np.all(full[[1, 4]] == 0.0)
         keep = [0, 2, 3, 5]
-        reduced = lasso_cd(X[:, keep], y, gram(X[:, keep]), PenaltySpec(lam, weights=np.ones(4)), tol=1e-12)
-        assert np.abs(full.beta[keep] - reduced.beta).max() <= 1e-8
+        reduced, _ = fit_at(X[:, keep], y, lam, weights=np.ones(4), tol=1e-12)
+        assert np.abs(full[keep] - reduced).max() <= 1e-8
 
     def test_zero_column_pinned(self):
         rng = rng_for(5)
         X = rng.standard_normal((20, 3))
         X[:, 1] = 0.0
         y = rng.standard_normal(20)
-        res = lasso_cd(X, y, gram(X), PenaltySpec(0.0))
-        assert res.beta[1] == 0.0
-        assert res.converged
-
-    def test_warm_start_converges_immediately(self):
-        X, y = random_instance(6, T=30, m=4)
-        pen = PenaltySpec(0.1 * lambda_max(X, y))
-        first = lasso_cd(X, y, gram(X), pen, tol=1e-10)
-        again = lasso_cd(X, y, gram(X), pen, tol=1e-10, warm_start=first.beta)
-        assert again.iterations <= 2
+        beta, path = fit_at(X, y, 0.0)
+        assert beta[1] == 0.0
+        assert path.converged[0]
 
     def test_max_iter_reported(self):
         X, y = random_instance(7, T=40, m=10)
-        res = lasso_cd(X, y, gram(X), PenaltySpec(1e-9 * lambda_max(X, y)), tol=1e-14, max_iter=1)
-        assert not res.converged
+        _, path = fit_at(X, y, 1e-9 * lambda_max(X, y), tol=1e-14, max_iter=1)
+        assert not path.converged[0]
 
 
 class TestKktCheck:
     def test_ols_at_lambda_zero(self):
         X, y = random_instance(8, T=40, m=5)
         beta = least_squares(X, y)
-        assert kkt_check(X, y, beta, PenaltySpec(0.0)) <= 1e-8
+        assert kkt_check(X, y, beta, 0.0) <= 1e-8
 
     def test_zero_beta_large_lambda(self):
         X, y = random_instance(9, T=25, m=4)
         lam = lambda_max(X, y)
-        assert kkt_check(X, y, np.zeros(4), PenaltySpec(lam)) <= 1e-12
+        assert kkt_check(X, y, np.zeros(4), lam) <= 1e-12
 
     def test_solver_output_passes(self):
         X, y = random_instance(10, T=30, m=6)
-        pen = PenaltySpec(0.05 * lambda_max(X, y))
-        res = lasso_cd(X, y, gram(X), pen, tol=1e-9)
-        assert kkt_check(X, y, res.beta, pen) <= 1e-9 + 1e-12
+        lam = 0.05 * lambda_max(X, y)
+        beta, _ = fit_at(X, y, lam, tol=1e-9)
+        assert kkt_check(X, y, beta, lam) <= 1e-9 + 1e-12
 
     def test_nonzero_excluded_coordinate_is_infinite_violation(self):
         # an infinite weight forces b_j = 0, so a nonzero b_j has no finite violation
         X, y = random_instance(19, T=30, m=3)
-        pen = PenaltySpec(0.01, weights=np.array([np.inf, 1.0, 1.0]))
-        assert kkt_check(X, y, np.array([0.5, 0.0, 0.0]), pen) == np.inf
+        assert kkt_check(X, y, np.array([0.5, 0.0, 0.0]), 0.01, weights=np.array([np.inf, 1.0, 1.0])) == np.inf
 
 
 class TestLambdaMax:
@@ -162,8 +153,8 @@ class TestLambdaMax:
     def test_definition(self):
         X, y = random_instance(11, T=30, m=5)
         lam = lambda_max(X, y)
-        res = lasso_cd(X, y, gram(X), PenaltySpec(1.01 * lam))
-        assert np.all(res.beta == 0.0)
+        beta, _ = fit_at(X, y, 1.01 * lam)
+        assert np.all(beta == 0.0)
 
     def test_all_weights_infinite(self):
         X, y = random_instance(12, T=10, m=3)
@@ -185,8 +176,8 @@ class TestLassoPath:
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.01)
         path = lasso_path(X, y, gram(X), tol=1e-12)
         for lam, beta in zip(path.lambdas, path.beta):
-            cold = lasso_cd(X, y, gram(X), PenaltySpec(lam), tol=1e-12)
-            assert np.abs(beta - cold.beta).max() <= 1e-8
+            cold, _ = fit_at(X, y, lam, tol=1e-12)
+            assert np.abs(beta - cold).max() <= 1e-8
 
     def test_active_set_mostly_monotone_on_experiment_a(self):
         from hdvar import mc, var
@@ -224,7 +215,7 @@ def adaptive_instance():
 
 
 class TestPathKernel:
-    """lasso_path runs the lasso_cd kernel once per grid point, carrying (beta, g)."""
+    """lasso_path runs the coordinate-descent kernel once per grid point, carrying (beta, g)."""
 
     @pytest.mark.parametrize(
         "case",
@@ -248,15 +239,14 @@ class TestPathKernel:
         n_free = np.count_nonzero(X.any(axis=0) & (True if w is None else np.isfinite(w)))
         closed = 0
         for l, lam in enumerate(path.lambdas):
-            pen = PenaltySpec(lam, weights=w)
-            ref = lasso_cd(X, y, gram(X), pen, warm_start=path.beta[l - 1] if l else None, **opts)
+            ref, sweeps, viol = descend(X, y, gram(X), lam, path.beta[l - 1] if l else None, weights=w, **opts)
             assert path.converged[l] == (path.max_kkt_violation[l] <= 1e-7)
             if path.iterations[l]:
-                # a swept point is the lasso_cd kernel started from the point before it
-                assert np.array_equal(path.beta[l], ref.beta)
-                assert path.iterations[l] == ref.iterations
-                assert path.converged[l] == ref.converged
-                assert path.max_kkt_violation[l] == ref.max_kkt_violation
+                # a swept point is the kernel started from the point before it
+                assert np.array_equal(path.beta[l], ref)
+                assert path.iterations[l] == sweeps
+                assert path.converged[l] == (viol <= 1e-7)
+                assert path.max_kkt_violation[l] == viol
             else:
                 # a continuation point follows a converged point that ended on an exact
                 # step (a multiple of EXACT_EVERY sweeps), had full support, or is itself
@@ -266,8 +256,8 @@ class TestPathKernel:
                 assert path.converged[l - 1]
                 assert path.iterations[l - 1] % EXACT_EVERY == 0 or np.count_nonzero(path.beta[l - 1]) == n_free
                 assert path.converged[l]
-                assert kkt_check(X, y, path.beta[l], pen) <= 1e-7
-                assert objective(X, y, path.beta[l], pen) <= objective(X, y, ref.beta, pen) + 1e-12
+                assert kkt_check(X, y, path.beta[l], lam, w) <= 1e-7
+                assert objective(X, y, path.beta[l], lam, w) <= objective(X, y, ref, lam, w) + 1e-12
         assert closed == {"A/10/500": 25, "C/10/1000": 86, "adaptive": 10, "C/10/40": 95, "C/10/40/max_iter=4": 0}[case]
 
     def test_grid_thresholds_are_each_penalty_times_the_weights(self):
@@ -278,7 +268,6 @@ class TestPathKernel:
         for lam, row in zip(grid, rows):
             with np.errstate(invalid="ignore"):
                 assert np.array_equal(row, np.where(np.isinf(w), np.inf, lam * w))
-            assert np.array_equal(row, PenaltySpec(lam, weights=w).lam_w(5))
         assert np.array_equal(solver._thresholds(grid, None, 2), np.column_stack([grid, grid]))
 
     @settings(max_examples=200)
@@ -316,13 +305,17 @@ class TestValidation:
     """Out-of-range inputs raise; lasso_path checks its own once per path."""
 
     def test_lasso_cd_negative_lambda(self):
-        with pytest.raises(ValueError):
-            PenaltySpec(-0.1)
-
-    def test_lasso_cd_warm_start_length(self):
         X, y = random_instance(20, T=20, m=3)
         with pytest.raises(ValueError):
-            lasso_cd(X, y, gram(X), PenaltySpec(0.1), warm_start=np.zeros(4))
+            lasso_path(X, y, gram(X), lam=-0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_path_rejects_a_nonfinite_lambda(self, lam):
+        # a NaN penalty would otherwise pass every threshold test and report a
+        # converged zero fit
+        X, y = random_instance(20, T=20, m=3)
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+            lasso_path(X, y, gram(X), lam=lam)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan])
     def test_path_rejects_negative_or_nan_weight(self, bad):
@@ -331,7 +324,7 @@ class TestValidation:
             lasso_path(X, y, gram(X), weights=np.array([1.0, bad, 1.0]))
 
     @pytest.mark.parametrize(
-        "fit", [lasso_path, lambda X, y, psi: lasso_cd(X, y, psi, PenaltySpec(0.1))], ids=["lasso_path", "lasso_cd"]
+        "fit", [lasso_path, lambda X, y, psi: lasso_path(X, y, psi, lam=0.1)], ids=["lasso_path", "lasso_cd"]
     )
     @pytest.mark.parametrize("other", ["shape", "design"])
     def test_rejects_a_gram_of_another_design(self, fit, other):
@@ -349,7 +342,7 @@ class TestValidation:
         "fit",
         [
             lambda X, y, w: lambda_max(X, y, w),
-            lambda X, y, w: lasso_cd(X, y, gram(X), PenaltySpec(0.1, weights=w)),
+            lambda X, y, w: lasso_path(X, y, gram(X), weights=w, lam=0.1),
         ],
         ids=["lambda_max", "lasso_cd"],
     )
@@ -368,7 +361,7 @@ class TestGramForm:
         prob = experiment_problem(experiment, k, T)
         path = lasso_path(prob.X, prob.ys[0], prob.psi)
         for lam, beta, reported in zip(path.lambdas, path.beta, path.max_kkt_violation):
-            direct = kkt_check(prob.X, prob.ys[0], beta, PenaltySpec(lam))
+            direct = kkt_check(prob.X, prob.ys[0], beta, lam)
             assert abs(reported - direct) <= 1e-12
 
     @pytest.mark.parametrize("case", ["A/10/500", "C/10/1000", "adaptive", "C/10/40", "B/10/30"])
@@ -400,25 +393,11 @@ class TestGramForm:
         assert np.count_nonzero(path.beta, axis=1).max() > 20
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
-            assert kkt_check(prob.X, prob.ys[0], beta, PenaltySpec(lam)) <= 1e-7
-
-    def test_warm_start_cannot_free_pinned_coordinates(self):
-        rng = rng_for(2)
-        X = rng.standard_normal((30, 4))
-        X[:, 1] = 0.0
-        y = rng.standard_normal(30)
-        pen = PenaltySpec(0.01, weights=np.array([1.0, 1.0, np.inf, 1.0]))
-        res = lasso_cd(X, y, gram(X), pen, warm_start=np.full(4, 0.5), tol=1e-10)
-        assert res.beta[1] == 0.0  # zero column
-        assert res.beta[2] == 0.0  # infinite weight
-        assert res.converged
-        assert kkt_check(X, y, res.beta, pen) <= 1e-10 + 1e-12
-        cold = lasso_cd(X, y, gram(X), pen, tol=1e-10)
-        assert np.abs(res.beta - cold.beta).max() <= 1e-8
+            assert kkt_check(prob.X, prob.ys[0], beta, lam) <= 1e-7
 
 
 class TestExactStep:
-    """The sign-fixed step lasso_cd tries every EXACT_EVERY sweeps."""
+    """The sign-fixed step the coordinate-descent kernel tries every EXACT_EVERY sweeps."""
 
     @pytest.fixture
     def step_outcomes(self, monkeypatch):
@@ -439,7 +418,7 @@ class TestExactStep:
         path = lasso_path(prob.X, prob.ys[0], prob.psi)
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
-            assert kkt_check(prob.X, prob.ys[0], beta, PenaltySpec(lam)) <= 1e-7
+            assert kkt_check(prob.X, prob.ys[0], beta, lam) <= 1e-7
         # coordinate descent alone takes 1,965 sweeps on this path, and with the
         # step inside the sweeps only 518
         assert path.iterations.sum() == 28
@@ -455,14 +434,14 @@ class TestExactStep:
         warm = None
         for lam, beta, iterations in zip(path.lambdas[:75], path.beta, path.iterations):
             assert 0 < iterations < EXACT_EVERY
-            capped = lasso_cd(X, y, gram(X), PenaltySpec(lam), max_iter=EXACT_EVERY - 1, warm_start=warm)
-            assert np.array_equal(beta, capped.beta)
+            capped, _, _ = descend(X, y, gram(X), lam, warm, max_iter=EXACT_EVERY - 1)
+            assert np.array_equal(beta, capped)
             warm = beta
         assert np.count_nonzero(path.beta[74]) == prob.m
         # from the first point with full support on, the tail is closed form
         assert np.all(path.iterations[75:] == 0) and path.converged[75:].all()
         for lam, beta in zip(path.lambdas[75:], path.beta[75:]):
-            assert kkt_check(X, y, beta, PenaltySpec(lam)) <= 1e-7
+            assert kkt_check(X, y, beta, lam) <= 1e-7
         assert not step_outcomes
 
     def test_rejected_candidate_keeps_sweeping(self, step_outcomes):
@@ -471,13 +450,13 @@ class TestExactStep:
         X = rng.standard_normal((40, 4))
         X[:, 1:] = 0.95 * X[:, :1] + np.sqrt(1 - 0.95**2) * X[:, 1:]
         y = X @ rng.standard_normal(4) + rng.standard_normal(40)
-        pen = PenaltySpec(0.3 * lambda_max(X, y))
-        res = lasso_cd(X, y, gram(X), pen)
+        lam = 0.3 * lambda_max(X, y)
+        beta, path = fit_at(X, y, lam)
         assert step_outcomes == [False]
-        assert res.iterations == 8
-        assert res.converged
-        assert kkt_check(X, y, res.beta, pen) <= 1e-7
-        assert not lasso_cd(X, y, gram(X), pen, max_iter=EXACT_EVERY + 1).converged
+        assert path.iterations[0] == 8
+        assert path.converged[0]
+        assert kkt_check(X, y, beta, lam) <= 1e-7
+        assert not fit_at(X, y, lam, max_iter=EXACT_EVERY + 1)[1].converged[0]
 
     def test_no_solve_on_a_support_larger_than_T(self, monkeypatch):
         # C/10/40: m = 50 > T = 40, and Psi = X'X/T has rank at most T, so every
@@ -510,15 +489,15 @@ class TestExactStep:
     def test_accepted_step_descends(self, step_outcomes):
         prob = experiment_problem("C", 10, 1000)
         X, y = prob.X, prob.ys[0]
-        pen = PenaltySpec(0.01 * lambda_max(X, y))
-        res = lasso_cd(X, y, gram(X), pen)
+        lam = 0.01 * lambda_max(X, y)
+        beta, path = fit_at(X, y, lam)
         assert step_outcomes[-1]
         # a fit capped at n sweeps stops at the n-th iterate; at n = iterations,
         # at the accepted candidate
-        hist = [objective(X, y, lasso_cd(X, y, gram(X), pen, max_iter=n).beta, pen) for n in range(1, res.iterations + 1)]
+        hist = [objective(X, y, fit_at(X, y, lam, max_iter=n)[0], lam) for n in range(1, path.iterations[0] + 1)]
         assert np.all(np.diff(hist) <= 1e-12)
-        assert hist[-1] == objective(X, y, res.beta, pen)
-        assert res.max_kkt_violation <= 1e-7
+        assert hist[-1] == objective(X, y, beta, lam)
+        assert path.max_kkt_violation[0] <= 1e-7
 
 
 def affine_oracle(X, y, beta, grid, w=None):
@@ -563,7 +542,7 @@ class TestPathFollowing:
         assert np.all(path.iterations[start:] == 0) and path.converged[start:].all()
         for lam, beta, oracle in zip(path.lambdas[start:], path.beta[start:], expected):
             np.testing.assert_allclose(beta, oracle, rtol=1e-9, atol=1e-13)
-            assert kkt_check(X, y, beta, PenaltySpec(lam, weights=w)) <= 1e-7
+            assert kkt_check(X, y, beta, lam, w) <= 1e-7
         if case == "adaptive":
             # infinitely weighted coordinates and the zero column stay pinned on every point
             pinned = np.isinf(w) | ~X.any(axis=0)
@@ -587,7 +566,7 @@ class TestPathFollowing:
         assert np.all(path.iterations[start:] == 0) and path.converged[start:].all()
         assert np.all(path.max_kkt_violation[start:] <= 1e-12)
         for lam, beta in zip(path.lambdas[start:], path.beta[start:]):
-            assert kkt_check(X, y, beta, PenaltySpec(lam, weights=w)) <= 1e-12
+            assert kkt_check(X, y, beta, lam, w) <= 1e-12
             fresh = affine_oracle(X, y, beta, [lam], w)[0]
             assert np.abs(beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
@@ -619,7 +598,7 @@ class TestPathFollowing:
             assert np.abs(beta - fresh).max() <= 1e-10 * np.abs(fresh).max()
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
-            assert kkt_check(X, y, beta, PenaltySpec(lam)) <= 1e-7
+            assert kkt_check(X, y, beta, lam) <= 1e-7
 
     @pytest.mark.parametrize("case", ["C/50/500", "A/100/100"])
     def test_drops_from_large_supports_keep_the_rows_exact(self, monkeypatch, case):
@@ -718,6 +697,5 @@ class TestObjective:
         rng = rng_for(seed + 1)
         beta = rng.standard_normal(3)
         lam = 0.3
-        pen = PenaltySpec(lam)
         direct = float(np.sum((y - X @ beta) ** 2) / 15 + 2 * lam * np.abs(beta).sum())
-        assert objective(X, y, beta, pen) == pytest.approx(direct, rel=1e-12)
+        assert objective(X, y, beta, lam) == pytest.approx(direct, rel=1e-12)

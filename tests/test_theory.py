@@ -6,8 +6,8 @@ import pytest
 
 from hdvar import estimators, mc, theory, var
 from hdvar.errors import MissingInnovations, SingularSubGram, ZeroKappa
-from hdvar.solver import PenaltySpec, lambda_max, lasso_cd
-from helpers import random_spd, restricted_eigenvalue_bruteforce
+from hdvar.solver import lambda_max, lasso_path
+from helpers import random_spd, realized_sign_recovery, restricted_eigenvalue_bruteforce
 
 
 def rng_for(seed):
@@ -252,8 +252,8 @@ class TestThm1Checks:
             if not flags.b_t:
                 continue
             for i in range(10):
-                res = lasso_cd(problem.X, problem.ys[i], problem.psi, PenaltySpec(lam))
-                checks = theory.thm1_rhs_check(problem, i, res.beta, truth, lam)
+                beta = lasso_path(problem.X, problem.ys[i], problem.psi, lam=lam).beta[0]
+                checks = theory.thm1_rhs_check(problem, i, beta, truth, lam)
                 for c in checks.values():
                     assert c["slack"] >= -10 * 1e-7
 
@@ -334,7 +334,7 @@ class TestSignRecovery:
             problem, 0, beta, 1e-6, truth, params, gamma=problem.psi, sigma_t_value=1.0
         )
         assert rep["foc2_ok"]
-        realized, _ = theory.realized_sign_recovery(problem, 0, beta, 1e-6, truth)
+        realized = realized_sign_recovery(problem, 0, beta, 1e-6, truth)
         assert rep["foc_ok"] == realized
 
     def test_orthogonal_design_foc1_trivial(self):
@@ -397,7 +397,7 @@ class TestSignRecovery:
                 )
                 if rep["psi_jj_condition"] >= 1e8:
                     continue
-                realized, _ = theory.realized_sign_recovery(problem, i, stage1, lam, truth)
+                realized = realized_sign_recovery(problem, i, stage1, lam, truth)
                 total += 1
                 mismatches += rep["foc_ok"] != realized
         assert total > 50
