@@ -180,19 +180,23 @@ def cmd_simulate(args) -> int:
     if args.burn_in is not None and args.burn_in < 0:
         raise ConfigError("--burn-in must be nonnegative")
     model, _ = _load_model(args)
-    form = var.companion(model)
-    if form.rho >= 1.0:
-        print(f"model is not stationary (rho = {form.rho:.6f})", file=sys.stderr)
-        return EXIT_MODEL
     data = var.simulate(model, args.T, burn_in=args.burn_in, seed=args.seed)
     files = var.save_dataset(data, args.out, name=args.name)
-    print(f"wrote {files['data']} (k={data.k}, p={data.p}, T={data.T}, rho={form.rho:.4f})")
+    print(f"wrote {files['data']} (k={data.k}, p={data.p}, T={data.T}, rho={var.companion(model).rho:.4f})")
     return EXIT_OK
+
+
+def _load_dataset(args) -> var.Dataset:
+    """The dataset named by --data and --name; a malformed one is a configuration error."""
+    try:
+        return var.load_dataset(args.data, name=args.name)
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"dataset {args.name} in {args.data} is malformed: {exc!r}") from exc
 
 
 def cmd_fit(args) -> int:
     tags = _estimator_list(args.estimators)
-    data = var.load_dataset(args.data, name=args.name)
+    data = _load_dataset(args)
     truth = None
     if any(t == "oracle_ols" for t in tags):
         if not (args.experiment and args.k is not None):
@@ -257,11 +261,12 @@ def cmd_diag(args) -> int:
         simulate_only = [f"--{name}" for name in ("seed", "T", "reps") if getattr(args, name) is not None]
         if simulate_only:
             raise ConfigError(f"--data runs on the loaded dataset, so {', '.join(simulate_only)} cannot be set")
-        datasets = [var.load_dataset(args.data, name=args.name)]
+        datasets = [_load_dataset(args)]
         model, truth = _load_model(args, datasets[0])
         if datasets[0].innovations is None:
-            print("dataset has no innovation record; diagnostics need simulated data", file=sys.stderr)
-            return EXIT_DIAG
+            # theory.event_flags raises the same error, but only after the restricted
+            # eigenvalues, which take seconds on designs B-D
+            raise MissingInnovations("the dataset has no innovation record; diagnostics need simulated data")
         seed = None
     else:
         if not (args.experiment and args.k is not None) or args.T is None:
@@ -286,6 +291,7 @@ def cmd_diag(args) -> int:
     kappa_sq = np.array([kappa_by_rank[r] for r in ranks])
     fnorm = theory.f_norm_sum(model, T=T)
     zeta_sbar = theory.zeta(params.q, kappa_sbar_sq, fnorm)
+    thm3 = [theory.thm3_bounds(int(s), lam_t, ksq, params.q) for s, ksq in zip(truth.s, kappa_sq)]
     bounds = {
         "lambda_t": lam_t,
         "k_t": theory.k_t(T, k, p, st),
@@ -294,29 +300,18 @@ def cmd_diag(args) -> int:
         "pi_q_sbar": theory.pi_q(sbar_rank, k, p, T, zeta_sbar),
         "f_norm_sum": fnorm,
         "kappa_sbar_sq": kappa_sbar_sq,
-        "thm3": [
-            dict(zip(("pred_bound", "est_bound"), theory.thm3_bounds(int(s), lam_t, ksq, params.q)))
-            for s, ksq in zip(truth.s, kappa_sq)
-        ],
+        "thm3": thm3,
+        "system_bound": float(np.sum([b["est_bound"] for b in thm3])),
     }
-    bounds["system_bound"] = theory.system_bound([b["est_bound"] for b in bounds["thm3"]])
     replications = []
     for idx, data in enumerate(datasets):
         plan = estimators.FitPlan(data)
         problem = plan.problem
-        flags = theory.event_flags(
-            data, model, truth, params, lambda_t=lam_t, kappa_sbar_sq=kappa_sbar_sq, problem=problem, gamma=gamma
-        )
         entry = {
             "replication": idx,
-            "events": {
-                "b_t": flags.b_t,
-                "c_t": flags.c_t,
-                "d_t": flags.d_t,
-                "max_cross": flags.max_cross,
-                "max_cov_dev": flags.max_cov_dev,
-                "max_yy": flags.max_yy,
-            },
+            "events": theory.event_flags(
+                data, model, truth, params, lambda_t=lam_t, kappa_sbar_sq=kappa_sbar_sq, problem=problem, gamma=gamma
+            ),
             "iq_checks": [],
         }
         for i in range(k):

@@ -29,10 +29,6 @@ class UnknownCombination(HdvarError):
     """The requested (experiment, k) pair is outside the supported grid."""
 
 
-class AllWeightsInfinite(HdvarError):
-    """Every penalty weight is infinite; no coordinate is free."""
-
-
 class ZeroKappa(HdvarError):
     """A restricted eigenvalue of zero makes the bound undefined."""
 

@@ -32,9 +32,6 @@ __all__ = [
     "EquationFit",
     "SystemFit",
     "bic",
-    "fit_post_lasso",
-    "fit_oracle_ols",
-    "fit_full_ols",
     "FitPlan",
     "fit_menu",
     "system_fit_to_dict",
@@ -129,10 +126,20 @@ def bic(rss, df, T: int):
     return float(values) if values.ndim == 0 else values
 
 
-def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str) -> EquationFit:
+def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str, too_many: str) -> EquationFit:
+    """Least squares of equation i on the regressors ``idx``, zeros elsewhere.
+
+    Infeasible for the reason ``too_many`` when ``idx`` holds T or more
+    regressors, and for "singular_design" when they are collinear.
+    """
+    if len(idx) >= problem.T:
+        return EquationFit.infeasible(problem.m, tag, too_many)
     beta = np.zeros(problem.m)
     if len(idx):
-        beta[idx] = least_squares(problem.X[:, idx], problem.ys[i])
+        try:
+            beta[idx] = least_squares(problem.X[:, idx], problem.ys[i])
+        except SingularDesign:
+            return EquationFit.infeasible(problem.m, tag, "singular_design")
     return EquationFit(
         beta=beta,
         active_set=np.flatnonzero(beta),
@@ -151,24 +158,17 @@ def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=
     active-set size and ties resolve to the larger lambda.  A fixed ``lam`` is
     the one-point path [lam], whose only row BIC takes.
     """
-    X, y, T = problem.X, problem.ys[i], problem.T
-    at_grid_end = False
-    if lam is None and weights is not None and not np.isfinite(weights).any():
-        # empty first stage: every coordinate is excluded, so there is no grid
-        beta, lam_selected, converged = np.zeros(problem.m), 0.0, True
-    else:
-        path = lasso_path(X, y, problem.psi, weights=weights, lam=lam)
-        best = int(np.argmin(bic(path.rss, np.count_nonzero(path.beta, axis=1), T)))  # first minimum = largest lambda
-        beta, lam_selected, converged = path.beta[best].copy(), float(path.lambdas[best]), bool(path.converged[best])
-        at_grid_end = len(path.lambdas) > 1 and best == len(path.lambdas) - 1
+    path = lasso_path(problem.X, problem.ys[i], problem.psi, weights=weights, lam=lam)
+    best = int(np.argmin(bic(path.rss, np.count_nonzero(path.beta, axis=1), problem.T)))  # first minimum = largest lambda
+    beta = path.beta[best].copy()
     return EquationFit(
         beta=beta,
         active_set=np.flatnonzero(beta),
-        lambda_selected=lam_selected,
+        lambda_selected=float(path.lambdas[best]),
         estimator_tag=tag,
         df=float(np.count_nonzero(beta)),
-        converged=converged,
-        bic_at_grid_end=at_grid_end,
+        converged=bool(path.converged[best]),
+        bic_at_grid_end=len(path.lambdas) > 1 and best == len(path.lambdas) - 1,
     )
 
 
@@ -224,16 +224,22 @@ class FitPlan:
         if tag == "lasso":
             return self.lasso(i, lam)
         if tag == "post_lasso":
-            return fit_post_lasso(self.problem, i, lasso_fit=self.lasso(i, lam))
+            # the refit carries the LASSO fit's penalty level, convergence and grid-end flags
+            lasso = self.lasso(i, lam)
+            fit = _ols_on(self.problem, i, lasso.active_set, tag, "too_many_selected")
+            if fit.feasible:
+                fit.lambda_selected, fit.converged = lasso.lambda_selected, lasso.converged
+                fit.bic_at_grid_end = lasso.bic_at_grid_end
+            return fit
         if tag in ("adaptive_lasso_lasso", "adaptive_lasso_ridge"):
             stage1 = self.lasso(i).beta if tag == "adaptive_lasso_lasso" else self.ridge_bic(i)[0]
             return _l1_fit(self.problem, i, tag, weights=adaptive_weights(stage1), lam=lam)
         if tag == "oracle_ols":
             if self.truth is None:
                 raise ValueError("oracle_ols requires the true sparsity structure")
-            return fit_oracle_ols(self.problem, i, self.truth)
+            return _ols_on(self.problem, i, self.truth.supports[i], tag, "support_larger_than_sample")
         if tag == "full_ols":
-            return fit_full_ols(self.problem, i)
+            return _ols_on(self.problem, i, np.arange(self.problem.m), tag, "more_regressors_than_observations")
         raise ValueError(f"unknown estimator tag: {tag}")
 
     def fit(self, tag: str, lam: float | None = None) -> SystemFit:
@@ -241,43 +247,6 @@ class FitPlan:
         fits = tuple(self.equation(tag, i, lam) for i in range(self.problem.k))
         coef = np.vstack([f.beta for f in fits])
         return SystemFit(estimator_tag=tag, fits=fits, coefficients=coef, k=self.problem.k, p=self.problem.p)
-
-
-def fit_post_lasso(problem: var.RegressionProblem, i: int, lasso_fit: EquationFit) -> EquationFit:
-    """Least squares refit on the LASSO active set (zeros elsewhere); it carries
-    the LASSO fit's penalty level, convergence flag and grid-end flag."""
-    active = lasso_fit.active_set
-    if len(active) >= problem.T:
-        return EquationFit.infeasible(problem.m, "post_lasso", "too_many_selected")
-    try:
-        fit = _ols_on(problem, i, active, "post_lasso")
-    except SingularDesign:
-        return EquationFit.infeasible(problem.m, "post_lasso", "singular_design")
-    fit.lambda_selected = lasso_fit.lambda_selected
-    fit.converged = lasso_fit.converged
-    fit.bic_at_grid_end = lasso_fit.bic_at_grid_end
-    return fit
-
-
-def fit_oracle_ols(problem: var.RegressionProblem, i: int, truth: SparsityInfo) -> EquationFit:
-    """Infeasible benchmark: least squares on the true support only."""
-    J = truth.supports[i]
-    if len(J) >= problem.T:
-        return EquationFit.infeasible(problem.m, "oracle_ols", "support_larger_than_sample")
-    try:
-        return _ols_on(problem, i, J, "oracle_ols")
-    except SingularDesign:
-        return EquationFit.infeasible(problem.m, "oracle_ols", "singular_design")
-
-
-def fit_full_ols(problem: var.RegressionProblem, i: int) -> EquationFit:
-    """Least squares on all kp regressors; infeasible when the design is singular."""
-    if problem.m >= problem.T:
-        return EquationFit.infeasible(problem.m, "full_ols", "more_regressors_than_observations")
-    try:
-        return _ols_on(problem, i, np.arange(problem.m), "full_ols")
-    except SingularDesign:
-        return EquationFit.infeasible(problem.m, "full_ols", "singular_design")
 
 
 def fit_menu(data, tags, truth: SparsityInfo | None = None, lam: float | None = None) -> dict:

@@ -16,7 +16,6 @@ __all__ = [
     "least_squares",
     "spectral_radius",
     "lyapunov_doubling",
-    "operator_norm_2",
 ]
 
 
@@ -75,14 +74,6 @@ def least_squares(X, y) -> np.ndarray:
     if d.size and d.min() ** 2 <= RANK_TOL * d.max() ** 2:
         raise SingularDesign("rank-deficient design")
     return scipy.linalg.solve_triangular(R, Q.T @ y, lower=False, check_finite=False)
-
-
-def operator_norm_2(M) -> float:
-    """Spectral norm of M: its largest singular value (SVD)."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
 
 
 def spectral_radius(F) -> float:

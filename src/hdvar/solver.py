@@ -63,8 +63,6 @@ from scipy.linalg import qr_delete
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
-from .errors import AllWeightsInfinite
-
 # sweeps between attempts of the exact sign-fixed step
 EXACT_EVERY = 5
 # relative margin below the current penalty that the homotopy's next kink must clear
@@ -392,26 +390,25 @@ def _fit_grid(psi, c, yy: float, T: int, weights, grid, tol, max_iter) -> LassoP
 
 
 def lambda_max(X, y, weights: np.ndarray | None = None) -> float:
-    """Smallest penalty level with an all-zero solution: max_j |(1/T)X_j'y| / w_j."""
+    """Smallest penalty level with an all-zero solution: max_j |(1/T)X_j'y| / w_j
+    over the finite weights, 0 when there are none."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     return _lambda_max((X.T @ y) / X.shape[0], weights)
 
 
 def _lambda_max(c: np.ndarray, weights) -> float:
-    """lambda_max from c = X'y/T."""
+    """lambda_max from c = X'y/T; 0 when no coordinate carries a finite weight."""
     g = np.abs(c)
-    if weights is None:
-        return float(g.max()) if g.size else 0.0
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != g.shape:
-        raise ValueError("weight length does not match design")
-    finite = np.isfinite(w)
-    if not finite.any():
-        raise AllWeightsInfinite("no coordinate carries a finite weight")
-    if np.any(w[finite] <= 0):
-        raise ValueError("weights must be positive where finite")
-    return float((g[finite] / w[finite]).max())
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != g.shape:
+            raise ValueError("weight length does not match design")
+        finite = np.isfinite(w)
+        if np.any(w[finite] <= 0):
+            raise ValueError("weights must be positive where finite")
+        g = g[finite] / w[finite]
+    return float(g.max(initial=0.0))
 
 
 def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
@@ -429,7 +426,8 @@ def lasso_path(X, y, psi, weights: np.ndarray | None = None, lam=None, tol=1e-7,
     is the one-point path [lam].  The grid runs through the one solver setup
     (see ``_fit_grid``): the first point starts from zero and each later one
     from the previous point's beta and its exact gradient.  A weight of inf
-    excludes its coordinate.  ``psi`` is the design's Gram matrix X'X/T.  Each
+    excludes its coordinate, so with every weight infinite lambda_max is 0 and
+    the path is all zeros.  ``psi`` is the design's Gram matrix X'X/T.  Each
     point's RSS comes from its gradient, or from its residual where it is
     below RSS_EXACT_BELOW times y'y.
     """
@@ -444,7 +442,7 @@ def lasso_path(X, y, psi, weights: np.ndarray | None = None, lam=None, tol=1e-7,
     else:
         # the 1e-10 margin keeps the top-of-path solution exactly zero even when
         # the solver's gradient differs from lambda_max's by rounding; a zero
-        # lambda_max gives a grid of zeros
+        # lambda_max (a zero response, or no finite weight) gives a grid of zeros
         grid = _lambda_max(c, w) * (1.0 + 1e-10) * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
     path = _fit_grid(psi, c, yy, X.shape[0], w, grid, tol, max_iter)
     _exact_small_rss(X, y, path.beta, path.rss, yy)

@@ -19,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import var
-from .errors import (
-    MissingInnovations, NonConvergence, NotPositiveDefinite, NotStationary, SingularSubGram, ZeroKappa,
-)
-from .linalg import cholesky_solve, operator_norm_2
+from .errors import MissingInnovations, NotPositiveDefinite, NotStationary, SingularSubGram, ZeroKappa
+from .linalg import cholesky_solve
 from .solver import adaptive_weights
 
 __all__ = [
     "TheoryParams",
-    "EventFlags",
     "lambda_theorem1",
     "k_t",
     "pi_q",
@@ -37,7 +34,6 @@ __all__ = [
     "event_flags",
     "thm1_rhs_check",
     "thm3_bounds",
-    "system_bound",
     "f_norm_sum",
     "sign_recovery_conditions",
 ]
@@ -59,21 +55,6 @@ class TheoryParams:
             raise ValueError("q must lie strictly between 0 and 1")
         if not self.a_const > 0:
             raise ValueError("a_const must be positive")
-
-
-@dataclass(frozen=True)
-class EventFlags:
-    """Empirical events and their statistics for one simulated replication."""
-
-    b_t: bool
-    c_t: bool
-    d_t: bool
-    max_cross: float
-    max_cov_dev: float
-    max_yy: float
-    lambda_t: float
-    c_t_threshold: float
-    k_t: float
 
 
 def lambda_theorem1(T: int, k: int, p: int, sigma_t: float) -> float:
@@ -292,8 +273,9 @@ def event_flags(
     kappa_sbar_sq: float,
     problem: var.RegressionProblem,
     gamma: np.ndarray,
-) -> EventFlags:
-    """Evaluate the three empirical events on one simulated replication.
+) -> dict:
+    """The three empirical events on one simulated replication, with the
+    statistic each compares, as the ``events`` entry of a diag report.
 
     b_t: all regressor/innovation cross-moments below lambda_T / 2;
     c_t: entrywise Gram deviation within (1-q) kappa^2(s_bar) / (16 s_bar);
@@ -310,18 +292,14 @@ def event_flags(
     s_bar = max(int(truth.s_bar), 1)
     c_threshold = (1.0 - params.q) * kappa_sbar_sq / (16.0 * s_bar)
     max_yy = float(np.abs(problem.psi).max())
-    kt = k_t(T, k, p, var.sigma_t(model))
-    return EventFlags(
-        b_t=bool(max_cross < lambda_t / 2.0),
-        c_t=bool(max_cov_dev <= c_threshold),
-        d_t=bool(max_yy < kt),
-        max_cross=max_cross,
-        max_cov_dev=max_cov_dev,
-        max_yy=max_yy,
-        lambda_t=float(lambda_t),
-        c_t_threshold=float(c_threshold),
-        k_t=float(kt),
-    )
+    return {
+        "b_t": bool(max_cross < lambda_t / 2.0),
+        "c_t": bool(max_cov_dev <= c_threshold),
+        "d_t": bool(max_yy < k_t(T, k, p, var.sigma_t(model))),
+        "max_cross": max_cross,
+        "max_cov_dev": max_cov_dev,
+        "max_yy": max_yy,
+    }
 
 
 def thm1_rhs_check(problem: var.RegressionProblem, i: int, fit_beta, truth, lambda_t: float) -> dict:
@@ -352,26 +330,22 @@ def thm1_rhs_check(problem: var.RegressionProblem, i: int, fit_beta, truth, lamb
     }
 
 
-def thm3_bounds(s_i: int, lambda_t: float, kappa_sq: float, q: float):
-    """(prediction bound, estimation bound) = (16/(q kappa^2)) s (lambda^2, lambda).
+def thm3_bounds(s_i: int, lambda_t: float, kappa_sq: float, q: float) -> dict:
+    """{"pred_bound", "est_bound"} = (16/(q kappa^2)) s (lambda^2, lambda), as one
+    equation's entry of a diag report's ``thm3`` bounds.
 
     The estimation bound doubles as the beta-min screening threshold.
     """
     if kappa_sq <= 0:
         raise ZeroKappa("restricted eigenvalue must be positive")
     base = 16.0 / (q * kappa_sq) * s_i
-    return base * lambda_t**2, base * lambda_t
-
-
-def system_bound(est_bounds) -> float:
-    """System-wide estimation bound: sum of the per-equation bounds."""
-    return float(np.sum(est_bounds))
+    return {"pred_bound": base * lambda_t**2, "est_bound": base * lambda_t}
 
 
 NORM_SERIES_TOL = 1e-12
 
 
-def f_norm_sum(model: var.VarModel, T: int | None = None) -> float:
+def f_norm_sum(model: var.VarModel, T: int) -> float:
     """||Gamma|| * sum_{i=0}^{T} ||F^i|| with exact operator 2-norms (largest singular values).
 
     The series is truncated at the first term below ``NORM_SERIES_TOL`` or at
@@ -381,22 +355,15 @@ def f_norm_sum(model: var.VarModel, T: int | None = None) -> float:
     if form.rho >= 1.0 - 1e-8:
         raise NotStationary("series diverges at unit spectral radius")
     gamma = var.population_gamma(model)
-    gnorm = operator_norm_2(gamma)
     total = 1.0  # ||F^0|| = 1
     M = np.eye(form.F.shape[0])
-    i = 0
-    while True:
-        i += 1
-        if T is not None and i > T:
-            break
+    for _ in range(T):
         M = M @ form.F
-        term = operator_norm_2(M)
+        term = np.linalg.norm(M, 2)
         total += term
         if term < NORM_SERIES_TOL:
             break
-        if i > 1_000_000:
-            raise NonConvergence("norm series did not fall below the truncation tolerance")
-    return float(gnorm * total)
+    return float(np.linalg.norm(gamma, 2) * total)
 
 
 def sign_recovery_conditions(

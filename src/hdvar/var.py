@@ -170,7 +170,7 @@ def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0)
     k, p = model.k, model.p
     form = companion(model)
     if form.rho >= 1.0:
-        raise NotStationary(f"spectral radius {form.rho:.6f} >= 1")
+        raise NotStationary(f"model is not stationary (rho = {form.rho:.6f} >= 1)")
     if burn_in is None:
         burn_in = 200 + 10 * p
     n_steps = burn_in + p + T
@@ -292,7 +292,7 @@ def save_dataset(data: Dataset, directory: str, name: str = "dataset") -> dict:
 def _read_csv(path: str, k: int) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no columns
         if len(header) != k:
             raise ValueError(f"expected {k} columns, found {len(header)}")
         rows = [[float(v) for v in row] for row in reader]

@@ -155,7 +155,7 @@ def test_criterion_06_theorem1_deterministic_suite():
         flags = theory.event_flags(
             data, model, truth, params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
         )
-        if not flags.b_t:
+        if not flags["b_t"]:
             continue
         n_bt += 1
         for i in range(10):

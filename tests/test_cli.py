@@ -55,11 +55,14 @@ class TestSimulate:
         direct = var.simulate(model, 60, seed=3)
         assert np.abs(loaded.path - direct.path).max() <= 1e-12
 
-    def test_nonstationary_exit_code(self, tmp_path):
+    def test_nonstationary_exit_code(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps({"phis": [[[1.05]]], "sigma": [[1.0]]}))
-        code = run(["simulate", "--model", str(model_file), "--T", "10", "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = run(["simulate", "--model", str(model_file), "--T", "10", "--out", str(out)])
         assert code == 3
+        assert "model is not stationary (rho = 1.050000 >= 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_is_config_error(self, tmp_path):
         code = run(["simulate", "--T", "10", "--out", str(tmp_path)])
@@ -103,6 +106,35 @@ class TestMalformedJson:
             argv = ["simulate", "--model", str(bad), "--T", "20"]
         assert run(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _rewrite_meta(directory, **changes):
+    meta = json.loads((directory / "dataset.meta.json").read_text())
+    (directory / "dataset.meta.json").write_text(json.dumps({**meta, **changes}))
+
+
+class TestMalformedDataset:
+    CASES = {
+        "meta_not_json": lambda d: (d / "dataset.meta.json").write_text('{"k": 10, "p": '),
+        "meta_without_T": lambda d: (d / "dataset.meta.json").write_text(json.dumps({"k": 10, "p": 1})),
+        "non_integer_T": lambda d: _rewrite_meta(d, T="twenty"),
+        "row_count_differs": lambda d: _rewrite_meta(d, T=21),
+        "empty_csv": lambda d: (d / "dataset.csv").write_text(""),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["fit", "diag"])
+    def test_is_config_error_and_writes_nothing(self, tmp_path, command, case, capsys):
+        data = tmp_path / "data"
+        assert run(["simulate", "--experiment", "A", "--k", "10", "--T", "20", "--out", str(data)]) == 0
+        self.CASES[case](data)
+        out = tmp_path / "out"
+        argv = [command, "--data", str(data), "--out", str(out)]
+        if command == "diag":
+            argv += ["--experiment", "A", "--k", "10"]
+        assert run(argv) == 2
+        assert "is malformed" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -529,8 +561,9 @@ class TestDiag:
         fresh = original(var.population_gamma(model), 1)
         bounds = json.loads((tmp_path / "diagnostics.json").read_text())["bounds"]
         assert bounds["kappa_sbar_sq"] == fresh
-        pred, est = theory.thm3_bounds(1, bounds["lambda_t"], fresh, 0.5)
-        assert bounds["thm3"] == [{"pred_bound": pred, "est_bound": est}] * 10
+        thm3 = theory.thm3_bounds(1, bounds["lambda_t"], fresh, 0.5)
+        assert bounds["thm3"] == [thm3] * 10
+        assert bounds["system_bound"] == pytest.approx(10 * thm3["est_bound"], rel=1e-12)
 
     def test_data_mode_records_the_dataset_it_ran(self, tmp_path):
         run(["simulate", "--experiment", "A", "--k", "10", "--T", "60", "--out", str(tmp_path)])
@@ -557,26 +590,17 @@ class TestDiag:
         assert f"so {flag} cannot be set" in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.json").exists()
 
-    def test_diag_without_innovations_exit_5(self, tmp_path):
+    def test_diag_without_innovations_exit_5(self, tmp_path, capsys):
         run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--out", str(tmp_path)])
         os.remove(tmp_path / "dataset.innovations.csv")
         meta = json.loads((tmp_path / "dataset.meta.json").read_text())
         meta.pop("innovations_file")
         (tmp_path / "dataset.meta.json").write_text(json.dumps(meta))
-        code = run(
-            [
-                "diag",
-                "--data",
-                str(tmp_path),
-                "--experiment",
-                "A",
-                "--k",
-                "10",
-                "--out",
-                str(tmp_path),
-            ]
-        )
+        out = tmp_path / "out"
+        code = run(["diag", "--data", str(tmp_path), "--experiment", "A", "--k", "10", "--out", str(out)])
         assert code == 5
+        assert "the dataset has no innovation record" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("T, reps", [("50", "0"), ("50", "-1"), ("-5", "2"), ("0", "2")])
     def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps, capsys):

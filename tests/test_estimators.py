@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdvar import estimators, mc, solver, var
-from hdvar.estimators import FitPlan, SparsityInfo, bic, fit_full_ols, fit_oracle_ols, fit_post_lasso
+from hdvar.estimators import FitPlan, SparsityInfo, bic
 from hdvar.linalg import cholesky_solve, least_squares
 from hdvar.solver import lambda_max, lasso_path
 from helpers import descend, kkt_check
@@ -156,41 +156,33 @@ class TestSufficientStatistics:
 class TestPostLasso:
     def test_matches_oracle_when_support_found(self):
         prob, truth, _ = simulated_problem(seed=6, T=500)
-        lasso_fit = FitPlan(prob).lasso(0)
-        post = fit_post_lasso(prob, 0, lasso_fit=lasso_fit)
-        if np.array_equal(np.sort(lasso_fit.active_set), np.sort(truth.supports[0])):
-            oracle = fit_oracle_ols(prob, 0, truth)
-            assert np.abs(post.beta - oracle.beta).max() <= 1e-10
+        plan = FitPlan(prob, truth)
+        assert np.array_equal(np.sort(plan.lasso(0).active_set), np.sort(truth.supports[0]))
+        post = plan.equation("post_lasso", 0)
+        oracle = plan.equation("oracle_ols", 0)
+        assert np.abs(post.beta - oracle.beta).max() <= 1e-10
 
     def test_empty_active_set_gives_zero(self):
         rng = np.random.Generator(np.random.Philox(8))
         X = rng.standard_normal((200, 5))
         y = rng.standard_normal(200)
-        lasso_fit = FitPlan(problem_from(X, y)).lasso(0)
-        if len(lasso_fit.active_set) == 0:
-            post = fit_post_lasso(problem_from(X, y), 0, lasso_fit=lasso_fit)
-            assert np.all(post.beta == 0.0)
+        plan = FitPlan(problem_from(X, y))
+        assert len(plan.lasso(0).active_set) == 0
+        post = plan.equation("post_lasso", 0)
+        assert np.all(post.beta == 0.0)
 
     def test_too_many_selected_is_infeasible(self):
-        prob, _, _ = simulated_problem(seed=9, k=5, T=300)
-        fake = estimators.EquationFit(
-            beta=np.ones(prob.m),
-            active_set=np.arange(prob.m),
-            lambda_selected=0.1,
-            estimator_tag="lasso",
-            df=float(prob.m),
-        )
-        # shrink T below the active size by slicing the problem
-        small = var.RegressionProblem(
-            X=np.asfortranarray(prob.X[: prob.m - 1]),
-            ys=np.ascontiguousarray(prob.ys[:, : prob.m - 1]),
-            psi=prob.psi,
-            k=prob.k,
-            p=prob.p,
-        )
-        post = fit_post_lasso(small, 0, lasso_fit=fake)
-        assert not post.feasible
-        assert post.failure == "too_many_selected"
+        # C/10/40 has m = 50 > T = 40, and the BIC-tuned LASSO selects T or
+        # more regressors in most equations
+        model, _ = mc.make_dgp("C", 10)
+        plan = FitPlan(var.simulate(model, 40, seed=0))
+        wide = [i for i in range(10) if len(plan.lasso(i).active_set) >= 40]
+        assert wide
+        for i in range(10):
+            post = plan.equation("post_lasso", i)
+            assert post.feasible == (i not in wide)
+            if i in wide:
+                assert post.failure == "too_many_selected"
 
 
 class TestAdaptiveLasso:
@@ -245,25 +237,27 @@ class TestAdaptiveLasso:
         X = rng.standard_normal((500, 6))
         y = rng.standard_normal(500)
         prob = problem_from(X, y)
-        stage1 = FitPlan(prob).lasso(0)
-        ada = FitPlan(prob).equation("adaptive_lasso_lasso", 0)
-        if len(stage1.active_set) == 0:
-            assert np.all(ada.beta == 0.0)
-            assert ada.feasible
+        plan = FitPlan(prob)
+        assert len(plan.lasso(0).active_set) == 0
+        ada = plan.equation("adaptive_lasso_lasso", 0)
+        assert np.all(ada.beta == 0.0)
+        assert ada.feasible and ada.converged
+        assert ada.lambda_selected == 0.0
 
 
 class TestOracleAndFullOls:
     def test_oracle_all_columns_equals_full(self):
         prob, _, _ = simulated_problem(seed=14, k=5, T=300)
         truth_all = SparsityInfo.from_coefficients(np.ones((5, prob.m)))
-        oracle = fit_oracle_ols(prob, 1, truth_all)
-        full = fit_full_ols(prob, 1)
+        plan = FitPlan(prob, truth_all)
+        oracle = plan.equation("oracle_ols", 1)
+        full = plan.equation("full_ols", 1)
         assert np.abs(oracle.beta - full.beta).max() <= 1e-12
 
     def test_oracle_empty_support(self):
         prob, _, _ = simulated_problem(seed=15)
         truth_none = SparsityInfo.from_coefficients(np.zeros((5, prob.m)))
-        fit = fit_oracle_ols(prob, 0, truth_none)
+        fit = FitPlan(prob, truth_none).equation("oracle_ols", 0)
         assert np.all(fit.beta == 0.0)
 
     def test_noiseless_exact_recovery(self):
@@ -273,26 +267,26 @@ class TestOracleAndFullOls:
         beta[[1, 5]] = [0.7, -0.2]
         prob = problem_from(X, X @ beta)
         truth = SparsityInfo.from_coefficients(beta[None, :])
-        fit = fit_oracle_ols(prob, 0, truth)
+        fit = FitPlan(prob, truth).equation("oracle_ols", 0)
         assert np.abs(fit.beta - beta).max() <= 1e-10
 
     def test_full_ols_scalar_slope(self):
         x = np.array([[1.0], [2.0], [3.0]])
         y = np.array([2.0, 4.0, 6.0])
-        fit = fit_full_ols(problem_from(x, y), 0)
+        fit = FitPlan(problem_from(x, y)).equation("full_ols", 0)
         assert fit.beta[0] == pytest.approx(2.0)
 
     def test_full_ols_infeasible_when_wide(self):
         rng = np.random.Generator(np.random.Philox(17))
         X = rng.standard_normal((10, 20))
-        fit = fit_full_ols(problem_from(X, rng.standard_normal(10)), 0)
+        fit = FitPlan(problem_from(X, rng.standard_normal(10))).equation("full_ols", 0)
         assert not fit.feasible
 
     def test_full_ols_matches_kernel(self):
         rng = np.random.Generator(np.random.Philox(18))
         X = rng.standard_normal((100, 10))
         y = rng.standard_normal(100)
-        fit = fit_full_ols(problem_from(X, y), 0)
+        fit = FitPlan(problem_from(X, y)).equation("full_ols", 0)
         assert np.abs(fit.beta - least_squares(X, y)).max() <= 1e-10
 
     def test_full_ols_equals_lasso_at_lambda_zero(self):
@@ -300,7 +294,7 @@ class TestOracleAndFullOls:
         X = rng.standard_normal((80, 6))
         y = rng.standard_normal(80)
         prob = problem_from(X, y)
-        full = fit_full_ols(prob, 0)
+        full = FitPlan(prob).equation("full_ols", 0)
 
         beta = lasso_path(prob.X, prob.ys[0], prob.psi, lam=0.0, tol=1e-10).beta[0]
         assert np.abs(full.beta - beta).max() <= 1e-6

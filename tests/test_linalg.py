@@ -7,7 +7,6 @@ from hdvar.linalg import (
     cholesky_solve,
     least_squares,
     lyapunov_doubling,
-    operator_norm_2,
     spectral_radius,
 )
 
@@ -107,13 +106,6 @@ class TestSpectralRadius:
 
     def test_explosive(self):
         assert spectral_radius(np.array([[2.0]])) == pytest.approx(2.0, abs=1e-5)
-
-
-class TestOperatorNorm:
-    def test_matches_svd(self):
-        rng = rng_for(6)
-        M = rng.standard_normal((8, 5))
-        assert operator_norm_2(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-8)
 
 
 class TestLyapunovDoubling:

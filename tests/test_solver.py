@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdvar.errors import AllWeightsInfinite
 from hdvar.linalg import cholesky_solve, least_squares
 from hdvar import solver
 from hdvar.solver import EXACT_EVERY, lambda_max, lasso_path, ridge_path
@@ -157,9 +156,15 @@ class TestLambdaMax:
         assert np.all(beta == 0.0)
 
     def test_all_weights_infinite(self):
+        # no coordinate is free: lambda_max is 0 and the path is all zeros
         X, y = random_instance(12, T=10, m=3)
-        with pytest.raises(AllWeightsInfinite):
-            lambda_max(X, y, np.full(3, np.inf))
+        weights = np.full(3, np.inf)
+        assert lambda_max(X, y, weights) == 0.0
+        path = lasso_path(X, y, gram(X), weights=weights)
+        assert path.beta.shape == (solver.N_LAMBDA, 3)
+        assert np.all(path.beta == 0.0)
+        assert np.all(path.lambdas == 0.0)
+        assert path.converged.all()
 
 
 class TestLassoPath:

@@ -168,8 +168,8 @@ class TestEventFlags:
         flags = theory.event_flags(
             data, model, truth, self.params, lambda_t=0.1, kappa_sbar_sq=1.0, problem=problem, gamma=problem.psi
         )
-        assert flags.max_cross == 0.0
-        assert flags.b_t
+        assert flags["max_cross"] == 0.0
+        assert flags["b_t"]
 
     def test_statistics_scale_quadratically_in_noise(self):
         base = var.VarModel(phis=(np.zeros((2, 2)),), sigma=np.eye(2))
@@ -181,8 +181,8 @@ class TestEventFlags:
         f1 = theory.event_flags(d1, base, tb, self.params, lambda_t=1.0, kappa_sbar_sq=1.0, problem=p1, gamma=p1.psi)
         f2 = theory.event_flags(d2, scaled, tb, self.params, lambda_t=1.0, kappa_sbar_sq=1.0, problem=p2, gamma=p2.psi)
         # doubling the noise scale quadruples every quadratic statistic
-        assert f2.max_cross == pytest.approx(4.0 * f1.max_cross, rel=1e-10)
-        assert f2.max_yy == pytest.approx(4.0 * f1.max_yy, rel=1e-10)
+        assert f2["max_cross"] == pytest.approx(4.0 * f1["max_cross"], rel=1e-10)
+        assert f2["max_yy"] == pytest.approx(4.0 * f1["max_yy"], rel=1e-10)
 
     def test_requires_innovations(self):
         data = var.simulate(self.model, 50, seed=1)
@@ -214,7 +214,7 @@ class TestEventFlags:
             flags = theory.event_flags(
                 data, self.model, self.truth, self.params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
             )
-            hits += flags.b_t
+            hits += flags["b_t"]
         if bound > 0:
             assert hits / n >= bound
 
@@ -249,7 +249,7 @@ class TestThm1Checks:
             flags = theory.event_flags(
                 data, model, truth, params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
             )
-            if not flags.b_t:
+            if not flags["b_t"]:
                 continue
             for i in range(10):
                 beta = lasso_path(problem.X, problem.ys[i], problem.psi, lam=lam).beta[0]
@@ -260,13 +260,13 @@ class TestThm1Checks:
 
 class TestBounds:
     def test_thm3_zero_lambda(self):
-        assert theory.thm3_bounds(3, 0.0, 0.5, 0.5) == (0.0, 0.0)
+        assert theory.thm3_bounds(3, 0.0, 0.5, 0.5) == {"pred_bound": 0.0, "est_bound": 0.0}
 
     def test_thm3_linearity_in_s(self):
-        p1, e1 = theory.thm3_bounds(2, 0.3, 0.5, 0.5)
-        p2, e2 = theory.thm3_bounds(4, 0.3, 0.5, 0.5)
-        assert p2 == pytest.approx(2 * p1)
-        assert e2 == pytest.approx(2 * e1)
+        b1 = theory.thm3_bounds(2, 0.3, 0.5, 0.5)
+        b2 = theory.thm3_bounds(4, 0.3, 0.5, 0.5)
+        assert b2["pred_bound"] == pytest.approx(2 * b1["pred_bound"])
+        assert b2["est_bound"] == pytest.approx(2 * b1["est_bound"])
 
     def test_thm3_zero_kappa(self):
         with pytest.raises(ZeroKappa):
@@ -278,25 +278,21 @@ class TestBounds:
         lam = theory.lambda_theorem1(500, 10, 1, st)
         gamma = var.population_gamma(model)
         ksq = theory.restricted_eigenvalue(gamma, 1)
-        pred, est = theory.thm3_bounds(1, lam, ksq, 0.5)
-        assert pred == pytest.approx(16.0 / (0.5 * ksq) * lam**2, rel=1e-12)
-        assert est == pytest.approx(16.0 / (0.5 * ksq) * lam, rel=1e-12)
-
-    def test_system_bound_k1_and_sum(self):
-        assert theory.system_bound([1.5]) == 1.5
-        assert theory.system_bound([0.5] * 4) == pytest.approx(2.0)
+        bounds = theory.thm3_bounds(1, lam, ksq, 0.5)
+        assert bounds["pred_bound"] == pytest.approx(16.0 / (0.5 * ksq) * lam**2, rel=1e-12)
+        assert bounds["est_bound"] == pytest.approx(16.0 / (0.5 * ksq) * lam, rel=1e-12)
 
 
 class TestFNormSum:
     def test_white_noise(self):
         model = var.VarModel(phis=(np.zeros((2, 2)),), sigma=np.diag([2.0, 1.0]))
         # Gamma = Omega (norm 2), series is ||I|| alone
-        assert theory.f_norm_sum(model) == pytest.approx(2.0, rel=1e-8)
+        assert theory.f_norm_sum(model, T=100) == pytest.approx(2.0, rel=1e-8)
 
     def test_ar1_geometric_series(self):
         model = var.VarModel(phis=(np.array([[0.5]]),), sigma=np.array([[1.0]]))
         expected = (4.0 / 3.0) * sum(0.5**i for i in range(60))
-        assert theory.f_norm_sum(model) == pytest.approx(expected, rel=1e-9)
+        assert theory.f_norm_sum(model, T=100) == pytest.approx(expected, rel=1e-9)
 
     def test_truncation_at_t(self):
         model = var.VarModel(phis=(np.array([[0.5]]),), sigma=np.array([[1.0]]))
