@@ -263,10 +263,6 @@ def cmd_diag(args) -> int:
             raise ConfigError(f"--data runs on the loaded dataset, so {', '.join(simulate_only)} cannot be set")
         datasets = [_load_dataset(args)]
         model, truth = _load_model(args, datasets[0])
-        if datasets[0].innovations is None:
-            # theory.event_flags raises the same error, but only after the restricted
-            # eigenvalues, which take seconds on designs B-D
-            raise MissingInnovations("the dataset has no innovation record; diagnostics need simulated data")
         seed = None
     else:
         if not (args.experiment and args.k is not None) or args.T is None:
@@ -277,75 +273,24 @@ def cmd_diag(args) -> int:
         if min(args.T, reps) < 1:
             raise ConfigError("--T and --reps must be at least one")
         datasets = [var.simulate(model, args.T, seed=seed + r) for r in range(reps)]
-    T, k, p = datasets[0].T, model.k, model.p
-    if T < 2:
-        raise ConfigError(f"diagnostics need at least two observations, and T = {T}")
-    st = var.sigma_t(model)
-    lam_t = theory.lambda_theorem1(T, k, p, st)
-    gamma = var.population_gamma(model)
-    # kappa^2(r) is deterministic in (gamma, r): evaluate each distinct r once
-    ranks = [max(int(s), 1) for s in truth.s]
-    sbar_rank = max(int(truth.s_bar), 1)
-    kappa_by_rank = {r: theory.restricted_eigenvalue(gamma, r) for r in sorted({sbar_rank, *ranks})}
-    kappa_sbar_sq = kappa_by_rank[sbar_rank]
-    kappa_sq = np.array([kappa_by_rank[r] for r in ranks])
-    fnorm = theory.f_norm_sum(model, T=T)
-    zeta_sbar = theory.zeta(params.q, kappa_sbar_sq, fnorm)
-    thm3 = [theory.thm3_bounds(int(s), lam_t, ksq, params.q) for s, ksq in zip(truth.s, kappa_sq)]
-    bounds = {
-        "lambda_t": lam_t,
-        "k_t": theory.k_t(T, k, p, st),
-        "sigma_t": st,
-        "thm1_probability": theory.thm1_probability(T, k, p, params.a_const),
-        "pi_q_sbar": theory.pi_q(sbar_rank, k, p, T, zeta_sbar),
-        "f_norm_sum": fnorm,
-        "kappa_sbar_sq": kappa_sbar_sq,
-        "thm3": thm3,
-        "system_bound": float(np.sum([b["est_bound"] for b in thm3])),
-    }
-    replications = []
-    for idx, data in enumerate(datasets):
-        plan = estimators.FitPlan(data)
-        problem = plan.problem
-        entry = {
-            "replication": idx,
-            "events": theory.event_flags(
-                data, model, truth, params, lambda_t=lam_t, kappa_sbar_sq=kappa_sbar_sq, problem=problem, gamma=gamma
-            ),
-            "iq_checks": [],
-        }
-        for i in range(k):
-            entry["iq_checks"].append(theory.thm1_rhs_check(problem, i, plan.lasso(i, lam_t).beta, truth, lam_t))
-        if not args.skip_foc:
-            entry["foc"] = []
-            for i in range(k):
-                rep = theory.sign_recovery_conditions(
-                    problem, i, plan.lasso(i).beta, lam_t, truth, params, gamma=gamma, sigma_t_value=st
-                )
-                entry["foc"].append({k2: _json_safe(v) for k2, v in rep.items()})
-        replications.append(entry)
-    payload = {"config": _diag_config(args, T, len(datasets), seed), "bounds": bounds, "replications": replications}
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "diagnostics.json")
-    with open(path, "w") as fh:
-        json.dump(_json_safe(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _diag_config(args, T: int, reps: int, seed: int | None) -> dict:
-    """The configuration a diag run used; T and reps are those of the datasets it
-    ran on, and the seed is None for a loaded dataset."""
-    return {
+    report = theory.diagnose(model, truth, datasets, params, foc=not args.skip_foc)
+    # T and reps are those of the datasets the run used; the seed is None for a loaded dataset
+    config = {
         "experiment": args.experiment,
         "k": args.k,
-        "T": T,
-        "reps": reps,
+        "T": datasets[0].T,
+        "reps": len(datasets),
         "seed": seed,
         "q": args.q,
         "a_const": args.a_const,
     }
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "diagnostics.json")
+    with open(path, "w") as fh:
+        json.dump(_json_safe({"config": config, **report}), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _json_safe(obj):

@@ -33,9 +33,5 @@ class ZeroKappa(HdvarError):
     """A restricted eigenvalue of zero makes the bound undefined."""
 
 
-class SingularSubGram(HdvarError):
-    """The Gram submatrix on the true support is numerically singular."""
-
-
 class ConfigError(HdvarError):
     """Invalid or inconsistent run configuration."""

@@ -190,7 +190,7 @@ def _run_replication(spec: ExperimentSpec, model, truth, r: int):
     realized = full.path[spec.T]
     fits = estimators.fit_menu(data, spec.estimators, truth=truth)
     forecasts = {tag: var.forecast_one_step(fit.coefficients, data) for tag, fit in fits.items()}
-    return {"rep": r, "realized": realized, "fits": fits, "forecasts": forecasts}
+    return {"realized": realized, "fits": fits, "forecasts": forecasts}
 
 
 @contextlib.contextmanager
@@ -239,7 +239,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
             )
     else:
         results = [_run_replication(spec, model, truth, r) for r in reps]
-    results.sort(key=lambda d: d["rep"])
 
     rows = {}
     solver = {}

@@ -1,6 +1,7 @@
 """Finite-sample quantities: penalty formulas, restricted eigenvalues, empirical
 events, oracle-inequality sides, probability lower bounds, and the exact
 first-order conditions for sign recovery of the two-stage weighted LASSO.
+``diagnose``, the library entry of ``hdvar diag``, assembles them into a report.
 
 Every routine is a pure function; the subset sampling in
 ``restricted_eigenvalue`` takes an explicit seed.  Its search is batched: the
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import var
-from .errors import MissingInnovations, NotPositiveDefinite, NotStationary, SingularSubGram, ZeroKappa
+from . import estimators, var
+from .errors import ConfigError, MissingInnovations, NotPositiveDefinite, ZeroKappa
 from .linalg import cholesky_solve
 from .solver import adaptive_weights
 
@@ -36,6 +37,7 @@ __all__ = [
     "thm3_bounds",
     "f_norm_sum",
     "sign_recovery_conditions",
+    "diagnose",
 ]
 
 
@@ -263,39 +265,24 @@ def restricted_eigenvalue(psi, r: int, seed: int = 0) -> float:
 # Empirical events and inequality checks
 
 
-def event_flags(
-    data: var.Dataset,
-    model: var.VarModel,
-    truth,
-    params: TheoryParams,
-    *,
-    lambda_t: float,
-    kappa_sbar_sq: float,
-    problem: var.RegressionProblem,
-    gamma: np.ndarray,
-) -> dict:
-    """The three empirical events on one simulated replication, with the
-    statistic each compares, as the ``events`` entry of a diag report.
+def event_flags(problem: var.RegressionProblem, innovations, *, gamma, lambda_t, c_threshold, k_t_value) -> dict:
+    """The three empirical events on one replication, with the statistic each
+    compares, as the ``events`` entry of a diag report.
 
     b_t: all regressor/innovation cross-moments below lambda_T / 2;
-    c_t: entrywise Gram deviation within (1-q) kappa^2(s_bar) / (16 s_bar);
-    d_t: all second moments of the regressors below K_T.
-    ``problem`` is the stacked ``data``, ``gamma`` the model's population
-    covariance and ``kappa_sbar_sq`` its restricted eigenvalue kappa^2(s_bar).
+    c_t: entrywise deviation of the Gram matrix from the population covariance
+    ``gamma`` within ``c_threshold``, (1-q) kappa^2(s_bar) / (16 s_bar);
+    d_t: all second moments of the regressors below K_T (``k_t_value``).
+    ``innovations`` holds the T x k innovations of the stacked ``problem``.
     """
-    if data.innovations is None:
-        raise MissingInnovations("event evaluation needs the true innovations")
-    T, k, p = data.T, data.k, data.p
-    cross = problem.X.T @ data.innovations / T
+    cross = problem.X.T @ innovations / problem.T
     max_cross = float(np.abs(cross).max())
     max_cov_dev = float(np.abs(problem.psi - gamma).max())
-    s_bar = max(int(truth.s_bar), 1)
-    c_threshold = (1.0 - params.q) * kappa_sbar_sq / (16.0 * s_bar)
     max_yy = float(np.abs(problem.psi).max())
     return {
         "b_t": bool(max_cross < lambda_t / 2.0),
         "c_t": bool(max_cov_dev <= c_threshold),
-        "d_t": bool(max_yy < k_t(T, k, p, var.sigma_t(model))),
+        "d_t": bool(max_yy < k_t_value),
         "max_cross": max_cross,
         "max_cov_dev": max_cov_dev,
         "max_yy": max_yy,
@@ -351,10 +338,8 @@ def f_norm_sum(model: var.VarModel, T: int) -> float:
     The series is truncated at the first term below ``NORM_SERIES_TOL`` or at
     i = T, whichever comes first.
     """
+    gamma = var.population_gamma(model)  # raises NotStationary where the series diverges
     form = var.companion(model)
-    if form.rho >= 1.0 - 1e-8:
-        raise NotStationary("series diverges at unit spectral radius")
-    gamma = var.population_gamma(model)
     total = 1.0  # ||F^0|| = 1
     M = np.eye(form.F.shape[0])
     for _ in range(T):
@@ -374,7 +359,7 @@ def sign_recovery_conditions(
     truth,
     params: TheoryParams,
     gamma: np.ndarray,
-    sigma_t_value: float,
+    k_t_value: float,
 ) -> dict:
     """Premise, the two sufficient inequalities, and the exact first-order
     conditions for the stage-two weighted fit to reproduce sign(beta*).
@@ -385,7 +370,7 @@ def sign_recovery_conditions(
     support, with b = (sign(beta*_j) / |stage1_j|)_{j in J}.  The report's
     ``foc_ok`` is True exactly when the stage-two minimizer at this penalty
     recovers the full sign pattern.  The sufficient inequalities read the
-    population covariance ``gamma`` and sigma_T (``sigma_t_value``).
+    population covariance ``gamma`` and K_T (``k_t_value``).
     """
     stage1 = np.asarray(stage1_beta, dtype=np.float64)
     beta_star = truth.beta[i]
@@ -419,10 +404,7 @@ def sign_recovery_conditions(
         b = np.sign(beta_star[J]) * w[J]
         xe = problem.X.T @ eps / problem.T
         h = xe[J] - lambda_t * b
-        try:
-            t2 = cholesky_solve(psi_jj, h)
-        except NotPositiveDefinite as exc:
-            raise SingularSubGram(str(exc)) from exc
+        t2 = cholesky_solve(psi_jj, h)
         cand = beta_star[J] + t2
         foc2_ok = bool(np.all(np.sign(cand) == np.sign(beta_star[J])))
         lhs1 = np.abs(problem.psi[np.ix_(Jc, J)] @ t2 - xe[Jc])
@@ -441,12 +423,64 @@ def sign_recovery_conditions(
     # sufficient conditions, from the population covariance gamma
     phi_min = float(np.linalg.eigvalsh(gamma[np.ix_(J, J)]).min())
     s_i = len(J)
-    kt = k_t(problem.T, problem.k, problem.p, sigma_t_value)
-    lhs_a1 = (
-        s_i * kt / (params.q * phi_min) * (0.5 + 2.0 / beta_min_i) * l1_err + l1_err / 2.0
-    )
+    lhs_a1 = s_i * k_t_value / (params.q * phi_min) * (0.5 + 2.0 / beta_min_i) * l1_err + l1_err / 2.0
     lhs_a2 = math.sqrt(s_i) / (params.q * phi_min) * (lambda_t / 2.0 + 2.0 * lambda_t / beta_min_i)
     report["adalasso1"] = {"lhs": float(lhs_a1), "rhs": 1.0, "ok": bool(lhs_a1 <= 1.0)}
     report["adalasso2"] = {"lhs": float(lhs_a2), "rhs": beta_min_i, "ok": bool(lhs_a2 <= beta_min_i)}
     report["phi_min_gamma_jj"] = phi_min
     return report
+
+
+def diagnose(model: var.VarModel, truth, datasets, params: TheoryParams, foc: bool = True) -> dict:
+    """The ``bounds`` and ``replications`` of a diag report on ``datasets``, which
+    share one T and carry their innovations: the library entry of ``hdvar diag``.
+
+    sigma_T, lambda_T, K_T, Gamma, kappa^2 per distinct support size, the
+    Theorem 3 bounds and the C_T threshold are computed once.  Each dataset gets
+    its events, the basic inequalities of every equation's LASSO at lambda_T
+    and, with ``foc``, the sign-recovery conditions on its BIC-tuned LASSO.
+    """
+    if any(data.innovations is None for data in datasets):
+        raise MissingInnovations("the dataset has no innovation record; diagnostics need simulated data")
+    T, k, p = datasets[0].T, model.k, model.p
+    if T < 2:
+        raise ConfigError(f"diagnostics need at least two observations, and T = {T}")
+    st = var.sigma_t(model)
+    lam_t = lambda_theorem1(T, k, p, st)
+    kt = k_t(T, k, p, st)
+    gamma = var.population_gamma(model)
+    # kappa^2(r) is deterministic in (gamma, r): evaluate each distinct r once
+    ranks = [max(int(s), 1) for s in truth.s]
+    sbar_rank = max(int(truth.s_bar), 1)
+    kappa_by_rank = {r: restricted_eigenvalue(gamma, r) for r in sorted({sbar_rank, *ranks})}
+    kappa_sbar_sq = kappa_by_rank[sbar_rank]
+    fnorm = f_norm_sum(model, T=T)
+    thm3 = [thm3_bounds(int(s), lam_t, kappa_by_rank[r], params.q) for s, r in zip(truth.s, ranks)]
+    bounds = {
+        "lambda_t": lam_t,
+        "k_t": kt,
+        "sigma_t": st,
+        "thm1_probability": thm1_probability(T, k, p, params.a_const),
+        "pi_q_sbar": pi_q(sbar_rank, k, p, T, zeta(params.q, kappa_sbar_sq, fnorm)),
+        "f_norm_sum": fnorm,
+        "kappa_sbar_sq": kappa_sbar_sq,
+        "thm3": thm3,
+        "system_bound": float(np.sum([b["est_bound"] for b in thm3])),
+    }
+    ct = (1.0 - params.q) * kappa_sbar_sq / (16.0 * sbar_rank)
+    replications = []
+    for idx, data in enumerate(datasets):
+        plan = estimators.FitPlan(data)
+        problem = plan.problem
+        entry = {
+            "replication": idx,
+            "events": event_flags(problem, data.innovations, gamma=gamma, lambda_t=lam_t, c_threshold=ct, k_t_value=kt),
+            "iq_checks": [thm1_rhs_check(problem, i, plan.lasso(i, lam_t).beta, truth, lam_t) for i in range(k)],
+        }
+        if foc:
+            entry["foc"] = [
+                sign_recovery_conditions(problem, i, plan.lasso(i).beta, lam_t, truth, params, gamma, kt)
+                for i in range(k)
+            ]
+        replications.append(entry)
+    return {"bounds": bounds, "replications": replications}

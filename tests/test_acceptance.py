@@ -144,7 +144,7 @@ def test_criterion_06_theorem1_deterministic_suite():
     T = 100
     st = var.sigma_t(model)
     lam = theory.lambda_theorem1(T, 10, 1, st)
-    params = theory.TheoryParams()
+    kt = theory.k_t(T, 10, 1, st)
     gamma = var.population_gamma(model)
     start = time.perf_counter()
     n_bt = violations = 0
@@ -153,7 +153,7 @@ def test_criterion_06_theorem1_deterministic_suite():
         data = var.simulate(model, T, seed=seed)
         problem = var.stack(data)
         flags = theory.event_flags(
-            data, model, truth, params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
+            problem, data.innovations, gamma=gamma, lambda_t=lam, c_threshold=1.0, k_t_value=kt
         )
         if not flags["b_t"]:
             continue
@@ -227,6 +227,7 @@ def test_criterion_09_foc_equivalence():
     truth = estimators.SparsityInfo.from_coefficients(var.coefficient_matrix(model))
     params = theory.TheoryParams()
     st = var.sigma_t(model)
+    kt = theory.k_t(200, 5, 1, st)
     gamma = var.population_gamma(model)
     lam_thm = theory.lambda_theorem1(200, 5, 1, st)
     checked = mismatches = 0
@@ -243,7 +244,7 @@ def test_criterion_09_foc_equivalence():
             lams += [0.5 * lmaxw, 0.1 * lmaxw, 0.01 * lmaxw]
         for lam in lams:
             report = theory.sign_recovery_conditions(
-                problem, i, stage1, lam, truth, params, gamma=gamma, sigma_t_value=st
+                problem, i, stage1, lam, truth, params, gamma=gamma, k_t_value=kt
             )
             if report["psi_jj_condition"] >= 1e8:
                 continue

@@ -258,6 +258,19 @@ class TestFit:
         line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("full_ols:"))
         assert "nonconverged 0/10" in line  # infeasible equations never iterated
 
+    def test_collinear_series_make_full_ols_infeasible(self, tmp_path):
+        # perfectly correlated innovations of equal scale give two identical series,
+        # so the lagged design has two equal columns
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"phis": [[[0.5, 0.0], [0.0, 0.5]]], "sigma": [[0.01, 0.01], [0.01, 0.01]]}))
+        assert run(["simulate", "--model", str(model), "--T", "60", "--out", str(tmp_path)]) == 0
+        data = var.load_dataset(str(tmp_path))
+        assert np.array_equal(data.path[:, 0], data.path[:, 1])
+        out = tmp_path / "fits"
+        assert run(["fit", "--data", str(tmp_path), "--estimators", "full_ols", "--out", str(out)]) == 4
+        assert json.loads((out / "fit_full_ols.json").read_text())["feasible"] == [False, False]
+        assert estimators.FitPlan(data).equation("full_ols", 0).failure == "singular_design"
+
     def test_oracle_without_truth_is_config_error(self, dataset_dir):
         code = run(["fit", "--data", str(dataset_dir), "--estimators", "oracle_ols", "--out", str(dataset_dir)])
         assert code == 2

@@ -639,6 +639,69 @@ class TestPathFollowing:
             assert np.count_nonzero(path.beta, axis=1).max() == prob.T
 
 
+def homotopy_rows(X, y, beta, lam, grid, max_support):
+    """``_homotopy``'s rows from ``beta`` at ``lam`` down ``grid``, unweighted, every coordinate free."""
+    m = X.shape[1]
+    psi, c = gram(X), X.T @ y / len(X)
+    return solver._homotopy(psi, c, np.ones(m), np.ones(m, dtype=bool), beta, c - psi @ beta, lam, grid, max_support)
+
+
+class TestHomotopyGuards:
+    """Where ``_homotopy`` starts from a violated point and where it stops early."""
+
+    def start_below_first_entry(self):
+        # at lam0 between the two largest |c_j| only the largest violates at beta = 0
+        X, y = crossing_instance()
+        c = np.sort(np.abs(X.T @ y / len(X)))
+        lam0 = (c[-1] + c[-2]) / 2.0
+        return X, y, lam0, lam0 * np.logspace(-0.01, -2.0, 40)
+
+    def test_largest_start_violator_enters_at_lambda(self):
+        X, y, lam0, grid = self.start_below_first_entry()
+        c = X.T @ y / len(X)
+        j = int(np.argmax(np.abs(c)))
+        rows = homotopy_rows(X, y, np.zeros(4), lam0, grid, len(X))
+        assert len(rows) == len(grid)
+        assert np.flatnonzero(rows[0]).tolist() == [j] and np.sign(rows[0, j]) == np.sign(c[j])
+        for lam, beta in zip(grid, rows):
+            assert kkt_check(X, y, beta, lam) <= 1e-12
+
+    def test_support_cap(self):
+        X, y, lam0, grid = self.start_below_first_entry()
+        full = homotopy_rows(X, y, np.zeros(4), lam0, grid, len(X))
+        sizes = np.count_nonzero(full, axis=1)
+        # capped at one coordinate, the path stops where a second one would enter
+        capped = homotopy_rows(X, y, np.zeros(4), lam0, grid, 1)
+        n = int(np.argmax(sizes > 1))
+        assert 0 < n == len(capped) and np.all(sizes[:n] == 1)
+        np.testing.assert_allclose(capped, full[:n], rtol=1e-12, atol=0.0)
+        # a start whose support already exceeds the cap gives no rows
+        assert len(homotopy_rows(X, y, full[n], grid[n], grid[n + 1 :], 1)) == 0
+
+    def test_entry_duplicating_an_active_column_stops(self):
+        # Psi_11 = Psi_10 = Psi_00: coordinate 1 enters at lam = 1/4 with d^2 = Psi_11 - q'q,
+        # exactly 0 in binary arithmetic, so the path ends at the entry
+        psi = np.ones((2, 2))
+        c = np.array([1.0, 0.5])
+        grid = np.array([0.5, 0.375, 0.25, 0.125, 0.0625])
+        rows = solver._homotopy(psi, c, np.ones(2), np.ones(2, dtype=bool), np.zeros(2), c, 0.75, grid, 2)
+        # beta_0 = 1 - lam until g_1 = 1/2 - (1 - lam) reaches -lam
+        assert rows.tolist() == [[0.5, 0.0], [0.625, 0.0], [0.75, 0.0]]
+
+    def test_near_duplicate_columns_path_meets_tol_or_reports(self):
+        # column 1 is column 0 plus 1e-9 times noise, so the homotopy's d^2 for the
+        # later of the two to enter is at the rounding level of Psi's entries
+        rng = rng_for(2)
+        X = rng.standard_normal((40, 4))
+        X[:, 1] = X[:, 0] + 1e-9 * X[:, 1]
+        y = X @ rng.uniform(-1, 1, 4) + 0.3 * rng.standard_normal(40)
+        path = lasso_path(X, y, gram(X))
+        assert np.array_equal(path.converged, path.max_kkt_violation <= 1e-7)
+        for lam, beta, ok in zip(path.lambdas, path.beta, path.converged):
+            if ok:
+                assert kkt_check(X, y, beta, lam) <= 1e-7
+
+
 class TestRidge:
     def test_penalty_dominated_limit(self):
         X, y = random_instance(15, T=30, m=5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdvar import estimators, mc, theory, var
-from hdvar.errors import MissingInnovations, SingularSubGram, ZeroKappa
+from hdvar.errors import MissingInnovations, NotPositiveDefinite, ZeroKappa
 from hdvar.solver import lambda_max, lasso_path
 from helpers import random_spd, realized_sign_recovery, restricted_eigenvalue_bruteforce
 
@@ -128,6 +128,45 @@ class TestRestrictedEigenvalue:
         # the points searched for r are searched again, from the same seeds, for r + 1
         assert vals[0] >= vals[1] >= vals[2]
 
+    def test_sampled_subsets_stay_above_the_oracle(self, monkeypatch):
+        # more index sets of each size than RE_ENUM_CAP: RE_N_SUBSETS of them are
+        # sampled, plus the one of the weakest diagonal entries
+        monkeypatch.setattr(theory, "RE_ENUM_CAP", 4)
+        monkeypatch.setattr(theory, "RE_N_SUBSETS", 3)
+        psi = random_spd(rng_for(103), 5)
+        assert len(list(theory._subsets(psi, 2, seed=3))) < math.comb(5, 1) + math.comb(5, 2)
+        est = theory.restricted_eigenvalue(psi, 2, seed=3)
+        # only cone points are scored, so a sample of the index sets never goes below the true value
+        assert est >= restricted_eigenvalue_bruteforce(psi, 2) * (1.0 - 1e-12)
+        assert theory.restricted_eigenvalue(psi, 2, seed=3) == est
+
+    def test_sampled_subsets_keep_the_weakest_diagonal(self, monkeypatch):
+        # a weak 2 x 2 block on coordinates 1 and 4, uncoupled from a strong rest:
+        # kappa^2(2) is the block's least eigenvalue 0.025, met on R = {1, 4}, which
+        # is the subset of the two weakest diagonal entries
+        psi = np.zeros((8, 8))
+        rest = [0, 2, 3, 5, 6, 7]
+        psi[np.ix_(rest, rest)] = random_spd(rng_for(104), 6) + np.eye(6)
+        psi[np.ix_([1, 4], [1, 4])] = [[0.05, 0.025], [0.025, 0.05]]
+        enumerated = theory.restricted_eigenvalue(psi, 2, seed=1)
+        monkeypatch.setattr(theory, "RE_ENUM_CAP", 6)
+        monkeypatch.setattr(theory, "RE_N_SUBSETS", 3)
+        assert (1, 4) in theory._subsets(psi, 2, seed=1)
+        sampled = theory.restricted_eigenvalue(psi, 2, seed=1)
+        assert sampled == pytest.approx(enumerated, rel=1e-12)
+        assert sampled == pytest.approx(0.025, rel=1e-12)
+
+    def test_refine_stops_a_column_whose_r_part_vanishes(self):
+        # R = {0} for both columns; with a step of 0.9 / 0.9 = 1 the first step takes
+        # d = (1, 1), whose ratio is 2.5, to (0, 2), which has no R part
+        psi = np.array([[4.0, -1.0], [-1.0, 0.5]])
+        D = np.array([[1.0, 1.0], [1.0, 0.5]])
+        on_r = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with np.errstate(divide="raise", invalid="raise"):  # the stopped column is never normalised
+            assert theory._refine(psi, D[:, :1].copy(), on_r[:, :1], 0.9) == 2.5
+            alone = theory._refine(psi, D[:, 1:].copy(), on_r[:, 1:], 0.9)
+            assert theory._refine(psi, D.copy(), on_r, 0.9) == min(2.5, alone)
+
     @pytest.mark.parametrize(
         "experiment, k, r, value",
         [("A", 10, 1, 0.013333333333333334), ("D", 10, 10, 0.010314574493491727)],
@@ -166,7 +205,7 @@ class TestEventFlags:
         data = var.simulate(model, 50, seed=0)
         problem = var.stack(data)
         flags = theory.event_flags(
-            data, model, truth, self.params, lambda_t=0.1, kappa_sbar_sq=1.0, problem=problem, gamma=problem.psi
+            problem, data.innovations, gamma=problem.psi, lambda_t=0.1, c_threshold=1.0, k_t_value=1.0
         )
         assert flags["max_cross"] == 0.0
         assert flags["b_t"]
@@ -178,32 +217,30 @@ class TestEventFlags:
         d1 = var.simulate(base, 100, seed=5)
         d2 = var.simulate(scaled, 100, seed=5)
         p1, p2 = var.stack(d1), var.stack(d2)
-        f1 = theory.event_flags(d1, base, tb, self.params, lambda_t=1.0, kappa_sbar_sq=1.0, problem=p1, gamma=p1.psi)
-        f2 = theory.event_flags(d2, scaled, tb, self.params, lambda_t=1.0, kappa_sbar_sq=1.0, problem=p2, gamma=p2.psi)
+        opts = {"lambda_t": 1.0, "c_threshold": 1.0, "k_t_value": 1.0}
+        f1 = theory.event_flags(p1, d1.innovations, gamma=p1.psi, **opts)
+        f2 = theory.event_flags(p2, d2.innovations, gamma=p2.psi, **opts)
         # doubling the noise scale quadruples every quadratic statistic
         assert f2["max_cross"] == pytest.approx(4.0 * f1["max_cross"], rel=1e-10)
         assert f2["max_yy"] == pytest.approx(4.0 * f1["max_yy"], rel=1e-10)
 
-    def test_requires_innovations(self):
+    def test_requires_innovations(self, monkeypatch):
         data = var.simulate(self.model, 50, seed=1)
         stripped = var.Dataset(k=data.k, p=data.p, T=data.T, initial=data.initial, path=data.path)
-        problem = var.stack(data)
-        with pytest.raises(MissingInnovations):
-            theory.event_flags(
-                stripped,
-                self.model,
-                self.truth,
-                self.params,
-                lambda_t=0.1,
-                kappa_sbar_sq=1.0,
-                problem=problem,
-                gamma=problem.psi,
-            )
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("restricted eigenvalue evaluated before the innovations check")
+
+        # the check comes first, before the restricted eigenvalues that take seconds on designs B-D
+        monkeypatch.setattr(theory, "restricted_eigenvalue", unreachable)
+        with pytest.raises(MissingInnovations, match="no innovation record"):
+            theory.diagnose(self.model, self.truth, [data, stripped], self.params)
 
     def test_empirical_b_t_beats_theorem_bound(self):
         T = 500
         st = var.sigma_t(self.model)
         lam = theory.lambda_theorem1(T, 10, 1, st)
+        kt = theory.k_t(T, 10, 1, st)
         bound = theory.thm1_probability(T, 10, 1, self.params.a_const)
         gamma = var.population_gamma(self.model)
         hits = 0
@@ -212,7 +249,7 @@ class TestEventFlags:
             data = var.simulate(self.model, T, seed=seed)
             problem = var.stack(data)
             flags = theory.event_flags(
-                data, self.model, self.truth, self.params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
+                problem, data.innovations, gamma=gamma, lambda_t=lam, c_threshold=1.0, k_t_value=kt
             )
             hits += flags["b_t"]
         if bound > 0:
@@ -241,13 +278,13 @@ class TestThm1Checks:
         model, truth = mc.make_dgp("A", 10)
         st = var.sigma_t(model)
         lam = theory.lambda_theorem1(100, 10, 1, st)
-        params = theory.TheoryParams()
+        kt = theory.k_t(100, 10, 1, st)
         gamma = var.population_gamma(model)
         for seed in range(25):
             data = var.simulate(model, 100, seed=seed)
             problem = var.stack(data)
             flags = theory.event_flags(
-                data, model, truth, params, lambda_t=lam, kappa_sbar_sq=1.0, problem=problem, gamma=gamma
+                problem, data.innovations, gamma=gamma, lambda_t=lam, c_threshold=1.0, k_t_value=kt
             )
             if not flags["b_t"]:
                 continue
@@ -327,7 +364,7 @@ class TestSignRecovery:
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
         params = theory.TheoryParams()
         rep = theory.sign_recovery_conditions(
-            problem, 0, beta, 1e-6, truth, params, gamma=problem.psi, sigma_t_value=1.0
+            problem, 0, beta, 1e-6, truth, params, gamma=problem.psi, k_t_value=theory.k_t(100, 1, 4, 1.0)
         )
         assert rep["foc2_ok"]
         realized = realized_sign_recovery(problem, 0, beta, 1e-6, truth)
@@ -347,7 +384,7 @@ class TestSignRecovery:
         )
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
         rep = theory.sign_recovery_conditions(
-            problem, 0, beta, 1e-3, truth, theory.TheoryParams(), gamma=problem.psi, sigma_t_value=1.0
+            problem, 0, beta, 1e-3, truth, theory.TheoryParams(), gamma=problem.psi, k_t_value=theory.k_t(T, 1, T, 1.0)
         )
         # psi_{j,J} = 0 off support, eps = 0: FOC1 left side vanishes
         assert rep["foc1_ok"]
@@ -367,9 +404,9 @@ class TestSignRecovery:
             p=3,
         )
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
-        with pytest.raises(SingularSubGram):
+        with pytest.raises(NotPositiveDefinite):
             theory.sign_recovery_conditions(
-                problem, 0, beta, 1e-3, truth, theory.TheoryParams(), gamma=problem.psi, sigma_t_value=1.0
+                problem, 0, beta, 1e-3, truth, theory.TheoryParams(), gamma=problem.psi, k_t_value=1.0
             )
 
     def test_iff_equivalence_against_realized_solve(self):
@@ -378,6 +415,7 @@ class TestSignRecovery:
         for seed in range(30):
             model, truth, problem = self.make_problem(seed)
             st = var.sigma_t(model)
+            kt = theory.k_t(problem.T, 5, 1, st)
             gamma = var.population_gamma(model)
             i = 0
             stage1 = estimators.FitPlan(problem).lasso(i).beta
@@ -389,7 +427,7 @@ class TestSignRecovery:
                 lams += [0.5 * lmaxw, 0.05 * lmaxw]
             for lam in lams:
                 rep = theory.sign_recovery_conditions(
-                    problem, i, stage1, lam, truth, params, gamma=gamma, sigma_t_value=st
+                    problem, i, stage1, lam, truth, params, gamma=gamma, k_t_value=kt
                 )
                 if rep["psi_jj_condition"] >= 1e8:
                     continue
