@@ -122,18 +122,29 @@ def _read_json(path: str, what: str):
 
 
 def _load_config(args: argparse.Namespace, command_parser) -> dict:
-    """Validate a JSON config file against the command's known flags."""
+    """The defaults a JSON config file sets, each checked against the command's
+    flag of that name as its command-line string would be: a string or number
+    through the flag's ``type`` and ``choices``, a boolean for a store_true flag."""
     cfg = _read_json(args.config, "config file")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {
-        action.dest
-        for action in command_parser._actions
-        if action.dest not in ("help", "config")
-    }
-    unknown = set(cfg) - known
+    known = {action.dest: action for action in command_parser._actions if action.dest not in ("help", "config")}
+    unknown = set(cfg) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        action = known[key]
+        if isinstance(action, argparse._StoreTrueAction):
+            valid = isinstance(value, bool)
+        else:
+            valid = isinstance(value, str) or (action.type is not None and type(value) in (int, float))
+            try:
+                cfg[key] = (action.type or str)(str(value))
+            except ValueError:
+                valid = False
+            valid = valid and (action.choices is None or cfg[key] in action.choices)
+        if not valid:
+            raise ConfigError(f"config value {value!r} is not a valid {action.option_strings[0]}")
     return cfg
 
 
@@ -377,8 +388,7 @@ def main(argv=None) -> int:
             cfg = _load_config(args, parser._command_parsers[args.command])
             parser._command_parsers[args.command].set_defaults(**cfg)
             args = parser.parse_args(argv)
-        threads = getattr(args, "threads", 1)
-        if type(threads) is not int or threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ConfigError("--threads must be an integer of at least one")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -59,7 +59,6 @@ class SparsityInfo:
     s: np.ndarray  # per-equation |J_i|
     s_bar: int
     beta_min_i: np.ndarray
-    beta_min: float
 
     @classmethod
     def from_coefficients(cls, beta: np.ndarray) -> "SparsityInfo":
@@ -73,7 +72,6 @@ class SparsityInfo:
             s=s,
             s_bar=int(s.max()) if len(s) else 0,
             beta_min_i=mins,
-            beta_min=float(mins.min()) if len(mins) else np.inf,
         )
 
 

@@ -9,17 +9,6 @@ Tibshirani 2010, JSS 33(1), section 2.2): it works on Psi = X'X/T and
 c = X'y/T and never touches X inside a sweep, so a coordinate update costs
 O(m) instead of O(T).
 
-Every EXACT_EVERY sweeps, while the KKT residual is still above ``tol``,
-coordinate descent tries an exact sign-fixed step.  Given the active set A
-and signs s of the current iterate, the minimiser with that support and
-those signs solves Psi_AA beta_A = c_A - lam w_A s, the step the homotopy
-algorithm takes between kinks (Osborne, Presnell and Turlach 2000, IMA J.
-Numer. Anal. 20(3); Efron et al. 2004, Ann. Statist. 32(2)).  The candidate
-is accepted only if its signs equal s and its full KKT residual is within
-``tol``; otherwise it is discarded and the sweeps go on from the
-coordinate-descent iterate.  A fit that converges within EXACT_EVERY sweeps
-never reaches the step.
-
 Every L1 fit runs through one setup, ``_fit_grid``: given Psi, c and y'y it
 checks the weights, pins zero columns and infinitely weighted coordinates to
 zero, and builds the sweep state and the thresholds lam*w of every penalty
@@ -37,20 +26,25 @@ residual vector: RSS = T (y'y/T - beta'(c + g)).  Where that falls below
 RSS_EXACT_BELOW times y'y, cancellation would dominate it, so
 ``lasso_path`` recomputes it from the residual.
 
-Once a grid point is known exactly, because it ended on an accepted exact
-step or converged with every free coordinate nonzero, the exact homotopy
-follows the rest of the grid from that point's support A and signs s.
-Between kinks the solution is affine in lambda: beta_A(lam) = u - lam v with
-Psi_AA [u v] = [c_A, w_A s].  The next kink is the largest lam at which an
-idle coordinate reaches |g_j| = lam w_j and enters, or an active one crosses
-zero and leaves.  The lower Cholesky factor of Psi_AA is carried across
-kinks: an entry borders it with one row and a drop deletes one row by
-Givens rotations, each in O(|A|^2), and each kink solves for [u v] with
-the factor.  One KKT check covers every point computed this way, and the
-prefix within ``tol`` is taken, with 0 iterations; coordinate descent goes
+The one exact solve is the LASSO homotopy (Osborne, Presnell and Turlach
+2000, IMA J. Numer. Anal. 20(3); Efron et al. 2004, Ann. Statist. 32(2)).
+It follows on from a point that converged with every free coordinate
+nonzero, and it restarts from the point before a grid point still above
+``tol`` after EXACT_EVERY sweeps (for the first point, from the zero fit at
+lambda_max, where the largest |c_j|/w_j enters).  Between kinks the
+solution is affine in lambda: beta_A(lam) = u - lam v on the support A
+with signs s, where Psi_AA [u v] = [c_A, w_A s].  The next kink is the
+largest lam at which an idle coordinate reaches |g_j| = lam w_j and enters,
+or an active one crosses zero and leaves.  The lower Cholesky factor of
+Psi_AA is carried across kinks: an entry borders it with one row and a
+drop deletes one row by Givens rotations, each in O(|A|^2), and each kink
+solves for [u v] with the factor.  One KKT check covers every point
+computed this way, and the prefix within ``tol`` is taken, with 0
+iterations after a restarted point's EXACT_EVERY.  Coordinate descent goes
 on from the last point taken, at the first point above ``tol``, at a
-support larger than T, or where Psi_AA is not positive definite.  The
-points before the first exact one are the coordinate-descent iterates.
+support larger than T, or where Psi_AA is not positive definite; a
+restarted point of which no row is taken sweeps on.  Every other point is
+its coordinate-descent iterate.
 Every point's KKT residual is within ``tol``, or it reports converged=False.
 """
 
@@ -61,9 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr_delete
 from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-# sweeps between attempts of the exact sign-fixed step
+# sweeps before a slow point restarts the homotopy
 EXACT_EVERY = 5
 # relative margin below the current penalty that the homotopy's next kink must clear
 KINK_MARGIN = 1e-12
@@ -163,28 +157,6 @@ def _free_residual(g: list, b: list, thresholds: list, free: list) -> float:
     return viol
 
 
-def _sign_fixed_step(psi, c, s, lam_w, tol, max_support) -> tuple | None:
-    """(candidate, its gradient c - Psi candidate, KKT residual) of the exact minimiser
-    with the support and signs of the sign vector ``s``, or None unless its signs
-    equal s and its residual is within ``tol``.  A support larger than
-    ``max_support``, the number of observations, is rejected unsolved: Psi = X'X/T
-    has rank at most T, so Psi_AA is singular.
-    """
-    active = np.flatnonzero(s)
-    if len(active) > max_support:
-        return None
-    sign = s[active]
-    # Psi_AA beta_A = c_A - lam w_A s by Cholesky; info > 0 where Psi_AA is not positive definite
-    _, beta_a, info = dposv(psi[active[:, None], active], c[active] - lam_w[active] * sign)
-    if info or not np.array_equal(np.sign(beta_a), sign):
-        return None
-    cand = np.zeros_like(c)
-    cand[active] = beta_a
-    g = c - psi @ cand
-    viol = _kkt_residual(g, cand, lam_w)
-    return (cand, g, viol) if viol <= tol else None
-
-
 def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
     """Rows beta(grid[i]) for the leading penalties of ``grid`` (all below ``lam``)
     that the exact homotopy reaches from ``beta``, the fit at ``lam`` with gradient
@@ -196,7 +168,8 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
     beta_A reaches +-lam w_j (j enters with that sign) or an active beta_j
     changes sign before the step ends (j leaves).  ``beta`` may leave idle
     coordinates violating their condition by up to the KKT tolerance; the
-    largest violator enters at ``lam``.
+    largest violator enters at ``lam``.  From beta = 0 the path starts at
+    lambda_max, the largest |g_j|/w_j, whatever ``lam`` is, and j enters.
 
     A lower Cholesky factor L of Psi_AA, with A in order of entry, and the
     columns Psi[:, A] are kept across kinks: an entering j borders L with the
@@ -208,7 +181,12 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
     not move lam.  The rows are not checked here.
     """
     s = np.sign(beta)
-    excess = np.where(free & (s == 0.0), np.abs(g) - lam * w, 0.0)
+    if s.any():
+        excess = np.where(free & (s == 0.0), np.abs(g) - lam * w, 0.0)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = np.where(free & (g != 0.0), np.abs(g) / w, 0.0)
+        lam = excess.max(initial=0.0)
     j = int(np.argmax(excess))
     if excess[j] > 0.0:
         s[j] = np.sign(g[j])
@@ -291,12 +269,11 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
     return B[:n]
 
 
-def _descend(psi, c, rows, diag, free, max_support, lam_w, beta, g, tol, max_iter) -> tuple:
+def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter) -> tuple:
     """Coordinate descent at one penalty from ``beta`` and its exact gradient
-    ``g = c - Psi beta`` over the ``free`` coordinates (see ``_fit_grid``);
-    returns (beta, g, sweeps, KKT residual, whether an exact step ended it).
-    After every sweep g is recomputed exactly, and every EXACT_EVERY sweeps
-    the sign-fixed step is tried on supports of at most ``max_support``.
+    ``g = c - Psi beta`` over the ``free`` coordinates (see ``_fit_grid``), for
+    at most ``max_iter`` sweeps; returns (beta, g, sweeps, KKT residual).
+    After every sweep g is recomputed exactly.
     """
     # the scalar work runs on Python floats, which index faster than arrays
     thresholds = lam_w.tolist()
@@ -324,12 +301,7 @@ def _descend(psi, c, rows, diag, free, max_support, lam_w, beta, g, tol, max_ite
         viol = _free_residual(g.tolist(), b, thresholds, free)
         if viol <= tol:
             break
-        if sweeps % EXACT_EVERY == 0:
-            step = _sign_fixed_step(psi, c, np.sign(beta), lam_w, tol, max_support)
-            if step is not None:
-                beta, g, viol = step
-                return beta, g, sweeps, viol, True
-    return beta, g, sweeps, viol, False
+    return beta, g, sweeps, viol
 
 
 def _fit_grid(psi, c, yy: float, T: int, weights, grid, tol, max_iter) -> LassoPath:
@@ -339,15 +311,12 @@ def _fit_grid(psi, c, yy: float, T: int, weights, grid, tol, max_iter) -> LassoP
     The one setup of every L1 fit: the weights are checked, zero columns and
     infinitely weighted coordinates pinned to zero, and the sweep state and
     the thresholds of every penalty built once.  The first fit starts from
-    zero and each later one by coordinate descent from the fit before it,
-    with its exact gradient, until a fit is exact: ended on an exact step, or
-    converged with every free coordinate nonzero.  From there ``_homotopy``
-    computes the following fits, and those up to the first with a KKT
-    residual above ``tol`` are taken; coordinate descent resumes after them
-    (see the module docstring).  A swept fit converged if
-    its KKT residual is at most ``tol`` within ``max_iter`` full sweeps.
-    Each fit's row of the result is filled as it is taken, its RSS from the
-    exact gradient the solver holds for it.
+    zero and each later one from the fit before it, with its exact gradient;
+    a fit still above ``tol`` after EXACT_EVERY sweeps restarts ``_homotopy``,
+    and one that converged with full support hands over to it (see the
+    module docstring).  A swept fit converged if its KKT residual is at most
+    ``tol`` within ``max_iter`` full sweeps.  Each fit's row of the result
+    is filled as it is taken, its RSS from its exact gradient.
     """
     m = len(c)
     if weights is not None and len(weights) != m:
@@ -356,9 +325,8 @@ def _fit_grid(psi, c, yy: float, T: int, weights, grid, tol, max_iter) -> LassoP
     if weights is not None:
         pinned |= np.isinf(weights)
     n_free = m - int(pinned.sum())
-    # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales;
-    # no exact step is solved on a support of more than T coordinates
-    state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist(), T)
+    # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales
+    state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist())
     # the homotopy's weights, finite everywhere; pinned coordinates never enter
     w = np.ones(m) if weights is None else np.where(pinned, 1.0, weights)
     beta, g = np.zeros(m), c.copy()
@@ -367,23 +335,36 @@ def _fit_grid(psi, c, yy: float, T: int, weights, grid, tol, max_iter) -> LassoP
     lam_ws = _thresholds(grid, weights, m)
     # one row per point: coefficients, exact gradient, sweeps, KKT residual
     B, G, sweeps, viols = np.zeros((n, m)), np.empty((n, m)), np.zeros(n, dtype=np.intp), np.empty(n)
-    l = 0
-    while l < n:
-        beta, g, sweeps[l], viols[l], stepped = _descend(psi, c, *state, lam_ws[l], beta, g, tol, max_iter)
-        B[l], G[l] = beta, g
-        l += 1
-        # a point is exact if it ended on an exact step or converged with full support
-        if l == n or not (stepped or (viols[l - 1] <= tol and 0 < n_free == np.count_nonzero(beta))):
-            continue
-        H = _homotopy(psi, c, w, ~pinned, beta, g, grid[l - 1], grid[l:], T)
+
+    def follow(l, beta, g, lam) -> int:
+        """Fills the points from l on with the homotopy's rows from ``beta`` at ``lam`` within tol; how many."""
+        H = _homotopy(psi, c, w, ~pinned, beta, g, lam, grid[l:], T)
         GH = c - H @ psi
         vh = _kkt_residual(GH, H, lam_ws[l : l + len(H)])
-        # the prefix within tol is taken; the kernel goes on from its last point
         k = next((i for i, v in enumerate(vh) if v > tol), len(H))
         B[l : l + k], G[l : l + k], viols[l : l + k] = H[:k], GH[:k], vh[:k]
+        return k
+
+    l = 0
+    while l < n:
+        beta, g, sweeps[l], viols[l] = _descend(psi, c, *state, lam_ws[l], beta, g, tol, min(max_iter, EXACT_EVERY))
+        k = 0
+        if viols[l] > tol and sweeps[l] == EXACT_EVERY:
+            # a slow point: the homotopy from the point before it, or from zero
+            k = follow(l, B[l - 1], G[l - 1], grid[l - 1]) if l else follow(0, np.zeros(m), c, np.inf)
+            if not k and max_iter > EXACT_EVERY:
+                beta, g, more, viols[l] = _descend(psi, c, *state, lam_ws[l], beta, g, tol, max_iter - EXACT_EVERY)
+                sweeps[l] += more
+        if not k:
+            B[l], G[l] = beta, g
+            l += 1
+            # a converged point with every free coordinate nonzero is exact
+            if l < n and viols[l - 1] <= tol and 0 < n_free == np.count_nonzero(beta):
+                k = follow(l, beta, g, grid[l - 1])
         l += k
         if k:
-            beta, g = H[k - 1], GH[k - 1]
+            # the kernel goes on from the homotopy's last row; a copy, as it updates g in place
+            beta, g = B[l - 1].copy(), G[l - 1].copy()
     # RSS/T = y'y/T - 2 beta'c + beta'Psi beta = y'y/T - beta'(c + g)
     rss = yy - T * np.einsum("ij,ij->i", B, G + c)
     return LassoPath(lambdas=grid, beta=B, iterations=sweeps, max_kkt_violation=viols, converged=viols <= tol, rss=rss)

@@ -14,10 +14,11 @@ residual from the residual y - X beta, not from the Gram matrix the solver
 sweeps on; ``realized_sign_recovery`` runs the stage-two fit whose signs the
 theory's first-order conditions predict.  ``descend`` runs the solver's
 coordinate-descent kernel at one penalty from a given start, the fit a path
-point gets from the point before it, so tests can rebuild a path's swept
-points one by one.
+point gets from the point before it, restart included, so tests can rebuild
+a path's swept points one by one.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -174,21 +175,37 @@ def kkt_check(X, y, beta, lam, weights=None):
     return solver._kkt_residual(g, beta, penalty_thresholds(lam, weights, X.shape[1]))
 
 
-def descend(X, y, psi, lam, start=None, weights=None, tol=1e-7, max_iter=1000):
-    """(beta, sweeps, KKT residual) of the solver's coordinate-descent kernel
-    ``solver._descend`` at the one penalty ``lam``, from ``start`` (zero if
-    None) and its exact gradient g = c - Psi start, with the moments
-    ``lasso_path`` forms and the same coordinates pinned at zero."""
+def descend(X, y, psi, lam, start=None, start_lam=None, weights=None, tol=1e-7, max_iter=1000):
+    """(beta, sweeps, KKT residual) of the fit a path point gets at the penalty
+    ``lam`` from ``start``, the fit at ``start_lam`` (the zero fit if None), with
+    the moments ``lasso_path`` forms and the same coordinates pinned at zero: at
+    most EXACT_EVERY sweeps of the coordinate-descent kernel ``solver._descend``
+    from ``start`` and its exact gradient g = c - Psi start; then, if still above
+    ``tol``, the row at ``lam`` of ``solver._homotopy`` from ``start`` if it is
+    within ``tol``, or else the kernel's remaining sweeps."""
     X, y, c, _ = solver._moments(np.asfortranarray(X, dtype=np.float64), y, psi)
     T, m = X.shape
     pinned = psi.diagonal() == 0.0
     if weights is not None:
         pinned |= np.isinf(weights)
     beta = np.zeros(m) if start is None else np.where(pinned, 0.0, start)
-    state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist(), T)
+    g = c - psi @ beta
     lam_w = penalty_thresholds(lam, weights, m)
-    beta, _, sweeps, viol, _ = solver._descend(psi, c, *state, lam_w, beta, c - psi @ beta, tol, max_iter)
-    return beta, sweeps, viol
+    state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist())
+    kernel = functools.partial(solver._descend, psi, c, *state, lam_w)
+    # the kernel updates its gradient in place; the homotopy starts from the start's
+    fit, fit_g, sweeps, viol = kernel(beta, g.copy(), tol, min(max_iter, solver.EXACT_EVERY))
+    if viol > tol and sweeps == solver.EXACT_EVERY:
+        w = np.ones(m) if weights is None else np.where(pinned, 1.0, weights)
+        from_lam = np.inf if start_lam is None else start_lam
+        rows = solver._homotopy(psi, c, w, ~pinned, beta, g, from_lam, np.array([lam]), T)
+        row_viol = solver._kkt_residual(c - rows @ psi, rows, lam_w[None])
+        if len(rows) and row_viol[0] <= tol:
+            return rows[0], sweeps, row_viol[0]
+        if max_iter > solver.EXACT_EVERY:
+            fit, _, more, viol = kernel(fit, fit_g, tol, max_iter - solver.EXACT_EVERY)
+            sweeps += more
+    return fit, sweeps, viol
 
 
 def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth, tol=1e-9):

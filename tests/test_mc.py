@@ -17,7 +17,7 @@ class TestMakeDgp:
         assert np.allclose(model.phis[0], 0.5 * np.eye(10))
         assert np.allclose(model.sigma, 0.01 * np.eye(10))
         assert np.all(truth.s == 1)
-        assert truth.beta_min == pytest.approx(0.5)
+        assert truth.beta_min_i.min() == pytest.approx(0.5)
 
     def test_experiment_b_structure(self):
         model, truth = mc.make_dgp("B", 10)

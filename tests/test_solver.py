@@ -224,9 +224,9 @@ class TestPathKernel:
 
     @pytest.mark.parametrize(
         "case",
-        # C/10/40 has m = 50 > T = 40; at max_iter=4 no exact step is tried and
-        # the support never becomes full, so every point is swept and some stay
-        # unconverged
+        # C/10/40 has m = 50 > T = 40; at max_iter=4 no point reaches the restart
+        # and the support never becomes full, so every point is swept and some
+        # stay unconverged
         ["A/10/500", "C/10/1000", "adaptive", "C/10/40", "C/10/40/max_iter=4"],
     )
     def test_path_equals_warm_started_lasso_cd_chain(self, case):
@@ -244,22 +244,24 @@ class TestPathKernel:
         n_free = np.count_nonzero(X.any(axis=0) & (True if w is None else np.isfinite(w)))
         closed = 0
         for l, lam in enumerate(path.lambdas):
-            ref, sweeps, viol = descend(X, y, gram(X), lam, path.beta[l - 1] if l else None, weights=w, **opts)
+            start = (path.beta[l - 1], path.lambdas[l - 1]) if l else (None, None)
+            ref, sweeps, viol = descend(X, y, gram(X), lam, *start, weights=w, **opts)
             assert path.converged[l] == (path.max_kkt_violation[l] <= 1e-7)
             if path.iterations[l]:
-                # a swept point is the kernel started from the point before it
+                # a swept point is the kernel started from the point before it, or the
+                # homotopy's row from there where the kernel was slow
                 assert np.array_equal(path.beta[l], ref)
                 assert path.iterations[l] == sweeps
                 assert path.converged[l] == (viol <= 1e-7)
                 assert path.max_kkt_violation[l] == viol
             else:
-                # a continuation point follows a converged point that ended on an exact
-                # step (a multiple of EXACT_EVERY sweeps), had full support, or is itself
+                # a continuation point follows a converged point that restarted the
+                # homotopy (after EXACT_EVERY sweeps), had full support, or is itself
                 # a continuation point; it is an exact minimiser, no worse than the
                 # kernel's iterate
                 closed += 1
                 assert path.converged[l - 1]
-                assert path.iterations[l - 1] % EXACT_EVERY == 0 or np.count_nonzero(path.beta[l - 1]) == n_free
+                assert path.iterations[l - 1] in (0, EXACT_EVERY) or np.count_nonzero(path.beta[l - 1]) == n_free
                 assert path.converged[l]
                 assert kkt_check(X, y, path.beta[l], lam, w) <= 1e-7
                 assert objective(X, y, path.beta[l], lam, w) <= objective(X, y, ref, lam, w) + 1e-12
@@ -402,37 +404,37 @@ class TestGramForm:
 
 
 class TestExactStep:
-    """The sign-fixed step the coordinate-descent kernel tries every EXACT_EVERY sweeps."""
+    """The kernel's one exact step: a point still above tol after EXACT_EVERY
+    sweeps restarts the homotopy from the point before it."""
 
     @pytest.fixture
-    def step_outcomes(self, monkeypatch):
-        """True for each accepted attempt of the step, False for each rejected one."""
-        outcomes = []
-        step = solver._sign_fixed_step
+    def homotopy_rows(self, monkeypatch):
+        """The number of rows of each ``_homotopy`` call, in call order."""
+        rows = []
+        follow = solver._homotopy
 
         def recorded(*args):
-            result = step(*args)
-            outcomes.append(result is not None)
+            result = follow(*args)
+            rows.append(len(result))
             return result
 
-        monkeypatch.setattr(solver, "_sign_fixed_step", recorded)
-        return outcomes
+        monkeypatch.setattr(solver, "_homotopy", recorded)
+        return rows
 
-    def test_near_unit_root_path_converges(self, step_outcomes):
+    def test_near_unit_root_path_converges(self, homotopy_rows):
         prob = experiment_problem("C", 10, 1000)  # m = 50, seed 0
         path = lasso_path(prob.X, prob.ys[0], prob.psi)
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
             assert kkt_check(prob.X, prob.ys[0], beta, lam) <= 1e-7
         # coordinate descent alone takes 1,965 sweeps on this path, and with the
-        # step inside the sweeps only 518
+        # restart 28
         assert path.iterations.sum() == 28
-        # after the first accepted step the homotopy follows the rest of the grid
-        assert step_outcomes.count(True) == 1
-        assert step_outcomes.count(False) == 0
-        assert np.count_nonzero(path.iterations == 0) == 86
+        # point 13 restarts the homotopy from point 12, which follows the rest of the grid
+        assert homotopy_rows == [solver.N_LAMBDA - 13]
+        assert path.iterations[13] == EXACT_EVERY and np.all(path.iterations[14:] == 0)
 
-    def test_fast_paths_keep_the_coordinate_descent_iterate(self, step_outcomes):
+    def test_fast_paths_keep_the_coordinate_descent_iterate(self, homotopy_rows):
         prob = experiment_problem("A", 10, 500)
         X, y = prob.X, prob.ys[0]
         path = lasso_path(X, y, gram(X))
@@ -447,59 +449,97 @@ class TestExactStep:
         assert np.all(path.iterations[75:] == 0) and path.converged[75:].all()
         for lam, beta in zip(path.lambdas[75:], path.beta[75:]):
             assert kkt_check(X, y, beta, lam) <= 1e-7
-        assert not step_outcomes
+        # the one homotopy is the handoff from that point, not a restart
+        assert homotopy_rows == [25]
 
-    def test_rejected_candidate_keeps_sweeping(self, step_outcomes):
-        # strongly correlated columns: at sweep 5 the iterate's support is still wrong
+    @pytest.mark.parametrize("case", ["C/10/1000", "C/10/40"])
+    def test_zero_sweep_rows_are_closed_form(self, case):
+        experiment, k, T = case.split("/")
+        prob = experiment_problem(experiment, int(k), int(T))
+        X, y = prob.X, prob.ys[0]
+        path = lasso_path(X, y, prob.psi)
+        closed = np.flatnonzero(path.iterations == 0)
+        assert len(closed) >= 86
+        for l in closed:
+            fresh = affine_oracle(X, y, path.beta[l], [path.lambdas[l]])[0]
+            assert np.abs(path.beta[l] - fresh).max() <= 1e-10 * np.abs(fresh).max()
+
+    def test_rejected_candidate_keeps_sweeping(self, monkeypatch):
+        # strongly correlated columns: at sweep 5 the fit is still above tol
         rng = rng_for(1)
         X = rng.standard_normal((40, 4))
         X[:, 1:] = 0.95 * X[:, :1] + np.sqrt(1 - 0.95**2) * X[:, 1:]
         y = X @ rng.standard_normal(4) + rng.standard_normal(40)
         lam = 0.3 * lambda_max(X, y)
+        # the restart from the zero fit at lambda_max ends the fit on the exact minimiser
         beta, path = fit_at(X, y, lam)
-        assert step_outcomes == [False]
-        assert path.iterations[0] == 8
-        assert path.converged[0]
+        assert path.iterations[0] == EXACT_EVERY
+        np.testing.assert_allclose(beta, affine_oracle(X, y, beta, [lam])[0], rtol=1e-12, atol=0.0)
+        # a restart that gives no row leaves the kernel sweeping for the rest of max_iter
+        monkeypatch.setattr(solver, "_homotopy", lambda psi, c, *args: np.zeros((0, len(c))))
+        beta, path = fit_at(X, y, lam)
+        assert path.iterations[0] == 8 and path.converged[0]
         assert kkt_check(X, y, beta, lam) <= 1e-7
-        assert not fit_at(X, y, lam, max_iter=EXACT_EVERY + 1)[1].converged[0]
+        capped = fit_at(X, y, lam, max_iter=EXACT_EVERY + 1)[1]
+        assert capped.iterations[0] == EXACT_EVERY + 1 and not capped.converged[0]
+        # a whole path without the homotopy is coordinate descent alone
+        prob = experiment_problem("C", 10, 1000)
+        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        assert path.converged.all() and np.all(path.iterations > 0)
+        assert path.iterations.sum() == 1965
+
+    def test_homotopy_from_zero_enters_the_largest_weighted_gradient(self):
+        rng = rng_for(3)
+        X = rng.standard_normal((100, 5))
+        y = X @ rng.standard_normal(5) + rng.standard_normal(100)
+        psi, c = gram(X), X.T @ y / 100
+        order = np.argsort(np.abs(c))
+        # the largest |c_j| is excluded, and the smallest gets the largest |c_j| / w_j
+        w = np.ones(5)
+        w[order[-1]] = np.inf
+        w[order[0]] = np.abs(c[order[0]]) / (2.0 * np.abs(c).max())
+        lam = lambda_max(X, y, w)
+        assert lam == np.abs(c[order[0]]) / w[order[0]]
+        grid = lam * np.logspace(-1e-3, -2.0, 30)
+        free = np.isfinite(w)
+        rows = solver._homotopy(psi, c, np.where(free, w, 1.0), free, np.zeros(5), c, lam, grid, 100)
+        assert len(rows) == len(grid)
+        assert np.flatnonzero(rows[0]).tolist() == [order[0]]
+        assert np.sign(rows[0, order[0]]) == np.sign(c[order[0]])
+        assert np.all(rows[:, order[-1]] == 0.0) and np.count_nonzero(rows[-1]) == 4
+        for lam, beta in zip(grid, rows):
+            assert kkt_check(X, y, beta, lam, w) <= 1e-12
 
     def test_no_solve_on_a_support_larger_than_T(self, monkeypatch):
         # C/10/40: m = 50 > T = 40, and Psi = X'X/T has rank at most T, so every
-        # Psi_AA with |A| > T is singular; neither the exact step nor the
-        # homotopy solves on such a support
-        # the exact step solves with dposv, and the homotopy with dpotrs on its factor
-        step_sizes, factor_sizes = [], []
-        step_solve, factor_solve = solver.dposv, solver.dpotrs
+        # Psi_AA with |A| > T is singular; the homotopy factors and solves on no
+        # such support
+        sizes = []
+        for name in ("dpotrf", "dpotrs"):
 
-        def recorded_step(a, b, **kwargs):
-            step_sizes.append(len(a))
-            return step_solve(a, b, **kwargs)
+            def recorded(a, b=None, solve=getattr(solver, name), **kwargs):
+                sizes.append(len(a))
+                return solve(a, **kwargs) if b is None else solve(a, b, **kwargs)
 
-        def recorded_factor(L, b, **kwargs):
-            factor_sizes.append(len(L))
-            return factor_solve(L, b, **kwargs)
-
-        monkeypatch.setattr(solver, "dposv", recorded_step)
-        monkeypatch.setattr(solver, "dpotrs", recorded_factor)
+            monkeypatch.setattr(solver, name, recorded)
         prob = experiment_problem("C", 10, 40)
         path = lasso_path(prob.X, prob.ys[0], prob.psi)
-        sizes = step_sizes + factor_sizes
-        assert step_sizes and factor_sizes and max(sizes) <= prob.T
-        # the homotopy, from the exact step at point 4, carries its factor up to a
-        # support of T and follows the path on to the end of the grid
-        assert max(factor_sizes) == prob.T
+        # the homotopy, restarted at point 4, carries its factor up to a support
+        # of T and follows the path on to the end of the grid
+        assert path.iterations[4] == EXACT_EVERY and np.all(path.iterations[5:] == 0)
+        assert max(sizes) == prob.T
         assert path.iterations.sum() == 9
         assert path.converged.all()
 
-    def test_accepted_step_descends(self, step_outcomes):
+    def test_accepted_step_descends(self):
         prob = experiment_problem("C", 10, 1000)
         X, y = prob.X, prob.ys[0]
         lam = 0.01 * lambda_max(X, y)
         beta, path = fit_at(X, y, lam)
-        assert step_outcomes[-1]
-        # a fit capped at n sweeps stops at the n-th iterate; at n = iterations,
-        # at the accepted candidate
-        hist = [objective(X, y, fit_at(X, y, lam, max_iter=n)[0], lam) for n in range(1, path.iterations[0] + 1)]
+        assert path.iterations[0] == EXACT_EVERY
+        # a fit capped at n sweeps stops at the n-th iterate; at n = EXACT_EVERY,
+        # at the homotopy's row
+        hist = [objective(X, y, fit_at(X, y, lam, max_iter=n)[0], lam) for n in range(1, EXACT_EVERY + 1)]
         assert np.all(np.diff(hist) <= 1e-12)
         assert hist[-1] == objective(X, y, beta, lam)
         assert path.max_kkt_violation[0] <= 1e-7
@@ -585,8 +625,8 @@ class TestPathFollowing:
         first_full = int(np.argmax(np.count_nonzero(path.beta, axis=1) == 4))
         assert first_full == 8
         assert np.array_equal(np.sign(path.beta[first_full]), np.ones(4))
-        # the homotopy starts at the exact step of point 4, or, with no step, at
-        # the first full support
+        # the homotopy fills point 4 on its restart from point 3, or, with no
+        # restart, starts at the first full support
         start = 4 if exact_every == EXACT_EVERY else first_full
         assert path.iterations[start] > 0
         assert np.all(path.iterations[start + 1 :] == 0)
