@@ -23,7 +23,7 @@ import numpy as np
 from . import var
 from .errors import SingularDesign
 from .linalg import least_squares
-from .solver import LAMBDA_RATIO, N_LAMBDA, adaptive_weights, lambda_max, lasso_path, ridge_path
+from .solver import adaptive_weights, lambda_grid, lambda_max, lasso_path, ridge_path
 
 __all__ = [
     "ESTIMATOR_TAGS",
@@ -210,7 +210,7 @@ class FitPlan:
         if i not in self._ridge:
             X, y, T = self.problem.X, self.problem.ys[i], self.problem.T
             lmax = lambda_max(X, y) or 1.0  # a zero response has lambda_max 0
-            grid = T * lmax * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
+            grid = lambda_grid(T * lmax)
             B, df, rss = ridge_path(X, y, grid, self._gram_eig)
             best = int(np.argmin(bic(rss, df, T)))
             self._ridge[i] = (B[:, best], float(grid[best]))

@@ -19,10 +19,11 @@ __all__ = [
 ]
 
 
-# Tolerances and iteration budgets; the docstrings say how each is used.
+# Tolerances and iteration budgets, read at call time; the docstrings say how each is used.
 SYM_TOL = 1e-10
 PIVOT_TOL = 1e-12
 RANK_TOL = 1e-10
+LYAPUNOV_TOL = 1e-12
 LYAPUNOV_MAX_ITER = 200
 
 
@@ -84,12 +85,12 @@ def spectral_radius(F) -> float:
     return float(np.abs(np.linalg.eigvals(F)).max(initial=0.0))
 
 
-def lyapunov_doubling(F, Omega, tol: float = 1e-10) -> np.ndarray:
+def lyapunov_doubling(F, Omega) -> np.ndarray:
     """Solve the discrete Lyapunov equation G = F G F' + Omega.
 
     Uses the doubling iteration G_{m+1} = G_m + A_m G_m A_m', A_{m+1} = A_m^2
     started from G_0 = Omega, A_0 = F, stopping once the increment max-norm
-    drops below ``tol``, and raising NonConvergence after ``LYAPUNOV_MAX_ITER``
+    drops below ``LYAPUNOV_TOL``, and raising NonConvergence after ``LYAPUNOV_MAX_ITER``
     doublings.  Requires spectral_radius(F) < 1 - 1e-8.
     """
     F = _as_matrix(F)
@@ -102,7 +103,7 @@ def lyapunov_doubling(F, Omega, tol: float = 1e-10) -> np.ndarray:
     for _ in range(LYAPUNOV_MAX_ITER):
         inc = A @ G @ A.T
         G = G + inc
-        if np.abs(inc).max() < tol:
+        if np.abs(inc).max() < LYAPUNOV_TOL:
             return (G + G.T) / 2.0
         A = A @ A
     raise NonConvergence("Lyapunov doubling did not converge")

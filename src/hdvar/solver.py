@@ -10,16 +10,18 @@ c = X'y/T and never touches X inside a sweep, so a coordinate update costs
 O(m) instead of O(T).
 
 Every L1 fit runs through one setup, ``_fit_grid``: given Psi, c and y'y it
-checks the weights, pins zero columns and infinitely weighted coordinates to
-zero, and builds the sweep state and the thresholds lam*w of every penalty
-once; then it runs one coordinate-descent kernel per penalty of a lambda
-sequence, carrying beta and the exact gradient g = c - Psi beta from one
-point to the next, and fills one row per point of a ``LassoPath``.
+pins zero columns and infinitely weighted coordinates to zero, and builds
+the sweep state and the thresholds lam*w of every penalty once; then it runs
+one coordinate-descent kernel per penalty of a lambda sequence, carrying
+beta and the exact gradient g = c - Psi beta from one point to the next, and
+fills one row per point of a ``LassoPath``.
 ``lasso_path``, the one L1 entry point, runs it on a log-spaced grid of
 N_LAMBDA points from lambda_max down to LAMBDA_RATIO times lambda_max, or,
 given a fixed penalty, on the one-point grid [lam] from zero.  It takes
 Psi = X'X/T from the caller, who forms it once per design; responses that
-share a design share its Psi.
+share a design share its Psi.  Weights are one per column, each positive or
++inf.  A point converged if its KKT residual is at most KKT_TOL within
+MAX_SWEEPS sweeps, constants read at call time like the grid's.
 
 Each point's RSS ||y - X beta||^2 comes from its exact gradient, with no
 residual vector: RSS = T (y'y/T - beta'(c + g)).  Where that falls below
@@ -30,7 +32,7 @@ The one exact solve is the LASSO homotopy (Osborne, Presnell and Turlach
 2000, IMA J. Numer. Anal. 20(3); Efron et al. 2004, Ann. Statist. 32(2)).
 It follows on from a point that converged with every free coordinate
 nonzero, and it restarts from the point before a grid point still above
-``tol`` after EXACT_EVERY sweeps (for the first point, from the zero fit at
+KKT_TOL after EXACT_EVERY sweeps (for the first point, from the zero fit at
 lambda_max, where the largest |c_j|/w_j enters).  Between kinks the
 solution is affine in lambda: beta_A(lam) = u - lam v on the support A
 with signs s, where Psi_AA [u v] = [c_A, w_A s].  The next kink is the
@@ -39,13 +41,13 @@ or an active one crosses zero and leaves.  The lower Cholesky factor of
 Psi_AA is carried across kinks: an entry borders it with one row and a
 drop deletes one row by Givens rotations, each in O(|A|^2), and each kink
 solves for [u v] with the factor.  One KKT check covers every point
-computed this way, and the prefix within ``tol`` is taken, with 0
+computed this way, and the prefix within KKT_TOL is taken, with 0
 iterations after a restarted point's EXACT_EVERY.  Coordinate descent goes
-on from the last point taken, at the first point above ``tol``, at a
+on from the last point taken, at the first point above KKT_TOL, at a
 support larger than T, or where Psi_AA is not positive definite; a
 restarted point of which no row is taken sweeps on.  Every other point is
 its coordinate-descent iterate.
-Every point's KKT residual is within ``tol``, or it reports converged=False.
+Every point's KKT residual is within KKT_TOL, or it reports converged=False.
 """
 
 from __future__ import annotations
@@ -67,21 +69,23 @@ N_LAMBDA = 100
 LAMBDA_RATIO = 1e-4
 # below this share of y'y a path point's RSS is recomputed from its residual
 RSS_EXACT_BELOW = 1e-3
+# a point converged once its KKT residual is at most KKT_TOL, within MAX_SWEEPS sweeps
+KKT_TOL = 1e-7
+MAX_SWEEPS = 1000
 
 __all__ = [
     "LassoPath",
     "lambda_max",
+    "lambda_grid",
     "adaptive_weights",
     "lasso_path",
     "ridge_path",
 ]
 
 
-def _thresholds(grid, weights: np.ndarray | None, m: int) -> np.ndarray:
+def _thresholds(grid, weights: np.ndarray) -> np.ndarray:
     """len(grid) x m thresholds, row l holding lam_l*w_j, with 0*inf resolved to exclusion."""
     lams = np.asarray(grid, dtype=np.float64)[:, None]
-    if weights is None:
-        return np.repeat(lams, m, axis=1)
     with np.errstate(invalid="ignore"):  # 0 * inf, replaced by inf
         return np.where(np.isinf(weights), np.inf, lams * weights)
 
@@ -94,7 +98,7 @@ class LassoPath:
     beta: np.ndarray  # n x m coefficients
     iterations: np.ndarray  # n sweep counts, 0 at continuation points
     max_kkt_violation: np.ndarray  # n KKT residuals
-    converged: np.ndarray  # n flags: KKT residual within tol
+    converged: np.ndarray  # n flags: KKT residual within KKT_TOL
     rss: np.ndarray  # n residual sums of squares ||y - X beta||^2
 
 
@@ -269,11 +273,11 @@ def _homotopy(psi, c, w, free, beta, g, lam, grid, max_support) -> np.ndarray:
     return B[:n]
 
 
-def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter) -> tuple:
+def _descend(psi, c, rows, diag, free, lam_w, beta, g, max_iter) -> tuple:
     """Coordinate descent at one penalty from ``beta`` and its exact gradient
     ``g = c - Psi beta`` over the ``free`` coordinates (see ``_fit_grid``), for
-    at most ``max_iter`` sweeps; returns (beta, g, sweeps, KKT residual).
-    After every sweep g is recomputed exactly.
+    at most ``max_iter`` sweeps or to KKT_TOL; returns (beta, g, sweeps, KKT
+    residual).  After every sweep g is recomputed exactly.
     """
     # the scalar work runs on Python floats, which index faster than arrays
     thresholds = lam_w.tolist()
@@ -299,67 +303,61 @@ def _descend(psi, c, rows, diag, free, lam_w, beta, g, tol, max_iter) -> tuple:
         beta = np.array(b)
         g = c - psi @ beta
         viol = _free_residual(g.tolist(), b, thresholds, free)
-        if viol <= tol:
+        if viol <= KKT_TOL:
             break
     return beta, g, sweeps, viol
 
 
-def _fit_grid(psi, c, yy: float, T: int, weights, grid, tol, max_iter) -> LassoPath:
+def _fit_grid(psi, c, yy: float, T: int, weights, grid) -> LassoPath:
     """The weighted L1 fits at each penalty of ``grid``, in order, from Psi = X'X/T,
-    c = X'y/T, y'y and the number of observations T.
+    c = X'y/T, y'y, the number of observations T and checked weights.
 
-    The one setup of every L1 fit: the weights are checked, zero columns and
-    infinitely weighted coordinates pinned to zero, and the sweep state and
-    the thresholds of every penalty built once.  The first fit starts from
-    zero and each later one from the fit before it, with its exact gradient;
-    a fit still above ``tol`` after EXACT_EVERY sweeps restarts ``_homotopy``,
-    and one that converged with full support hands over to it (see the
-    module docstring).  A swept fit converged if its KKT residual is at most
-    ``tol`` within ``max_iter`` full sweeps.  Each fit's row of the result
-    is filled as it is taken, its RSS from its exact gradient.
+    The one setup of every L1 fit: zero columns and infinitely weighted
+    coordinates are pinned to zero, and the sweep state and the thresholds of
+    every penalty built once.  The first fit starts from zero and each later
+    one from the fit before it, with its exact gradient; a fit still above
+    KKT_TOL after EXACT_EVERY sweeps restarts ``_homotopy``, and one that
+    converged with full support hands over to it (see the module docstring).
+    Each fit's row is filled as it is taken, its RSS from its exact gradient.
     """
     m = len(c)
-    if weights is not None and len(weights) != m:
-        raise ValueError("weight length does not match design")
-    pinned = psi.diagonal() == 0.0
-    if weights is not None:
-        pinned |= np.isinf(weights)
+    pinned = (psi.diagonal() == 0.0) | np.isinf(weights)
     n_free = m - int(pinned.sum())
     # Psi is symmetric, so row j (contiguous) is the column a move of beta_j scales
     state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist())
     # the homotopy's weights, finite everywhere; pinned coordinates never enter
-    w = np.ones(m) if weights is None else np.where(pinned, 1.0, weights)
+    w = np.where(pinned, 1.0, weights)
     beta, g = np.zeros(m), c.copy()
     grid = np.asarray(grid, dtype=np.float64)
     n = len(grid)
-    lam_ws = _thresholds(grid, weights, m)
+    lam_ws = _thresholds(grid, weights)
     # one row per point: coefficients, exact gradient, sweeps, KKT residual
     B, G, sweeps, viols = np.zeros((n, m)), np.empty((n, m)), np.zeros(n, dtype=np.intp), np.empty(n)
 
     def follow(l, beta, g, lam) -> int:
-        """Fills the points from l on with the homotopy's rows from ``beta`` at ``lam`` within tol; how many."""
+        """Fills the points from l on with the homotopy's rows from ``beta`` at ``lam`` within KKT_TOL; how many."""
         H = _homotopy(psi, c, w, ~pinned, beta, g, lam, grid[l:], T)
         GH = c - H @ psi
         vh = _kkt_residual(GH, H, lam_ws[l : l + len(H)])
-        k = next((i for i, v in enumerate(vh) if v > tol), len(H))
+        k = next((i for i, v in enumerate(vh) if v > KKT_TOL), len(H))
         B[l : l + k], G[l : l + k], viols[l : l + k] = H[:k], GH[:k], vh[:k]
         return k
 
     l = 0
     while l < n:
-        beta, g, sweeps[l], viols[l] = _descend(psi, c, *state, lam_ws[l], beta, g, tol, min(max_iter, EXACT_EVERY))
+        beta, g, sweeps[l], viols[l] = _descend(psi, c, *state, lam_ws[l], beta, g, min(MAX_SWEEPS, EXACT_EVERY))
         k = 0
-        if viols[l] > tol and sweeps[l] == EXACT_EVERY:
+        if viols[l] > KKT_TOL and sweeps[l] == EXACT_EVERY:
             # a slow point: the homotopy from the point before it, or from zero
             k = follow(l, B[l - 1], G[l - 1], grid[l - 1]) if l else follow(0, np.zeros(m), c, np.inf)
-            if not k and max_iter > EXACT_EVERY:
-                beta, g, more, viols[l] = _descend(psi, c, *state, lam_ws[l], beta, g, tol, max_iter - EXACT_EVERY)
+            if not k and MAX_SWEEPS > EXACT_EVERY:
+                beta, g, more, viols[l] = _descend(psi, c, *state, lam_ws[l], beta, g, MAX_SWEEPS - EXACT_EVERY)
                 sweeps[l] += more
         if not k:
             B[l], G[l] = beta, g
             l += 1
             # a converged point with every free coordinate nonzero is exact
-            if l < n and viols[l - 1] <= tol and 0 < n_free == np.count_nonzero(beta):
+            if l < n and viols[l - 1] <= KKT_TOL and 0 < n_free == np.count_nonzero(beta):
                 k = follow(l, beta, g, grid[l - 1])
         l += k
         if k:
@@ -367,7 +365,20 @@ def _fit_grid(psi, c, yy: float, T: int, weights, grid, tol, max_iter) -> LassoP
             beta, g = B[l - 1].copy(), G[l - 1].copy()
     # RSS/T = y'y/T - 2 beta'c + beta'Psi beta = y'y/T - beta'(c + g)
     rss = yy - T * np.einsum("ij,ij->i", B, G + c)
-    return LassoPath(lambdas=grid, beta=B, iterations=sweeps, max_kkt_violation=viols, converged=viols <= tol, rss=rss)
+    return LassoPath(grid, B, sweeps, viols, viols <= KKT_TOL, rss)
+
+
+def _weights_and_lambda_max(c: np.ndarray, weights) -> tuple:
+    """(the weights as floats, all ones for None; lambda_max from c = X'y/T, 0 when
+    no weight is finite), after the one check of every L1 fit's weights: one per
+    column, each positive or +inf."""
+    w = np.ones(len(c)) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != c.shape:
+        raise ValueError("weight length does not match design")
+    if not (w > 0.0).all():
+        raise ValueError("weights must be positive or +inf")
+    # an infinite weight gives |c_j| / w_j = 0, which leaves the max as it is
+    return w, float((np.abs(c) / w).max(initial=0.0))
 
 
 def lambda_max(X, y, weights: np.ndarray | None = None) -> float:
@@ -375,21 +386,12 @@ def lambda_max(X, y, weights: np.ndarray | None = None) -> float:
     over the finite weights, 0 when there are none."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _lambda_max((X.T @ y) / X.shape[0], weights)
+    return _weights_and_lambda_max((X.T @ y) / X.shape[0], weights)[1]
 
 
-def _lambda_max(c: np.ndarray, weights) -> float:
-    """lambda_max from c = X'y/T; 0 when no coordinate carries a finite weight."""
-    g = np.abs(c)
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != g.shape:
-            raise ValueError("weight length does not match design")
-        finite = np.isfinite(w)
-        if np.any(w[finite] <= 0):
-            raise ValueError("weights must be positive where finite")
-        g = g[finite] / w[finite]
-    return float(g.max(initial=0.0))
+def lambda_grid(top: float) -> np.ndarray:
+    """The N_LAMBDA log-spaced penalties from ``top`` down to LAMBDA_RATIO * top."""
+    return top * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
 
 
 def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
@@ -398,24 +400,21 @@ def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
         return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
 
 
-def lasso_path(X, y, psi, weights: np.ndarray | None = None, lam=None, tol=1e-7, max_iter=1000) -> LassoPath:
+def lasso_path(X, y, psi, weights: np.ndarray | None = None, lam=None) -> LassoPath:
     """Weighted L1 fits of min (1/T)||y - X b||^2 + 2*lam*sum_j w_j |b_j|, one row
     per penalty, by decreasing lambda.
 
-    Without ``lam`` the penalties are N_LAMBDA log-spaced points from lambda_max
-    down to LAMBDA_RATIO * lambda_max (both read at call time); a fixed ``lam``
-    is the one-point path [lam].  The grid runs through the one solver setup
-    (see ``_fit_grid``): the first point starts from zero and each later one
-    from the previous point's beta and its exact gradient.  A weight of inf
-    excludes its coordinate, so with every weight infinite lambda_max is 0 and
-    the path is all zeros.  ``psi`` is the design's Gram matrix X'X/T.  Each
-    point's RSS comes from its gradient, or from its residual where it is
-    below RSS_EXACT_BELOW times y'y.
+    Without ``lam`` the penalties are ``lambda_grid`` from lambda_max; a fixed
+    ``lam`` is the one-point path [lam].  The grid runs through the one solver
+    setup (see ``_fit_grid``): the first point starts from zero and each later
+    one from the previous point's beta and its exact gradient.  Each weight is
+    positive, or inf to exclude its coordinate: with every weight infinite
+    lambda_max is 0 and the path is all zeros.  ``psi`` is the design's Gram
+    matrix X'X/T.  Each point's RSS comes from its gradient, or from its
+    residual where it is below RSS_EXACT_BELOW times y'y.
     """
     X, y, c, yy = _moments(np.asfortranarray(X, dtype=np.float64), y, psi)
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    if w is not None and not (w >= 0.0).all():
-        raise ValueError("weights must be nonnegative")
+    w, top = _weights_and_lambda_max(c, weights)
     if lam is not None:
         if not 0.0 <= lam < np.inf:
             raise ValueError("lambda must be finite and nonnegative")
@@ -424,8 +423,8 @@ def lasso_path(X, y, psi, weights: np.ndarray | None = None, lam=None, tol=1e-7,
         # the 1e-10 margin keeps the top-of-path solution exactly zero even when
         # the solver's gradient differs from lambda_max's by rounding; a zero
         # lambda_max (a zero response, or no finite weight) gives a grid of zeros
-        grid = _lambda_max(c, w) * (1.0 + 1e-10) * np.logspace(0.0, np.log10(LAMBDA_RATIO), N_LAMBDA)
-    path = _fit_grid(psi, c, yy, X.shape[0], w, grid, tol, max_iter)
+        grid = lambda_grid(top * (1.0 + 1e-10))
+    path = _fit_grid(psi, c, yy, X.shape[0], w, grid)
     _exact_small_rss(X, y, path.beta, path.rss, yy)
     return path
 

@@ -3,12 +3,12 @@ events, oracle-inequality sides, probability lower bounds, and the exact
 first-order conditions for sign recovery of the two-stage weighted LASSO.
 ``diagnose``, the library entry of ``hdvar diag``, assembles them into a report.
 
-Every routine is a pure function; the subset sampling in
-``restricted_eigenvalue`` takes an explicit seed.  Its search is batched: the
-starting points of one index set are the columns of one matrix, and the
-refined starts of every index set run together through one projected-gradient
-loop, a block of columns at a time.  Only cone-feasible points are evaluated,
-so the estimate is never below the true restricted eigenvalue.
+Every routine is a pure function; ``restricted_eigenvalue`` draws its random
+points from the seed RE_SEED.  Its search is batched: the starting points of
+one index set are the columns of one matrix, and the refined starts of every
+index set run together through one projected-gradient loop, a block of
+columns at a time.  Only cone-feasible points are evaluated, so the estimate
+is never below the true restricted eigenvalue.
 """
 
 from __future__ import annotations
@@ -97,10 +97,11 @@ def thm1_probability(T: int, k: int, p: int, a_const: float = 1.0) -> float:
 # Restricted eigenvalue estimation
 
 # Subsets of one size are enumerated while there are at most RE_ENUM_CAP of
-# them, else RE_N_SUBSETS are sampled; each subset gets RE_N_STARTS random cone
-# points and RE_N_ITERS projected-gradient steps per refined start.  The refined
-# starts of all subsets run through one loop in blocks of about RE_BLOCK matrix
-# entries (rows x columns), which keeps a block in cache.
+# them, else RE_N_SUBSETS are sampled from RE_SEED; each subset gets RE_N_STARTS
+# random cone points and RE_N_ITERS projected-gradient steps per refined start.
+# The refined starts of all subsets run through one loop in blocks of about
+# RE_BLOCK matrix entries (rows x columns), which keeps a block in cache.
+RE_SEED = 0
 RE_ENUM_CAP = 5000
 RE_N_SUBSETS = 200
 RE_N_STARTS = 24
@@ -108,18 +109,18 @@ RE_N_ITERS = 300
 RE_BLOCK = 16384
 
 
-def _subset_rng(seed: int, subset: tuple) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *subset])))
+def _subset_rng(subset: tuple) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([RE_SEED, *subset])))
 
 
-def _subsets(psi: np.ndarray, r: int, seed: int):
+def _subsets(psi: np.ndarray, r: int):
     """The index sets R searched for kappa^2(r), by size."""
     m = psi.shape[0]
     for size in range(1, r + 1):
         if math.comb(m, size) <= RE_ENUM_CAP:
             yield from itertools.combinations(range(m), size)
             continue
-        master = _subset_rng(seed, (size,))
+        master = _subset_rng((size,))
         seen = set()
         while len(seen) < RE_N_SUBSETS:
             seen.add(tuple(sorted(master.choice(m, size=size, replace=False).tolist())))
@@ -225,18 +226,18 @@ def _refine(psi: np.ndarray, D: np.ndarray, on_r: np.ndarray, lipschitz: float) 
         D = _cone_project(D, DR)
 
 
-def restricted_eigenvalue(psi, r: int, seed: int = 0) -> float:
+def restricted_eigenvalue(psi, r: int) -> float:
     """Upper estimate of kappa^2(r): min of d'Psi d / ||d_R||^2 over index sets
     |R| <= r and the cone ||d_{R^c}||_1 <= 3 ||d_R||_1.
 
     Subsets are enumerated when C(m, r) is within ``RE_ENUM_CAP`` and sampled
-    otherwise; each subset problem is attacked with canonical eigenvector
-    candidates, Schur-complement candidates, random cone points, and projected
-    gradient refinement of the most promising of them.  The search is batched:
-    the starts of a subset are the columns of one matrix, and the refined starts
-    of every subset run through one projected-gradient loop, in blocks of about
-    ``RE_BLOCK`` matrix entries.  Only cone points are evaluated, so the
-    estimate, their minimum, is never below the true kappa^2(r).
+    otherwise, from ``RE_SEED``; each subset problem is attacked with canonical
+    eigenvector candidates, Schur-complement candidates, random cone points and
+    projected gradient refinement of the most promising of them.  The search is
+    batched: the starts of a subset are the columns of one matrix, and the
+    refined starts of every subset run through one projected-gradient loop, in
+    blocks of about ``RE_BLOCK`` matrix entries.  Only cone points are scored,
+    so the estimate, their minimum, is never below the true kappa^2(r).
     """
     psi = np.asarray(psi, dtype=np.float64)
     m = psi.shape[0]
@@ -247,8 +248,8 @@ def restricted_eigenvalue(psi, r: int, seed: int = 0) -> float:
     lipschitz = float(np.linalg.eigvalsh((psi + psi.T) / 2.0).max())
     best = np.inf
     starts, masks, n_cols = [], [], 0
-    for subset in _subsets(psi, r, seed):
-        val, picked, on_r = _subset_starts(psi, subset, _subset_rng(seed, subset))
+    for subset in _subsets(psi, r):
+        val, picked, on_r = _subset_starts(psi, subset, _subset_rng(subset))
         best = min(best, val)
         starts.append(picked)
         masks.append(on_r)

@@ -22,6 +22,7 @@ import functools
 import itertools
 
 import numpy as np
+import pytest
 
 from hdvar import solver
 
@@ -148,7 +149,7 @@ def simulate_per_lag(model, T, seed=0):
 
 def penalty_thresholds(lam, weights, m):
     """lam * w_j for each of the m coordinates, inf where w_j is inf (also at lam = 0)."""
-    return solver._thresholds([lam], None if weights is None else np.asarray(weights, dtype=np.float64), m)[0]
+    return solver._thresholds([lam], np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64))[0]
 
 
 def objective(X, y, beta, lam, weights=None):
@@ -175,42 +176,48 @@ def kkt_check(X, y, beta, lam, weights=None):
     return solver._kkt_residual(g, beta, penalty_thresholds(lam, weights, X.shape[1]))
 
 
-def descend(X, y, psi, lam, start=None, start_lam=None, weights=None, tol=1e-7, max_iter=1000):
+def descend(X, y, psi, lam, start=None, start_lam=None, weights=None):
     """(beta, sweeps, KKT residual) of the fit a path point gets at the penalty
     ``lam`` from ``start``, the fit at ``start_lam`` (the zero fit if None), with
     the moments ``lasso_path`` forms and the same coordinates pinned at zero: at
     most EXACT_EVERY sweeps of the coordinate-descent kernel ``solver._descend``
     from ``start`` and its exact gradient g = c - Psi start; then, if still above
-    ``tol``, the row at ``lam`` of ``solver._homotopy`` from ``start`` if it is
-    within ``tol``, or else the kernel's remaining sweeps."""
+    ``solver.KKT_TOL``, the row at ``lam`` of ``solver._homotopy`` from ``start``
+    if it is within that, or else the kernel's remaining sweeps up to
+    ``solver.MAX_SWEEPS``."""
     X, y, c, _ = solver._moments(np.asfortranarray(X, dtype=np.float64), y, psi)
     T, m = X.shape
-    pinned = psi.diagonal() == 0.0
-    if weights is not None:
-        pinned |= np.isinf(weights)
+    tol, max_iter = solver.KKT_TOL, solver.MAX_SWEEPS
+    weights = np.ones(m) if weights is None else weights
+    pinned = (psi.diagonal() == 0.0) | np.isinf(weights)
     beta = np.zeros(m) if start is None else np.where(pinned, 0.0, start)
     g = c - psi @ beta
     lam_w = penalty_thresholds(lam, weights, m)
     state = (list(psi), psi.diagonal().tolist(), np.flatnonzero(~pinned).tolist())
     kernel = functools.partial(solver._descend, psi, c, *state, lam_w)
     # the kernel updates its gradient in place; the homotopy starts from the start's
-    fit, fit_g, sweeps, viol = kernel(beta, g.copy(), tol, min(max_iter, solver.EXACT_EVERY))
+    fit, fit_g, sweeps, viol = kernel(beta, g.copy(), min(max_iter, solver.EXACT_EVERY))
     if viol > tol and sweeps == solver.EXACT_EVERY:
-        w = np.ones(m) if weights is None else np.where(pinned, 1.0, weights)
+        w = np.where(pinned, 1.0, weights)
         from_lam = np.inf if start_lam is None else start_lam
         rows = solver._homotopy(psi, c, w, ~pinned, beta, g, from_lam, np.array([lam]), T)
         row_viol = solver._kkt_residual(c - rows @ psi, rows, lam_w[None])
         if len(rows) and row_viol[0] <= tol:
             return rows[0], sweeps, row_viol[0]
         if max_iter > solver.EXACT_EVERY:
-            fit, _, more, viol = kernel(fit, fit_g, tol, max_iter - solver.EXACT_EVERY)
+            fit, _, more, viol = kernel(fit, fit_g, max_iter - solver.EXACT_EVERY)
             sweeps += more
     return fit, sweeps, viol
 
 
-def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth, tol=1e-9):
+def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth):
     """Whether the stage-two LASSO of equation i at ``lambda_t``, weighted by
-    1/|stage1_beta|, has the sign pattern of the true coefficients."""
+    1/|stage1_beta|, has the sign pattern of the true coefficients.  The fit is
+    held to a KKT tolerance of 1e-9 within 5,000 sweeps, tighter than the
+    solver's own, so that its signs are those of the exact minimiser."""
     w = solver.adaptive_weights(np.asarray(stage1_beta, dtype=np.float64))
-    path = solver.lasso_path(problem.X, problem.ys[i], problem.psi, weights=w, lam=lambda_t, tol=tol, max_iter=5000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "KKT_TOL", 1e-9)
+        patch.setattr(solver, "MAX_SWEEPS", 5000)
+        path = solver.lasso_path(problem.X, problem.ys[i], problem.psi, weights=w, lam=lambda_t)
     return bool(np.all(np.sign(path.beta[0]) == np.sign(truth.beta[i])))

@@ -159,7 +159,7 @@ def test_criterion_06_theorem1_deterministic_suite():
             continue
         n_bt += 1
         for i in range(10):
-            beta = lasso_path(problem.X, problem.ys[i], problem.psi, lam=lam, tol=KKT_TOL).beta[0]
+            beta = lasso_path(problem.X, problem.ys[i], problem.psi, lam=lam).beta[0]
             checks = theory.thm1_rhs_check(problem, i, beta, truth, lam)
             for c in checks.values():
                 worst = min(worst, c["slack"])
@@ -177,17 +177,19 @@ def test_criterion_06_theorem1_deterministic_suite():
     assert elapsed < 300.0
 
 
-def test_criterion_07_restricted_eigenvalue_oracle():
+def test_criterion_07_restricted_eigenvalue_oracle(monkeypatch):
     rng = np.random.Generator(np.random.Philox(777))
     worst_rel = 0.0
     for trial in range(20):
         m = int(rng.integers(3, 7))
         r = int(rng.integers(1, 3))
         psi = random_spd(rng, m)
-        est = theory.restricted_eigenvalue(psi, r, seed=trial)
+        monkeypatch.setattr(theory, "RE_SEED", trial)
+        est = theory.restricted_eigenvalue(psi, r)
         oracle = restricted_eigenvalue_bruteforce(psi, r)
         rel = abs(est - oracle) / max(abs(oracle), 1e-12)
         worst_rel = max(worst_rel, rel)
+    monkeypatch.undo()
     ident = theory.restricted_eigenvalue(np.eye(6), 2)
     ok = worst_rel <= 0.02 and abs(ident - 1.0) <= 1e-6
     announce(7, ok, f"20 instances, worst rel err={worst_rel:.4f} (<=0.02); RE(I)={ident:.8f}")
@@ -267,7 +269,7 @@ def test_criterion_10_solver_oracle():
         beta = rng.uniform(-1.5, 1.5, 2)
         y = X @ beta + 0.5 * rng.standard_normal(T)
         lam = float(rng.uniform(0.05, 0.6)) * lambda_max(X, y)
-        path = lasso_path(X, y, gram(X), lam=lam, tol=KKT_TOL)
+        path = lasso_path(X, y, gram(X), lam=lam)
         assert path.converged[0]
         worst_kkt = max(worst_kkt, kkt_check(X, y, path.beta[0], lam))
         _, f_grid = grid_search_2d(X, y, lam)
@@ -278,7 +280,7 @@ def test_criterion_10_solver_oracle():
     for trial in range(5):
         X = rng.standard_normal((50, 5))
         y = rng.standard_normal(50)
-        beta = lasso_path(X, y, gram(X), lam=0.0, tol=KKT_TOL).beta[0]
+        beta = lasso_path(X, y, gram(X), lam=0.0).beta[0]
         worst_ols = max(worst_ols, float(np.abs(beta - least_squares(X, y)).max()))
     ok = worst_gap <= 1e-5 and worst_kkt <= KKT_TOL and worst_ols <= 1e-6
     announce(
@@ -297,7 +299,7 @@ def test_criterion_11_lyapunov_residuals():
     for exp, ks in mc.EXPERIMENT_GRID.items():
         model, _ = mc.make_dgp(exp, max(ks))
         form = var.companion(model)
-        gamma = lyapunov_doubling(form.F, form.omega, tol=1e-10)
+        gamma = lyapunov_doubling(form.F, form.omega)
         resid = float(np.abs(gamma - form.F @ gamma @ form.F.T - form.omega).max())
         details.append(f"{exp}:k={max(ks)}:{resid:.1e}")
         worst = max(worst, resid)

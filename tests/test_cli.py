@@ -1,11 +1,10 @@
-import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hdvar import cli, estimators, var
+from hdvar import cli, estimators, solver, var
 from hdvar.solver import lambda_max
 from helpers import kkt_check
 
@@ -168,7 +167,7 @@ class TestFit:
     def test_lambda_override_reports_nonconvergence(self, dataset_dir, tag, monkeypatch):
         data = var.load_dataset(str(dataset_dir))
         assert all(f.converged for f in estimators.FitPlan(data).fit(tag, lam=1e-4).fits)
-        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, max_iter=1))
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
         fit = estimators.FitPlan(data).fit(tag, lam=1e-4)
         converged = [f.converged for f in fit.fits]
         assert not all(converged)

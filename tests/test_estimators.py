@@ -1,4 +1,3 @@
-import functools
 import json
 
 import numpy as np
@@ -196,7 +195,7 @@ class TestAdaptiveLasso:
 
     def test_ridge_init_no_hard_exclusion(self, monkeypatch):
         prob, truth, _ = simulated_problem(seed=11, T=200)
-        monkeypatch.setattr(estimators, "N_LAMBDA", 50)
+        monkeypatch.setattr(solver, "N_LAMBDA", 50)
         beta1, _ = FitPlan(prob).ridge_bic(0)
         assert np.all(beta1 != 0.0)  # ridge is dense
 
@@ -219,7 +218,7 @@ class TestAdaptiveLasso:
             assert lam1 == best[1]
             assert np.abs(beta1 - best[2]).max() <= 1e-12
 
-    def test_truth_weights_recover_ols_on_support(self):
+    def test_truth_weights_recover_ols_on_support(self, monkeypatch):
         # stage 1 equal to the truth with a grid reaching tiny lambda:
         # stage 2 approaches OLS on the true support
         prob, truth, _ = simulated_problem(seed=12, T=400)
@@ -227,7 +226,8 @@ class TestAdaptiveLasso:
         with np.errstate(divide="ignore"):
             w = np.where(truth.beta[i] != 0.0, 1.0 / np.abs(truth.beta[i]), np.inf)
 
-        beta = lasso_path(prob.X, prob.ys[i], prob.psi, weights=w, lam=1e-10, tol=1e-12).beta[0]
+        monkeypatch.setattr(solver, "KKT_TOL", 1e-12)
+        beta = lasso_path(prob.X, prob.ys[i], prob.psi, weights=w, lam=1e-10).beta[0]
         J = truth.supports[i]
         ols = np.zeros(prob.m)
         ols[J] = least_squares(prob.X[:, J], prob.ys[i])
@@ -290,14 +290,15 @@ class TestOracleAndFullOls:
         fit = FitPlan(problem_from(X, y)).equation("full_ols", 0)
         assert np.abs(fit.beta - least_squares(X, y)).max() <= 1e-10
 
-    def test_full_ols_equals_lasso_at_lambda_zero(self):
+    def test_full_ols_equals_lasso_at_lambda_zero(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(19))
         X = rng.standard_normal((80, 6))
         y = rng.standard_normal(80)
         prob = problem_from(X, y)
         full = FitPlan(prob).equation("full_ols", 0)
 
-        beta = lasso_path(prob.X, prob.ys[0], prob.psi, lam=0.0, tol=1e-10).beta[0]
+        monkeypatch.setattr(solver, "KKT_TOL", 1e-10)
+        beta = lasso_path(prob.X, prob.ys[0], prob.psi, lam=0.0).beta[0]
         assert np.abs(full.beta - beta).max() <= 1e-6
 
 
@@ -351,13 +352,14 @@ def assert_same_system_fit(a, b):
 class TestFitPlan:
     @pytest.mark.parametrize(
         "experiment, k, T, opts",
-        # C/10/40 has m = 50 > T; a short max_iter keeps its non-converging grid points cheap
-        [("A", 10, 200, {}), ("C", 10, 40, {"max_iter": 50})],
+        # C/10/40 has m = 50 > T; a short sweep budget keeps its non-converging grid points cheap
+        [("A", 10, 200, {}), ("C", 10, 40, {"MAX_SWEEPS": 50})],
     )
     def test_menu_equals_per_tag_fits(self, experiment, k, T, opts, monkeypatch):
         model, truth = mc.make_dgp(experiment, k)
         data = var.simulate(model, T, seed=0)
-        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, **opts))
+        for name, value in opts.items():
+            monkeypatch.setattr(solver, name, value)
         menu = estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth)
         assert list(menu) == list(estimators.ESTIMATOR_TAGS)
         for tag in estimators.ESTIMATOR_TAGS:

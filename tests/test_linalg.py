@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hdvar import linalg
 from hdvar.errors import NotPositiveDefinite, NotStationary, SingularDesign
 from hdvar.linalg import (
     cholesky_solve,
@@ -124,16 +125,17 @@ class TestLyapunovDoubling:
             F *= 0.8 / np.abs(np.linalg.eigvals(F)).max()
             W = rng.standard_normal((4, 4))
             Omega = W @ W.T + np.eye(4)
-            G = lyapunov_doubling(F, Omega, tol=1e-12)
+            G = lyapunov_doubling(F, Omega)
             assert np.abs(G - F @ G @ F.T - Omega).max() <= 1e-11
 
-    def test_matches_scipy(self):
+    def test_matches_scipy(self, monkeypatch):
+        monkeypatch.setattr(linalg, "LYAPUNOV_TOL", 1e-13)
         rng = rng_for(8)
         F = rng.standard_normal((5, 5))
         F *= 0.7 / np.abs(np.linalg.eigvals(F)).max()
         W = rng.standard_normal((5, 5))
         Omega = W @ W.T
-        ours = lyapunov_doubling(F, Omega, tol=1e-13)
+        ours = lyapunov_doubling(F, Omega)
         ref = scipy.linalg.solve_discrete_lyapunov(F, Omega)
         assert np.abs(ours - ref).max() <= 1e-9
 

@@ -1,12 +1,11 @@
 import dataclasses
-import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hdvar import cli, estimators, mc, var
+from hdvar import cli, estimators, mc, solver, var
 from hdvar.errors import UnknownCombination
 
 
@@ -180,7 +179,7 @@ class TestRunExperiment:
 
     def test_nonconverged_selected_fits_counted(self, monkeypatch, tmp_path, capsys):
         # m = 50 > T = 40 and at most 2 sweeps per grid point: selected LASSO fits stop short
-        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, max_iter=2))
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
         model, _ = mc.make_dgp("C", 10)
         expected = 0
         for seed in (5, 6):
@@ -203,9 +202,9 @@ class TestRunExperiment:
     def test_grid_end_and_selected_df_counted(self, monkeypatch):
         tags = estimators.ESTIMATOR_TAGS
         # m = 50 > T = 40: the LASSO BIC runs to the end of the grid, where the
-        # path keeps up to T regressors; max_iter=50 keeps any non-converging
-        # grid point cheap
-        monkeypatch.setattr(estimators, "lasso_path", functools.partial(estimators.lasso_path, max_iter=50))
+        # path keeps up to T regressors; a budget of 50 sweeps keeps any
+        # non-converging grid point cheap
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 50)
         report = mc.run_experiment(mc.ExperimentSpec("C", 10, 40, n_reps=1, base_seed=5, estimators=tags))
         assert {tag: (c["bic_at_grid_end"], c["mean_df_over_T"]) for tag, c in report.solver.items()} == {
             "lasso": (10, 0.9949999999999999),

@@ -1,7 +1,9 @@
-"""Package-level checks: every name a module exports exists, and the program uses it."""
+"""Package-level checks: every name a module exports exists and the program uses it,
+and the settings every report shares are module constants, not parameters."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -44,3 +46,18 @@ def test_all_names_resolve(name):
 def test_every_export_is_used_by_the_program(name):
     module = importlib.import_module(name)
     assert [n for n in _exports(module) if n not in _program_references()] == []
+
+
+@pytest.mark.parametrize(
+    "name, parameters",
+    [
+        ("hdvar.solver.lasso_path", ["X", "y", "psi", "weights", "lam"]),
+        ("hdvar.linalg.lyapunov_doubling", ["F", "Omega"]),
+        ("hdvar.theory.restricted_eigenvalue", ["psi", "r"]),
+    ],
+)
+def test_signatures_take_no_test_only_settings(name, parameters):
+    # the tolerance, sweep budget and seed are module constants (KKT_TOL,
+    # MAX_SWEEPS, LYAPUNOV_TOL, RE_SEED): every report uses one value of each
+    module, function = name.rsplit(".", 1)
+    assert list(inspect.signature(getattr(importlib.import_module(module), function)).parameters) == parameters

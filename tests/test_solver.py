@@ -38,11 +38,18 @@ def grid_search_2d(X, y, lam, lo=-2.0, hi=2.0, step=1e-3):
     return np.array([b1[idx[0]], b2[idx[1]]]), float(total[idx])
 
 
-def fit_at(X, y, lam, weights=None, **opts):
+def fit_at(X, y, lam, weights=None):
     """The fit at one fixed penalty: the only row of the one-point path [lam]."""
-    path = lasso_path(X, y, gram(X), weights=weights, lam=lam, **opts)
+    path = lasso_path(X, y, gram(X), weights=weights, lam=lam)
     assert len(path.lambdas) == 1 and path.lambdas[0] == lam
     return path.beta[0], path
+
+
+def capped_fit(X, y, lam, sweeps):
+    """``fit_at`` with a budget of ``sweeps`` sweeps in place of MAX_SWEEPS."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "MAX_SWEEPS", sweeps)
+        return fit_at(X, y, lam)
 
 
 class TestLassoCd:
@@ -61,11 +68,12 @@ class TestLassoCd:
         assert path.converged[0]
         assert np.abs(beta - least_squares(X, y)).max() <= 1e-6
 
-    def test_grid_search_oracle(self):
+    def test_grid_search_oracle(self, monkeypatch):
+        monkeypatch.setattr(solver, "KKT_TOL", 1e-10)
         for seed in range(5):
             X, y = random_instance(seed, T=20, m=2)
             lam = 0.3 * lambda_max(X, y)
-            beta, _ = fit_at(X, y, lam, tol=1e-10)
+            beta, _ = fit_at(X, y, lam)
             _, f_grid = grid_search_2d(X, y, lam)
             f_cd = objective(X, y, beta, lam)
             assert f_cd <= f_grid + 1e-5
@@ -75,27 +83,29 @@ class TestLassoCd:
         lam = 0.05 * lambda_max(X, y)
         _, path = fit_at(X, y, lam)
         # the objective after each sweep: a fit capped at n sweeps stops at the n-th iterate
-        hist = [objective(X, y, fit_at(X, y, lam, max_iter=n)[0], lam) for n in range(1, path.iterations[0] + 1)]
+        hist = [objective(X, y, capped_fit(X, y, lam, n)[0], lam) for n in range(1, path.iterations[0] + 1)]
         assert np.all(np.diff(hist) <= 1e-12)
 
-    def test_solution_scaling(self):
+    def test_solution_scaling(self, monkeypatch):
+        monkeypatch.setattr(solver, "KKT_TOL", 1e-12)
         X, y = random_instance(3, T=30, m=4)
         lam0 = 0.2 * lambda_max(X, y)
-        base, _ = fit_at(X, y, lam0, tol=1e-12)
+        base, _ = fit_at(X, y, lam0)
         for c in (2.0, 7.5):
-            scaled, _ = fit_at(X, c * y, c * lam0, tol=1e-12)
+            scaled, _ = fit_at(X, c * y, c * lam0)
             denom = max(np.abs(c * base).max(), 1e-12)
             assert np.abs(scaled - c * base).max() <= 1e-8 * denom
 
-    def test_infinite_weight_exclusion(self):
+    def test_infinite_weight_exclusion(self, monkeypatch):
+        monkeypatch.setattr(solver, "KKT_TOL", 1e-12)
         X, y = random_instance(4, T=30, m=6)
         w = np.ones(6)
         w[[1, 4]] = np.inf
         lam = 0.1 * lambda_max(X, y)
-        full, _ = fit_at(X, y, lam, weights=w, tol=1e-12)
+        full, _ = fit_at(X, y, lam, weights=w)
         assert np.all(full[[1, 4]] == 0.0)
         keep = [0, 2, 3, 5]
-        reduced, _ = fit_at(X[:, keep], y, lam, weights=np.ones(4), tol=1e-12)
+        reduced, _ = fit_at(X[:, keep], y, lam, weights=np.ones(4))
         assert np.abs(full[keep] - reduced).max() <= 1e-8
 
     def test_zero_column_pinned(self):
@@ -107,9 +117,10 @@ class TestLassoCd:
         assert beta[1] == 0.0
         assert path.converged[0]
 
-    def test_max_iter_reported(self):
+    def test_max_iter_reported(self, monkeypatch):
+        monkeypatch.setattr(solver, "KKT_TOL", 1e-14)
         X, y = random_instance(7, T=40, m=10)
-        _, path = fit_at(X, y, 1e-9 * lambda_max(X, y), tol=1e-14, max_iter=1)
+        _, path = capped_fit(X, y, 1e-9 * lambda_max(X, y), 1)
         assert not path.converged[0]
 
 
@@ -124,10 +135,11 @@ class TestKktCheck:
         lam = lambda_max(X, y)
         assert kkt_check(X, y, np.zeros(4), lam) <= 1e-12
 
-    def test_solver_output_passes(self):
+    def test_solver_output_passes(self, monkeypatch):
+        monkeypatch.setattr(solver, "KKT_TOL", 1e-9)
         X, y = random_instance(10, T=30, m=6)
         lam = 0.05 * lambda_max(X, y)
-        beta, _ = fit_at(X, y, lam, tol=1e-9)
+        beta, _ = fit_at(X, y, lam)
         assert kkt_check(X, y, beta, lam) <= 1e-9 + 1e-12
 
     def test_nonzero_excluded_coordinate_is_infinite_violation(self):
@@ -179,9 +191,10 @@ class TestLassoPath:
         X, y = random_instance(14, T=50, m=4)
         monkeypatch.setattr(solver, "N_LAMBDA", 2)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.01)
-        path = lasso_path(X, y, gram(X), tol=1e-12)
+        monkeypatch.setattr(solver, "KKT_TOL", 1e-12)
+        path = lasso_path(X, y, gram(X))
         for lam, beta in zip(path.lambdas, path.beta):
-            cold, _ = fit_at(X, y, lam, tol=1e-12)
+            cold, _ = fit_at(X, y, lam)
             assert np.abs(beta - cold).max() <= 1e-8
 
     def test_active_set_mostly_monotone_on_experiment_a(self):
@@ -224,13 +237,12 @@ class TestPathKernel:
 
     @pytest.mark.parametrize(
         "case",
-        # C/10/40 has m = 50 > T = 40; at max_iter=4 no point reaches the restart
-        # and the support never becomes full, so every point is swept and some
-        # stay unconverged
+        # C/10/40 has m = 50 > T = 40; with MAX_SWEEPS = 4 no point reaches the
+        # restart and the support never becomes full, so every point is swept
+        # and some stay unconverged
         ["A/10/500", "C/10/1000", "adaptive", "C/10/40", "C/10/40/max_iter=4"],
     )
-    def test_path_equals_warm_started_lasso_cd_chain(self, case):
-        opts = {}
+    def test_path_equals_warm_started_lasso_cd_chain(self, case, monkeypatch):
         if case == "adaptive":
             X, y, w = adaptive_instance()
         else:
@@ -238,14 +250,14 @@ class TestPathKernel:
             prob = experiment_problem(experiment, int(k), int(T))
             X, y, w = prob.X, prob.ys[0], None
             if case.startswith("C/10/40"):
-                opts = {"max_iter": 4 if case.endswith("max_iter=4") else 50}
-        path = lasso_path(X, y, gram(X), weights=w, **opts)
+                monkeypatch.setattr(solver, "MAX_SWEEPS", 4 if case.endswith("max_iter=4") else 50)
+        path = lasso_path(X, y, gram(X), weights=w)
         assert path.converged.all() == (case != "C/10/40/max_iter=4")
         n_free = np.count_nonzero(X.any(axis=0) & (True if w is None else np.isfinite(w)))
         closed = 0
         for l, lam in enumerate(path.lambdas):
             start = (path.beta[l - 1], path.lambdas[l - 1]) if l else (None, None)
-            ref, sweeps, viol = descend(X, y, gram(X), lam, *start, weights=w, **opts)
+            ref, sweeps, viol = descend(X, y, gram(X), lam, *start, weights=w)
             assert path.converged[l] == (path.max_kkt_violation[l] <= 1e-7)
             if path.iterations[l]:
                 # a swept point is the kernel started from the point before it, or the
@@ -271,11 +283,12 @@ class TestPathKernel:
         # one outer product for the grid, the same IEEE multiply as lam * w per point
         w = np.array([0.5, np.inf, 2.0, 0.0, 1.0 / 3.0])
         grid = [3.0, 0.1, 1e-3, 0.0]
-        rows = solver._thresholds(grid, w, 5)
+        rows = solver._thresholds(grid, w)
         for lam, row in zip(grid, rows):
             with np.errstate(invalid="ignore"):
                 assert np.array_equal(row, np.where(np.isinf(w), np.inf, lam * w))
-        assert np.array_equal(solver._thresholds(grid, None, 2), np.column_stack([grid, grid]))
+        # unit weights, which stand for no weights, leave each penalty as it is
+        assert np.array_equal(solver._thresholds(grid, np.ones(2)), np.column_stack([grid, grid]))
 
     @settings(max_examples=200)
     @given(
@@ -327,8 +340,25 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [-1.0, np.nan])
     def test_path_rejects_negative_or_nan_weight(self, bad):
         X, y = random_instance(21, T=20, m=3)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"weights must be positive or \+inf"):
             lasso_path(X, y, gram(X), weights=np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda X, y, w: lambda_max(X, y, w),
+            lambda X, y, w: lasso_path(X, y, gram(X), weights=w),
+            lambda X, y, w: lasso_path(X, y, gram(X), weights=w, lam=0.05),
+        ],
+        ids=["lambda_max", "lasso_path", "lasso_cd"],
+    )
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, -np.inf])
+    def test_every_entry_holds_weights_to_one_rule(self, fit, bad):
+        # each weight positive or +inf, whether or not a penalty is given: a zero
+        # weight used to pass at a fixed penalty and fail on the grid
+        X, y = random_instance(21, T=20, m=3)
+        with pytest.raises(ValueError, match=r"weights must be positive or \+inf"):
+            fit(X, y, np.array([1.0, bad, 1.0]))
 
     @pytest.mark.parametrize(
         "fit", [lasso_path, lambda X, y, psi: lasso_path(X, y, psi, lam=0.1)], ids=["lasso_path", "lasso_cd"]
@@ -434,14 +464,15 @@ class TestExactStep:
         assert homotopy_rows == [solver.N_LAMBDA - 13]
         assert path.iterations[13] == EXACT_EVERY and np.all(path.iterations[14:] == 0)
 
-    def test_fast_paths_keep_the_coordinate_descent_iterate(self, homotopy_rows):
+    def test_fast_paths_keep_the_coordinate_descent_iterate(self, homotopy_rows, monkeypatch):
         prob = experiment_problem("A", 10, 500)
         X, y = prob.X, prob.ys[0]
         path = lasso_path(X, y, gram(X))
         warm = None
+        monkeypatch.setattr(solver, "MAX_SWEEPS", EXACT_EVERY - 1)
         for lam, beta, iterations in zip(path.lambdas[:75], path.beta, path.iterations):
             assert 0 < iterations < EXACT_EVERY
-            capped, _, _ = descend(X, y, gram(X), lam, warm, max_iter=EXACT_EVERY - 1)
+            capped, _, _ = descend(X, y, gram(X), lam, warm)
             assert np.array_equal(beta, capped)
             warm = beta
         assert np.count_nonzero(path.beta[74]) == prob.m
@@ -475,12 +506,12 @@ class TestExactStep:
         beta, path = fit_at(X, y, lam)
         assert path.iterations[0] == EXACT_EVERY
         np.testing.assert_allclose(beta, affine_oracle(X, y, beta, [lam])[0], rtol=1e-12, atol=0.0)
-        # a restart that gives no row leaves the kernel sweeping for the rest of max_iter
+        # a restart that gives no row leaves the kernel sweeping for the rest of MAX_SWEEPS
         monkeypatch.setattr(solver, "_homotopy", lambda psi, c, *args: np.zeros((0, len(c))))
         beta, path = fit_at(X, y, lam)
         assert path.iterations[0] == 8 and path.converged[0]
         assert kkt_check(X, y, beta, lam) <= 1e-7
-        capped = fit_at(X, y, lam, max_iter=EXACT_EVERY + 1)[1]
+        capped = capped_fit(X, y, lam, EXACT_EVERY + 1)[1]
         assert capped.iterations[0] == EXACT_EVERY + 1 and not capped.converged[0]
         # a whole path without the homotopy is coordinate descent alone
         prob = experiment_problem("C", 10, 1000)
@@ -539,7 +570,7 @@ class TestExactStep:
         assert path.iterations[0] == EXACT_EVERY
         # a fit capped at n sweeps stops at the n-th iterate; at n = EXACT_EVERY,
         # at the homotopy's row
-        hist = [objective(X, y, fit_at(X, y, lam, max_iter=n)[0], lam) for n in range(1, EXACT_EVERY + 1)]
+        hist = [objective(X, y, capped_fit(X, y, lam, n)[0], lam) for n in range(1, EXACT_EVERY + 1)]
         assert np.all(np.diff(hist) <= 1e-12)
         assert hist[-1] == objective(X, y, beta, lam)
         assert path.max_kkt_violation[0] <= 1e-7

@@ -94,17 +94,18 @@ class TestRestrictedEigenvalue:
         assert est == pytest.approx(oracle, rel=0.02)
         assert est == pytest.approx(1.0, rel=1e-6)
 
-    def test_matches_bruteforce_random(self):
+    def test_matches_bruteforce_random(self, monkeypatch):
         rng = rng_for(100)
         for trial in range(5):
             m = int(rng.integers(3, 7))
             psi = random_spd(rng, m)
             r = int(rng.integers(1, 3))
-            est = theory.restricted_eigenvalue(psi, r, seed=trial)
+            monkeypatch.setattr(theory, "RE_SEED", trial)
+            est = theory.restricted_eigenvalue(psi, r)
             oracle = restricted_eigenvalue_bruteforce(psi, r)
             assert est == pytest.approx(oracle, rel=0.02)
 
-    def test_bracketed_by_min_eigenvalues(self):
+    def test_bracketed_by_min_eigenvalues(self, monkeypatch):
         rng = rng_for(101)
         import itertools
 
@@ -112,7 +113,8 @@ class TestRestrictedEigenvalue:
             m = int(rng.integers(3, 9))
             psi = random_spd(rng, m)
             r = int(rng.integers(1, min(3, m)))
-            est = theory.restricted_eigenvalue(psi, r, seed=trial)
+            monkeypatch.setattr(theory, "RE_SEED", trial)
+            est = theory.restricted_eigenvalue(psi, r)
             phi_min = np.linalg.eigvalsh(psi).min()
             sub_mins = [
                 np.linalg.eigvalsh(psi[np.ix_(R, R)]).min()
@@ -121,24 +123,32 @@ class TestRestrictedEigenvalue:
             ]
             assert phi_min - 1e-10 <= est <= min(sub_mins) + 1e-10
 
-    def test_nonincreasing_in_r(self):
+    def test_nonincreasing_in_r(self, monkeypatch):
         rng = rng_for(102)
         psi = random_spd(rng, 6)
-        vals = [theory.restricted_eigenvalue(psi, r, seed=7) for r in (1, 2, 3)]
+        monkeypatch.setattr(theory, "RE_SEED", 7)
+        vals = [theory.restricted_eigenvalue(psi, r) for r in (1, 2, 3)]
         # the points searched for r are searched again, from the same seeds, for r + 1
         assert vals[0] >= vals[1] >= vals[2]
+
+    def test_sampling_can_always_draw_its_subsets(self):
+        # a size is sampled only when it has more than RE_ENUM_CAP index sets, and
+        # the sampling loop runs until it holds RE_N_SUBSETS distinct ones, so it
+        # ends only while RE_N_SUBSETS <= RE_ENUM_CAP
+        assert theory.RE_N_SUBSETS <= theory.RE_ENUM_CAP
 
     def test_sampled_subsets_stay_above_the_oracle(self, monkeypatch):
         # more index sets of each size than RE_ENUM_CAP: RE_N_SUBSETS of them are
         # sampled, plus the one of the weakest diagonal entries
         monkeypatch.setattr(theory, "RE_ENUM_CAP", 4)
         monkeypatch.setattr(theory, "RE_N_SUBSETS", 3)
+        monkeypatch.setattr(theory, "RE_SEED", 3)
         psi = random_spd(rng_for(103), 5)
-        assert len(list(theory._subsets(psi, 2, seed=3))) < math.comb(5, 1) + math.comb(5, 2)
-        est = theory.restricted_eigenvalue(psi, 2, seed=3)
+        assert len(list(theory._subsets(psi, 2))) < math.comb(5, 1) + math.comb(5, 2)
+        est = theory.restricted_eigenvalue(psi, 2)
         # only cone points are scored, so a sample of the index sets never goes below the true value
         assert est >= restricted_eigenvalue_bruteforce(psi, 2) * (1.0 - 1e-12)
-        assert theory.restricted_eigenvalue(psi, 2, seed=3) == est
+        assert theory.restricted_eigenvalue(psi, 2) == est
 
     def test_sampled_subsets_keep_the_weakest_diagonal(self, monkeypatch):
         # a weak 2 x 2 block on coordinates 1 and 4, uncoupled from a strong rest:
@@ -148,11 +158,12 @@ class TestRestrictedEigenvalue:
         rest = [0, 2, 3, 5, 6, 7]
         psi[np.ix_(rest, rest)] = random_spd(rng_for(104), 6) + np.eye(6)
         psi[np.ix_([1, 4], [1, 4])] = [[0.05, 0.025], [0.025, 0.05]]
-        enumerated = theory.restricted_eigenvalue(psi, 2, seed=1)
+        monkeypatch.setattr(theory, "RE_SEED", 1)
+        enumerated = theory.restricted_eigenvalue(psi, 2)
         monkeypatch.setattr(theory, "RE_ENUM_CAP", 6)
         monkeypatch.setattr(theory, "RE_N_SUBSETS", 3)
-        assert (1, 4) in theory._subsets(psi, 2, seed=1)
-        sampled = theory.restricted_eigenvalue(psi, 2, seed=1)
+        assert (1, 4) in theory._subsets(psi, 2)
+        sampled = theory.restricted_eigenvalue(psi, 2)
         assert sampled == pytest.approx(enumerated, rel=1e-12)
         assert sampled == pytest.approx(0.025, rel=1e-12)
 
@@ -177,7 +188,7 @@ class TestRestrictedEigenvalue:
         gamma = var.population_gamma(mc.make_dgp(experiment, k)[0])
         assert theory.restricted_eigenvalue(gamma, r) == pytest.approx(value, rel=1e-12)
 
-    def test_oracle_instances_pinned(self):
+    def test_oracle_instances_pinned(self, monkeypatch):
         # the 20 instances of acceptance criterion 7, against the one-start-at-a-time search
         pinned = [
             0.014904069907926734, 0.31267691601619196, 0.28465965797851744, 0.10228636072100081,
@@ -191,7 +202,8 @@ class TestRestrictedEigenvalue:
             m = int(rng.integers(3, 7))
             r = int(rng.integers(1, 3))
             psi = random_spd(rng, m)
-            assert theory.restricted_eigenvalue(psi, r, seed=trial) == pytest.approx(value, rel=1e-12)
+            monkeypatch.setattr(theory, "RE_SEED", trial)
+            assert theory.restricted_eigenvalue(psi, r) == pytest.approx(value, rel=1e-12)
 
 
 class TestEventFlags:
