@@ -7,9 +7,9 @@ exceptions, so reports carry blank cells instead of aborting the run.
 
 Every BIC choice is scored from sufficient statistics: the RSS each
 ``lasso_path`` point carries, or the closed-form ridge RSS, with no residual
-matrix.  The k equations share one design, so the Psi = X'X/T that
-``var.stack`` forms is the only Gram matrix of a dataset: every L1 fit and
-the ridge eigendecomposition run on it.
+matrix.  The k equations share one design, whose ``var.RegressionProblem``
+forms Psi = X'X/T, X'y_i and y_i'y_i once: every L1 fit, the ridge first
+stage and its eigendecomposition read them there.
 """
 
 from __future__ import annotations
@@ -149,14 +149,14 @@ def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str, t
 
 def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=None) -> EquationFit:
     """The penalized stage every L1 estimator ends in: a weighted ``lasso_path``
-    on the dataset's Psi, then BIC.
+    of equation i of the stacked problem, then BIC.
 
     Without ``lam`` the candidates are the path's grid, and BIC scores the
     whole path at once from the RSS the path carries; its df is the
     active-set size and ties resolve to the larger lambda.  A fixed ``lam`` is
     the one-point path [lam], whose only row BIC takes.
     """
-    path = lasso_path(problem.X, problem.ys[i], problem.psi, weights=weights, lam=lam)
+    path = lasso_path(problem, i, weights=weights, lam=lam)
     best = int(np.argmin(bic(path.rss, np.count_nonzero(path.beta, axis=1), problem.T)))  # first minimum = largest lambda
     beta = path.beta[best].copy()
     return EquationFit(
@@ -173,14 +173,14 @@ def _l1_fit(problem: var.RegressionProblem, i: int, tag: str, weights=None, lam=
 class FitPlan:
     """Every estimator on one dataset, with each shared stage run once.
 
-    The data are stacked once, and the stacked problem's Psi = X'X/T serves
+    The data are stacked once, and the stacked problem's statistics serve
     every path.  Per equation, the BIC-tuned LASSO runs once and feeds
-    ``lasso``, ``post_lasso`` and the first stage of
-    ``adaptive_lasso_lasso``; the ridge first stage of ``adaptive_lasso_ridge``
-    comes, for every equation, from one eigendecomposition of Psi.  Each
-    first stage goes through the same path -> BIC tail as the LASSO itself.
-    ``fit(tag, lam)`` fixes the penalty of the final penalized stage only:
-    first stages stay BIC-tuned.
+    ``lasso``, ``post_lasso`` and the first stage of ``adaptive_lasso_lasso``;
+    the ridge first stage of ``adaptive_lasso_ridge`` comes, for every
+    equation, from one eigendecomposition of Psi.  Each first stage goes
+    through the same path -> BIC tail as the LASSO itself.  ``fit(tag, lam)``
+    fixes the penalty of the final penalized stage only: first stages stay
+    BIC-tuned.
     """
 
     def __init__(self, data, truth: SparsityInfo | None = None):
@@ -208,10 +208,10 @@ class FitPlan:
         and the RSS in closed form from the eigendecomposition.
         """
         if i not in self._ridge:
-            X, y, T = self.problem.X, self.problem.ys[i], self.problem.T
-            lmax = lambda_max(X, y) or 1.0  # a zero response has lambda_max 0
+            T = self.problem.T
+            lmax = lambda_max(self.problem, i) or 1.0  # a zero response has lambda_max 0
             grid = lambda_grid(T * lmax)
-            B, df, rss = ridge_path(X, y, grid, self._gram_eig)
+            B, df, rss = ridge_path(self.problem, i, grid, self._gram_eig)
             best = int(np.argmin(bic(rss, df, T)))
             self._ridge[i] = (B[:, best], float(grid[best]))
         return self._ridge[i]

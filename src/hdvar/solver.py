@@ -17,11 +17,11 @@ beta and the exact gradient g = c - Psi beta from one point to the next, and
 fills one row per point of a ``LassoPath``.
 ``lasso_path``, the one L1 entry point, runs it on a log-spaced grid of
 N_LAMBDA points from lambda_max down to LAMBDA_RATIO times lambda_max, or,
-given a fixed penalty, on the one-point grid [lam] from zero.  It takes
-Psi = X'X/T from the caller, who forms it once per design; responses that
-share a design share its Psi.  Weights are one per column, each positive or
-+inf.  A point converged if its KKT residual is at most KKT_TOL within
-MAX_SWEEPS sweeps, constants read at call time like the grid's.
+given a fixed penalty, on the one-point grid [lam] from zero.  It fits
+equation i of a ``var.RegressionProblem``, which forms Psi, X'y_i and y_i'y_i
+once per dataset.  Weights are one per column, each positive or +inf.  A
+point converged if its KKT residual is at most KKT_TOL within MAX_SWEEPS
+sweeps, constants read at call time like the grid's.
 
 Each point's RSS ||y - X beta||^2 comes from its exact gradient, with no
 residual vector: RSS = T (y'y/T - beta'(c + g)).  Where that falls below
@@ -102,25 +102,11 @@ class LassoPath:
     rss: np.ndarray  # n residual sums of squares ||y - X beta||^2
 
 
-def _moments(X, y, psi) -> tuple:
-    """(X, y, c = X'y/T, y'y) of a design and a response, after checking that
-    ``psi`` has the shape and the diagonal of X'X/T."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    T, m = X.shape
-    if T < 1:
-        raise ValueError("need at least one observation")
-    col_ss = np.einsum("ij,ij->j", X, X) / T
-    if np.shape(psi) != (m, m) or not np.allclose(np.diagonal(psi), col_ss, rtol=1e-10, atol=0.0):
-        raise ValueError("psi is not the Gram matrix X'X/T of this design")
-    return X, y, (X.T @ y) / T, float(y @ y)
-
-
-def _exact_small_rss(X, y, B, rss, yy: float) -> np.ndarray:
-    """``rss`` of the fits in the rows of B, each entry below RSS_EXACT_BELOW * y'y
-    replaced in place by ||y - X beta||^2 from its residual."""
-    for l in np.flatnonzero(rss < RSS_EXACT_BELOW * yy):
-        r = y - X @ B[l]
+def _exact_small_rss(problem, i: int, B, rss) -> np.ndarray:
+    """``rss`` of equation i's fits in the rows of B, each entry below
+    RSS_EXACT_BELOW * y_i'y_i replaced in place by ||y_i - X beta||^2 from its residual."""
+    for l in np.flatnonzero(rss < RSS_EXACT_BELOW * problem.yy[i]):
+        r = problem.ys[i] - problem.X @ B[l]
         rss[l] = r @ r
     return rss
 
@@ -381,12 +367,10 @@ def _weights_and_lambda_max(c: np.ndarray, weights) -> tuple:
     return w, float((np.abs(c) / w).max(initial=0.0))
 
 
-def lambda_max(X, y, weights: np.ndarray | None = None) -> float:
-    """Smallest penalty level with an all-zero solution: max_j |(1/T)X_j'y| / w_j
-    over the finite weights, 0 when there are none."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return _weights_and_lambda_max((X.T @ y) / X.shape[0], weights)[1]
+def lambda_max(problem, i: int, weights: np.ndarray | None = None) -> float:
+    """Smallest penalty with an all-zero fit of equation i of ``problem``:
+    max_j |(1/T)X_j'y_i| / w_j over the finite weights, 0 when there are none."""
+    return _weights_and_lambda_max(problem.xy[i] / problem.T, weights)[1]
 
 
 def lambda_grid(top: float) -> np.ndarray:
@@ -400,20 +384,20 @@ def adaptive_weights(stage1: np.ndarray) -> np.ndarray:
         return np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
 
 
-def lasso_path(X, y, psi, weights: np.ndarray | None = None, lam=None) -> LassoPath:
-    """Weighted L1 fits of min (1/T)||y - X b||^2 + 2*lam*sum_j w_j |b_j|, one row
-    per penalty, by decreasing lambda.
+def lasso_path(problem, i: int, weights: np.ndarray | None = None, lam=None) -> LassoPath:
+    """Weighted L1 fits of equation i of ``problem``, min (1/T)||y_i - X b||^2
+    + 2*lam*sum_j w_j |b_j|, one row per penalty, by decreasing lambda.
 
     Without ``lam`` the penalties are ``lambda_grid`` from lambda_max; a fixed
     ``lam`` is the one-point path [lam].  The grid runs through the one solver
-    setup (see ``_fit_grid``): the first point starts from zero and each later
-    one from the previous point's beta and its exact gradient.  Each weight is
-    positive, or inf to exclude its coordinate: with every weight infinite
-    lambda_max is 0 and the path is all zeros.  ``psi`` is the design's Gram
-    matrix X'X/T.  Each point's RSS comes from its gradient, or from its
-    residual where it is below RSS_EXACT_BELOW times y'y.
+    setup (see ``_fit_grid``) on the problem's Psi, X'y_i/T and y_i'y_i: the
+    first point starts from zero and each later one from the previous point's
+    beta and its exact gradient.  Each weight is positive, or inf to exclude
+    its coordinate: with every weight infinite lambda_max is 0 and the path is
+    all zeros.  Each point's RSS comes from its gradient, or from its residual
+    where it is below RSS_EXACT_BELOW times y_i'y_i.
     """
-    X, y, c, yy = _moments(np.asfortranarray(X, dtype=np.float64), y, psi)
+    c = problem.xy[i] / problem.T
     w, top = _weights_and_lambda_max(c, weights)
     if lam is not None:
         if not 0.0 <= lam < np.inf:
@@ -424,14 +408,14 @@ def lasso_path(X, y, psi, weights: np.ndarray | None = None, lam=None) -> LassoP
         # the solver's gradient differs from lambda_max's by rounding; a zero
         # lambda_max (a zero response, or no finite weight) gives a grid of zeros
         grid = lambda_grid(top * (1.0 + 1e-10))
-    path = _fit_grid(psi, c, yy, X.shape[0], w, grid)
-    _exact_small_rss(X, y, path.beta, path.rss, yy)
+    path = _fit_grid(problem.psi, c, float(problem.yy[i]), problem.T, w, grid)
+    _exact_small_rss(problem, i, path.beta, path.rss)
     return path
 
 
-def ridge_path(X, y, grid, eig: tuple) -> tuple:
-    """Ridge solutions (X'X + lam I)^{-1} X'y and their exact degrees of freedom
-    for every lam in ``grid``, in closed form.
+def ridge_path(problem, i: int, grid, eig: tuple) -> tuple:
+    """Ridge solutions (X'X + lam I)^{-1} X'y_i of equation i of ``problem``
+    and their exact degrees of freedom for every lam in ``grid``, in closed form.
 
     With X'X = V diag(d) V', beta(lam) = V diag(1/(d + lam)) V'X'y and
     df(lam) = trace(X (X'X + lam I)^{-1} X') = sum_j d_j / (d_j + lam)
@@ -445,8 +429,6 @@ def ridge_path(X, y, grid, eig: tuple) -> tuple:
     Returns (B, df, rss): column l of the m x n matrix B is the solution at
     grid[l].
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(grid <= 0):
         raise ValueError("ridge penalty must be positive")
@@ -454,8 +436,7 @@ def ridge_path(X, y, grid, eig: tuple) -> tuple:
     # X'X is positive semidefinite; rounding can leave tiny negative eigenvalues
     d = np.clip(d, 0.0, None)
     shrink = 1.0 / (d[:, None] + grid[None, :])
-    z = V.T @ (X.T @ y)
+    z = V.T @ problem.xy[i]
     B = V @ (shrink * z[:, None])
-    yy = float(y @ y)
-    rss = yy - (z * z) @ ((d[:, None] + 2.0 * grid[None, :]) * shrink * shrink)
-    return B, d @ shrink, _exact_small_rss(X, y, B.T, rss, yy)
+    rss = float(problem.yy[i]) - (z * z) @ ((d[:, None] + 2.0 * grid[None, :]) * shrink * shrink)
+    return B, d @ shrink, _exact_small_rss(problem, i, B.T, rss)

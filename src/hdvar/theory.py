@@ -359,7 +359,7 @@ def sign_recovery_conditions(
     lambda_t: float,
     truth,
     params: TheoryParams,
-    gamma: np.ndarray,
+    phi_min: float | None,
     k_t_value: float,
 ) -> dict:
     """Premise, the two sufficient inequalities, and the exact first-order
@@ -370,8 +370,9 @@ def sign_recovery_conditions(
     FOC2 checks the sign consistency of the candidate solution on the true
     support, with b = (sign(beta*_j) / |stage1_j|)_{j in J}.  The report's
     ``foc_ok`` is True exactly when the stage-two minimizer at this penalty
-    recovers the full sign pattern.  The sufficient inequalities read the
-    population covariance ``gamma`` and K_T (``k_t_value``).
+    recovers the full sign pattern.  The sufficient inequalities read K_T
+    (``k_t_value``) and ``phi_min``, the smallest eigenvalue of the population
+    Gamma_JJ (None for an empty support).
     """
     stage1 = np.asarray(stage1_beta, dtype=np.float64)
     beta_star = truth.beta[i]
@@ -421,8 +422,7 @@ def sign_recovery_conditions(
             }
         )
 
-    # sufficient conditions, from the population covariance gamma
-    phi_min = float(np.linalg.eigvalsh(gamma[np.ix_(J, J)]).min())
+    # sufficient conditions, from the population covariance
     s_i = len(J)
     lhs_a1 = s_i * k_t_value / (params.q * phi_min) * (0.5 + 2.0 / beta_min_i) * l1_err + l1_err / 2.0
     lhs_a2 = math.sqrt(s_i) / (params.q * phi_min) * (lambda_t / 2.0 + 2.0 * lambda_t / beta_min_i)
@@ -436,10 +436,11 @@ def diagnose(model: var.VarModel, truth, datasets, params: TheoryParams, foc: bo
     """The ``bounds`` and ``replications`` of a diag report on ``datasets``, which
     share one T and carry their innovations: the library entry of ``hdvar diag``.
 
-    sigma_T, lambda_T, K_T, Gamma, kappa^2 per distinct support size, the
-    Theorem 3 bounds and the C_T threshold are computed once.  Each dataset gets
-    its events, the basic inequalities of every equation's LASSO at lambda_T
-    and, with ``foc``, the sign-recovery conditions on its BIC-tuned LASSO.
+    sigma_T, lambda_T, K_T, Gamma, kappa^2 per distinct support size, phi_min of
+    each Gamma_JJ, the Theorem 3 bounds and the C_T threshold are computed
+    once.  Each dataset gets its events, the basic inequalities of every
+    equation's LASSO at lambda_T and, with ``foc``, the sign-recovery
+    conditions on its BIC-tuned LASSO.
     """
     if any(data.innovations is None for data in datasets):
         raise MissingInnovations("the dataset has no innovation record; diagnostics need simulated data")
@@ -455,6 +456,8 @@ def diagnose(model: var.VarModel, truth, datasets, params: TheoryParams, foc: bo
     sbar_rank = max(int(truth.s_bar), 1)
     kappa_by_rank = {r: restricted_eigenvalue(gamma, r) for r in sorted({sbar_rank, *ranks})}
     kappa_sbar_sq = kappa_by_rank[sbar_rank]
+    # phi_min(Gamma_JJ) is deterministic in (gamma, J_i): evaluate it once per equation
+    phi_mins = [float(np.linalg.eigvalsh(gamma[np.ix_(J, J)]).min()) if len(J) else None for J in truth.supports]
     fnorm = f_norm_sum(model, T=T)
     thm3 = [thm3_bounds(int(s), lam_t, kappa_by_rank[r], params.q) for s, r in zip(truth.s, ranks)]
     bounds = {
@@ -480,7 +483,7 @@ def diagnose(model: var.VarModel, truth, datasets, params: TheoryParams, foc: bo
         }
         if foc:
             entry["foc"] = [
-                sign_recovery_conditions(problem, i, plan.lasso(i).beta, lam_t, truth, params, gamma, kt)
+                sign_recovery_conditions(problem, i, plan.lasso(i).beta, lam_t, truth, params, phi_mins[i], kt)
                 for i in range(k)
             ]
         replications.append(entry)

@@ -119,21 +119,34 @@ class Dataset:
 
 @dataclass(frozen=True)
 class RegressionProblem:
-    """Stacked per-equation regression: shared design X, responses y_1..y_k, Gramian X'X/T."""
+    """Stacked per-equation regression: the shared T x m design X (F-ordered),
+    the k x T responses ys (row i is y_i), and the statistics every fit reads,
+    formed here once: psi = X'X/T, xy (row i is X'y_i) and yy (entry i is
+    y_i'y_i).  Every array is a read-only copy."""
 
     X: np.ndarray
-    ys: np.ndarray  # k x T, row i is the response of equation i
-    psi: np.ndarray
-    k: int
-    p: int
+    ys: np.ndarray
+    k: int = field(init=False)
+    p: int = field(init=False)
+    T: int = field(init=False)
+    m: int = field(init=False)
+    psi: np.ndarray = field(init=False)
+    xy: np.ndarray = field(init=False)
+    yy: np.ndarray = field(init=False)
 
-    @property
-    def T(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.X.shape[1]
+    def __post_init__(self):
+        X = np.array(self.X, dtype=np.float64, order="F")
+        ys = np.array(self.ys, dtype=np.float64, order="C")
+        (T, m), k = X.shape, len(ys)
+        if T < 1:
+            raise ValueError("need at least one observation")
+        M = (X.T @ X) / T
+        xy = np.array([X.T @ y for y in ys]).reshape(k, m)
+        stats = {"X": X, "ys": ys, "psi": (M + M.T) / 2.0, "xy": xy, "yy": np.array([y @ y for y in ys])}
+        for a in stats.values():
+            a.flags.writeable = False
+        for name, value in {**stats, "k": k, "p": m // k, "T": T, "m": m}.items():
+            object.__setattr__(self, name, value)
 
 
 def companion(model: VarModel) -> CompanionForm:
@@ -215,17 +228,14 @@ def sigma_t(model: VarModel) -> float:
 
 
 def stack(data: Dataset) -> RegressionProblem:
-    """Build the shared design (rows Z_t', ascending t) and the k responses."""
+    """The stacked problem of a dataset: the shared design (rows Z_t', ascending
+    t) and the k responses, with the statistics ``RegressionProblem`` forms."""
     k, p, T = data.k, data.p, data.T
     combined = np.vstack([data.initial, data.path])  # rows: y_{1-p}..y_T
     X = np.empty((T, k * p), order="F")
     for l in range(1, p + 1):
         X[:, (l - 1) * k : l * k] = combined[p - l : p - l + T]
-    X.flags.writeable = False
-    M = (X.T @ X) / T
-    psi = (M + M.T) / 2.0
-    ys = np.ascontiguousarray(data.path.T)
-    return RegressionProblem(X=X, ys=_freeze(ys), psi=_freeze(psi), k=k, p=p)
+    return RegressionProblem(X, data.path.T)
 
 
 def coefficient_matrix(model: VarModel) -> np.ndarray:
@@ -298,15 +308,20 @@ def _read_csv(path: str, k: int) -> np.ndarray:
 
 
 def load_dataset(directory: str, name: str = "dataset") -> Dataset:
-    """Load a dataset written by save_dataset."""
+    """Load a dataset written by save_dataset; ValueError unless it holds at
+    least one estimation observation and only finite values."""
     meta_path = os.path.join(directory, f"{name}.meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
     k, p, T = int(meta["k"]), int(meta["p"]), int(meta["T"])
+    if T < 1:
+        raise ValueError(f"need at least one observation, and T = {T}")
     values = _read_csv(os.path.join(directory, f"{name}.csv"), k)
     if values.shape[0] != p + T:
         raise ValueError("row count does not match metadata")
     innovations = None
     if "innovations_file" in meta:
         innovations = _read_csv(os.path.join(directory, meta["innovations_file"]), k)
+    if not all(np.isfinite(a).all() for a in (values, innovations) if a is not None):
+        raise ValueError("the dataset holds a non-finite value")
     return Dataset(k=k, p=p, T=T, initial=values[:p], path=values[p:], innovations=innovations)

@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hdvar import solver
+from hdvar import solver, var
 
 
 def project_l1_ball_rows(U, radius=1.0):
@@ -114,9 +114,16 @@ def restricted_eigenvalue_bruteforce(psi, r, angle_step=1e-3, refine=True):
     return best
 
 
-def gram(X):
-    """The Gram matrix X'X/T that the solver takes alongside a design."""
-    return X.T @ X / len(X)
+def problem_from(X, y):
+    """The one-equation ``var.RegressionProblem`` of a design and a response:
+    equation 0, whose statistics the solver reads."""
+    return var.RegressionProblem(X, np.atleast_2d(y))
+
+
+def phi_min_on(gamma, J):
+    """The smallest eigenvalue of Gamma_JJ, which ``theory.diagnose`` passes to
+    ``theory.sign_recovery_conditions`` for an equation with support J."""
+    return float(np.linalg.eigvalsh(gamma[np.ix_(J, J)]).min())
 
 
 def eig_of(X):
@@ -133,8 +140,6 @@ def simulate_per_lag(model, T, seed=0):
     """The p initial plus T observations ``var.simulate(model, T, seed=seed)``
     draws, by y_t = eps_t + Phi_1 y_{t-1} + ... + Phi_p y_{t-p} from a zero
     state with one product per lag, after the default 200 + 10 p burn-in steps."""
-    from hdvar import var
-
     k, p = model.k, model.p
     n_steps = 200 + 10 * p + p + T
     eps = var.make_rng(seed).standard_normal((n_steps, k)) @ np.linalg.cholesky(model.sigma).T
@@ -176,17 +181,16 @@ def kkt_check(X, y, beta, lam, weights=None):
     return solver._kkt_residual(g, beta, penalty_thresholds(lam, weights, X.shape[1]))
 
 
-def descend(X, y, psi, lam, start=None, start_lam=None, weights=None):
-    """(beta, sweeps, KKT residual) of the fit a path point gets at the penalty
-    ``lam`` from ``start``, the fit at ``start_lam`` (the zero fit if None), with
-    the moments ``lasso_path`` forms and the same coordinates pinned at zero: at
-    most EXACT_EVERY sweeps of the coordinate-descent kernel ``solver._descend``
-    from ``start`` and its exact gradient g = c - Psi start; then, if still above
-    ``solver.KKT_TOL``, the row at ``lam`` of ``solver._homotopy`` from ``start``
-    if it is within that, or else the kernel's remaining sweeps up to
-    ``solver.MAX_SWEEPS``."""
-    X, y, c, _ = solver._moments(np.asfortranarray(X, dtype=np.float64), y, psi)
-    T, m = X.shape
+def descend(problem, i, lam, start=None, start_lam=None, weights=None):
+    """(beta, sweeps, KKT residual) of the fit a path point of equation i of
+    ``problem`` gets at the penalty ``lam`` from ``start``, the fit at
+    ``start_lam`` (the zero fit if None), with the statistics ``lasso_path``
+    reads and the same coordinates pinned at zero: at most EXACT_EVERY sweeps
+    of the coordinate-descent kernel ``solver._descend`` from ``start`` and its
+    exact gradient g = c - Psi start; then, if still above ``solver.KKT_TOL``,
+    the row at ``lam`` of ``solver._homotopy`` from ``start`` if it is within
+    that, or else the kernel's remaining sweeps up to ``solver.MAX_SWEEPS``."""
+    psi, c, T, m = problem.psi, problem.xy[i] / problem.T, problem.T, problem.m
     tol, max_iter = solver.KKT_TOL, solver.MAX_SWEEPS
     weights = np.ones(m) if weights is None else weights
     pinned = (psi.diagonal() == 0.0) | np.isinf(weights)
@@ -219,5 +223,5 @@ def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "KKT_TOL", 1e-9)
         patch.setattr(solver, "MAX_SWEEPS", 5000)
-        path = solver.lasso_path(problem.X, problem.ys[i], problem.psi, weights=w, lam=lambda_t)
+        path = solver.lasso_path(problem, i, weights=w, lam=lambda_t)
     return bool(np.all(np.sign(path.beta[0]) == np.sign(truth.beta[i])))

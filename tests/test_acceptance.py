@@ -15,7 +15,15 @@ import pytest
 from hdvar import cli, estimators, mc, theory, var
 from hdvar.linalg import least_squares, lyapunov_doubling
 from hdvar.solver import lambda_max, lasso_path
-from helpers import gram, kkt_check, objective, random_spd, realized_sign_recovery, restricted_eigenvalue_bruteforce
+from helpers import (
+    kkt_check,
+    objective,
+    phi_min_on,
+    problem_from,
+    random_spd,
+    realized_sign_recovery,
+    restricted_eigenvalue_bruteforce,
+)
 from test_solver import grid_search_2d
 
 KKT_TOL = 1e-7
@@ -159,7 +167,7 @@ def test_criterion_06_theorem1_deterministic_suite():
             continue
         n_bt += 1
         for i in range(10):
-            beta = lasso_path(problem.X, problem.ys[i], problem.psi, lam=lam).beta[0]
+            beta = lasso_path(problem, i, lam=lam).beta[0]
             checks = theory.thm1_rhs_check(problem, i, beta, truth, lam)
             for c in checks.values():
                 worst = min(worst, c["slack"])
@@ -230,7 +238,7 @@ def test_criterion_09_foc_equivalence():
     params = theory.TheoryParams()
     st = var.sigma_t(model)
     kt = theory.k_t(200, 5, 1, st)
-    gamma = var.population_gamma(model)
+    phi_min = phi_min_on(var.population_gamma(model), truth.supports[0])
     lam_thm = theory.lambda_theorem1(200, 5, 1, st)
     checked = mismatches = 0
     for seed in range(100):
@@ -242,11 +250,11 @@ def test_criterion_09_foc_equivalence():
             w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
         lams = [lam_thm]
         if np.isfinite(w).any():
-            lmaxw = lambda_max(problem.X, problem.ys[i], w)
+            lmaxw = lambda_max(problem, i, w)
             lams += [0.5 * lmaxw, 0.1 * lmaxw, 0.01 * lmaxw]
         for lam in lams:
             report = theory.sign_recovery_conditions(
-                problem, i, stage1, lam, truth, params, gamma=gamma, k_t_value=kt
+                problem, i, stage1, lam, truth, params, phi_min=phi_min, k_t_value=kt
             )
             if report["psi_jj_condition"] >= 1e8:
                 continue
@@ -268,8 +276,9 @@ def test_criterion_10_solver_oracle():
         X = rng.standard_normal((T, 2))
         beta = rng.uniform(-1.5, 1.5, 2)
         y = X @ beta + 0.5 * rng.standard_normal(T)
-        lam = float(rng.uniform(0.05, 0.6)) * lambda_max(X, y)
-        path = lasso_path(X, y, gram(X), lam=lam)
+        problem = problem_from(X, y)
+        lam = float(rng.uniform(0.05, 0.6)) * lambda_max(problem, 0)
+        path = lasso_path(problem, 0, lam=lam)
         assert path.converged[0]
         worst_kkt = max(worst_kkt, kkt_check(X, y, path.beta[0], lam))
         _, f_grid = grid_search_2d(X, y, lam)
@@ -280,7 +289,7 @@ def test_criterion_10_solver_oracle():
     for trial in range(5):
         X = rng.standard_normal((50, 5))
         y = rng.standard_normal(50)
-        beta = lasso_path(X, y, gram(X), lam=0.0).beta[0]
+        beta = lasso_path(problem_from(X, y), 0, lam=0.0).beta[0]
         worst_ols = max(worst_ols, float(np.abs(beta - least_squares(X, y)).max()))
     ok = worst_gap <= 1e-5 and worst_kkt <= KKT_TOL and worst_ols <= 1e-6
     announce(

@@ -113,8 +113,29 @@ def _rewrite_meta(directory, **changes):
     (directory / "dataset.meta.json").write_text(json.dumps({**meta, **changes}))
 
 
+def _set_last_row(directory, value, name="dataset.csv"):
+    """Put ``value`` in the first cell of the last row of the CSV ``name``."""
+    csv_path = directory / name
+    lines = csv_path.read_text().splitlines()
+    lines[-1] = ",".join([value, *lines[-1].split(",")[1:]])
+    csv_path.write_text("\n".join(lines) + "\n")
+
+
+def _no_estimation_rows(directory):
+    """T = 0: the metadata and the p initial rows only, with no innovations record."""
+    meta = json.loads((directory / "dataset.meta.json").read_text())
+    del meta["innovations_file"]
+    (directory / "dataset.meta.json").write_text(json.dumps({**meta, "T": 0}))
+    csv_path = directory / "dataset.csv"
+    csv_path.write_text("\n".join(csv_path.read_text().splitlines()[: 1 + meta["p"]]) + "\n")
+
+
 class TestMalformedDataset:
     CASES = {
+        "nan_value": lambda d: _set_last_row(d, "nan"),
+        "inf_value": lambda d: _set_last_row(d, "inf"),
+        "nan_innovation": lambda d: _set_last_row(d, "nan", "dataset.innovations.csv"),
+        "no_estimation_rows": _no_estimation_rows,
         "meta_not_json": lambda d: (d / "dataset.meta.json").write_text('{"k": 10, "p": '),
         "meta_without_T": lambda d: (d / "dataset.meta.json").write_text(json.dumps({"k": 10, "p": 1})),
         "non_integer_T": lambda d: _rewrite_meta(d, T="twenty"),
@@ -202,7 +223,7 @@ class TestFit:
             post = np.zeros(prob.m)
             post[supports["post_lasso"][i]] = np.linalg.lstsq(X[:, supports["post_lasso"][i]], y, rcond=None)[0]
             expected["post_lasso"].append(post)
-            grid_lam = lambda_max(X, y) * (1.0 + 1e-10) * np.logspace(0.0, -4.0, 100)[grid_index]
+            grid_lam = lambda_max(prob, i) * (1.0 + 1e-10) * np.logspace(0.0, -4.0, 100)[grid_index]
             first = sign_fixed_solution(X, y, grid_lam, ones, first_support)
             with np.errstate(divide="ignore"):
                 weights = np.where(first != 0.0, 1.0 / np.abs(first), np.inf)

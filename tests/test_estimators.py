@@ -7,19 +7,7 @@ from hdvar import estimators, mc, solver, var
 from hdvar.estimators import FitPlan, SparsityInfo, bic
 from hdvar.linalg import cholesky_solve, least_squares
 from hdvar.solver import lambda_max, lasso_path
-from helpers import descend, kkt_check
-
-
-def problem_from(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    T = X.shape[0]
-    return var.RegressionProblem(
-        X=np.asfortranarray(X),
-        ys=np.ascontiguousarray(np.atleast_2d(y)),
-        psi=(X.T @ X) / T,
-        k=1,
-        p=X.shape[1],
-    )
+from helpers import descend, kkt_check, problem_from
 
 
 def simulated_problem(seed=0, k=5, T=300):
@@ -43,7 +31,7 @@ class TestBic:
     def test_argmin_selection_matches_recomputation(self):
         prob, truth, _ = simulated_problem(seed=4)
         fit = FitPlan(prob).lasso(0)
-        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        path = lasso_path(prob, 0)
         values = []
         for beta in path.beta:
             rss = float(np.sum((prob.ys[0] - prob.X @ beta) ** 2))
@@ -81,7 +69,7 @@ class TestLassoBic:
         prob = problem_from(X, X @ beta)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 1e-10)
         fit = FitPlan(prob).lasso(0)
-        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        path = lasso_path(prob, 0)
         tied = [
             lam
             for lam, beta in zip(path.lambdas, path.beta)
@@ -102,8 +90,8 @@ class TestLassoBic:
             for i, y in enumerate(plan.problem.ys):
                 fit = plan.lasso(i)
                 warm, warm_lam = None, None
-                for lam in lasso_path(X, y, plan.problem.psi).lambdas:
-                    warm, warm_lam = descend(X, y, plan.problem.psi, lam, warm, warm_lam)[0], lam
+                for lam in lasso_path(plan.problem, i).lambdas:
+                    warm, warm_lam = descend(plan.problem, i, lam, warm, warm_lam)[0], lam
                     if lam == fit.lambda_selected:
                         break
                 assert lam == fit.lambda_selected
@@ -130,7 +118,7 @@ class TestSufficientStatistics:
             plan = FitPlan(var.simulate(model, T, seed=seed))
             X = plan.problem.X
             for i, y in enumerate(plan.problem.ys):
-                path = lasso_path(X, y, plan.problem.psi)
+                path = lasso_path(plan.problem, i)
                 R = y[:, None] - X @ path.beta.T
                 values = bic(np.einsum("ij,ij->j", R, R), np.count_nonzero(path.beta, axis=1), T)
                 fit = plan.lasso(i)
@@ -145,8 +133,8 @@ class TestSufficientStatistics:
         X = plan.problem.X
         for i, y in enumerate(plan.problem.ys):
             coef, lam = plan.ridge_bic(i)
-            grid = T * lambda_max(X, y) * np.logspace(0.0, np.log10(solver.LAMBDA_RATIO), solver.N_LAMBDA)
-            B, df, _ = solver.ridge_path(X, y, grid, plan._gram_eig)
+            grid = T * lambda_max(plan.problem, i) * np.logspace(0.0, np.log10(solver.LAMBDA_RATIO), solver.N_LAMBDA)
+            B, df, _ = solver.ridge_path(plan.problem, i, grid, plan._gram_eig)
             R = y[:, None] - X @ B
             best = int(np.argmin(bic(np.einsum("ij,ij->j", R, R), df, T)))
             assert lam == grid[best]
@@ -207,7 +195,7 @@ class TestAdaptiveLasso:
         for i in range(prob.k):
             y = prob.ys[i]
             best = None
-            for lam in T * lambda_max(X, y) * np.logspace(0.0, -4.0, 100):
+            for lam in T * lambda_max(prob, i) * np.logspace(0.0, -4.0, 100):
                 A = G + lam * np.eye(prob.m)
                 beta = cholesky_solve(A, X.T @ y)
                 r = y - X @ beta
@@ -227,7 +215,7 @@ class TestAdaptiveLasso:
             w = np.where(truth.beta[i] != 0.0, 1.0 / np.abs(truth.beta[i]), np.inf)
 
         monkeypatch.setattr(solver, "KKT_TOL", 1e-12)
-        beta = lasso_path(prob.X, prob.ys[i], prob.psi, weights=w, lam=1e-10).beta[0]
+        beta = lasso_path(prob, i, weights=w, lam=1e-10).beta[0]
         J = truth.supports[i]
         ols = np.zeros(prob.m)
         ols[J] = least_squares(prob.X[:, J], prob.ys[i])
@@ -298,7 +286,7 @@ class TestOracleAndFullOls:
         full = FitPlan(prob).equation("full_ols", 0)
 
         monkeypatch.setattr(solver, "KKT_TOL", 1e-10)
-        beta = lasso_path(prob.X, prob.ys[0], prob.psi, lam=0.0).beta[0]
+        beta = lasso_path(prob, 0, lam=0.0).beta[0]
         assert np.abs(full.beta - beta).max() <= 1e-6
 
 
@@ -385,8 +373,9 @@ class TestFitPlan:
         assert calls == {"stack": 1, "lasso_path": 3 * 5, "eigh": 1}
 
     def test_gram_formed_once_per_dataset(self, monkeypatch):
-        # X'X/T is formed in var.stack and nowhere else: every L1 fit, BIC path
-        # or fixed lambda, runs on the dataset's Psi, and so does the ridge eigh
+        # the stacked problem forms X'X/T, X'y_i and y_i'y_i, and nothing else
+        # does: every L1 fit, BIC path or fixed lambda, runs on the dataset's
+        # Psi, X'y_i/T and y_i'y_i as they are, and the ridge eigh on its Psi
         _, truth, data = simulated_problem(seed=25, k=5, T=200)
         seen = {"stack": [], "_fit_grid": [], "eigh": []}
 
@@ -401,20 +390,25 @@ class TestFitPlan:
             monkeypatch.setattr(module, name, wrapper)
 
         recording(var, "stack", lambda args, out: out)
-        recording(solver, "_fit_grid", lambda args, out: args[0])
+        recording(solver, "_fit_grid", lambda args, out: args[:3])
         recording(np.linalg, "eigh", lambda args, out: args[0])
         plan = FitPlan(data, truth)
         for tag in estimators.ESTIMATOR_TAGS:
             plan.fit(tag)
         for tag in estimators.PENALIZED_TAGS:
             plan.fit(tag, lam=1e-3)
-        psi = plan.problem.psi
-        assert seen["stack"] == [plan.problem]
+        problem = plan.problem
+        assert seen["stack"] == [problem]
         # per equation: the LASSO path, two adaptive paths, and the fixed-lambda
-        # LASSO (shared with post_lasso) and two fixed-lambda adaptive stages
+        # LASSO (shared with post_lasso) and two fixed-lambda adaptive stages;
+        # each tag fits equations 0 to 4 in turn
         assert len(seen["_fit_grid"]) == 6 * 5
-        assert all(p is psi for p in seen["_fit_grid"])
-        assert len(seen["eigh"]) == 1 and seen["eigh"][0] is psi
+        for n, (psi, c, yy) in enumerate(seen["_fit_grid"]):
+            i = n % 5
+            assert psi is problem.psi
+            assert np.array_equal(c, problem.xy[i] / problem.T)
+            assert yy == problem.yy[i]
+        assert len(seen["eigh"]) == 1 and seen["eigh"][0] is problem.psi
 
     def test_fixed_lambda_replaces_bic_in_final_stage_only(self):
         prob, _, data = simulated_problem(seed=26, k=5, T=200)
@@ -424,7 +418,7 @@ class TestFitPlan:
             stage1 = FitPlan(prob).lasso(i).beta
             with np.errstate(divide="ignore"):
                 w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
-            assert np.array_equal(f.beta, lasso_path(prob.X, prob.ys[i], prob.psi, weights=w, lam=1e-3).beta[0])
+            assert np.array_equal(f.beta, lasso_path(prob, i, weights=w, lam=1e-3).beta[0])
             assert f.lambda_selected == 1e-3
         with pytest.raises(ValueError):
             plan.fit("full_ols", lam=1e-3)

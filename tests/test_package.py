@@ -51,7 +51,7 @@ def test_every_export_is_used_by_the_program(name):
 @pytest.mark.parametrize(
     "name, parameters",
     [
-        ("hdvar.solver.lasso_path", ["X", "y", "psi", "weights", "lam"]),
+        ("hdvar.solver.lasso_path", ["problem", "i", "weights", "lam"]),
         ("hdvar.linalg.lyapunov_doubling", ["F", "Omega"]),
         ("hdvar.theory.restricted_eigenvalue", ["psi", "r"]),
     ],

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hdvar.linalg import cholesky_solve, least_squares
 from hdvar import solver
 from hdvar.solver import EXACT_EVERY, lambda_max, lasso_path, ridge_path
-from helpers import descend, eig_of, gram, kkt_check, objective, penalty_thresholds
+from helpers import descend, eig_of, kkt_check, objective, penalty_thresholds, problem_from
 
 
 def rng_for(seed):
@@ -40,7 +40,7 @@ def grid_search_2d(X, y, lam, lo=-2.0, hi=2.0, step=1e-3):
 
 def fit_at(X, y, lam, weights=None):
     """The fit at one fixed penalty: the only row of the one-point path [lam]."""
-    path = lasso_path(X, y, gram(X), weights=weights, lam=lam)
+    path = lasso_path(problem_from(X, y), 0, weights=weights, lam=lam)
     assert len(path.lambdas) == 1 and path.lambdas[0] == lam
     return path.beta[0], path
 
@@ -57,7 +57,7 @@ class TestLassoCd:
 
     def test_zero_solution_at_large_lambda(self):
         X, y = random_instance(0, T=30, m=5)
-        lam = 1.001 * lambda_max(X, y)
+        lam = 1.001 * lambda_max(problem_from(X, y), 0)
         beta, path = fit_at(X, y, lam)
         assert np.all(beta == 0.0)
         assert path.converged[0]
@@ -72,7 +72,7 @@ class TestLassoCd:
         monkeypatch.setattr(solver, "KKT_TOL", 1e-10)
         for seed in range(5):
             X, y = random_instance(seed, T=20, m=2)
-            lam = 0.3 * lambda_max(X, y)
+            lam = 0.3 * lambda_max(problem_from(X, y), 0)
             beta, _ = fit_at(X, y, lam)
             _, f_grid = grid_search_2d(X, y, lam)
             f_cd = objective(X, y, beta, lam)
@@ -80,7 +80,7 @@ class TestLassoCd:
 
     def test_objective_descent(self):
         X, y = random_instance(2, T=40, m=8)
-        lam = 0.05 * lambda_max(X, y)
+        lam = 0.05 * lambda_max(problem_from(X, y), 0)
         _, path = fit_at(X, y, lam)
         # the objective after each sweep: a fit capped at n sweeps stops at the n-th iterate
         hist = [objective(X, y, capped_fit(X, y, lam, n)[0], lam) for n in range(1, path.iterations[0] + 1)]
@@ -89,7 +89,7 @@ class TestLassoCd:
     def test_solution_scaling(self, monkeypatch):
         monkeypatch.setattr(solver, "KKT_TOL", 1e-12)
         X, y = random_instance(3, T=30, m=4)
-        lam0 = 0.2 * lambda_max(X, y)
+        lam0 = 0.2 * lambda_max(problem_from(X, y), 0)
         base, _ = fit_at(X, y, lam0)
         for c in (2.0, 7.5):
             scaled, _ = fit_at(X, c * y, c * lam0)
@@ -101,7 +101,7 @@ class TestLassoCd:
         X, y = random_instance(4, T=30, m=6)
         w = np.ones(6)
         w[[1, 4]] = np.inf
-        lam = 0.1 * lambda_max(X, y)
+        lam = 0.1 * lambda_max(problem_from(X, y), 0)
         full, _ = fit_at(X, y, lam, weights=w)
         assert np.all(full[[1, 4]] == 0.0)
         keep = [0, 2, 3, 5]
@@ -120,7 +120,7 @@ class TestLassoCd:
     def test_max_iter_reported(self, monkeypatch):
         monkeypatch.setattr(solver, "KKT_TOL", 1e-14)
         X, y = random_instance(7, T=40, m=10)
-        _, path = capped_fit(X, y, 1e-9 * lambda_max(X, y), 1)
+        _, path = capped_fit(X, y, 1e-9 * lambda_max(problem_from(X, y), 0), 1)
         assert not path.converged[0]
 
 
@@ -132,13 +132,13 @@ class TestKktCheck:
 
     def test_zero_beta_large_lambda(self):
         X, y = random_instance(9, T=25, m=4)
-        lam = lambda_max(X, y)
+        lam = lambda_max(problem_from(X, y), 0)
         assert kkt_check(X, y, np.zeros(4), lam) <= 1e-12
 
     def test_solver_output_passes(self, monkeypatch):
         monkeypatch.setattr(solver, "KKT_TOL", 1e-9)
         X, y = random_instance(10, T=30, m=6)
-        lam = 0.05 * lambda_max(X, y)
+        lam = 0.05 * lambda_max(problem_from(X, y), 0)
         beta, _ = fit_at(X, y, lam)
         assert kkt_check(X, y, beta, lam) <= 1e-9 + 1e-12
 
@@ -152,18 +152,18 @@ class TestLambdaMax:
     def test_orthogonal_response(self):
         X = np.eye(4)
         y = np.zeros(4)
-        assert lambda_max(X, y) == 0.0
+        assert lambda_max(problem_from(X, y), 0) == 0.0
 
     def test_identity_design(self):
         T = 6
         X = np.eye(T)
         y = np.zeros(T)
         y[0] = 1.0
-        assert lambda_max(X, y) == pytest.approx(1.0 / T)
+        assert lambda_max(problem_from(X, y), 0) == pytest.approx(1.0 / T)
 
     def test_definition(self):
         X, y = random_instance(11, T=30, m=5)
-        lam = lambda_max(X, y)
+        lam = lambda_max(problem_from(X, y), 0)
         beta, _ = fit_at(X, y, 1.01 * lam)
         assert np.all(beta == 0.0)
 
@@ -171,8 +171,8 @@ class TestLambdaMax:
         # no coordinate is free: lambda_max is 0 and the path is all zeros
         X, y = random_instance(12, T=10, m=3)
         weights = np.full(3, np.inf)
-        assert lambda_max(X, y, weights) == 0.0
-        path = lasso_path(X, y, gram(X), weights=weights)
+        assert lambda_max(problem_from(X, y), 0, weights) == 0.0
+        path = lasso_path(problem_from(X, y), 0, weights=weights)
         assert path.beta.shape == (solver.N_LAMBDA, 3)
         assert np.all(path.beta == 0.0)
         assert np.all(path.lambdas == 0.0)
@@ -183,7 +183,7 @@ class TestLassoPath:
     def test_first_point_zero(self, monkeypatch):
         X, y = random_instance(13, T=40, m=6)
         monkeypatch.setattr(solver, "N_LAMBDA", 30)
-        path = lasso_path(X, y, gram(X))
+        path = lasso_path(problem_from(X, y), 0)
         assert np.all(path.beta[0] == 0.0)
         assert np.all(np.diff(path.lambdas) < 0.0)
 
@@ -192,7 +192,7 @@ class TestLassoPath:
         monkeypatch.setattr(solver, "N_LAMBDA", 2)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.01)
         monkeypatch.setattr(solver, "KKT_TOL", 1e-12)
-        path = lasso_path(X, y, gram(X))
+        path = lasso_path(problem_from(X, y), 0)
         for lam, beta in zip(path.lambdas, path.beta):
             cold, _ = fit_at(X, y, lam)
             assert np.abs(beta - cold).max() <= 1e-8
@@ -203,7 +203,7 @@ class TestLassoPath:
         model, _ = mc.make_dgp("A", 10)
         data = var.simulate(model, 200, seed=3)
         prob = var.stack(data)
-        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        path = lasso_path(prob, 0)
         sizes = np.count_nonzero(path.beta, axis=1).tolist()
         pairs = list(zip(sizes, sizes[1:]))
         frac = np.mean([b >= a for a, b in pairs])
@@ -224,7 +224,7 @@ def adaptive_instance():
     X = np.array(prob.X, order="F")
     X[:, 3] = 0.0
     y = prob.ys[0]
-    stage1 = lasso_path(X, y, gram(X)).beta[40]
+    stage1 = lasso_path(problem_from(X, y), 0).beta[40]
     with np.errstate(divide="ignore"):
         w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
     w[3] = 1.0
@@ -251,13 +251,14 @@ class TestPathKernel:
             X, y, w = prob.X, prob.ys[0], None
             if case.startswith("C/10/40"):
                 monkeypatch.setattr(solver, "MAX_SWEEPS", 4 if case.endswith("max_iter=4") else 50)
-        path = lasso_path(X, y, gram(X), weights=w)
+        problem = problem_from(X, y)
+        path = lasso_path(problem, 0, weights=w)
         assert path.converged.all() == (case != "C/10/40/max_iter=4")
         n_free = np.count_nonzero(X.any(axis=0) & (True if w is None else np.isfinite(w)))
         closed = 0
         for l, lam in enumerate(path.lambdas):
             start = (path.beta[l - 1], path.lambdas[l - 1]) if l else (None, None)
-            ref, sweeps, viol = descend(X, y, gram(X), lam, *start, weights=w)
+            ref, sweeps, viol = descend(problem, 0, lam, *start, weights=w)
             assert path.converged[l] == (path.max_kkt_violation[l] <= 1e-7)
             if path.iterations[l]:
                 # a swept point is the kernel started from the point before it, or the
@@ -327,7 +328,7 @@ class TestValidation:
     def test_lasso_cd_negative_lambda(self):
         X, y = random_instance(20, T=20, m=3)
         with pytest.raises(ValueError):
-            lasso_path(X, y, gram(X), lam=-0.1)
+            lasso_path(problem_from(X, y), 0, lam=-0.1)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_path_rejects_a_nonfinite_lambda(self, lam):
@@ -335,20 +336,20 @@ class TestValidation:
         # converged zero fit
         X, y = random_instance(20, T=20, m=3)
         with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
-            lasso_path(X, y, gram(X), lam=lam)
+            lasso_path(problem_from(X, y), 0, lam=lam)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan])
     def test_path_rejects_negative_or_nan_weight(self, bad):
         X, y = random_instance(21, T=20, m=3)
         with pytest.raises(ValueError, match=r"weights must be positive or \+inf"):
-            lasso_path(X, y, gram(X), weights=np.array([1.0, bad, 1.0]))
+            lasso_path(problem_from(X, y), 0, weights=np.array([1.0, bad, 1.0]))
 
     @pytest.mark.parametrize(
         "fit",
         [
-            lambda X, y, w: lambda_max(X, y, w),
-            lambda X, y, w: lasso_path(X, y, gram(X), weights=w),
-            lambda X, y, w: lasso_path(X, y, gram(X), weights=w, lam=0.05),
+            lambda problem, w: lambda_max(problem, 0, w),
+            lambda problem, w: lasso_path(problem, 0, weights=w),
+            lambda problem, w: lasso_path(problem, 0, weights=w, lam=0.05),
         ],
         ids=["lambda_max", "lasso_path", "lasso_cd"],
     )
@@ -356,38 +357,28 @@ class TestValidation:
     def test_every_entry_holds_weights_to_one_rule(self, fit, bad):
         # each weight positive or +inf, whether or not a penalty is given: a zero
         # weight used to pass at a fixed penalty and fail on the grid
-        X, y = random_instance(21, T=20, m=3)
+        problem = problem_from(*random_instance(21, T=20, m=3))
         with pytest.raises(ValueError, match=r"weights must be positive or \+inf"):
-            fit(X, y, np.array([1.0, bad, 1.0]))
-
-    @pytest.mark.parametrize(
-        "fit", [lasso_path, lambda X, y, psi: lasso_path(X, y, psi, lam=0.1)], ids=["lasso_path", "lasso_cd"]
-    )
-    @pytest.mark.parametrize("other", ["shape", "design"])
-    def test_rejects_a_gram_of_another_design(self, fit, other):
-        X, y = random_instance(23, T=20, m=3)
-        psi = gram(X[:, :2]) if other == "shape" else gram(2.0 * X)
-        with pytest.raises(ValueError, match="Gram"):
-            fit(X, y, psi)
+            fit(problem, np.array([1.0, bad, 1.0]))
 
     def test_path_rejects_wrong_weight_length(self):
         X, y = random_instance(22, T=20, m=3)
         with pytest.raises(ValueError, match="length"):
-            lasso_path(X, y, gram(X), weights=np.ones(4))
+            lasso_path(problem_from(X, y), 0, weights=np.ones(4))
 
     @pytest.mark.parametrize(
         "fit",
         [
-            lambda X, y, w: lambda_max(X, y, w),
-            lambda X, y, w: lasso_path(X, y, gram(X), weights=w, lam=0.1),
+            lambda problem, w: lambda_max(problem, 0, w),
+            lambda problem, w: lasso_path(problem, 0, weights=w, lam=0.1),
         ],
         ids=["lambda_max", "lasso_cd"],
     )
     @pytest.mark.parametrize("length", [2, 4])
     def test_rejects_wrong_weight_length(self, fit, length):
-        X, y = random_instance(22, T=20, m=3)
+        problem = problem_from(*random_instance(22, T=20, m=3))
         with pytest.raises(ValueError, match="weight length does not match design"):
-            fit(X, y, np.ones(length))
+            fit(problem, np.ones(length))
 
 
 class TestGramForm:
@@ -396,7 +387,7 @@ class TestGramForm:
     @pytest.mark.parametrize("experiment,k,T", [("A", 10, 500), ("C", 10, 100), ("B", 10, 50)])
     def test_reported_kkt_matches_residual_form_on_paths(self, experiment, k, T):
         prob = experiment_problem(experiment, k, T)
-        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        path = lasso_path(prob, 0)
         for lam, beta, reported in zip(path.lambdas, path.beta, path.max_kkt_violation):
             direct = kkt_check(prob.X, prob.ys[0], beta, lam)
             assert abs(reported - direct) <= 1e-12
@@ -409,7 +400,7 @@ class TestGramForm:
             experiment, k, T = case.split("/")
             prob = experiment_problem(experiment, int(k), int(T))
             X, y, w = prob.X, prob.ys[0], None
-        path = lasso_path(X, y, gram(X), weights=w)
+        path = lasso_path(problem_from(X, y), 0, weights=w)
         R = y[:, None] - X @ path.beta.T
         direct = np.einsum("ij,ij->j", R, R)
         yy = y @ y
@@ -426,7 +417,7 @@ class TestGramForm:
         assert prob.m > prob.T
         monkeypatch.setattr(solver, "N_LAMBDA", 20)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 0.02)
-        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        path = lasso_path(prob, 0)
         assert np.count_nonzero(path.beta, axis=1).max() > 20
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
@@ -453,7 +444,7 @@ class TestExactStep:
 
     def test_near_unit_root_path_converges(self, homotopy_rows):
         prob = experiment_problem("C", 10, 1000)  # m = 50, seed 0
-        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        path = lasso_path(prob, 0)
         assert path.converged.all()
         for lam, beta in zip(path.lambdas, path.beta):
             assert kkt_check(prob.X, prob.ys[0], beta, lam) <= 1e-7
@@ -467,12 +458,12 @@ class TestExactStep:
     def test_fast_paths_keep_the_coordinate_descent_iterate(self, homotopy_rows, monkeypatch):
         prob = experiment_problem("A", 10, 500)
         X, y = prob.X, prob.ys[0]
-        path = lasso_path(X, y, gram(X))
+        path = lasso_path(prob, 0)
         warm = None
         monkeypatch.setattr(solver, "MAX_SWEEPS", EXACT_EVERY - 1)
         for lam, beta, iterations in zip(path.lambdas[:75], path.beta, path.iterations):
             assert 0 < iterations < EXACT_EVERY
-            capped, _, _ = descend(X, y, gram(X), lam, warm)
+            capped, _, _ = descend(prob, 0, lam, warm)
             assert np.array_equal(beta, capped)
             warm = beta
         assert np.count_nonzero(path.beta[74]) == prob.m
@@ -488,7 +479,7 @@ class TestExactStep:
         experiment, k, T = case.split("/")
         prob = experiment_problem(experiment, int(k), int(T))
         X, y = prob.X, prob.ys[0]
-        path = lasso_path(X, y, prob.psi)
+        path = lasso_path(prob, 0)
         closed = np.flatnonzero(path.iterations == 0)
         assert len(closed) >= 86
         for l in closed:
@@ -501,7 +492,7 @@ class TestExactStep:
         X = rng.standard_normal((40, 4))
         X[:, 1:] = 0.95 * X[:, :1] + np.sqrt(1 - 0.95**2) * X[:, 1:]
         y = X @ rng.standard_normal(4) + rng.standard_normal(40)
-        lam = 0.3 * lambda_max(X, y)
+        lam = 0.3 * lambda_max(problem_from(X, y), 0)
         # the restart from the zero fit at lambda_max ends the fit on the exact minimiser
         beta, path = fit_at(X, y, lam)
         assert path.iterations[0] == EXACT_EVERY
@@ -515,7 +506,7 @@ class TestExactStep:
         assert capped.iterations[0] == EXACT_EVERY + 1 and not capped.converged[0]
         # a whole path without the homotopy is coordinate descent alone
         prob = experiment_problem("C", 10, 1000)
-        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        path = lasso_path(prob, 0)
         assert path.converged.all() and np.all(path.iterations > 0)
         assert path.iterations.sum() == 1965
 
@@ -523,13 +514,14 @@ class TestExactStep:
         rng = rng_for(3)
         X = rng.standard_normal((100, 5))
         y = X @ rng.standard_normal(5) + rng.standard_normal(100)
-        psi, c = gram(X), X.T @ y / 100
+        problem = problem_from(X, y)
+        psi, c = problem.psi, problem.xy[0] / 100
         order = np.argsort(np.abs(c))
         # the largest |c_j| is excluded, and the smallest gets the largest |c_j| / w_j
         w = np.ones(5)
         w[order[-1]] = np.inf
         w[order[0]] = np.abs(c[order[0]]) / (2.0 * np.abs(c).max())
-        lam = lambda_max(X, y, w)
+        lam = lambda_max(problem, 0, w)
         assert lam == np.abs(c[order[0]]) / w[order[0]]
         grid = lam * np.logspace(-1e-3, -2.0, 30)
         free = np.isfinite(w)
@@ -554,7 +546,7 @@ class TestExactStep:
 
             monkeypatch.setattr(solver, name, recorded)
         prob = experiment_problem("C", 10, 40)
-        path = lasso_path(prob.X, prob.ys[0], prob.psi)
+        path = lasso_path(prob, 0)
         # the homotopy, restarted at point 4, carries its factor up to a support
         # of T and follows the path on to the end of the grid
         assert path.iterations[4] == EXACT_EVERY and np.all(path.iterations[5:] == 0)
@@ -565,7 +557,7 @@ class TestExactStep:
     def test_accepted_step_descends(self):
         prob = experiment_problem("C", 10, 1000)
         X, y = prob.X, prob.ys[0]
-        lam = 0.01 * lambda_max(X, y)
+        lam = 0.01 * lambda_max(problem_from(X, y), 0)
         beta, path = fit_at(X, y, lam)
         assert path.iterations[0] == EXACT_EVERY
         # a fit capped at n sweeps stops at the n-th iterate; at n = EXACT_EVERY,
@@ -611,7 +603,7 @@ class TestPathFollowing:
         else:
             prob = experiment_problem("A", 10, 500)
             X, y, w = prob.X, prob.ys[0], None
-        path = lasso_path(X, y, gram(X), weights=w)
+        path = lasso_path(problem_from(X, y), 0, weights=w)
         start = {"A/10/500": 75, "adaptive": 90}[case]
         assert path.iterations[start - 1] > 0
         expected = affine_oracle(X, y, path.beta[start - 1], path.lambdas[start:], w)
@@ -633,7 +625,7 @@ class TestPathFollowing:
             experiment, k, T = case.split("/")
             prob = experiment_problem(experiment, int(k), int(T))
             X, y, w = prob.X, prob.ys[0], None
-        path = lasso_path(X, y, gram(X), weights=w)
+        path = lasso_path(problem_from(X, y), 0, weights=w)
         # every point after the first exact one is a continuation point, exact
         # up to rounding: the factor the homotopy carries across kinks gives
         # the fresh solve on the point's own support and signs
@@ -652,7 +644,7 @@ class TestPathFollowing:
         monkeypatch.setattr(solver, "EXACT_EVERY", exact_every)
         monkeypatch.setattr(solver, "N_LAMBDA", 30)
         monkeypatch.setattr(solver, "LAMBDA_RATIO", 1e-3)
-        path = lasso_path(X, y, gram(X))
+        path = lasso_path(problem_from(X, y), 0)
         first_full = int(np.argmax(np.count_nonzero(path.beta, axis=1) == 4))
         assert first_full == 8
         assert np.array_equal(np.sign(path.beta[first_full]), np.ones(4))
@@ -692,7 +684,7 @@ class TestPathFollowing:
         experiment, k, T = case.split("/")
         prob = experiment_problem(experiment, int(k), int(T))
         X, y = prob.X, prob.ys[0]
-        path = lasso_path(X, y, prob.psi)
+        path = lasso_path(prob, 0)
         assert sum(size > 50 for size in drops) > 10
         start = int(np.argmax(path.iterations == 0))
         assert np.all(path.iterations[start:] == 0) and path.converged[start:].all()
@@ -704,8 +696,8 @@ class TestPathFollowing:
         # C/10/40, m = 50 > T = 40: the homotopy follows each path to a support
         # of T, where the fit interpolates, and on to the end of the grid
         prob = experiment_problem("C", 10, 40)
-        for y in prob.ys[:2]:
-            path = lasso_path(prob.X, y, prob.psi)
+        for i in range(2):
+            path = lasso_path(prob, i)
             assert path.converged.all()
             assert np.count_nonzero(path.beta, axis=1).max() == prob.T
 
@@ -713,7 +705,8 @@ class TestPathFollowing:
 def homotopy_rows(X, y, beta, lam, grid, max_support):
     """``_homotopy``'s rows from ``beta`` at ``lam`` down ``grid``, unweighted, every coordinate free."""
     m = X.shape[1]
-    psi, c = gram(X), X.T @ y / len(X)
+    problem = problem_from(X, y)
+    psi, c = problem.psi, problem.xy[0] / len(X)
     return solver._homotopy(psi, c, np.ones(m), np.ones(m, dtype=bool), beta, c - psi @ beta, lam, grid, max_support)
 
 
@@ -766,7 +759,7 @@ class TestHomotopyGuards:
         X = rng.standard_normal((40, 4))
         X[:, 1] = X[:, 0] + 1e-9 * X[:, 1]
         y = X @ rng.uniform(-1, 1, 4) + 0.3 * rng.standard_normal(40)
-        path = lasso_path(X, y, gram(X))
+        path = lasso_path(problem_from(X, y), 0)
         assert np.array_equal(path.converged, path.max_kkt_violation <= 1e-7)
         for lam, beta, ok in zip(path.lambdas, path.beta, path.converged):
             if ok:
@@ -776,7 +769,7 @@ class TestHomotopyGuards:
 class TestRidge:
     def test_penalty_dominated_limit(self):
         X, y = random_instance(15, T=30, m=5)
-        B, df, _ = ridge_path(X, y, [1e8], eig_of(X))
+        B, df, _ = ridge_path(problem_from(X, y), 0, [1e8], eig_of(X))
         assert np.linalg.norm(B[:, 0]) < 1e-6
         assert df[0] < 1e-5 * 5
 
@@ -785,7 +778,7 @@ class TestRidge:
         X = np.eye(T)
         y = np.arange(1.0, T + 1)
         grid = np.array([0.1, 2.5, 40.0])
-        B, df, _ = ridge_path(X, y, grid, eig_of(X))
+        B, df, _ = ridge_path(problem_from(X, y), 0, grid, eig_of(X))
         for l, lam in enumerate(grid):
             assert np.abs(B[:, l] - y / (1 + lam)).max() <= 1e-12
             assert df[l] == pytest.approx(T / (1 + lam), abs=1e-10)
@@ -795,7 +788,7 @@ class TestRidge:
         X = rng.standard_normal((20, 5))
         y = rng.standard_normal(20)
         grid = np.array([0.01, 0.7, 30.0])
-        B, df, _ = ridge_path(X, y, grid, eig_of(X))
+        B, df, _ = ridge_path(problem_from(X, y), 0, grid, eig_of(X))
         G = X.T @ X
         for l, lam in enumerate(grid):
             A = G + lam * np.eye(5)
@@ -810,7 +803,7 @@ class TestRidge:
         X = rng.standard_normal((T, m))
         y = X[:, :3] @ np.ones(3) + 0.1 * rng.standard_normal(T)
         grid = T * np.logspace(1, -6, 50)
-        B, _, rss = ridge_path(X, y, grid, eig_of(X))
+        B, _, rss = ridge_path(problem_from(X, y), 0, grid, eig_of(X))
         R = y[:, None] - X @ B
         direct = np.einsum("ij,ij->j", R, R)
         yy = y @ y
@@ -824,7 +817,7 @@ class TestRidge:
     def test_df_approaches_rank_at_tiny_lambda(self):
         rng = rng_for(17)
         X = rng.standard_normal((40, 6))
-        _, df, _ = ridge_path(X, rng.standard_normal(40), [1e-10], eig_of(X))
+        _, df, _ = ridge_path(problem_from(X, rng.standard_normal(40)), 0, [1e-10], eig_of(X))
         assert abs(df[0] - 6) < 1e-4
 
 

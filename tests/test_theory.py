@@ -7,7 +7,7 @@ import pytest
 from hdvar import estimators, mc, theory, var
 from hdvar.errors import MissingInnovations, NotPositiveDefinite, ZeroKappa
 from hdvar.solver import lambda_max, lasso_path
-from helpers import random_spd, realized_sign_recovery, restricted_eigenvalue_bruteforce
+from helpers import phi_min_on, problem_from, random_spd, realized_sign_recovery, restricted_eigenvalue_bruteforce
 
 
 def rng_for(seed):
@@ -273,13 +273,7 @@ class TestThm1Checks:
         rng = rng_for(104)
         X = rng.standard_normal((50, 4))
         beta = np.array([1.0, 0.0, -0.5, 0.0])
-        problem = var.RegressionProblem(
-            X=np.asfortranarray(X),
-            ys=np.ascontiguousarray((X @ beta)[None, :]),
-            psi=(X.T @ X) / 50,
-            k=1,
-            p=4,
-        )
+        problem = problem_from(X, X @ beta)
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
         checks = theory.thm1_rhs_check(problem, 0, beta, truth, lambda_t=0.3)
         assert checks["iq1"]["lhs"] == pytest.approx(0.0, abs=1e-12)
@@ -301,7 +295,7 @@ class TestThm1Checks:
             if not flags["b_t"]:
                 continue
             for i in range(10):
-                beta = lasso_path(problem.X, problem.ys[i], problem.psi, lam=lam).beta[0]
+                beta = lasso_path(problem, i, lam=lam).beta[0]
                 checks = theory.thm1_rhs_check(problem, i, beta, truth, lam)
                 for c in checks.values():
                     assert c["slack"] >= -10 * 1e-7
@@ -366,17 +360,12 @@ class TestSignRecovery:
         rng = rng_for(105)
         X = rng.standard_normal((100, 4))
         beta = np.array([0.8, 0.0, -0.6, 0.0])
-        problem = var.RegressionProblem(
-            X=np.asfortranarray(X),
-            ys=np.ascontiguousarray((X @ beta)[None, :]),
-            psi=(X.T @ X) / 100,
-            k=1,
-            p=4,
-        )
+        problem = problem_from(X, X @ beta)
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
         params = theory.TheoryParams()
+        phi_min = phi_min_on(problem.psi, truth.supports[0])
         rep = theory.sign_recovery_conditions(
-            problem, 0, beta, 1e-6, truth, params, gamma=problem.psi, k_t_value=theory.k_t(100, 1, 4, 1.0)
+            problem, 0, beta, 1e-6, truth, params, phi_min=phi_min, k_t_value=theory.k_t(100, 1, 4, 1.0)
         )
         assert rep["foc2_ok"]
         realized = realized_sign_recovery(problem, 0, beta, 1e-6, truth)
@@ -387,16 +376,11 @@ class TestSignRecovery:
         X = np.eye(T) * np.sqrt(T)  # psi = I
         beta = np.zeros(T)
         beta[:2] = [1.0, -1.0]
-        problem = var.RegressionProblem(
-            X=np.asfortranarray(X),
-            ys=np.ascontiguousarray((X @ beta)[None, :]),
-            psi=np.eye(T),
-            k=1,
-            p=T,
-        )
+        problem = problem_from(X, X @ beta)
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
+        phi_min = phi_min_on(problem.psi, truth.supports[0])
         rep = theory.sign_recovery_conditions(
-            problem, 0, beta, 1e-3, truth, theory.TheoryParams(), gamma=problem.psi, k_t_value=theory.k_t(T, 1, T, 1.0)
+            problem, 0, beta, 1e-3, truth, theory.TheoryParams(), phi_min=phi_min, k_t_value=theory.k_t(T, 1, T, 1.0)
         )
         # psi_{j,J} = 0 off support, eps = 0: FOC1 left side vanishes
         assert rep["foc1_ok"]
@@ -408,17 +392,12 @@ class TestSignRecovery:
         X = rng.standard_normal((50, 3))
         X[:, 1] = X[:, 0]
         beta = np.array([0.5, 0.5, 0.0])
-        problem = var.RegressionProblem(
-            X=np.asfortranarray(X),
-            ys=np.ascontiguousarray((X @ beta)[None, :]),
-            psi=(X.T @ X) / 50,
-            k=1,
-            p=3,
-        )
+        problem = problem_from(X, X @ beta)
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
+        phi_min = phi_min_on(problem.psi, truth.supports[0])
         with pytest.raises(NotPositiveDefinite):
             theory.sign_recovery_conditions(
-                problem, 0, beta, 1e-3, truth, theory.TheoryParams(), gamma=problem.psi, k_t_value=1.0
+                problem, 0, beta, 1e-3, truth, theory.TheoryParams(), phi_min=phi_min, k_t_value=1.0
             )
 
     def test_iff_equivalence_against_realized_solve(self):
@@ -428,18 +407,18 @@ class TestSignRecovery:
             model, truth, problem = self.make_problem(seed)
             st = var.sigma_t(model)
             kt = theory.k_t(problem.T, 5, 1, st)
-            gamma = var.population_gamma(model)
             i = 0
+            phi_min = phi_min_on(var.population_gamma(model), truth.supports[i])
             stage1 = estimators.FitPlan(problem).lasso(i).beta
             with np.errstate(divide="ignore"):
                 w = np.where(stage1 != 0.0, 1.0 / np.abs(stage1), np.inf)
             lams = [theory.lambda_theorem1(problem.T, 5, 1, st)]
             if np.isfinite(w).any():
-                lmaxw = lambda_max(problem.X, problem.ys[i], w)
+                lmaxw = lambda_max(problem, i, w)
                 lams += [0.5 * lmaxw, 0.05 * lmaxw]
             for lam in lams:
                 rep = theory.sign_recovery_conditions(
-                    problem, i, stage1, lam, truth, params, gamma=gamma, k_t_value=kt
+                    problem, i, stage1, lam, truth, params, phi_min=phi_min, k_t_value=kt
                 )
                 if rep["psi_jj_condition"] >= 1e8:
                     continue

@@ -155,6 +155,21 @@ class TestStack:
         assert np.linalg.eigvalsh(prob.psi).min() >= -1e-12
         assert np.abs(prob.psi - prob.X.T @ prob.X / 40).max() <= 1e-10
 
+    def test_statistics_are_their_defining_products(self):
+        # Psi, X'y_i and y_i'y_i are formed once, here, by the products every fit reads
+        prob = var.stack(var.simulate(mc.make_dgp("B", 10)[0], 60, seed=2))
+        M = (prob.X.T @ prob.X) / prob.T
+        assert prob.X.flags.f_contiguous
+        assert (prob.k, prob.p, prob.T, prob.m) == (10, 4, 60, 40)
+        assert np.array_equal(prob.psi, (M + M.T) / 2.0)
+        for i, y in enumerate(prob.ys):
+            assert np.array_equal(prob.xy[i], prob.X.T @ y)
+            assert prob.yy[i] == y @ y
+        for a in (prob.X, prob.ys, prob.psi, prob.xy, prob.yy):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="at least one observation"):
+            var.RegressionProblem(np.zeros((0, 3)), np.zeros((1, 0)))
+
     def test_stack_then_ols_recovers_noiseless(self):
         # sigma = 0 with a nonzero start: responses are exactly X beta*
         rng = np.random.Generator(np.random.Philox(21))

@@ -4,10 +4,13 @@
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  The
 commands are windows 0-9 of every gated workload in perfbench/workloads.py
-(``WORKLOADS[name].argv``), then the commands of ``UNGATED``.  Each runs once
-under each tree, in a subprocess with PYTHONPATH set to that tree and
-OPENBLAS_NUM_THREADS=1, and the two report files are compared byte for byte.
-One line per command says identical or differs.  For a report that differs
+(``WORKLOADS[name].argv``), then the commands of ``UNGATED``, then the ``fit``
+commands of ``FITS`` on the datasets of ``DATASETS``, which `hdvar simulate`
+writes once under the parent tree.  Each command runs once under each tree,
+in a subprocess with PYTHONPATH set to that tree and OPENBLAS_NUM_THREADS=1,
+and the two trees' report files are compared byte for byte: one report for
+``mc`` and ``diag``, one ``fit_{tag}.json`` per estimator tag for ``fit``.
+One line per report says identical or differs.  For a report that differs
 it also gives the largest relative difference of a float field, and the
 first field that differs otherwise: an integer, boolean, string or null, or a
 field only one report has.  A JSON report's fields are its leaves, a CSV
@@ -55,26 +58,57 @@ UNGATED = (
 )
 
 
-def commands():
-    """(label, argv builder taking the output directory, report file) of every compared command."""
+# (directory, hdvar simulate arguments without --out) of the datasets the fit
+# commands load: A/10/60, and C/10/40 with m = 50 > T = 40
+DATASETS = (
+    ("A_10_60", ("--experiment", "A", "--k", "10", "--T", "60", "--seed", "0")),
+    ("C_10_40", ("--experiment", "C", "--k", "10", "--T", "40", "--seed", "0")),
+)
+# (label, dataset, hdvar fit arguments without --data, --estimators and --out, tags)
+# of the fit commands, which reach what no mc or diag report does: fixed-lambda
+# adaptive fits and the JSON of save_system_fit.  At --lambda 1e-4 every tag
+# selects a nonzero fit.
+FITS = (
+    ("fit A/10/60", "A_10_60", ("--experiment", "A", "--k", "10"), FULL_MENU.split(",")),
+    ("fit A/10/60 lambda 1e-4", "A_10_60", ("--lambda", "1e-4"), FULL_MENU.split(",")[:4]),
+    ("fit C/10/40", "C_10_40", (), ["lasso", "adaptive_lasso_lasso", "adaptive_lasso_ridge"]),
+)
+
+
+def commands(data_root: str):
+    """(label, argv builder taking the output directory, report files) of every
+    compared command; the fit commands load their datasets from ``data_root``."""
     for workload in (w for w in WORKLOADS.values() if w.gated):
         for window in range(WINDOWS):
-            yield f"{workload.name} window {window}", functools.partial(workload.argv, window), workload.report_name
+            yield f"{workload.name} window {window}", functools.partial(workload.argv, window), [workload.report_name]
     for label, args, report_name in UNGATED:
-        yield label, lambda out_dir, args=args: [*args, "--out", out_dir], report_name
+        yield label, lambda out_dir, args=args: [*args, "--out", out_dir], [report_name]
+    for label, dataset, args, tags in FITS:
+        data = os.path.join(data_root, dataset)
+        args = ("fit", "--data", data, *args, "--estimators", ",".join(tags))
+        yield label, lambda out_dir, args=args: [*args, "--out", out_dir], [f"fit_{tag}.json" for tag in tags]
 
 
-def report(src: str, build, report_name: str, out_dir: str) -> bytes | None:
-    """The report file ``report_name`` that the `hdvar` command ``build(out_dir)``
-    writes to ``out_dir`` under the tree ``src``, or None when the command fails."""
+def hdvar(src: str, argv: list) -> bool:
+    """Runs the `hdvar` command ``argv`` under the tree ``src``; whether it exited 0."""
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    argv = [sys.executable, "-m", "hdvar.cli", *build(out_dir)]
+    argv = [sys.executable, "-m", "hdvar.cli", *argv]
     done = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
         print(done.stderr, file=sys.stderr, end="")
-        return None
-    with open(os.path.join(out_dir, report_name), "rb") as fh:
-        return fh.read()
+    return done.returncode == 0
+
+
+def reports(src: str, build, report_names: list, out_dir: str) -> list:
+    """The report files ``report_names`` that the `hdvar` command ``build(out_dir)``
+    writes to ``out_dir`` under the tree ``src``, each None when the command fails."""
+    if not hdvar(src, build(out_dir)):
+        return [None] * len(report_names)
+    out = []
+    for name in report_names:
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            out.append(fh.read())
+    return out
 
 
 def _cell(text: str):
@@ -139,17 +173,22 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no hdvar package")
     same = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for n, (label, build, report_name) in enumerate(commands()):
+        data_root = os.path.join(tmp, "data")
+        for name, args in DATASETS:
+            if not hdvar(trees["parent"], ["simulate", *args, "--out", os.path.join(data_root, name)]):
+                parser.error(f"the parent tree could not simulate {name}")
+        for n, (label, build, report_names) in enumerate(commands(data_root)):
             parent, change = (
-                report(src, build, report_name, os.path.join(tmp, side, str(n))) for side, src in trees.items()
+                reports(src, build, report_names, os.path.join(tmp, side, str(n))) for side, src in trees.items()
             )
-            if parent is None or change is None:
-                verdict = "failed"
-            else:
-                verdict = "identical" if parent == change else f"differs ({difference(parent, change, report_name)})"
-            same += verdict == "identical"
-            total += 1
-            print(f"{label}: {verdict}", flush=True)
+            for name, a, b in zip(report_names, parent, change):
+                if a is None or b is None:
+                    verdict = "failed"
+                else:
+                    verdict = "identical" if a == b else f"differs ({difference(a, b, name)})"
+                same += verdict == "identical"
+                total += 1
+                print(f"{label}{'' if len(report_names) == 1 else ' ' + name}: {verdict}", flush=True)
     print(f"{same} of {total} reports identical")
     return 0 if same == total else 1
 
