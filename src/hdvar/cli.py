@@ -10,7 +10,6 @@ output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -223,7 +222,7 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for tag, fit in fits.items():
         path = os.path.join(args.out, f"fit_{tag}.json")
-        estimators.save_system_fit(fit, path)
+        var.write_json(path, estimators.system_fit_to_dict(fit))
         sizes = ",".join(str(len(f.active_set)) for f in fit.fits)
         lams = ",".join(f"{f.lambda_selected:.6g}" for f in fit.fits)
         nonconverged = sum(f.feasible and not f.converged for f in fit.fits)
@@ -297,32 +296,9 @@ def cmd_diag(args) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "diagnostics.json")
-    with open(path, "w") as fh:
-        json.dump(_json_safe({"config": config, **report}), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    var.write_json(path, {"config": config, **report})
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isnan(f):
-            return None
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    return obj
 
 
 def cmd_paper_tables(args) -> int:
@@ -333,7 +309,7 @@ def cmd_paper_tables(args) -> int:
             raise ConfigError(f"unknown experiment {exp!r}")
     # every value is parsed and every cell specified, and so validated, before the first cell runs
     try:
-        t_values = [int(t) for t in args.t_list.split(",") if t.strip()]
+        t_values = list(dict.fromkeys(int(t) for t in args.t_list.split(",") if t.strip()))
         k_filter = {int(v) for v in args.k_list.split(",") if v.strip()}
         specs = [
             mc.ExperimentSpec(exp, k, T, n_reps=args.reps, base_seed=args.seed, estimators=tags)
@@ -353,16 +329,12 @@ def cmd_paper_tables(args) -> int:
             report = mc.run_experiment(spec, threads=args.threads)
             stem = f"{exp}_{spec.k}_{spec.T}"
             mc.report_to_csv(report, os.path.join(args.out, f"{stem}.csv"))
-            rows.extend((spec.k, spec.T, tag, report.rows[tag]) for tag in tags)
+            for tag in tags:
+                rows.append([spec.k, spec.T, tag, *(getattr(report.rows[tag], name) for name in mc.METRICS)])
             print(f"{stem} done ({report.runtime_seconds:.1f}s)", file=sys.stderr)
         table_path = os.path.join(args.out, f"table_{exp}.csv")
-        with open(table_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["k", "T", "estimator", "uncovered", "included", "share", "n_selected", "rmse", "rmsfe"]
-            )
-            for k, T, tag, row in rows:
-                writer.writerow([k, T, tag, *(mc.format_cell(getattr(row, name)) for name in mc.METRICS)])
+        header = ["k", "T", "estimator", "uncovered", "included", "share", "n_selected", "rmse", "rmsfe"]
+        var.write_csv(table_path, header, rows)
         print(f"wrote {table_path}")
     return EXIT_OK
 

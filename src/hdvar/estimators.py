@@ -15,7 +15,6 @@ stage and its eigendecomposition read them there.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "FitPlan",
     "fit_menu",
     "system_fit_to_dict",
-    "save_system_fit",
 ]
 
 ESTIMATOR_TAGS = (
@@ -254,23 +252,15 @@ def fit_menu(data, tags, truth: SparsityInfo | None = None, lam: float | None = 
 
 
 def system_fit_to_dict(fit: SystemFit) -> dict:
-    kp = fit.coefficients.shape[1]
+    """The fit's payload for ``var.write_json``, which writes an infeasible equation's NaN lambda as null."""
     return {
         "estimator": fit.estimator_tag,
         "k": fit.k,
         "p": fit.p,
-        "lambda_per_equation": [
-            None if np.isnan(f.lambda_selected) else float(f.lambda_selected) for f in fit.fits
-        ],
-        "beta": [float(v) for v in fit.coefficients.reshape(-1)],
-        "active_sets": [[int(j) for j in f.active_set] for f in fit.fits],
-        "feasible": [bool(f.feasible) for f in fit.fits],
-        "converged": [bool(f.converged) for f in fit.fits],
-        "kp": kp,
+        "lambda_per_equation": [f.lambda_selected for f in fit.fits],
+        "beta": fit.coefficients.reshape(-1),
+        "active_sets": [f.active_set for f in fit.fits],
+        "feasible": [f.feasible for f in fit.fits],
+        "converged": [f.converged for f in fit.fits],
+        "kp": fit.coefficients.shape[1],
     }
-
-
-def save_system_fit(fit: SystemFit, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(system_fit_to_dict(fit), fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import csv
 import dataclasses
-import json
 import math
 import multiprocessing
 import os
@@ -36,7 +34,6 @@ __all__ = [
     "rmsfe",
     "selection_metrics",
     "run_experiment",
-    "format_cell",
     "report_to_csv",
     "report_to_json",
 ]
@@ -281,28 +278,10 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
     )
 
 
-def format_cell(value) -> str:
-    """CSV cell of one report value."""
-    if isinstance(value, float) and math.isnan(value):
-        return ""  # infeasible entries render as blank cells
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def report_to_csv(report: McReport, path: str) -> None:
     """One row per estimator, columns = the six metrics plus feasibility."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for tag in report.spec.estimators:
-            writer.writerow([format_cell(getattr(report.rows[tag], name)) for name in COLUMNS])
-
-
-def _nan_to_none(x):
-    return None if isinstance(x, float) and math.isnan(x) else x
+    rows = ([getattr(report.rows[tag], name) for name in COLUMNS] for tag in report.spec.estimators)
+    var.write_csv(path, COLUMNS, rows)
 
 
 def report_to_json(report: McReport, path: str) -> None:
@@ -315,13 +294,10 @@ def report_to_json(report: McReport, path: str) -> None:
         "base_seed": spec.base_seed,
         "n_lambda": N_LAMBDA,
         "lambda_ratio": LAMBDA_RATIO,
-        "seeds": list(report.seeds),
+        "seeds": report.seeds,
         "estimators": {
-            tag: {name: _nan_to_none(getattr(report.rows[tag], name)) for name in COLUMNS[1:]}
-            for tag in spec.estimators
+            tag: {name: getattr(report.rows[tag], name) for name in COLUMNS[1:]} for tag in spec.estimators
         },
         "solver": report.solver,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    var.write_json(path, payload)

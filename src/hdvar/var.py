@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -32,6 +33,8 @@ __all__ = [
     "lagged_state",
     "coefficient_matrix",
     "truncate_dataset",
+    "write_json",
+    "write_csv",
     "save_dataset",
     "load_dataset",
 ]
@@ -267,12 +270,53 @@ def truncate_dataset(data: Dataset, T: int) -> Dataset:
     return Dataset(k=data.k, p=data.p, T=T, initial=data.initial, path=data.path[:T], innovations=innov)
 
 
-def _write_csv(path: str, header: list, rows: np.ndarray) -> None:
+def _json_safe(obj):
+    """``obj`` as strict JSON: NaN as None, +-inf as "inf"/"-inf", NumPy
+    scalars and arrays as Python values, tuples as lists."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        if math.isnan(f):
+            return None
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return [_json_safe(v) for v in obj.tolist()]
+    return obj
+
+
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` to ``path`` as strict JSON, keys sorted, two-space
+    indent, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(_json_safe(payload), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _format_cell(value) -> str:
+    """CSV cell of one value: a float's repr, blank for NaN, true/false for a bool."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        # NumPy 2 reprs an np.float64 as "np.float64(...)"
+        return "" if math.isnan(value) else repr(float(value))
+    return str(value)
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write ``header`` and then one line per row of ``rows`` to ``path``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
 def save_dataset(data: Dataset, directory: str, name: str = "dataset") -> dict:
@@ -281,18 +325,16 @@ def save_dataset(data: Dataset, directory: str, name: str = "dataset") -> dict:
     os.makedirs(directory, exist_ok=True)
     header = [f"y{i + 1}" for i in range(data.k)]
     csv_path = os.path.join(directory, f"{name}.csv")
-    _write_csv(csv_path, header, np.vstack([data.initial, data.path]))
+    write_csv(csv_path, header, np.vstack([data.initial, data.path]))
     meta = {"k": data.k, "p": data.p, "T": data.T}
     files = {"data": csv_path}
     if data.innovations is not None:
         innov_path = os.path.join(directory, f"{name}.innovations.csv")
-        _write_csv(innov_path, header, data.innovations)
+        write_csv(innov_path, header, data.innovations)
         meta["innovations_file"] = os.path.basename(innov_path)
         files["innovations"] = innov_path
     meta_path = os.path.join(directory, f"{name}.meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(meta_path, meta)
     files["meta"] = meta_path
     return files
 
@@ -308,14 +350,15 @@ def _read_csv(path: str, k: int) -> np.ndarray:
 
 
 def load_dataset(directory: str, name: str = "dataset") -> Dataset:
-    """Load a dataset written by save_dataset; ValueError unless it holds at
-    least one estimation observation and only finite values."""
+    """Load a dataset written by save_dataset; ValueError unless its k, p
+    and T are integers of at least one and it holds only finite values."""
     meta_path = os.path.join(directory, f"{name}.meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    k, p, T = int(meta["k"]), int(meta["p"]), int(meta["T"])
-    if T < 1:
-        raise ValueError(f"need at least one observation, and T = {T}")
+    for key in ("k", "p", "T"):
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise ValueError(f"{key} must be an integer of at least one, not {meta[key]!r}")
+    k, p, T = meta["k"], meta["p"], meta["T"]
     values = _read_csv(os.path.join(directory, f"{name}.csv"), k)
     if values.shape[0] != p + T:
         raise ValueError("row count does not match metadata")

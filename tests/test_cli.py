@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -130,6 +131,13 @@ def _no_estimation_rows(directory):
     csv_path.write_text("\n".join(csv_path.read_text().splitlines()[: 1 + meta["p"]]) + "\n")
 
 
+def _zero_lags(directory):
+    """p = 0, with the initial row counted as an estimation row and no innovations record."""
+    meta = json.loads((directory / "dataset.meta.json").read_text())
+    del meta["innovations_file"]
+    (directory / "dataset.meta.json").write_text(json.dumps({**meta, "p": 0, "T": meta["T"] + meta["p"]}))
+
+
 class TestMalformedDataset:
     CASES = {
         "nan_value": lambda d: _set_last_row(d, "nan"),
@@ -139,6 +147,10 @@ class TestMalformedDataset:
         "meta_not_json": lambda d: (d / "dataset.meta.json").write_text('{"k": 10, "p": '),
         "meta_without_T": lambda d: (d / "dataset.meta.json").write_text(json.dumps({"k": 10, "p": 1})),
         "non_integer_T": lambda d: _rewrite_meta(d, T="twenty"),
+        "fractional_T": lambda d: _rewrite_meta(d, T=20.5),
+        "fractional_k": lambda d: _rewrite_meta(d, k=10.5),
+        "boolean_p": lambda d: _rewrite_meta(d, p=True),
+        "zero_lags": _zero_lags,
         "row_count_differs": lambda d: _rewrite_meta(d, T=21),
         "empty_csv": lambda d: (d / "dataset.csv").write_text(""),
     }
@@ -192,8 +204,9 @@ class TestFit:
         fit = estimators.FitPlan(data).fit(tag, lam=1e-4)
         converged = [f.converged for f in fit.fits]
         assert not all(converged)
-        payload = json.loads(json.dumps(estimators.system_fit_to_dict(fit)))
-        assert payload["converged"] == converged
+        path = dataset_dir / "fit.json"
+        var.write_json(str(path), estimators.system_fit_to_dict(fit))
+        assert json.loads(path.read_text())["converged"] == converged
 
     def test_lambda_override_fits_pinned(self, tmp_path):
         model = {"phis": [[[0.5, 0.2, 0.0], [0.0, 0.4, 0.0], [0.1, 0.0, 0.3]]], "sigma": np.eye(3).tolist()}
@@ -687,26 +700,13 @@ class TestDiag:
 
 class TestPaperTables:
     def test_tiny_smoke(self, tmp_path):
-        code = run(
-            [
-                "paper-tables",
-                "--reps",
-                "2",
-                "--experiments",
-                "A",
-                "--k-list",
-                "10",
-                "--T-list",
-                "50",
-                "--estimators",
-                "lasso,oracle_ols",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+        # each repeated --experiments, --k-list and --T-list entry runs once
+        argv = ["paper-tables", "--reps", "2", "--experiments", "A,a", "--k-list", "10,10", "--T-list", "50,50"]
+        assert run(argv + ["--estimators", "lasso,oracle_ols", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "A_10_50.csv").exists()
-        assert (tmp_path / "table_A.csv").exists()
+        with open(tmp_path / "table_A.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:3] for row in rows[1:]] == [["10", "50", "lasso"], ["10", "50", "oracle_ols"]]
 
     @pytest.mark.parametrize(
         "bad",

@@ -315,7 +315,7 @@ class TestFitSystem:
         _, truth, data = simulated_problem(seed=22, k=5, T=150)
         sf = FitPlan(data).fit("lasso")
         path = str(tmp_path / "fit.json")
-        estimators.save_system_fit(sf, path)
+        var.write_json(path, estimators.system_fit_to_dict(sf))
         with open(path) as fh:
             payload = json.load(fh)
         assert (payload["estimator"], payload["k"], payload["p"], payload["kp"]) == ("lasso", 5, 1, 5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,30 @@ class TestCsvRoundTrip:
         var.save_dataset(data, str(tmp_path))
         loaded = var.load_dataset(str(tmp_path))
         assert np.array_equal(loaded.path, data.path)  # repr round-trips float64 exactly
+
+
+class TestWriters:
+    def test_write_json_encoding(self, tmp_path):
+        path = tmp_path / "out.json"
+        payload = {
+            "b": (np.float64(0.1), np.int64(3), np.bool_(True), (1, (2.5, float("nan")))),
+            "a": {"nan": np.nan, "inf": np.inf, "-inf": np.float64(-np.inf)},
+            "array": np.array([[1.0, np.nan], [np.inf, 2.0]]),
+        }
+        var.write_json(str(path), payload)
+        # keys sorted at every level, two-space indent, a trailing newline
+        expected = {
+            "a": {"-inf": "-inf", "inf": "inf", "nan": None},
+            "array": [[1.0, None], ["inf", 2.0]],
+            "b": [0.1, 3, True, [1, [2.5, None]]],
+        }
+        assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    def test_write_csv_cells(self, tmp_path):
+        path = tmp_path / "out.csv"
+        rows = [[np.float64(0.1), 1 / 3, np.nan, True, False, 7, np.int64(-2), "lasso"]]
+        var.write_csv(str(path), ["a", "b", "c", "d", "e", "f", "g", "h"], rows)
+        assert path.read_bytes() == b"a,b,c,d,e,f,g,h\r\n0.1,0.3333333333333333,,true,false,7,-2,lasso\r\n"
 
 
 class TestPsiConvergence:

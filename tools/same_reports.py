@@ -9,7 +9,9 @@ commands of ``FITS`` on the datasets of ``DATASETS``, which `hdvar simulate`
 writes once under the parent tree.  Each command runs once under each tree,
 in a subprocess with PYTHONPATH set to that tree and OPENBLAS_NUM_THREADS=1,
 and the two trees' report files are compared byte for byte: one report for
-``mc`` and ``diag``, one ``fit_{tag}.json`` per estimator tag for ``fit``.
+``mc`` and ``diag``, one ``fit_{tag}.json`` per estimator tag for ``fit``, the
+data, innovations and metadata files for ``simulate``, and every table and
+cell report for ``paper-tables``.
 One line per report says identical or differs.  For a report that differs
 it also gives the largest relative difference of a float field, and the
 first field that differs otherwise: an integer, boolean, string or null, or a
@@ -36,24 +38,37 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from workloads import FULL_MENU, WINDOWS, WORKLOADS  # noqa: E402
 
-# (label, hdvar arguments without --out, report file) of commands that reach what
+# (label, hdvar arguments without --out, report files) of commands that reach what
 # no gated workload does: the sampled restricted-eigenvalue search and supports
-# of more than one coordinate (diag on B, C and D), the mc JSON report, and more
-# regressors than observations (C/10/40 has m = 50 > T = 40)
+# of more than one coordinate (diag on B, C and D), the mc JSON report, more
+# regressors than observations (C/10/40 has m = 50 > T = 40), the dataset files
+# of `simulate`, and the cell reports and tables of `paper-tables`, whose C/10/40
+# post-LASSO and full OLS rows are infeasible and so blank
 UNGATED = (
-    ("diag B/10/60", ("diag", "--experiment", "B", "--k", "10", "--T", "60", "--reps", "2"), "diagnostics.json"),
-    ("diag C/10/80", ("diag", "--experiment", "C", "--k", "10", "--T", "80", "--reps", "2"), "diagnostics.json"),
-    ("diag D/10/60", ("diag", "--experiment", "D", "--k", "10", "--T", "60", "--reps", "2"), "diagnostics.json"),
+    ("diag B/10/60", ("diag", "--experiment", "B", "--k", "10", "--T", "60", "--reps", "2"), ("diagnostics.json",)),
+    ("diag C/10/80", ("diag", "--experiment", "C", "--k", "10", "--T", "80", "--reps", "2"), ("diagnostics.json",)),
+    ("diag D/10/60", ("diag", "--experiment", "D", "--k", "10", "--T", "60", "--reps", "2"), ("diagnostics.json",)),
     (
         "mc A/10/60 json",
         ("mc", "--experiment", "A", "--k", "10", "--T", "60", "--reps", "2", "--format", "json")
         + ("--estimators", FULL_MENU),
-        "A_10_60.json",
+        ("A_10_60.json",),
     ),
     (
         "mc C/10/40 json",
         ("mc", "--experiment", "C", "--k", "10", "--T", "40", "--reps", "3", "--format", "json"),
-        "C_10_40.json",
+        ("C_10_40.json",),
+    ),
+    (
+        "simulate C/10/40",
+        ("simulate", "--experiment", "C", "--k", "10", "--T", "40", "--seed", "3"),
+        ("dataset.csv", "dataset.innovations.csv", "dataset.meta.json"),
+    ),
+    (
+        "paper-tables A,C/10/40,60",
+        ("paper-tables", "--reps", "2", "--experiments", "A,C", "--k-list", "10", "--T-list", "40,60")
+        + ("--estimators", FULL_MENU),
+        ("table_A.csv", "table_C.csv", "A_10_40.csv", "A_10_60.csv", "C_10_40.csv", "C_10_60.csv"),
     ),
 )
 
@@ -66,8 +81,7 @@ DATASETS = (
 )
 # (label, dataset, hdvar fit arguments without --data, --estimators and --out, tags)
 # of the fit commands, which reach what no mc or diag report does: fixed-lambda
-# adaptive fits and the JSON of save_system_fit.  At --lambda 1e-4 every tag
-# selects a nonzero fit.
+# adaptive fits and the fit JSON.  At --lambda 1e-4 every tag selects a nonzero fit.
 FITS = (
     ("fit A/10/60", "A_10_60", ("--experiment", "A", "--k", "10"), FULL_MENU.split(",")),
     ("fit A/10/60 lambda 1e-4", "A_10_60", ("--lambda", "1e-4"), FULL_MENU.split(",")[:4]),
@@ -81,8 +95,8 @@ def commands(data_root: str):
     for workload in (w for w in WORKLOADS.values() if w.gated):
         for window in range(WINDOWS):
             yield f"{workload.name} window {window}", functools.partial(workload.argv, window), [workload.report_name]
-    for label, args, report_name in UNGATED:
-        yield label, lambda out_dir, args=args: [*args, "--out", out_dir], [report_name]
+    for label, args, report_names in UNGATED:
+        yield label, lambda out_dir, args=args: [*args, "--out", out_dir], list(report_names)
     for label, dataset, args, tags in FITS:
         data = os.path.join(data_root, dataset)
         args = ("fit", "--data", data, *args, "--estimators", ",".join(tags))
@@ -135,11 +149,11 @@ def _leaves(value, path: str = ""):
 
 def fields(data: bytes, report_name: str) -> dict:
     """Path -> value of every field of a report: JSON leaves, or CSV cells keyed
-    by their row's first cell and their column."""
+    by their row's number (the header is row 0) and their column."""
     if report_name.endswith(".json"):
         return dict(_leaves(json.loads(data)))
     header, *rows = csv.reader(io.StringIO(data.decode()))
-    return {f"{row[0]}/{column}": _cell(text) for row in rows for column, text in zip(header, row)}
+    return {f"{n}/{column}": _cell(text) for n, row in enumerate(rows, 1) for column, text in zip(header, row)}
 
 
 def difference(parent: bytes, change: bytes, report_name: str) -> str:
