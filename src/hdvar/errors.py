@@ -6,11 +6,7 @@ class HdvarError(Exception):
 
 
 class NotPositiveDefinite(HdvarError):
-    """A Cholesky pivot fell below the positive-definiteness threshold."""
-
-
-class SingularDesign(HdvarError):
-    """The regressor matrix is numerically rank deficient; use a penalized fit."""
+    """A Cholesky pivot fell below the positive-definiteness threshold: an OLS refit's ``singular_design``."""
 
 
 class NotStationary(HdvarError):

@@ -9,7 +9,8 @@ Every BIC choice is scored from sufficient statistics: the RSS each
 ``lasso_path`` point carries, or the closed-form ridge RSS, with no residual
 matrix.  The k equations share one design, whose ``var.RegressionProblem``
 forms Psi = X'X/T, X'y_i and y_i'y_i once: every L1 fit, the ridge first
-stage and its eigendecomposition read them there.
+stage and its eigendecomposition read them there, and so do the OLS refits,
+which solve the normal equations on a block of Psi.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import var
-from .errors import SingularDesign
-from .linalg import least_squares
+from .errors import NotPositiveDefinite
+from .linalg import cholesky_solve
 from .solver import adaptive_weights, lambda_grid, lambda_max, lasso_path, ridge_path
 
 __all__ = [
@@ -123,18 +124,19 @@ def bic(rss, df, T: int):
 
 
 def _ols_on(problem: var.RegressionProblem, i: int, idx: np.ndarray, tag: str, too_many: str) -> EquationFit:
-    """Least squares of equation i on the regressors ``idx``, zeros elsewhere.
+    """Least squares of equation i on the regressors ``idx``, zeros elsewhere:
+    Psi_II beta_I = (X'y_i)_I / T by ``cholesky_solve``, reading no column of X.
 
     Infeasible for the reason ``too_many`` when ``idx`` holds T or more
-    regressors, and for "singular_design" when they are collinear.
+    regressors, and for "singular_design" when Psi_II fails its pivot rule.
     """
     if len(idx) >= problem.T:
         return EquationFit.infeasible(problem.m, tag, too_many)
     beta = np.zeros(problem.m)
     if len(idx):
         try:
-            beta[idx] = least_squares(problem.X[:, idx], problem.ys[i])
-        except SingularDesign:
+            beta[idx] = cholesky_solve(problem.psi[np.ix_(idx, idx)], problem.xy[i, idx] / problem.T)
+        except NotPositiveDefinite:
             return EquationFit.infeasible(problem.m, tag, "singular_design")
     return EquationFit(
         beta=beta,

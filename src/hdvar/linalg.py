@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: SPD solves, least squares, spectral radius, Lyapunov.
+"""Dense linear-algebra kernel: the one SPD solve, spectral radius, Lyapunov.
 
 All routines operate on plain float64 ndarrays and are pure functions of their
 inputs, so they are safe to call from parallel workers.
@@ -7,13 +7,12 @@ inputs, so they are safe to call from parallel workers.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
-from .errors import NonConvergence, NotPositiveDefinite, NotStationary, SingularDesign
+from .errors import NonConvergence, NotPositiveDefinite, NotStationary
 
 __all__ = [
     "cholesky_solve",
-    "least_squares",
     "spectral_radius",
     "lyapunov_doubling",
 ]
@@ -22,7 +21,6 @@ __all__ = [
 # Tolerances and iteration budgets, read at call time; the docstrings say how each is used.
 SYM_TOL = 1e-10
 PIVOT_TOL = 1e-12
-RANK_TOL = 1e-10
 LYAPUNOV_TOL = 1e-12
 LYAPUNOV_MAX_ITER = 200
 
@@ -37,44 +35,23 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def cholesky_solve(A, B):
-    """Solve A X = B for symmetric positive-definite A via Cholesky.
+    """Solve A X = B for symmetric positive-definite A with one LAPACK ``dposv``
+    call, which factors A = L L' and solves at once.  It is the package's one
+    least-squares solve: OLS refits solve the normal equations on a Gram block.
 
     Raises NotPositiveDefinite when A is asymmetric beyond ``SYM_TOL`` (relative)
-    or a squared pivot falls at or below ``PIVOT_TOL`` times the largest diagonal
-    entry.
+    or, the pivot rule, when the factorization fails or a squared pivot of L
+    falls at or below ``PIVOT_TOL`` times the largest diagonal entry of A.
     """
     A = _as_matrix(A)
     B = np.asarray(B, dtype=np.float64)
     scale = np.abs(A).max() if A.size else 0.0
     if scale > 0 and np.abs(A - A.T).max() > SYM_TOL * scale:
         raise NotPositiveDefinite("matrix is not symmetric within tolerance")
-    try:
-        L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    max_diag = np.max(np.diag(A)) if A.size else 0.0
-    if np.min(np.diag(L)) ** 2 <= PIVOT_TOL * max_diag:
+    L, X, info = lapack.dposv(A, B, lower=1)
+    if info != 0 or np.min(np.diag(L)) ** 2 <= PIVOT_TOL * np.max(np.diag(A)):
         raise NotPositiveDefinite("pivot below positive-definiteness threshold")
-    Z = scipy.linalg.solve_triangular(L, B, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(L.T, Z, lower=False, check_finite=False)
-
-
-def least_squares(X, y) -> np.ndarray:
-    """Minimize ||y - X b||^2 through a QR factorization.
-
-    Raises SingularDesign when the smallest pivot of X'X is at or below
-    ``RANK_TOL`` times the largest (the caller should fall back to a
-    penalized estimator).
-    """
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] < X.shape[1]:
-        raise SingularDesign("fewer rows than columns")
-    Q, R = np.linalg.qr(X)
-    d = np.abs(np.diag(R))
-    if d.size and d.min() ** 2 <= RANK_TOL * d.max() ** 2:
-        raise SingularDesign("rank-deficient design")
-    return scipy.linalg.solve_triangular(R, Q.T @ y, lower=False, check_finite=False)
+    return X
 
 
 def spectral_radius(F) -> float:

@@ -294,7 +294,8 @@ def thm1_rhs_check(problem: var.RegressionProblem, i: int, fit_beta, truth, lamb
     """Both sides of the three basic inequalities for one equation at penalty lambda_T.
 
     Given the cross-moment event, the inequalities hold deterministically up
-    to solver tolerance; slack = rhs - lhs.
+    to solver tolerance; slack = rhs - lhs.  The prediction error
+    ||X err||^2 / T is read as err' Psi err.
     """
     beta_hat = np.asarray(fit_beta, dtype=np.float64)
     beta_star = truth.beta[i]
@@ -302,7 +303,7 @@ def thm1_rhs_check(problem: var.RegressionProblem, i: int, fit_beta, truth, lamb
     mask = np.zeros(problem.m, dtype=bool)
     mask[J] = True
     err = beta_hat - beta_star
-    pred = float(np.linalg.norm(problem.X @ err) ** 2 / problem.T)
+    pred = float(err @ problem.psi @ err)
     l1 = float(np.abs(err).sum())
     l1_j = float(np.abs(err[mask]).sum())
     l1_jc = float(np.abs(err[~mask]).sum())
@@ -368,7 +369,8 @@ def sign_recovery_conditions(
     FOC1 checks, for each irrelevant coordinate, that the stationarity bound
     |Psi_{j,J} Psi_JJ^{-1}(X_J'eps/T - lam b) - X_j'eps/T| <= lam w_j holds;
     FOC2 checks the sign consistency of the candidate solution on the true
-    support, with b = (sign(beta*_j) / |stage1_j|)_{j in J}.  The report's
+    support, with b = (sign(beta*_j) / |stage1_j|)_{j in J}, from the
+    problem's statistics alone: X'eps/T = X'y_i/T - Psi beta*.  The report's
     ``foc_ok`` is True exactly when the stage-two minimizer at this penalty
     recovers the full sign pattern.  The sufficient inequalities read K_T
     (``k_t_value``) and ``phi_min``, the smallest eigenvalue of the population
@@ -381,7 +383,6 @@ def sign_recovery_conditions(
     mask = np.zeros(m, dtype=bool)
     mask[J] = True
     Jc = np.flatnonzero(~mask)
-    eps = problem.ys[i] - problem.X @ beta_star
     w = adaptive_weights(stage1)
     l1_err = float(np.abs(stage1 - beta_star).sum())
     beta_min_i = float(truth.beta_min_i[i])
@@ -404,7 +405,7 @@ def sign_recovery_conditions(
         report.update({"foc1_ok": None, "foc2_ok": False, "foc_ok": False, "foc1_margin": -np.inf})
     else:
         b = np.sign(beta_star[J]) * w[J]
-        xe = problem.X.T @ eps / problem.T
+        xe = problem.xy[i] / problem.T - problem.psi @ beta_star
         h = xe[J] - lambda_t * b
         t2 = cholesky_solve(psi_jj, h)
         cand = beta_star[J] + t2

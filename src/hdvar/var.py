@@ -57,7 +57,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VarModel:
-    """Coefficient matrices Phi_1..Phi_p and innovation covariance."""
+    """Coefficient matrices Phi_1..Phi_p and innovation covariance, all finite; Sigma
+    symmetric and positive semidefinite within 1e-10 times its largest entry."""
 
     phis: tuple
     sigma: np.ndarray
@@ -70,13 +71,18 @@ class VarModel:
         k = self.sigma.shape[0]
         if self.sigma.shape != (k, k):
             raise ValueError("sigma must be square")
-        if np.abs(self.sigma - self.sigma.T).max() > 1e-10 * max(np.abs(self.sigma).max(), 1e-300):
-            raise ValueError("sigma must be symmetric")
         if len(phis) == 0:
             raise ValueError("at least one lag matrix required")
         for P in phis:
             if P.shape != (k, k):
                 raise ValueError("each Phi_l must be k x k")
+        if not all(np.isfinite(a).all() for a in (self.sigma, *phis)):
+            raise ValueError("sigma and every Phi_l must have finite entries")
+        tol = 1e-10 * max(np.abs(self.sigma).max(), 1e-300)
+        if np.abs(self.sigma - self.sigma.T).max() > tol:
+            raise ValueError("sigma must be symmetric")
+        if np.linalg.eigvalsh(self.sigma).min() < -tol:
+            raise ValueError("sigma must be positive semidefinite")
 
     @property
     def k(self) -> int:
@@ -351,7 +357,8 @@ def _read_csv(path: str, k: int) -> np.ndarray:
 
 def load_dataset(directory: str, name: str = "dataset") -> Dataset:
     """Load a dataset written by save_dataset; ValueError unless its k, p
-    and T are integers of at least one and it holds only finite values."""
+    and T are integers of at least one, its innovations file is a bare file
+    name in ``directory``, and it holds only finite values."""
     meta_path = os.path.join(directory, f"{name}.meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
@@ -364,7 +371,10 @@ def load_dataset(directory: str, name: str = "dataset") -> Dataset:
         raise ValueError("row count does not match metadata")
     innovations = None
     if "innovations_file" in meta:
-        innovations = _read_csv(os.path.join(directory, meta["innovations_file"]), k)
+        innov_name = meta["innovations_file"]
+        if innov_name in ("", ".", "..") or os.path.basename(innov_name) != innov_name:
+            raise ValueError(f"innovations_file must be a file name in the dataset's directory, not {innov_name!r}")
+        innovations = _read_csv(os.path.join(directory, innov_name), k)
     if not all(np.isfinite(a).all() for a in (values, innovations) if a is not None):
         raise ValueError("the dataset holds a non-finite value")
     return Dataset(k=k, p=p, T=T, initial=values[:p], path=values[p:], innovations=innovations)

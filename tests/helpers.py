@@ -8,6 +8,10 @@ estimator's joint projected-gradient search.  The simulation reference runs
 the VAR recursion with one product per lag, where ``var.simulate`` takes one
 product with the stacked lag matrices.
 
+``least_squares`` is the QR solve on the design's columns that the OLS
+refits are compared against; the package solves the normal equations on the
+Gram matrix instead.
+
 The L1 references serve the solver and theory tests.  ``objective`` and
 ``kkt_check`` evaluate the weighted L1 objective and its stationarity
 residual from the residual y - X beta, not from the Gram matrix the solver
@@ -23,6 +27,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hdvar import solver, var
 
@@ -118,6 +123,21 @@ def problem_from(X, y):
     """The one-equation ``var.RegressionProblem`` of a design and a response:
     equation 0, whose statistics the solver reads."""
     return var.RegressionProblem(X, np.atleast_2d(y))
+
+
+def least_squares(X, y):
+    """argmin_b ||y - X b||^2 through a QR factorization of X; ValueError when X
+    has fewer rows than columns or a squared diagonal entry of R is at or below
+    1e-10 times the largest."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] < X.shape[1]:
+        raise ValueError("fewer rows than columns")
+    Q, R = np.linalg.qr(X)
+    d = np.abs(np.diag(R))
+    if d.size and d.min() ** 2 <= 1e-10 * d.max() ** 2:
+        raise ValueError("rank-deficient design")
+    return scipy.linalg.solve_triangular(R, Q.T @ y, lower=False)
 
 
 def phi_min_on(gamma, J):

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from hdvar import cli, estimators, mc, theory, var
-from hdvar.linalg import least_squares, lyapunov_doubling
+from hdvar.linalg import lyapunov_doubling
 from hdvar.solver import lambda_max, lasso_path
 from helpers import (
     kkt_check,
+    least_squares,
     objective,
     phi_min_on,
     problem_from,
@@ -284,7 +285,7 @@ def test_criterion_10_solver_oracle():
         _, f_grid = grid_search_2d(X, y, lam)
         gap = objective(X, y, path.beta[0], lam) - f_grid
         worst_gap = max(worst_gap, gap)
-    # unpenalized fits against the least-squares kernel
+    # unpenalized fits against the QR least-squares reference
     worst_ols = 0.0
     for trial in range(5):
         X = rng.standard_normal((50, 5))

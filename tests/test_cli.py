@@ -94,6 +94,10 @@ class TestMalformedJson:
             ("model", json.dumps({"phis": [[[0.5, 0.1]]], "sigma": [[1.0]]}), "each Phi_l must be k x k"),
             ("model", json.dumps({"phis": [[[0.5, 0.0], [0.0, 0.5]]], "sigma": [[1.0, 0.5], [0.1, 1.0]]}), "symmetric"),
             ("model", json.dumps({"phis": [], "sigma": [[1.0]]}), "at least one lag matrix required"),
+            # json.load reads NaN and Infinity, so a model file can carry them
+            ("model", '{"phis": [[[NaN]]], "sigma": [[1.0]]}', "must have finite entries"),
+            ("model", '{"phis": [[[0.5]]], "sigma": [[Infinity]]}', "must have finite entries"),
+            ("model", json.dumps({"phis": [[[0.5, 0.0], [0.0, 0.5]]], "sigma": [[1.0, 2.0], [2.0, 1.0]]}), "semidefinite"),
         ],
     )
     def test_is_config_error_and_writes_nothing(self, tmp_path, command, text, message, capsys):
@@ -138,6 +142,15 @@ def _zero_lags(directory):
     (directory / "dataset.meta.json").write_text(json.dumps({**meta, "p": 0, "T": meta["T"] + meta["p"]}))
 
 
+def _innovations_elsewhere(directory, absolute):
+    """Point the metadata at a copy of the innovations file in a sibling directory."""
+    other = directory.parent / "other"
+    other.mkdir()
+    copy = other / "dataset.innovations.csv"
+    copy.write_text((directory / "dataset.innovations.csv").read_text())
+    _rewrite_meta(directory, innovations_file=str(copy) if absolute else "../other/dataset.innovations.csv")
+
+
 class TestMalformedDataset:
     CASES = {
         "nan_value": lambda d: _set_last_row(d, "nan"),
@@ -153,6 +166,9 @@ class TestMalformedDataset:
         "zero_lags": _zero_lags,
         "row_count_differs": lambda d: _rewrite_meta(d, T=21),
         "empty_csv": lambda d: (d / "dataset.csv").write_text(""),
+        "innovations_outside_directory": lambda d: _innovations_elsewhere(d, absolute=False),
+        "innovations_absolute_path": lambda d: _innovations_elsewhere(d, absolute=True),
+        "innovations_file_is_parent": lambda d: _rewrite_meta(d, innovations_file=".."),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

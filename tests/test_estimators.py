@@ -5,9 +5,9 @@ import pytest
 
 from hdvar import estimators, mc, solver, var
 from hdvar.estimators import FitPlan, SparsityInfo, bic
-from hdvar.linalg import cholesky_solve, least_squares
+from hdvar.linalg import cholesky_solve
 from hdvar.solver import lambda_max, lasso_path
-from helpers import descend, kkt_check, problem_from
+from helpers import descend, kkt_check, least_squares, problem_from
 
 
 def simulated_problem(seed=0, k=5, T=300):
@@ -235,6 +235,27 @@ class TestAdaptiveLasso:
 
 
 class TestOracleAndFullOls:
+    @pytest.mark.parametrize("experiment, k, T", [("A", 10, 500), ("D", 20, 25)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_refits_match_qr_reference(self, experiment, k, T, seed):
+        # the Gram solve against QR on the design's columns; D/20/25 is a
+        # near-saturated full OLS, m = 20 < T = 25 with cond(Psi) in the hundreds
+        model, truth = mc.make_dgp(experiment, k)
+        plan = FitPlan(var.stack(var.simulate(model, T, seed=seed)), truth)
+        prob = plan.problem
+        for i in range(k):
+            supports = {
+                "post_lasso": plan.lasso(i).active_set,
+                "oracle_ols": truth.supports[i],
+                "full_ols": np.arange(prob.m),
+            }
+            for tag, J in supports.items():
+                fit = plan.equation(tag, i)
+                ref = np.zeros(prob.m)
+                ref[J] = least_squares(prob.X[:, J], prob.ys[i])
+                assert fit.feasible
+                assert np.abs(fit.beta - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1e-300), (tag, i)
+
     def test_oracle_all_columns_equals_full(self):
         prob, _, _ = simulated_problem(seed=14, k=5, T=300)
         truth_all = SparsityInfo.from_coefficients(np.ones((5, prob.m)))

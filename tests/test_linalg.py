@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hdvar import linalg
-from hdvar.errors import NotPositiveDefinite, NotStationary, SingularDesign
+from hdvar import linalg, var
+from hdvar.errors import NotPositiveDefinite, NotStationary
+from hdvar.estimators import _ols_on
 from hdvar.linalg import (
     cholesky_solve,
-    least_squares,
     lyapunov_doubling,
     spectral_radius,
 )
@@ -51,37 +51,45 @@ class TestCholeskySolve:
         assert np.abs(A @ X - B).max() <= 1e-7 * max(1.0, np.abs(B).max())
 
 
+def ols(X, y):
+    """The fit ``_ols_on`` gives equation 0 of ``var.RegressionProblem(X, [y])``
+    on every column: the package's least squares, solved by ``cholesky_solve``
+    on the Gram matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    problem = var.RegressionProblem(X, np.atleast_2d(y))
+    return _ols_on(problem, 0, np.arange(X.shape[1]), "full_ols", "too_many")
+
+
 class TestLeastSquares:
     def test_identity_design(self):
-        assert np.allclose(least_squares(np.eye(2), np.array([3.0, 5.0])), [3.0, 5.0])
+        assert np.allclose(ols(np.eye(3)[:, :2], np.array([3.0, 5.0, 0.0])).beta, [3.0, 5.0])
 
     def test_column_of_ones_gives_mean(self):
-        beta = least_squares(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
+        beta = ols(np.ones((3, 1)), np.array([1.0, 2.0, 3.0])).beta
         assert np.allclose(beta, [2.0])
 
     def test_noiseless_recovery(self):
         rng = rng_for(2)
         X = rng.standard_normal((10, 3))
         beta = np.array([1.0, -0.5, 2.0])
-        est = least_squares(X, X @ beta)
+        est = ols(X, X @ beta).beta
         assert np.abs(est - beta).max() <= 1e-8
 
     def test_gradient_orthogonality(self):
         rng = rng_for(3)
         X = rng.standard_normal((40, 6))
         y = rng.standard_normal(40)
-        beta = least_squares(X, y)
+        beta = ols(X, y).beta
         grad = np.abs(X.T @ (y - X @ beta)).max()
         assert grad <= 1e-7 * np.abs(X.T @ y).max()
 
     def test_singular_design(self):
-        X = np.ones((5, 2))  # duplicated column
-        with pytest.raises(SingularDesign):
-            least_squares(X, np.arange(5.0))
+        fit = ols(np.ones((5, 2)), np.arange(5.0))  # duplicated column
+        assert not fit.feasible and fit.failure == "singular_design"
 
     def test_underdetermined(self):
-        with pytest.raises(SingularDesign):
-            least_squares(np.ones((2, 5)), np.ones(2))
+        fit = ols(np.ones((2, 5)), np.ones(2))
+        assert not fit.feasible and fit.failure == "too_many"
 
 
 class TestSpectralRadius:

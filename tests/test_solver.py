@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdvar.linalg import cholesky_solve, least_squares
+from hdvar.linalg import cholesky_solve
 from hdvar import solver
 from hdvar.solver import EXACT_EVERY, lambda_max, lasso_path, ridge_path
-from helpers import descend, eig_of, kkt_check, objective, penalty_thresholds, problem_from
+from helpers import descend, eig_of, kkt_check, least_squares, objective, penalty_thresholds, problem_from
 
 
 def rng_for(seed):

@@ -5,8 +5,7 @@ import pytest
 
 from hdvar import mc, var
 from hdvar.errors import NotStationary
-from hdvar.linalg import least_squares
-from helpers import simulate_per_lag
+from helpers import least_squares, simulate_per_lag
 
 
 def ar1(phi=0.5, s2=1.0):

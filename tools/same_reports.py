@@ -41,8 +41,10 @@ from workloads import FULL_MENU, WINDOWS, WORKLOADS  # noqa: E402
 # (label, hdvar arguments without --out, report files) of commands that reach what
 # no gated workload does: the sampled restricted-eigenvalue search and supports
 # of more than one coordinate (diag on B, C and D), the mc JSON report, more
-# regressors than observations (C/10/40 has m = 50 > T = 40), the dataset files
-# of `simulate`, and the cell reports and tables of `paper-tables`, whose C/10/40
+# regressors than observations (C/10/40 has m = 50 > T = 40), a near-saturated
+# OLS cell (D/20/25 has m = 20 < T = 25 and all 20 coordinates in every true
+# support, so its Gram solves are the worst conditioned), the dataset files of
+# `simulate`, and the cell reports and tables of `paper-tables`, whose C/10/40
 # post-LASSO and full OLS rows are infeasible and so blank
 UNGATED = (
     ("diag B/10/60", ("diag", "--experiment", "B", "--k", "10", "--T", "60", "--reps", "2"), ("diagnostics.json",)),
@@ -58,6 +60,12 @@ UNGATED = (
         "mc C/10/40 json",
         ("mc", "--experiment", "C", "--k", "10", "--T", "40", "--reps", "3", "--format", "json"),
         ("C_10_40.json",),
+    ),
+    (
+        "mc D/20/25 json",
+        ("mc", "--experiment", "D", "--k", "20", "--T", "25", "--reps", "2", "--format", "json")
+        + ("--estimators", "lasso,post_lasso,oracle_ols,full_ols"),
+        ("D_20_25.json",),
     ),
     (
         "simulate C/10/40",
