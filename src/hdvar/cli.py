@@ -46,68 +46,58 @@ def _add_common(parser: argparse.ArgumentParser, *shared: str) -> None:
         _SHARED_FLAGS[name](parser)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The hdvar parser: every command is registered, so --help lists them all,
+    but only ``command`` gets its flags, the only ones a run parses."""
     parser = argparse.ArgumentParser(prog="hdvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser._command_parsers = {}
-
-    def new_command(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        parser._command_parsers[name] = p
-        return p
-
-    p_sim = new_command("simulate", help="simulate a VAR path to CSV + metadata")
-    _add_common(p_sim, "seed")
-    p_sim.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
-    p_sim.add_argument("--k", type=int)
-    p_sim.add_argument("--model", help="JSON file with {phis: [[..]..], sigma: [[..]..]}")
-    p_sim.add_argument("--T", type=int, required=True)
-    p_sim.add_argument("--burn-in", type=int, dest="burn_in")
-    p_sim.add_argument("--name", default="dataset")
-
-    p_fit = new_command("fit", help="fit estimators to a stored dataset")
-    _add_common(p_fit)
-    p_fit.add_argument("--data", required=True, help="directory containing <name>.csv/.meta.json")
-    p_fit.add_argument("--name", default="dataset")
-    p_fit.add_argument("--estimators", default="lasso", help="comma-separated tags")
-    p_fit.add_argument("--lambda", dest="lam", type=float, help="fixed penalty override")
-    p_fit.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID), help="DGP for oracle truth")
-    p_fit.add_argument("--k", type=int)
-
-    p_mc = new_command("mc", help="run one Monte Carlo experiment")
-    _add_common(p_mc, "seed", "threads", "format")
-    p_mc.add_argument("--experiment", required=True, choices=tuple(mc.EXPERIMENT_GRID))
-    p_mc.add_argument("--k", type=int, required=True)
-    p_mc.add_argument("--T", type=int, required=True)
-    p_mc.add_argument("--reps", type=int, default=100)
-    p_mc.add_argument("--estimators", default="lasso", help="comma-separated tags")
-
-    p_diag = new_command("diag", help="finite-sample diagnostics on simulated replications")
-    # diag runs serially; it accepts --threads because perfbench passes it to every command
-    _add_common(p_diag, "seed", "threads")
-    p_diag.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
-    p_diag.add_argument("--k", type=int)
-    p_diag.add_argument("--T", type=int)
-    p_diag.add_argument("--reps", type=int, help=f"default {_DIAG_SIMULATE['reps']}")
-    # --seed, --T and --reps apply to simulated replications only; None marks them unset
-    p_diag.set_defaults(seed=None)
-    p_diag.add_argument("--data", help="load this dataset instead of simulating")
-    p_diag.add_argument("--name", default="dataset")
-    p_diag.add_argument("--q", type=float, default=0.5)
-    p_diag.add_argument("--a-const", type=float, default=1.0, dest="a_const")
-    p_diag.add_argument("--skip-foc", action="store_true", help="omit sign-recovery FOC outcomes")
-
-    p_tab = new_command("paper-tables", help="run the full experiment grid and assemble tables")
-    _add_common(p_tab, "seed", "threads")
-    p_tab.add_argument("--reps", type=int, default=100)
-    p_tab.add_argument("--experiments", default="A,B,C,D")
-    p_tab.add_argument("--k-list", default="", help="restrict k values (comma-separated)")
-    p_tab.add_argument("--T-list", default="50,100,500", dest="t_list")
-    p_tab.add_argument(
-        "--estimators",
-        default=",".join(estimators.ESTIMATOR_TAGS),
-        help="comma-separated tags",
-    )
+    # each command's help line is its function's docstring
+    parsers = {name: sub.add_parser(name, help=run.__doc__) for name, run in _COMMANDS.items()}
+    p = parsers.get(command)
+    if command == "simulate":
+        _add_common(p, "seed")
+        p.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
+        p.add_argument("--k", type=int)
+        p.add_argument("--model", help="JSON file with {phis: [[..]..], sigma: [[..]..]}")
+        p.add_argument("--T", type=int, required=True)
+        p.add_argument("--burn-in", type=int, dest="burn_in")
+        p.add_argument("--name", default="dataset")
+    elif command == "fit":
+        _add_common(p)
+        p.add_argument("--data", required=True, help="directory containing <name>.csv/.meta.json")
+        p.add_argument("--name", default="dataset")
+        p.add_argument("--estimators", default="lasso", help="comma-separated tags")
+        p.add_argument("--lambda", dest="lam", type=float, help="fixed penalty override")
+        p.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID), help="DGP for oracle truth")
+        p.add_argument("--k", type=int)
+    elif command == "mc":
+        _add_common(p, "seed", "threads", "format")
+        p.add_argument("--experiment", required=True, choices=tuple(mc.EXPERIMENT_GRID))
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--T", type=int, required=True)
+        p.add_argument("--reps", type=int, default=100)
+        p.add_argument("--estimators", default="lasso", help="comma-separated tags")
+    elif command == "diag":
+        # diag runs serially; it accepts --threads because perfbench passes it to every command
+        _add_common(p, "seed", "threads")
+        p.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
+        p.add_argument("--k", type=int)
+        p.add_argument("--T", type=int)
+        p.add_argument("--reps", type=int, help=f"default {_DIAG_SIMULATE['reps']}")
+        # --seed, --T and --reps apply to simulated replications only; None marks them unset
+        p.set_defaults(seed=None)
+        p.add_argument("--data", help="load this dataset instead of simulating")
+        p.add_argument("--name", default="dataset")
+        p.add_argument("--q", type=float, default=0.5)
+        p.add_argument("--a-const", type=float, default=1.0, dest="a_const")
+        p.add_argument("--skip-foc", action="store_true", help="omit sign-recovery FOC outcomes")
+    elif command == "paper-tables":
+        _add_common(p, "seed", "threads")
+        p.add_argument("--reps", type=int, default=100)
+        p.add_argument("--experiments", default="A,B,C,D")
+        p.add_argument("--k-list", default="", help="restrict k values (comma-separated)")
+        p.add_argument("--T-list", default="50,100,500", dest="t_list")
+        p.add_argument("--estimators", default=",".join(estimators.ESTIMATOR_TAGS), help="comma-separated tags")
     return parser
 
 
@@ -185,6 +175,7 @@ def _load_model(args, data: var.Dataset | None = None) -> tuple:
 
 
 def cmd_simulate(args) -> int:
+    """simulate a VAR path to CSV + metadata"""
     if args.T < 1:
         raise ConfigError("--T must be at least one")
     if args.burn_in is not None and args.burn_in < 0:
@@ -205,6 +196,7 @@ def _load_dataset(args) -> var.Dataset:
 
 
 def cmd_fit(args) -> int:
+    """fit estimators to a stored dataset"""
     tags = _estimator_list(args.estimators)
     data = _load_dataset(args)
     truth = None
@@ -231,6 +223,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    """run one Monte Carlo experiment"""
     tags = _estimator_list(args.estimators)
     try:
         spec = mc.ExperimentSpec(
@@ -261,6 +254,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_diag(args) -> int:
+    """finite-sample diagnostics on simulated replications"""
     try:
         params = theory.TheoryParams(q=args.q, a_const=args.a_const)
     except ValueError as exc:
@@ -302,6 +296,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_paper_tables(args) -> int:
+    """run the full experiment grid and assemble tables"""
     tags = _estimator_list(args.estimators)
     exps = list(dict.fromkeys(e.strip().upper() for e in args.experiments.split(",") if e.strip()))
     for exp in exps:
@@ -349,7 +344,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no values, so the first bare word names the command
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -357,8 +354,9 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # config supplies defaults; explicit flags win on the second parse
-            cfg = _load_config(args, parser._command_parsers[args.command])
-            parser._command_parsers[args.command].set_defaults(**cfg)
+            # the subparsers action maps each command name to its parser
+            command_parser = next(a.choices for a in parser._actions if a.dest == "command")[args.command]
+            command_parser.set_defaults(**_load_config(args, command_parser))
             args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ConfigError("--threads must be an integer of at least one")

@@ -13,10 +13,6 @@ class NotStationary(HdvarError):
     """The companion matrix has spectral radius at or above one."""
 
 
-class NonConvergence(HdvarError):
-    """An iterative scheme exhausted its iteration budget."""
-
-
 class MissingInnovations(HdvarError):
     """The dataset carries no innovation record (not simulated)."""
 

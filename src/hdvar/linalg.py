@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: the one SPD solve, spectral radius, Lyapunov.
+"""Dense linear-algebra kernel: the one SPD solve and the spectral radius.
 
 All routines operate on plain float64 ndarrays and are pure functions of their
 inputs, so they are safe to call from parallel workers.
@@ -9,20 +9,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NonConvergence, NotPositiveDefinite, NotStationary
+from .errors import NotPositiveDefinite
 
 __all__ = [
     "cholesky_solve",
     "spectral_radius",
-    "lyapunov_doubling",
 ]
 
 
-# Tolerances and iteration budgets, read at call time; the docstrings say how each is used.
+# Tolerances, read at call time; the docstrings say how each is used.
 SYM_TOL = 1e-10
 PIVOT_TOL = 1e-12
-LYAPUNOV_TOL = 1e-12
-LYAPUNOV_MAX_ITER = 200
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -61,26 +58,3 @@ def spectral_radius(F) -> float:
         raise ValueError("matrix must be square")
     return float(np.abs(np.linalg.eigvals(F)).max(initial=0.0))
 
-
-def lyapunov_doubling(F, Omega) -> np.ndarray:
-    """Solve the discrete Lyapunov equation G = F G F' + Omega.
-
-    Uses the doubling iteration G_{m+1} = G_m + A_m G_m A_m', A_{m+1} = A_m^2
-    started from G_0 = Omega, A_0 = F, stopping once the increment max-norm
-    drops below ``LYAPUNOV_TOL``, and raising NonConvergence after ``LYAPUNOV_MAX_ITER``
-    doublings.  Requires spectral_radius(F) < 1 - 1e-8.
-    """
-    F = _as_matrix(F)
-    Omega = _as_matrix(Omega)
-    rho = spectral_radius(F)
-    if rho >= 1.0 - 1e-8:
-        raise NotStationary(f"spectral radius {rho:.6f} too close to one")
-    G = Omega.copy()
-    A = F.copy()
-    for _ in range(LYAPUNOV_MAX_ITER):
-        inc = A @ G @ A.T
-        G = G + inc
-        if np.abs(inc).max() < LYAPUNOV_TOL:
-            return (G + G.T) / 2.0
-        A = A @ A
-    raise NonConvergence("Lyapunov doubling did not converge")

@@ -124,8 +124,9 @@ def _subsets(psi: np.ndarray, r: int):
         seen = set()
         while len(seen) < RE_N_SUBSETS:
             seen.add(tuple(sorted(master.choice(m, size=size, replace=False).tolist())))
-        # bias toward weak-diagonal subsets, which tend to minimize
-        diag_order = np.argsort(np.diag(psi))
+        # bias toward weak-diagonal subsets, which tend to minimize; entries equal
+        # to float32 precision tie and keep index order, so rounding picks nothing
+        diag_order = np.argsort(np.diag(psi).astype(np.float32), kind="stable")
         seen.add(tuple(sorted(diag_order[:size].tolist())))
         yield from sorted(seen)
 

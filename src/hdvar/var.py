@@ -1,5 +1,8 @@
 """VAR(p) models: companion form, simulation, population moments, stacked regression.
 
+A model is stationary when its companion spectral radius rho is below one;
+``simulate`` and ``population_gamma`` raise NotStationary otherwise.
+
 Time ordering convention: the design matrix rows run in ascending time
 t = 1..T (estimators are invariant to row permutations and ascending order
 keeps forecasting simple).
@@ -14,9 +17,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import NotStationary
-from .linalg import lyapunov_doubling, spectral_radius
+from .linalg import spectral_radius
 
 __all__ = [
     "VarModel",
@@ -130,8 +134,9 @@ class Dataset:
 class RegressionProblem:
     """Stacked per-equation regression: the shared T x m design X (F-ordered),
     the k x T responses ys (row i is y_i), and the statistics every fit reads,
-    formed here once: psi = X'X/T, xy (row i is X'y_i) and yy (entry i is
-    y_i'y_i).  Every array is a read-only copy."""
+    formed here once: psi = X'X/T (a BLAS-free, exactly symmetric sum over
+    the T rows), xy (row i is X'y_i) and yy (entry i is y_i'y_i).  Every
+    array is a read-only copy."""
 
     X: np.ndarray
     ys: np.ndarray
@@ -149,9 +154,10 @@ class RegressionProblem:
         (T, m), k = X.shape, len(ys)
         if T < 1:
             raise ValueError("need at least one observation")
-        M = (X.T @ X) / T
+        # einsum calls no BLAS, so psi's bits do not depend on the BLAS thread count
+        psi = np.einsum("ti,tj->ij", X, X) / T
         xy = np.array([X.T @ y for y in ys]).reshape(k, m)
-        stats = {"X": X, "ys": ys, "psi": (M + M.T) / 2.0, "xy": xy, "yy": np.array([y @ y for y in ys])}
+        stats = {"X": X, "ys": ys, "psi": psi, "xy": xy, "yy": np.array([y @ y for y in ys])}
         for a in stats.values():
             a.flags.writeable = False
         for name, value in {**stats, "k": k, "p": m // k, "T": T, "m": m}.items():
@@ -177,6 +183,14 @@ def companion(model: VarModel) -> CompanionForm:
     return form
 
 
+def _stationary_companion(model: VarModel) -> CompanionForm:
+    """The companion form of a stationary model; NotStationary at rho >= 1."""
+    form = companion(model)
+    if form.rho >= 1.0:
+        raise NotStationary(f"model is not stationary (rho = {form.rho:.6f} >= 1)")
+    return form
+
+
 def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0) -> Dataset:
     """Simulate a path of p initial plus T estimation observations.
 
@@ -190,9 +204,7 @@ def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0)
     dataset.
     """
     k, p = model.k, model.p
-    form = companion(model)
-    if form.rho >= 1.0:
-        raise NotStationary(f"model is not stationary (rho = {form.rho:.6f} >= 1)")
+    _stationary_companion(model)
     if burn_in is None:
         burn_in = 200 + 10 * p
     n_steps = burn_in + p + T
@@ -217,13 +229,15 @@ def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0)
 
 
 def population_gamma(model: VarModel) -> np.ndarray:
-    """Population covariance Gamma = E(Z_t Z_t') of the stacked regressors."""
+    """Population covariance Gamma = E(Z_t Z_t') of the stacked regressors: the
+    solution of Gamma = F Gamma F' + Omega by one direct solve (SciPy's
+    ``solve_discrete_lyapunov``), symmetrized."""
     cached = model._cache.get("gamma")
     if cached is not None:
         return cached
-    form = companion(model)
-    gamma = lyapunov_doubling(form.F, form.omega)  # raises NotStationary at rho >= 1 - 1e-8
-    gamma = _freeze(gamma)
+    form = _stationary_companion(model)
+    gamma = solve_discrete_lyapunov(form.F, form.omega)
+    gamma = _freeze((gamma + gamma.T) / 2.0)
     model._cache["gamma"] = gamma
     return gamma
 

@@ -10,7 +10,9 @@ product with the stacked lag matrices.
 
 ``least_squares`` is the QR solve on the design's columns that the OLS
 refits are compared against; the package solves the normal equations on the
-Gram matrix instead.
+Gram matrix instead.  ``lyapunov_doubling`` solves the discrete Lyapunov
+equation by the doubling iteration, where ``var.population_gamma`` takes one
+direct solve.
 
 The L1 references serve the solver and theory tests.  ``objective`` and
 ``kkt_check`` evaluate the weighted L1 objective and its stationarity
@@ -138,6 +140,22 @@ def least_squares(X, y):
     if d.size and d.min() ** 2 <= 1e-10 * d.max() ** 2:
         raise ValueError("rank-deficient design")
     return scipy.linalg.solve_triangular(R, Q.T @ y, lower=False)
+
+
+def lyapunov_doubling(F, Omega):
+    """G = F G F' + Omega by the doubling iteration G <- G + A G A', A <- A^2
+    from G = Omega and A = F, stopped once an increment's largest entry is
+    below 1e-13; the result is symmetrized.  Requires a spectral radius of F
+    below one; RuntimeError after 200 doublings."""
+    G = np.array(Omega, dtype=np.float64)
+    A = np.array(F, dtype=np.float64)
+    for _ in range(200):
+        inc = A @ G @ A.T
+        G = G + inc
+        if np.abs(inc).max() < 1e-13:
+            return (G + G.T) / 2.0
+        A = A @ A
+    raise RuntimeError("Lyapunov doubling did not converge")
 
 
 def phi_min_on(gamma, J):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from hdvar import cli, estimators, mc, theory, var
-from hdvar.linalg import lyapunov_doubling
 from hdvar.solver import lambda_max, lasso_path
 from helpers import (
     kkt_check,
@@ -309,7 +308,7 @@ def test_criterion_11_lyapunov_residuals():
     for exp, ks in mc.EXPERIMENT_GRID.items():
         model, _ = mc.make_dgp(exp, max(ks))
         form = var.companion(model)
-        gamma = lyapunov_doubling(form.F, form.omega)
+        gamma = var.population_gamma(model)
         resid = float(np.abs(gamma - form.F @ gamma @ form.F.T - form.omega).max())
         details.append(f"{exp}:k={max(ks)}:{resid:.1e}")
         worst = max(worst, resid)

@@ -411,6 +411,16 @@ class TestMcCommand:
             "nonconverged: lasso 0/20 adaptive_lasso_lasso 0/20 bic_at_grid_end: lasso 0/20 adaptive_lasso_lasso 19/20"
         )
 
+    def test_thread_count_leaves_the_report_unchanged(self, tmp_path):
+        """C/20/500 (m = 100) is a cell where OpenBLAS threads X'X: run serially in
+        this process's BLAS and in single-threaded pool workers, the report must be
+        the same bytes.  On one CPU, or under OPENBLAS_NUM_THREADS=1, both runs use
+        one BLAS thread, so this test cannot fail there."""
+        argv = ["mc", "--experiment", "C", "--k", "20", "--T", "500", "--reps", "2", "--estimators", "lasso"]
+        for threads in ("1", "2"):
+            assert run(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        assert (tmp_path / "1" / "C_20_500.csv").read_bytes() == (tmp_path / "2" / "C_20_500.csv").read_bytes()
+
     def test_invalid_combination_is_config_error(self, tmp_path):
         code = run(
             ["mc", "--experiment", "B", "--k", "100", "--T", "100", "--reps", "1", "--out", str(tmp_path)]
@@ -531,10 +541,14 @@ class TestCommandValidation:
 class TestConfigFile:
     def test_shared_flags_only_where_read(self):
         shared = {"seed", "threads", "format"}
-        registered = {
-            name: shared & {action.dest for action in p._actions}
-            for name, p in cli.build_parser()._command_parsers.items()
-        }
+        registered = {}
+        for name in cli._COMMANDS:
+            # every command is registered, but only the invoked one gets flags
+            (action,) = [a for a in cli.build_parser(name)._actions if a.dest == "command"]
+            assert list(action.choices) == list(cli._COMMANDS)
+            flags = {other: {a.dest for a in p._actions} - {"help"} for other, p in action.choices.items()}
+            assert all(not dests for other, dests in flags.items() if other != name)
+            registered[name] = shared & flags[name]
         assert registered == {
             "simulate": {"seed"},
             "fit": set(),

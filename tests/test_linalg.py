@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hdvar import linalg, var
+from hdvar import var
 from hdvar.errors import NotPositiveDefinite, NotStationary
 from hdvar.estimators import _ols_on
-from hdvar.linalg import (
-    cholesky_solve,
-    lyapunov_doubling,
-    spectral_radius,
-)
+from hdvar.linalg import cholesky_solve, spectral_radius
+from helpers import lyapunov_doubling
 
 
 def rng_for(seed):
@@ -117,13 +114,23 @@ class TestSpectralRadius:
         assert spectral_radius(np.array([[2.0]])) == pytest.approx(2.0, abs=1e-5)
 
 
+def var1(F, Omega):
+    """The VAR(1) model y_t = F y_{t-1} + e_t with Var(e_t) = Omega, whose
+    companion form is (F, Omega)."""
+    return var.VarModel(phis=(np.asarray(F, dtype=np.float64),), sigma=np.asarray(Omega, dtype=np.float64))
+
+
 class TestLyapunovDoubling:
+    """G = F G F' + Omega as ``var.population_gamma`` solves it on VAR(1)
+    models, checked against closed forms, residuals, SciPy and the doubling
+    iteration of ``helpers.lyapunov_doubling``."""
+
     def test_white_noise(self):
-        G = lyapunov_doubling(np.array([[0.0]]), np.array([[1.0]]))
+        G = var.population_gamma(var1([[0.0]], [[1.0]]))
         assert np.allclose(G, [[1.0]])
 
     def test_ar1_closed_form(self):
-        G = lyapunov_doubling(np.array([[0.5]]), np.array([[1.0]]))
+        G = var.population_gamma(var1([[0.5]], [[1.0]]))
         assert G[0, 0] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_residual_oracle_random_stable(self):
@@ -133,29 +140,29 @@ class TestLyapunovDoubling:
             F *= 0.8 / np.abs(np.linalg.eigvals(F)).max()
             W = rng.standard_normal((4, 4))
             Omega = W @ W.T + np.eye(4)
-            G = lyapunov_doubling(F, Omega)
+            G = var.population_gamma(var1(F, Omega))
             assert np.abs(G - F @ G @ F.T - Omega).max() <= 1e-11
 
-    def test_matches_scipy(self, monkeypatch):
-        monkeypatch.setattr(linalg, "LYAPUNOV_TOL", 1e-13)
+    def test_matches_scipy(self):
         rng = rng_for(8)
         F = rng.standard_normal((5, 5))
         F *= 0.7 / np.abs(np.linalg.eigvals(F)).max()
         W = rng.standard_normal((5, 5))
         Omega = W @ W.T
-        ours = lyapunov_doubling(F, Omega)
+        ours = var.population_gamma(var1(F, Omega))
         ref = scipy.linalg.solve_discrete_lyapunov(F, Omega)
-        assert np.abs(ours - ref).max() <= 1e-9
+        assert np.array_equal(ours, (ref + ref.T) / 2.0)
+        assert np.abs(ours - lyapunov_doubling(F, Omega)).max() <= 1e-9
 
     def test_symmetric_psd_output(self):
         rng = rng_for(9)
         F = rng.standard_normal((4, 4))
         F *= 0.9 / np.abs(np.linalg.eigvals(F)).max()
-        Omega = np.eye(4) * 0.3
-        G = lyapunov_doubling(F, Omega)
-        assert np.abs(G - G.T).max() <= 1e-10
+        G = var.population_gamma(var1(F, np.eye(4) * 0.3))
+        assert np.array_equal(G, G.T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
 
     def test_not_stationary(self):
-        with pytest.raises(NotStationary):
-            lyapunov_doubling(np.array([[1.0]]), np.array([[1.0]]))
+        F = np.array([[0.5, 1.0], [0.0, 1.5]])
+        with pytest.raises(NotStationary, match=r"rho = 1.500000 >= 1"):
+            var.population_gamma(var1(F, np.eye(2)))

@@ -52,12 +52,12 @@ def test_every_export_is_used_by_the_program(name):
     "name, parameters",
     [
         ("hdvar.solver.lasso_path", ["problem", "i", "weights", "lam"]),
-        ("hdvar.linalg.lyapunov_doubling", ["F", "Omega"]),
+        ("hdvar.var.population_gamma", ["model"]),
         ("hdvar.theory.restricted_eigenvalue", ["psi", "r"]),
     ],
 )
 def test_signatures_take_no_test_only_settings(name, parameters):
     # the tolerance, sweep budget and seed are module constants (KKT_TOL,
-    # MAX_SWEEPS, LYAPUNOV_TOL, RE_SEED): every report uses one value of each
+    # MAX_SWEEPS, RE_SEED): every report uses one value of each
     module, function = name.rsplit(".", 1)
     assert list(inspect.signature(getattr(importlib.import_module(module), function)).parameters) == parameters

@@ -167,6 +167,16 @@ class TestRestrictedEigenvalue:
         assert sampled == pytest.approx(enumerated, rel=1e-12)
         assert sampled == pytest.approx(0.025, rel=1e-12)
 
+    def test_weakest_diagonal_pick_ignores_rounding(self, monkeypatch):
+        # designs B and C have equal diagonal entries in exact arithmetic; the
+        # added weak-diagonal subset must not follow their rounding noise
+        monkeypatch.setattr(theory, "RE_ENUM_CAP", 6)
+        monkeypatch.setattr(theory, "RE_N_SUBSETS", 3)
+        psi = np.full((8, 8), 0.2) + 0.8 * np.eye(8)
+        noisy = psi.copy()
+        noisy[np.diag_indices(8)] *= 1.0 + 1e-14 * np.array([1, 1, 1, -1, 1, -1, 1, 1])
+        assert list(theory._subsets(noisy, 2)) == list(theory._subsets(psi, 2))
+
     def test_refine_stops_a_column_whose_r_part_vanishes(self):
         # R = {0} for both columns; with a step of 0.9 / 0.9 = 1 the first step takes
         # d = (1, 1), whose ratio is 2.5, to (0, 2), which has no R part

@@ -113,6 +113,31 @@ class TestPopulationMoments:
         assert np.allclose(gamma[2:, 2:], sigma, atol=1e-12)
         assert np.allclose(gamma[:2, 2:], 0.0, atol=1e-12)
 
+    def test_gamma_exact_at_any_scale(self):
+        # a solve whose accuracy does not depend on the scale of Sigma: an
+        # absolute stopping rule of 1e-12 left this Gamma 81% short
+        model = var.VarModel(phis=(0.95 * np.eye(3),), sigma=1e-12 * np.eye(3))
+        expected = 1e-12 / (1.0 - 0.95**2) * np.eye(3)
+        assert np.abs(var.population_gamma(model) - expected).max() <= 1e-12 * expected.max()
+
+    def test_gamma_just_below_a_unit_root(self):
+        # rho = 1 - 1e-9 is stationary, so Gamma exists and solves its equation
+        sigma = np.array([[1.0, 0.3], [0.3, 1.0]])
+        model = var.VarModel(phis=(np.diag([1.0 - 1e-9, 0.5]),), sigma=sigma)
+        form = var.companion(model)
+        assert form.rho == 1.0 - 1e-9
+        gamma = var.population_gamma(model)
+        resid = np.abs(gamma - form.F @ gamma @ form.F.T - form.omega).max()
+        assert resid <= 1e-12 * np.abs(gamma).max()
+        assert gamma[0, 0] == pytest.approx(1.0 / (1.0 - (1.0 - 1e-9) ** 2), rel=1e-6)
+
+    def test_unit_root_is_not_stationary_for_simulate_and_gamma(self):
+        # one rule, rho >= 1, with one message, whichever computation asks
+        model = var.VarModel(phis=(np.diag([1.0, 0.5]),), sigma=np.eye(2))
+        for compute in (lambda: var.simulate(model, 10), lambda: var.population_gamma(model)):
+            with pytest.raises(NotStationary, match=r"^model is not stationary \(rho = 1.000000 >= 1\)$"):
+                compute()
+
     def test_sigma_t_experiment_a(self):
         model = var.VarModel(phis=(0.5 * np.eye(10),), sigma=0.01 * np.eye(10))
         assert var.sigma_t(model) == pytest.approx(np.sqrt(0.01 / 0.75), abs=1e-8)
@@ -159,10 +184,12 @@ class TestStack:
     def test_statistics_are_their_defining_products(self):
         # Psi, X'y_i and y_i'y_i are formed once, here, by the products every fit reads
         prob = var.stack(var.simulate(mc.make_dgp("B", 10)[0], 60, seed=2))
-        M = (prob.X.T @ prob.X) / prob.T
         assert prob.X.flags.f_contiguous
         assert (prob.k, prob.p, prob.T, prob.m) == (10, 4, 60, 40)
-        assert np.array_equal(prob.psi, (M + M.T) / 2.0)
+        # Psi is a BLAS-free sum over rows, exactly symmetric
+        assert np.array_equal(prob.psi, np.einsum("ti,tj->ij", prob.X, prob.X) / prob.T)
+        assert np.array_equal(prob.psi, prob.psi.T)
+        assert np.abs(prob.psi - prob.X.T @ prob.X / prob.T).max() <= 1e-14 * np.abs(prob.psi).max()
         for i, y in enumerate(prob.ys):
             assert np.array_equal(prob.xy[i], prob.X.T @ y)
             assert prob.yy[i] == y @ y
