@@ -1,7 +1,7 @@
 """Command-line interface: simulate, fit, mc, diag, paper-tables.
 
 Exit codes: 0 success, 2 configuration error, 3 non-stationary model,
-4 infeasible estimator, 5 diagnostics without innovations.  Flags override
+4 infeasible estimator; 5 is retired and not reused.  Flags override
 values from an optional JSON --config file; unknown config keys are rejected.
 Given identical configuration and seed, every command writes byte-identical
 output files.
@@ -18,13 +18,12 @@ import sys
 import numpy as np
 
 from . import estimators, mc, theory, var
-from .errors import ConfigError, HdvarError, MissingInnovations, NotStationary, UnknownCombination
+from .errors import ConfigError, HdvarError, NotStationary, UnknownCombination
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_ESTIMATOR = 4
-EXIT_DIAG = 5
 
 
 # flags several commands share; each command registers only those it reads
@@ -254,7 +253,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    """finite-sample diagnostics on simulated replications"""
+    """finite-sample diagnostics on simulated replications or a stored dataset"""
     try:
         params = theory.TheoryParams(q=args.q, a_const=args.a_const)
     except ValueError as exc:
@@ -367,9 +366,6 @@ def main(argv=None) -> int:
     except NotStationary as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except MissingInnovations as exc:
-        print(f"diagnostics error: {exc}", file=sys.stderr)
-        return EXIT_DIAG
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,10 +13,6 @@ class NotStationary(HdvarError):
     """The companion matrix has spectral radius at or above one."""
 
 
-class MissingInnovations(HdvarError):
-    """The dataset carries no innovation record (not simulated)."""
-
-
 class UnknownCombination(HdvarError):
     """The requested (experiment, k) pair is outside the supported grid."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators, var
-from .errors import ConfigError, MissingInnovations, NotPositiveDefinite, ZeroKappa
+from .errors import ConfigError, NotPositiveDefinite, ZeroKappa
 from .linalg import cholesky_solve
 from .solver import adaptive_weights
 
@@ -32,6 +32,7 @@ __all__ = [
     "zeta",
     "thm1_probability",
     "restricted_eigenvalue",
+    "cross_moments",
     "event_flags",
     "thm1_rhs_check",
     "thm3_bounds",
@@ -267,17 +268,24 @@ def restricted_eigenvalue(psi, r: int) -> float:
 # Empirical events and inequality checks
 
 
-def event_flags(problem: var.RegressionProblem, innovations, *, gamma, lambda_t, c_threshold, k_t_value) -> dict:
+def cross_moments(problem: var.RegressionProblem, truth) -> np.ndarray:
+    """The k x m regressor/innovation cross-moments of the stacked ``problem``:
+    row i is X'eps_i/T, where eps_i = y_i - X beta*_i are the innovations that
+    the true coefficients ``truth.beta`` imply, formed from the problem's
+    statistics as X'y_i/T - Psi beta*_i."""
+    return np.array([problem.xy[i] / problem.T - problem.psi @ beta_star for i, beta_star in enumerate(truth.beta)])
+
+
+def event_flags(problem: var.RegressionProblem, cross, *, gamma, lambda_t, c_threshold, k_t_value) -> dict:
     """The three empirical events on one replication, with the statistic each
     compares, as the ``events`` entry of a diag report.
 
-    b_t: all regressor/innovation cross-moments below lambda_T / 2;
+    b_t: all regressor/innovation cross-moments ``cross`` (``cross_moments``)
+    below lambda_T / 2;
     c_t: entrywise deviation of the Gram matrix from the population covariance
     ``gamma`` within ``c_threshold``, (1-q) kappa^2(s_bar) / (16 s_bar);
     d_t: all second moments of the regressors below K_T (``k_t_value``).
-    ``innovations`` holds the T x k innovations of the stacked ``problem``.
     """
-    cross = problem.X.T @ innovations / problem.T
     max_cross = float(np.abs(cross).max())
     max_cov_dev = float(np.abs(problem.psi - gamma).max())
     max_yy = float(np.abs(problem.psi).max())
@@ -363,6 +371,7 @@ def sign_recovery_conditions(
     params: TheoryParams,
     phi_min: float | None,
     k_t_value: float,
+    cross: np.ndarray,
 ) -> dict:
     """Premise, the two sufficient inequalities, and the exact first-order
     conditions for the stage-two weighted fit to reproduce sign(beta*).
@@ -371,11 +380,11 @@ def sign_recovery_conditions(
     |Psi_{j,J} Psi_JJ^{-1}(X_J'eps/T - lam b) - X_j'eps/T| <= lam w_j holds;
     FOC2 checks the sign consistency of the candidate solution on the true
     support, with b = (sign(beta*_j) / |stage1_j|)_{j in J}, from the
-    problem's statistics alone: X'eps/T = X'y_i/T - Psi beta*.  The report's
-    ``foc_ok`` is True exactly when the stage-two minimizer at this penalty
-    recovers the full sign pattern.  The sufficient inequalities read K_T
-    (``k_t_value``) and ``phi_min``, the smallest eigenvalue of the population
-    Gamma_JJ (None for an empty support).
+    problem's statistics and X'eps/T, row i of ``cross`` (``cross_moments``).
+    The report's ``foc_ok`` is True exactly when the stage-two minimizer at
+    this penalty recovers the full sign pattern.  The sufficient inequalities
+    read K_T (``k_t_value``) and ``phi_min``, the smallest eigenvalue of the
+    population Gamma_JJ (None for an empty support).
     """
     stage1 = np.asarray(stage1_beta, dtype=np.float64)
     beta_star = truth.beta[i]
@@ -406,7 +415,7 @@ def sign_recovery_conditions(
         report.update({"foc1_ok": None, "foc2_ok": False, "foc_ok": False, "foc1_margin": -np.inf})
     else:
         b = np.sign(beta_star[J]) * w[J]
-        xe = problem.xy[i] / problem.T - problem.psi @ beta_star
+        xe = cross[i]
         h = xe[J] - lambda_t * b
         t2 = cholesky_solve(psi_jj, h)
         cand = beta_star[J] + t2
@@ -436,16 +445,15 @@ def sign_recovery_conditions(
 
 def diagnose(model: var.VarModel, truth, datasets, params: TheoryParams, foc: bool = True) -> dict:
     """The ``bounds`` and ``replications`` of a diag report on ``datasets``, which
-    share one T and carry their innovations: the library entry of ``hdvar diag``.
+    share one T: the library entry of ``hdvar diag``.
 
     sigma_T, lambda_T, K_T, Gamma, kappa^2 per distinct support size, phi_min of
     each Gamma_JJ, the Theorem 3 bounds and the C_T threshold are computed
     once.  Each dataset gets its events, the basic inequalities of every
     equation's LASSO at lambda_T and, with ``foc``, the sign-recovery
-    conditions on its BIC-tuned LASSO.
+    conditions on its BIC-tuned LASSO.  The events and the conditions read
+    one X'eps/T per dataset, from the model's coefficients (``cross_moments``).
     """
-    if any(data.innovations is None for data in datasets):
-        raise MissingInnovations("the dataset has no innovation record; diagnostics need simulated data")
     T, k, p = datasets[0].T, model.k, model.p
     if T < 2:
         raise ConfigError(f"diagnostics need at least two observations, and T = {T}")
@@ -478,14 +486,15 @@ def diagnose(model: var.VarModel, truth, datasets, params: TheoryParams, foc: bo
     for idx, data in enumerate(datasets):
         plan = estimators.FitPlan(data)
         problem = plan.problem
+        cross = cross_moments(problem, truth)
         entry = {
             "replication": idx,
-            "events": event_flags(problem, data.innovations, gamma=gamma, lambda_t=lam_t, c_threshold=ct, k_t_value=kt),
+            "events": event_flags(problem, cross, gamma=gamma, lambda_t=lam_t, c_threshold=ct, k_t_value=kt),
             "iq_checks": [thm1_rhs_check(problem, i, plan.lasso(i, lam_t).beta, truth, lam_t) for i in range(k)],
         }
         if foc:
             entry["foc"] = [
-                sign_recovery_conditions(problem, i, plan.lasso(i).beta, lam_t, truth, params, phi_mins[i], kt)
+                sign_recovery_conditions(problem, i, plan.lasso(i).beta, lam_t, truth, params, phi_mins[i], kt, cross)
                 for i in range(k)
             ]
         replications.append(entry)

@@ -108,26 +108,22 @@ class CompanionForm:
 
 @dataclass(frozen=True)
 class Dataset:
-    """p initial observations plus T estimation observations (rows are time points)."""
+    """p initial observations plus T estimation observations (rows are time
+    points); no innovations, which the model gives as y_t - sum_l Phi_l y_{t-l}."""
 
     k: int
     p: int
     T: int
     initial: np.ndarray
     path: np.ndarray
-    innovations: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "initial", _freeze(self.initial))
         object.__setattr__(self, "path", _freeze(self.path))
-        if self.innovations is not None:
-            object.__setattr__(self, "innovations", _freeze(self.innovations))
         if self.initial.shape != (self.p, self.k):
             raise ValueError("initial block must be p x k")
         if self.path.shape != (self.T, self.k):
             raise ValueError("path must be T x k")
-        if self.innovations is not None and self.innovations.shape != (self.T, self.k):
-            raise ValueError("innovations must be T x k")
 
 
 @dataclass(frozen=True)
@@ -199,9 +195,7 @@ def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0)
     recursion starts from a zero state and discards ``burn_in`` steps
     (default 200 + 10 p).  Each step is one product of the stacked lag
     matrices [Phi_p ... Phi_1] with the p previous observations, oldest
-    first.  Identical (seed, parameters) give bit-identical output.  The T
-    innovations belonging to the estimation sample are retained on the
-    dataset.
+    first.  Identical (seed, parameters) give bit-identical output.
     """
     k, p = model.k, model.p
     _stationary_companion(model)
@@ -222,10 +216,7 @@ def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0)
     states = np.zeros((p + n_steps, k))
     for t in range(n_steps):
         states[p + t] = lags @ states[t : t + p].ravel() + eps[t]
-    initial = states[p + burn_in : p + burn_in + p]
-    path = states[p + burn_in + p :]
-    innov = eps[burn_in + p :]
-    return Dataset(k=k, p=p, T=T, initial=initial, path=path, innovations=innov)
+    return Dataset(k=k, p=p, T=T, initial=states[p + burn_in : p + burn_in + p], path=states[p + burn_in + p :])
 
 
 def population_gamma(model: VarModel) -> np.ndarray:
@@ -286,8 +277,7 @@ def truncate_dataset(data: Dataset, T: int) -> Dataset:
     """First T estimation observations of a longer dataset (same initial block)."""
     if T > data.T:
         raise ValueError("cannot extend a dataset")
-    innov = None if data.innovations is None else data.innovations[:T]
-    return Dataset(k=data.k, p=data.p, T=T, initial=data.initial, path=data.path[:T], innovations=innov)
+    return Dataset(k=data.k, p=data.p, T=T, initial=data.initial, path=data.path[:T])
 
 
 def _json_safe(obj):
@@ -340,55 +330,33 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def save_dataset(data: Dataset, directory: str, name: str = "dataset") -> dict:
-    """Write <name>.csv (p initial rows then T path rows), sidecar metadata JSON,
-    and, for simulated data, an innovations CSV.  Returns the file map."""
+    """Write <name>.csv (p initial rows then T path rows) and <name>.meta.json
+    ({k, p, T}).  Returns the file map."""
     os.makedirs(directory, exist_ok=True)
-    header = [f"y{i + 1}" for i in range(data.k)]
-    csv_path = os.path.join(directory, f"{name}.csv")
-    write_csv(csv_path, header, np.vstack([data.initial, data.path]))
-    meta = {"k": data.k, "p": data.p, "T": data.T}
-    files = {"data": csv_path}
-    if data.innovations is not None:
-        innov_path = os.path.join(directory, f"{name}.innovations.csv")
-        write_csv(innov_path, header, data.innovations)
-        meta["innovations_file"] = os.path.basename(innov_path)
-        files["innovations"] = innov_path
-    meta_path = os.path.join(directory, f"{name}.meta.json")
-    write_json(meta_path, meta)
-    files["meta"] = meta_path
+    files = {"data": os.path.join(directory, f"{name}.csv"), "meta": os.path.join(directory, f"{name}.meta.json")}
+    write_csv(files["data"], [f"y{i + 1}" for i in range(data.k)], np.vstack([data.initial, data.path]))
+    write_json(files["meta"], {"k": data.k, "p": data.p, "T": data.T})
     return files
-
-
-def _read_csv(path: str, k: int) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])  # an empty file has no columns
-        if len(header) != k:
-            raise ValueError(f"expected {k} columns, found {len(header)}")
-        rows = [[float(v) for v in row] for row in reader]
-    return np.asarray(rows, dtype=np.float64)
 
 
 def load_dataset(directory: str, name: str = "dataset") -> Dataset:
     """Load a dataset written by save_dataset; ValueError unless its k, p
-    and T are integers of at least one, its innovations file is a bare file
-    name in ``directory``, and it holds only finite values."""
-    meta_path = os.path.join(directory, f"{name}.meta.json")
-    with open(meta_path) as fh:
+    and T are integers of at least one and it holds only finite values.
+    Other metadata keys are ignored."""
+    with open(os.path.join(directory, f"{name}.meta.json")) as fh:
         meta = json.load(fh)
     for key in ("k", "p", "T"):
         if type(meta[key]) is not int or meta[key] < 1:
             raise ValueError(f"{key} must be an integer of at least one, not {meta[key]!r}")
     k, p, T = meta["k"], meta["p"], meta["T"]
-    values = _read_csv(os.path.join(directory, f"{name}.csv"), k)
+    with open(os.path.join(directory, f"{name}.csv"), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])  # an empty file has no columns
+        if len(header) != k:
+            raise ValueError(f"expected {k} columns, found {len(header)}")
+        values = np.asarray([[float(v) for v in row] for row in reader], dtype=np.float64)
     if values.shape[0] != p + T:
         raise ValueError("row count does not match metadata")
-    innovations = None
-    if "innovations_file" in meta:
-        innov_name = meta["innovations_file"]
-        if innov_name in ("", ".", "..") or os.path.basename(innov_name) != innov_name:
-            raise ValueError(f"innovations_file must be a file name in the dataset's directory, not {innov_name!r}")
-        innovations = _read_csv(os.path.join(directory, innov_name), k)
-    if not all(np.isfinite(a).all() for a in (values, innovations) if a is not None):
+    if not np.isfinite(values).all():
         raise ValueError("the dataset holds a non-finite value")
-    return Dataset(k=k, p=p, T=T, initial=values[:p], path=values[p:], innovations=innovations)
+    return Dataset(k=k, p=p, T=T, initial=values[:p], path=values[p:])

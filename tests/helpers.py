@@ -175,9 +175,10 @@ def random_spd(rng, m, extra=2):
 
 
 def simulate_per_lag(model, T, seed=0):
-    """The p initial plus T observations ``var.simulate(model, T, seed=seed)``
-    draws, by y_t = eps_t + Phi_1 y_{t-1} + ... + Phi_p y_{t-p} from a zero
-    state with one product per lag, after the default 200 + 10 p burn-in steps."""
+    """(the p initial plus T observations, the T innovations of the last T)
+    that ``var.simulate(model, T, seed=seed)`` draws, by y_t = eps_t + Phi_1
+    y_{t-1} + ... + Phi_p y_{t-p} from a zero state with one product per lag,
+    after the default 200 + 10 p burn-in steps."""
     k, p = model.k, model.p
     n_steps = 200 + 10 * p + p + T
     eps = var.make_rng(seed).standard_normal((n_steps, k)) @ np.linalg.cholesky(model.sigma).T
@@ -187,7 +188,7 @@ def simulate_per_lag(model, T, seed=0):
         for l, P in enumerate(model.phis):
             acc += P @ states[p + t - 1 - l]
         states[p + t] = acc
-    return states[-(p + T) :]
+    return states[-(p + T) :], eps[-T:]
 
 
 def penalty_thresholds(lam, weights, m):

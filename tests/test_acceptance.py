@@ -161,7 +161,12 @@ def test_criterion_06_theorem1_deterministic_suite():
         data = var.simulate(model, T, seed=seed)
         problem = var.stack(data)
         flags = theory.event_flags(
-            problem, data.innovations, gamma=gamma, lambda_t=lam, c_threshold=1.0, k_t_value=kt
+            problem,
+            theory.cross_moments(problem, truth),
+            gamma=gamma,
+            lambda_t=lam,
+            c_threshold=1.0,
+            k_t_value=kt,
         )
         if not flags["b_t"]:
             continue
@@ -254,7 +259,15 @@ def test_criterion_09_foc_equivalence():
             lams += [0.5 * lmaxw, 0.1 * lmaxw, 0.01 * lmaxw]
         for lam in lams:
             report = theory.sign_recovery_conditions(
-                problem, i, stage1, lam, truth, params, phi_min=phi_min, k_t_value=kt
+                problem,
+                i,
+                stage1,
+                lam,
+                truth,
+                params,
+                phi_min=phi_min,
+                k_t_value=kt,
+                cross=theory.cross_moments(problem, truth),
             )
             if report["psi_jj_condition"] >= 1e8:
                 continue

@@ -127,35 +127,23 @@ def _set_last_row(directory, value, name="dataset.csv"):
 
 
 def _no_estimation_rows(directory):
-    """T = 0: the metadata and the p initial rows only, with no innovations record."""
+    """T = 0: the metadata and the p initial rows only."""
     meta = json.loads((directory / "dataset.meta.json").read_text())
-    del meta["innovations_file"]
     (directory / "dataset.meta.json").write_text(json.dumps({**meta, "T": 0}))
     csv_path = directory / "dataset.csv"
     csv_path.write_text("\n".join(csv_path.read_text().splitlines()[: 1 + meta["p"]]) + "\n")
 
 
 def _zero_lags(directory):
-    """p = 0, with the initial row counted as an estimation row and no innovations record."""
+    """p = 0, with the initial row counted as an estimation row."""
     meta = json.loads((directory / "dataset.meta.json").read_text())
-    del meta["innovations_file"]
     (directory / "dataset.meta.json").write_text(json.dumps({**meta, "p": 0, "T": meta["T"] + meta["p"]}))
-
-
-def _innovations_elsewhere(directory, absolute):
-    """Point the metadata at a copy of the innovations file in a sibling directory."""
-    other = directory.parent / "other"
-    other.mkdir()
-    copy = other / "dataset.innovations.csv"
-    copy.write_text((directory / "dataset.innovations.csv").read_text())
-    _rewrite_meta(directory, innovations_file=str(copy) if absolute else "../other/dataset.innovations.csv")
 
 
 class TestMalformedDataset:
     CASES = {
         "nan_value": lambda d: _set_last_row(d, "nan"),
         "inf_value": lambda d: _set_last_row(d, "inf"),
-        "nan_innovation": lambda d: _set_last_row(d, "nan", "dataset.innovations.csv"),
         "no_estimation_rows": _no_estimation_rows,
         "meta_not_json": lambda d: (d / "dataset.meta.json").write_text('{"k": 10, "p": '),
         "meta_without_T": lambda d: (d / "dataset.meta.json").write_text(json.dumps({"k": 10, "p": 1})),
@@ -166,9 +154,6 @@ class TestMalformedDataset:
         "zero_lags": _zero_lags,
         "row_count_differs": lambda d: _rewrite_meta(d, T=21),
         "empty_csv": lambda d: (d / "dataset.csv").write_text(""),
-        "innovations_outside_directory": lambda d: _innovations_elsewhere(d, absolute=False),
-        "innovations_absolute_path": lambda d: _innovations_elsewhere(d, absolute=True),
-        "innovations_file_is_parent": lambda d: _rewrite_meta(d, innovations_file=".."),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -685,17 +670,19 @@ class TestDiag:
         assert f"so {flag} cannot be set" in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.json").exists()
 
-    def test_diag_without_innovations_exit_5(self, tmp_path, capsys):
-        run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--out", str(tmp_path)])
-        os.remove(tmp_path / "dataset.innovations.csv")
-        meta = json.loads((tmp_path / "dataset.meta.json").read_text())
-        meta.pop("innovations_file")
-        (tmp_path / "dataset.meta.json").write_text(json.dumps(meta))
-        out = tmp_path / "out"
-        code = run(["diag", "--data", str(tmp_path), "--experiment", "A", "--k", "10", "--out", str(out)])
-        assert code == 5
-        assert "the dataset has no innovation record" in capsys.readouterr().err
-        assert not out.exists()
+    def test_data_mode_derives_the_innovations_from_the_model(self, tmp_path):
+        data = tmp_path / "data"
+        run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--seed", "3", "--out", str(data)])
+        assert sorted(os.listdir(data)) == ["dataset.csv", "dataset.meta.json"]
+        # the key under which older datasets named their innovations file is ignored
+        _rewrite_meta(data, innovations_file="../elsewhere.csv")
+        loaded, simulated = tmp_path / "loaded", tmp_path / "simulated"
+        assert run(["diag", "--data", str(data), "--experiment", "A", "--k", "10", "--out", str(loaded)]) == 0
+        argv = ["diag", "--experiment", "A", "--k", "10", "--T", "50", "--seed", "3", "--reps", "1"]
+        assert run(argv + ["--out", str(simulated)]) == 0
+        a, b = (json.loads((out / "diagnostics.json").read_text()) for out in (loaded, simulated))
+        assert a["replications"] == b["replications"]
+        assert a["bounds"] == b["bounds"]
 
     @pytest.mark.parametrize("T, reps", [("50", "0"), ("50", "-1"), ("-5", "2"), ("0", "2")])
     def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps, capsys):

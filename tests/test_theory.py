@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from hdvar import estimators, mc, theory, var
-from hdvar.errors import MissingInnovations, NotPositiveDefinite, ZeroKappa
+from hdvar.errors import NotPositiveDefinite, ZeroKappa
 from hdvar.solver import lambda_max, lasso_path
-from helpers import phi_min_on, problem_from, random_spd, realized_sign_recovery, restricted_eigenvalue_bruteforce
+from helpers import (
+    phi_min_on,
+    problem_from,
+    random_spd,
+    realized_sign_recovery,
+    restricted_eigenvalue_bruteforce,
+    simulate_per_lag,
+)
 
 
 def rng_for(seed):
@@ -227,7 +234,12 @@ class TestEventFlags:
         data = var.simulate(model, 50, seed=0)
         problem = var.stack(data)
         flags = theory.event_flags(
-            problem, data.innovations, gamma=problem.psi, lambda_t=0.1, c_threshold=1.0, k_t_value=1.0
+            problem,
+            theory.cross_moments(problem, truth),
+            gamma=problem.psi,
+            lambda_t=0.1,
+            c_threshold=1.0,
+            k_t_value=1.0,
         )
         assert flags["max_cross"] == 0.0
         assert flags["b_t"]
@@ -240,23 +252,23 @@ class TestEventFlags:
         d2 = var.simulate(scaled, 100, seed=5)
         p1, p2 = var.stack(d1), var.stack(d2)
         opts = {"lambda_t": 1.0, "c_threshold": 1.0, "k_t_value": 1.0}
-        f1 = theory.event_flags(p1, d1.innovations, gamma=p1.psi, **opts)
-        f2 = theory.event_flags(p2, d2.innovations, gamma=p2.psi, **opts)
+        f1 = theory.event_flags(p1, theory.cross_moments(p1, tb), gamma=p1.psi, **opts)
+        f2 = theory.event_flags(p2, theory.cross_moments(p2, tb), gamma=p2.psi, **opts)
         # doubling the noise scale quadruples every quadratic statistic
         assert f2["max_cross"] == pytest.approx(4.0 * f1["max_cross"], rel=1e-10)
         assert f2["max_yy"] == pytest.approx(4.0 * f1["max_yy"], rel=1e-10)
 
-    def test_requires_innovations(self, monkeypatch):
-        data = var.simulate(self.model, 50, seed=1)
-        stripped = var.Dataset(k=data.k, p=data.p, T=data.T, initial=data.initial, path=data.path)
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("restricted eigenvalue evaluated before the innovations check")
-
-        # the check comes first, before the restricted eigenvalues that take seconds on designs B-D
-        monkeypatch.setattr(theory, "restricted_eigenvalue", unreachable)
-        with pytest.raises(MissingInnovations, match="no innovation record"):
-            theory.diagnose(self.model, self.truth, [data, stripped], self.params)
+    @pytest.mark.parametrize("experiment", ["A", "B", "C", "D"])
+    def test_max_cross_from_the_drawn_innovations(self, experiment):
+        # X'E/T from the innovations the reference recursion drew, against X'y/T - Psi beta*
+        model, truth = mc.make_dgp(experiment, 10)
+        T = 100
+        observations, innovations = simulate_per_lag(model, T, seed=2)
+        data = var.Dataset(k=model.k, p=model.p, T=T, initial=observations[: model.p], path=observations[model.p :])
+        problem = var.stack(data)
+        cross = theory.cross_moments(problem, truth)
+        flags = theory.event_flags(problem, cross, gamma=problem.psi, lambda_t=1.0, c_threshold=1.0, k_t_value=1.0)
+        assert flags["max_cross"] == pytest.approx(np.abs(problem.X.T @ innovations / T).max(), rel=1e-12)
 
     def test_empirical_b_t_beats_theorem_bound(self):
         T = 500
@@ -271,7 +283,12 @@ class TestEventFlags:
             data = var.simulate(self.model, T, seed=seed)
             problem = var.stack(data)
             flags = theory.event_flags(
-                problem, data.innovations, gamma=gamma, lambda_t=lam, c_threshold=1.0, k_t_value=kt
+                problem,
+                theory.cross_moments(problem, self.truth),
+                gamma=gamma,
+                lambda_t=lam,
+                c_threshold=1.0,
+                k_t_value=kt,
             )
             hits += flags["b_t"]
         if bound > 0:
@@ -300,7 +317,12 @@ class TestThm1Checks:
             data = var.simulate(model, 100, seed=seed)
             problem = var.stack(data)
             flags = theory.event_flags(
-                problem, data.innovations, gamma=gamma, lambda_t=lam, c_threshold=1.0, k_t_value=kt
+                problem,
+                theory.cross_moments(problem, truth),
+                gamma=gamma,
+                lambda_t=lam,
+                c_threshold=1.0,
+                k_t_value=kt,
             )
             if not flags["b_t"]:
                 continue
@@ -375,7 +397,15 @@ class TestSignRecovery:
         params = theory.TheoryParams()
         phi_min = phi_min_on(problem.psi, truth.supports[0])
         rep = theory.sign_recovery_conditions(
-            problem, 0, beta, 1e-6, truth, params, phi_min=phi_min, k_t_value=theory.k_t(100, 1, 4, 1.0)
+            problem,
+            0,
+            beta,
+            1e-6,
+            truth,
+            params,
+            phi_min=phi_min,
+            k_t_value=theory.k_t(100, 1, 4, 1.0),
+            cross=theory.cross_moments(problem, truth),
         )
         assert rep["foc2_ok"]
         realized = realized_sign_recovery(problem, 0, beta, 1e-6, truth)
@@ -390,7 +420,15 @@ class TestSignRecovery:
         truth = estimators.SparsityInfo.from_coefficients(beta[None, :])
         phi_min = phi_min_on(problem.psi, truth.supports[0])
         rep = theory.sign_recovery_conditions(
-            problem, 0, beta, 1e-3, truth, theory.TheoryParams(), phi_min=phi_min, k_t_value=theory.k_t(T, 1, T, 1.0)
+            problem,
+            0,
+            beta,
+            1e-3,
+            truth,
+            theory.TheoryParams(),
+            phi_min=phi_min,
+            k_t_value=theory.k_t(T, 1, T, 1.0),
+            cross=theory.cross_moments(problem, truth),
         )
         # psi_{j,J} = 0 off support, eps = 0: FOC1 left side vanishes
         assert rep["foc1_ok"]
@@ -407,7 +445,15 @@ class TestSignRecovery:
         phi_min = phi_min_on(problem.psi, truth.supports[0])
         with pytest.raises(NotPositiveDefinite):
             theory.sign_recovery_conditions(
-                problem, 0, beta, 1e-3, truth, theory.TheoryParams(), phi_min=phi_min, k_t_value=1.0
+                problem,
+                0,
+                beta,
+                1e-3,
+                truth,
+                theory.TheoryParams(),
+                phi_min=phi_min,
+                k_t_value=1.0,
+                cross=theory.cross_moments(problem, truth),
             )
 
     def test_iff_equivalence_against_realized_solve(self):
@@ -428,7 +474,15 @@ class TestSignRecovery:
                 lams += [0.5 * lmaxw, 0.05 * lmaxw]
             for lam in lams:
                 rep = theory.sign_recovery_conditions(
-                    problem, i, stage1, lam, truth, params, phi_min=phi_min, k_t_value=kt
+                    problem,
+                    i,
+                    stage1,
+                    lam,
+                    truth,
+                    params,
+                    phi_min=phi_min,
+                    k_t_value=kt,
+                    cross=theory.cross_moments(problem, truth),
                 )
                 if rep["psi_jj_condition"] >= 1e8:
                     continue

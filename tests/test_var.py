@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -62,16 +63,16 @@ class TestSimulate:
         a = var.simulate(ar1(), 50, seed=11)
         b = var.simulate(ar1(), 50, seed=11)
         assert np.array_equal(a.path, b.path)
-        assert np.array_equal(a.innovations, b.innovations)
+        assert np.array_equal(a.initial, b.initial)
         c = var.simulate(ar1(), 50, seed=12)
         assert not np.array_equal(a.path, c.path)
 
     def test_innovations_recorded(self):
         data = var.simulate(ar1(0.5), 30, seed=1)
-        assert data.innovations is not None
-        # path obeys the recursion given the recorded innovations
+        _, innovations = simulate_per_lag(ar1(0.5), 30, seed=1)
+        # path obeys the recursion given the innovations the reference recursion recorded
         combined = np.vstack([data.initial, data.path])
-        recon = 0.5 * combined[:-1] + data.innovations
+        recon = 0.5 * combined[:-1] + innovations
         assert np.allclose(recon, data.path, atol=1e-12)
 
     def test_not_stationary(self):
@@ -84,7 +85,7 @@ class TestSimulate:
         assert model.p == p
         data = var.simulate(model, 200, seed=4)
         got = np.vstack([data.initial, data.path])
-        ref = simulate_per_lag(model, 200, seed=4)
+        ref, _ = simulate_per_lag(model, 200, seed=4)
         if p == 1:
             # one lag: the same product and the same sum
             assert np.array_equal(got, ref)
@@ -247,7 +248,9 @@ class TestCsvRoundTrip:
         assert loaded.k == data.k and loaded.p == data.p and loaded.T == data.T
         assert np.abs(loaded.path - data.path).max() <= 1e-12
         assert np.abs(loaded.initial - data.initial).max() <= 1e-12
-        assert np.abs(loaded.innovations - data.innovations).max() <= 1e-12
+        # the data and its {k, p, T} metadata only: the model gives the innovations
+        assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta.json"]
+        assert json.loads((tmp_path / "ds.meta.json").read_text()) == {"T": 17, "k": 3, "p": 1}
 
     def test_round_trip_exact_repr(self, tmp_path):
         data = var.simulate(ar1(), 29, seed=13)

@@ -5,14 +5,15 @@
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  The
 commands are windows 0-9 of every gated workload in perfbench/workloads.py
 (``WORKLOADS[name].argv``), then the commands of ``UNGATED``, then the ``fit``
-commands of ``FITS`` on the datasets of ``DATASETS``, which `hdvar simulate`
-writes once under the parent tree.  Each command runs once under each tree,
-in a subprocess with PYTHONPATH set to that tree and OPENBLAS_NUM_THREADS=1,
-and the two trees' report files are compared byte for byte: one report for
-``mc`` and ``diag``, one ``fit_{tag}.json`` per estimator tag for ``fit``, the
-data, innovations and metadata files for ``simulate``, and every table and
-cell report for ``paper-tables``.
-One line per report says identical or differs.  For a report that differs
+and ``diag --data`` commands of ``LOADED`` on the datasets of ``DATASETS``,
+which `hdvar simulate` writes once under the parent tree.  Each command runs
+once under each tree, in a subprocess with PYTHONPATH set to that tree and
+OPENBLAS_NUM_THREADS=1, and the two trees' report files are compared byte for
+byte: one report for ``mc`` and ``diag``, one ``fit_{tag}.json`` per estimator
+tag for ``fit``, the data and metadata files for ``simulate``, and every table
+and cell report for ``paper-tables``.
+One line per report says identical or differs.  A report that only one tree
+writes, or neither, differs.  For a report that both trees write and that differs
 it also gives the largest relative difference of a float field, and the
 first field that differs otherwise: an integer, boolean, string or null, or a
 field only one report has.  A JSON report's fields are its leaves, a CSV
@@ -70,7 +71,7 @@ UNGATED = (
     (
         "simulate C/10/40",
         ("simulate", "--experiment", "C", "--k", "10", "--T", "40", "--seed", "3"),
-        ("dataset.csv", "dataset.innovations.csv", "dataset.meta.json"),
+        ("dataset.csv", "dataset.meta.json"),
     ),
     (
         "paper-tables A,C/10/40,60",
@@ -87,28 +88,37 @@ DATASETS = (
     ("A_10_60", ("--experiment", "A", "--k", "10", "--T", "60", "--seed", "0")),
     ("C_10_40", ("--experiment", "C", "--k", "10", "--T", "40", "--seed", "0")),
 )
-# (label, dataset, hdvar fit arguments without --data, --estimators and --out, tags)
-# of the fit commands, which reach what no mc or diag report does: fixed-lambda
-# adaptive fits and the fit JSON.  At --lambda 1e-4 every tag selects a nonzero fit.
-FITS = (
-    ("fit A/10/60", "A_10_60", ("--experiment", "A", "--k", "10"), FULL_MENU.split(",")),
-    ("fit A/10/60 lambda 1e-4", "A_10_60", ("--lambda", "1e-4"), FULL_MENU.split(",")[:4]),
-    ("fit C/10/40", "C_10_40", (), ["lasso", "adaptive_lasso_lasso", "adaptive_lasso_ridge"]),
+
+
+def _fit(label: str, dataset: str, args: tuple, tags: list) -> tuple:
+    """The ``LOADED`` entry of a fit command with estimator tags ``tags``."""
+    return label, dataset, ("fit", *args, "--estimators", ",".join(tags)), tuple(f"fit_{tag}.json" for tag in tags)
+
+
+# (label, dataset, hdvar arguments without --data and --out, report files) of
+# the commands that load a dataset.  The fit commands reach what no mc or diag
+# report does: fixed-lambda adaptive fits and the fit JSON; at --lambda 1e-4
+# every tag selects a nonzero fit.  diag --data reaches the loaded-data path of
+# the diagnostics.
+LOADED = (
+    _fit("fit A/10/60", "A_10_60", ("--experiment", "A", "--k", "10"), FULL_MENU.split(",")),
+    _fit("fit A/10/60 lambda 1e-4", "A_10_60", ("--lambda", "1e-4"), FULL_MENU.split(",")[:4]),
+    _fit("fit C/10/40", "C_10_40", (), ["lasso", "adaptive_lasso_lasso", "adaptive_lasso_ridge"]),
+    ("diag A/10/60 --data", "A_10_60", ("diag", "--experiment", "A", "--k", "10"), ("diagnostics.json",)),
 )
 
 
 def commands(data_root: str):
     """(label, argv builder taking the output directory, report files) of every
-    compared command; the fit commands load their datasets from ``data_root``."""
+    compared command; the ``LOADED`` commands load their datasets from ``data_root``."""
     for workload in (w for w in WORKLOADS.values() if w.gated):
         for window in range(WINDOWS):
             yield f"{workload.name} window {window}", functools.partial(workload.argv, window), [workload.report_name]
     for label, args, report_names in UNGATED:
         yield label, lambda out_dir, args=args: [*args, "--out", out_dir], list(report_names)
-    for label, dataset, args, tags in FITS:
-        data = os.path.join(data_root, dataset)
-        args = ("fit", "--data", data, *args, "--estimators", ",".join(tags))
-        yield label, lambda out_dir, args=args: [*args, "--out", out_dir], [f"fit_{tag}.json" for tag in tags]
+    for label, dataset, args, report_names in LOADED:
+        args = (*args, "--data", os.path.join(data_root, dataset))
+        yield label, lambda out_dir, args=args: [*args, "--out", out_dir], list(report_names)
 
 
 def hdvar(src: str, argv: list) -> bool:
@@ -121,15 +131,20 @@ def hdvar(src: str, argv: list) -> bool:
     return done.returncode == 0
 
 
-def reports(src: str, build, report_names: list, out_dir: str) -> list:
+def reports(src: str, build, report_names: list, out_dir: str) -> list | None:
     """The report files ``report_names`` that the `hdvar` command ``build(out_dir)``
-    writes to ``out_dir`` under the tree ``src``, each None when the command fails."""
+    writes to ``out_dir`` under the tree ``src``, each None when the command does
+    not write it; None when the command fails."""
     if not hdvar(src, build(out_dir)):
-        return [None] * len(report_names)
+        return None
     out = []
     for name in report_names:
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            out.append(fh.read())
+        path = os.path.join(out_dir, name)
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                out.append(fh.read())
+        else:
+            out.append(None)
     return out
 
 
@@ -184,6 +199,14 @@ def difference(parent: bytes, change: bytes, report_name: str) -> str:
     return f"{floats}; " + (f"first other difference at {first}" if first else "all other fields equal")
 
 
+def compare(report_name: str, parent: bytes | None, change: bytes | None) -> str:
+    """The verdict on one report of the two trees, each None where that tree did not write it."""
+    missing = [side for side, report in (("parent", parent), ("changed", change)) if report is None]
+    if missing:
+        return f"differs (not written by the {' or the '.join(missing)} tree)"
+    return "identical" if parent == change else f"differs ({difference(parent, change, report_name)})"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", help="src directory of the parent tree")
@@ -203,11 +226,11 @@ def main(argv=None) -> int:
             parent, change = (
                 reports(src, build, report_names, os.path.join(tmp, side, str(n))) for side, src in trees.items()
             )
-            for name, a, b in zip(report_names, parent, change):
-                if a is None or b is None:
+            for n_report, name in enumerate(report_names):
+                if parent is None or change is None:
                     verdict = "failed"
                 else:
-                    verdict = "identical" if a == b else f"differs ({difference(a, b, name)})"
+                    verdict = compare(name, parent[n_report], change[n_report])
                 same += verdict == "identical"
                 total += 1
                 print(f"{label}{'' if len(report_names) == 1 else ' ' + name}: {verdict}", flush=True)
