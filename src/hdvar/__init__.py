@@ -2,11 +2,13 @@
 
 Submodules: linalg (dense kernels), var (models and simulation), solver
 (coordinate descent, the homotopy continuation and closed-form ridge),
-estimators (per-equation pipelines), theory (finite-sample diagnostics), mc
-(Monte Carlo harness), cli (command line).
+estimators (per-equation pipelines, all tags of a dataset through one
+FitPlan), theory (finite-sample diagnostics), mc (Monte Carlo harness: each
+replication reduced to its metric values, a report their means), cli (command
+line).
 """
 
-from .estimators import FitPlan, SparsityInfo, SystemFit, fit_menu
+from .estimators import FitPlan, SparsityInfo, SystemFit
 from .mc import ExperimentSpec, make_dgp, run_experiment
 from .var import Dataset, VarModel, simulate, stack
 
@@ -19,7 +21,6 @@ __all__ = [
     "SparsityInfo",
     "SystemFit",
     "VarModel",
-    "fit_menu",
     "make_dgp",
     "run_experiment",
     "simulate",

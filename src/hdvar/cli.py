@@ -31,6 +31,7 @@ _SHARED_FLAGS = {
     "seed": lambda p: p.add_argument("--seed", type=int, default=0),
     "threads": lambda p: p.add_argument("--threads", type=int, default=1),
     "format": lambda p: p.add_argument("--format", choices=("csv", "json"), default="csv"),
+    "model": lambda p: p.add_argument("--model", help="JSON file with {phis: [[..]..], sigma: [[..]..]}"),
 }
 
 
@@ -54,10 +55,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parsers = {name: sub.add_parser(name, help=run.__doc__) for name, run in _COMMANDS.items()}
     p = parsers.get(command)
     if command == "simulate":
-        _add_common(p, "seed")
+        _add_common(p, "seed", "model")
         p.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
         p.add_argument("--k", type=int)
-        p.add_argument("--model", help="JSON file with {phis: [[..]..], sigma: [[..]..]}")
         p.add_argument("--T", type=int, required=True)
         p.add_argument("--burn-in", type=int, dest="burn_in")
         p.add_argument("--name", default="dataset")
@@ -78,7 +78,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--estimators", default="lasso", help="comma-separated tags")
     elif command == "diag":
         # diag runs serially; it accepts --threads because perfbench passes it to every command
-        _add_common(p, "seed", "threads")
+        _add_common(p, "seed", "threads", "model")
         p.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
         p.add_argument("--k", type=int)
         p.add_argument("--T", type=int)
@@ -109,11 +109,11 @@ def _read_json(path: str, what: str):
             raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _load_config(args: argparse.Namespace, command_parser) -> dict:
+def _load_config(path: str, command_parser) -> dict:
     """The defaults a JSON config file sets, each checked against the command's
     flag of that name as its command-line string would be: a string or number
     through the flag's ``type`` and ``choices``, a boolean for a store_true flag."""
-    cfg = _read_json(args.config, "config file")
+    cfg = _read_json(path, "config file")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     known = {action.dest: action for action in command_parser._actions if action.dest not in ("help", "config")}
@@ -209,7 +209,8 @@ def cmd_fit(args) -> int:
         for tag in tags:
             if tag not in estimators.PENALIZED_TAGS:
                 raise ConfigError(f"--lambda does not apply to {tag}")
-    fits = estimators.fit_menu(data, tags, truth=truth, lam=args.lam)
+    plan = estimators.FitPlan(data, truth)
+    fits = {tag: plan.fit(tag, args.lam) for tag in tags}
     os.makedirs(args.out, exist_ok=True)
     for tag, fit in fits.items():
         path = os.path.join(args.out, f"fit_{tag}.json")
@@ -259,8 +260,6 @@ def cmd_diag(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.data:
-        if not (args.experiment and args.k is not None):
-            raise ConfigError("--data mode needs --experiment and --k for the generating model")
         simulate_only = [f"--{name}" for name in ("seed", "T", "reps") if getattr(args, name) is not None]
         if simulate_only:
             raise ConfigError(f"--data runs on the loaded dataset, so {', '.join(simulate_only)} cannot be set")
@@ -268,19 +267,19 @@ def cmd_diag(args) -> int:
         model, truth = _load_model(args, datasets[0])
         seed = None
     else:
-        if not (args.experiment and args.k is not None) or args.T is None:
-            raise ConfigError("specify --experiment, --k and --T (or --data)")
         model, truth = _load_model(args)
+        if args.T is None:
+            raise ConfigError("specify --T (or --data)")
         seed = _DIAG_SIMULATE["seed"] if args.seed is None else args.seed
         reps = _DIAG_SIMULATE["reps"] if args.reps is None else args.reps
         if min(args.T, reps) < 1:
             raise ConfigError("--T and --reps must be at least one")
         datasets = [var.simulate(model, args.T, seed=seed + r) for r in range(reps)]
     report = theory.diagnose(model, truth, datasets, params, foc=not args.skip_foc)
-    # T and reps are those of the datasets the run used; the seed is None for a loaded dataset
+    # k, T and reps as run; the seed is None for a loaded dataset, the experiment for a model file
     config = {
         "experiment": args.experiment,
-        "k": args.k,
+        "k": model.k,
         "T": datasets[0].T,
         "reps": len(datasets),
         "seed": seed,
@@ -345,21 +344,29 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no values, so the first bare word names the command
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser = build_parser(command)
     try:
+        if command in _COMMANDS:
+            # the config is read before the one parse: its values become the
+            # command's defaults, so explicit flags win and a required flag the
+            # config supplies is satisfied; the subparsers action maps each
+            # command name to its parser
+            pre = argparse.ArgumentParser(prog=f"hdvar {command}", add_help=False)
+            pre.add_argument("--config")
+            config = pre.parse_known_args(argv)[0].config
+            if config:
+                command_parser = next(a.choices for a in parser._actions if a.dest == "command")[command]
+                values = _load_config(config, command_parser)
+                for action in command_parser._actions:
+                    action.required = action.required and action.dest not in values
+                command_parser.set_defaults(**values)
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        if args.config:
-            # config supplies defaults; explicit flags win on the second parse
-            # the subparsers action maps each command name to its parser
-            command_parser = next(a.choices for a in parser._actions if a.dest == "command")[args.command]
-            command_parser.set_defaults(**_load_config(args, command_parser))
-            args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ConfigError("--threads must be an integer of at least one")
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse's exit after --help or a usage error
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

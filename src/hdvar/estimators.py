@@ -11,6 +11,9 @@ matrix.  The k equations share one design, whose ``var.RegressionProblem``
 forms Psi = X'X/T, X'y_i and y_i'y_i once: every L1 fit, the ridge first
 stage and its eigendecomposition read them there, and so do the OLS refits,
 which solve the normal equations on a block of Psi.
+
+``FitPlan(data, truth).fit(tag, lam)`` is the one way in: a Monte Carlo
+replication fits its estimator tags through one plan, and so does ``hdvar fit``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "SystemFit",
     "bic",
     "FitPlan",
-    "fit_menu",
     "system_fit_to_dict",
 ]
 
@@ -245,12 +247,6 @@ class FitPlan:
         fits = tuple(self.equation(tag, i, lam) for i in range(self.problem.k))
         coef = np.vstack([f.beta for f in fits])
         return SystemFit(estimator_tag=tag, fits=fits, coefficients=coef, k=self.problem.k, p=self.problem.p)
-
-
-def fit_menu(data, tags, truth: SparsityInfo | None = None, lam: float | None = None) -> dict:
-    """{tag: SystemFit} for every tag in ``tags``, through one FitPlan of ``data``."""
-    plan = FitPlan(data, truth)
-    return {tag: plan.fit(tag, lam) for tag in tags}
 
 
 def system_fit_to_dict(fit: SystemFit) -> dict:

@@ -1,8 +1,10 @@
 """Monte Carlo harness: the four experiment designs, the six reported metrics,
 and a seeded replication loop whose output is independent of worker count.
 
-Replication r uses seed base_seed + r; aggregation folds results in
-replication order, so reports are bit-identical for any number of workers.
+Replication r uses seed base_seed + r and reduces its own fits to numbers: per
+estimator, its value of each metric and its solver counts.  A report is one
+mean per metric over those numbers, taken in replication order, so reports
+are bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ __all__ = [
     "METRICS",
     "McReport",
     "make_dgp",
-    "rmse",
-    "rmsfe",
-    "selection_metrics",
     "run_experiment",
     "report_to_csv",
     "report_to_json",
@@ -144,50 +143,36 @@ class McReport:
     # runtime stays out of serialized reports so reruns are byte-identical
 
 
-def rmse(fits, truth) -> float:
-    """sqrt(mean over replications of ||beta_hat - beta*||_F^2) over the system."""
-    errs = [float(np.sum((f.coefficients - truth.beta) ** 2)) for f in fits]
-    return float(math.sqrt(np.mean(errs)))
-
-
-def rmsfe(forecasts, realized, k: int) -> float:
-    """sqrt((1/k) * mean over replications of ||yhat_{T+1} - y_{T+1}||^2)."""
-    if len(forecasts) != len(realized) or not len(forecasts):
-        raise ValueError("forecast/realized length mismatch")
-    errs = [float(np.sum((np.asarray(f) - np.asarray(y)) ** 2)) for f, y in zip(forecasts, realized)]
-    return float(math.sqrt(np.mean(errs) / k))
-
-
-def selection_metrics(fits, truth):
-    """(uncovered, included, share of relevant, mean selected count) over the system."""
-    total_s = int(truth.s.sum())
-    uncovered = []
-    included = []
-    share = []
-    n_sel = []
-    for f in fits:
-        actives = [set(eq.active_set.tolist()) for eq in f.fits]
-        joints = [set(J.tolist()) for J in truth.supports]
-        uncovered.append(all(a == j for a, j in zip(actives, joints)))
-        included.append(all(j <= a for a, j in zip(actives, joints)))
-        hit = sum(len(a & j) for a, j in zip(actives, joints))
-        share.append(hit / total_s if total_s else 1.0)
-        n_sel.append(sum(len(a) for a in actives))
-    return (
-        float(np.mean(uncovered)),
-        float(np.mean(included)),
-        float(np.mean(share)),
-        float(np.mean(n_sel)),
-    )
-
-
-def _run_replication(spec: ExperimentSpec, model, truth, r: int):
+def _replicate(spec: ExperimentSpec, model, truth, r: int) -> dict:
+    """{tag: record} of replication r in Python numbers, tuples and lists: whether
+    every equation was feasible; the value of each metric in ``METRICS`` order,
+    ||B_hat - B||_F^2 and ||yhat_{T+1} - y_{T+1}||^2 standing for rmse and rmsfe;
+    and, over the feasible equations, the nonconverged and grid-end counts and their df."""
     full = var.simulate(model, spec.T + 1, seed=spec.base_seed + r)
     data = var.truncate_dataset(full, spec.T)
-    realized = full.path[spec.T]
-    fits = estimators.fit_menu(data, spec.estimators, truth=truth)
-    forecasts = {tag: var.forecast_one_step(fit.coefficients, data) for tag, fit in fits.items()}
-    return {"realized": realized, "fits": fits, "forecasts": forecasts}
+    plan = estimators.FitPlan(data, truth)
+    joints = [set(J.tolist()) for J in truth.supports]
+    total_s = int(truth.s.sum())
+    records = {}
+    for tag in spec.estimators:
+        fit = plan.fit(tag)
+        actives = [set(eq.active_set.tolist()) for eq in fit.fits]
+        selected = [eq for eq in fit.fits if eq.feasible]
+        records[tag] = {
+            "feasible": fit.feasible,
+            "metrics": (
+                all(a == j for a, j in zip(actives, joints)),
+                all(j <= a for a, j in zip(actives, joints)),
+                sum(len(a & j) for a, j in zip(actives, joints)) / total_s if total_s else 1.0,
+                sum(len(a) for a in actives),
+                float(np.sum((fit.coefficients - truth.beta) ** 2)),
+                float(np.sum((var.forecast_one_step(fit.coefficients, data) - full.path[spec.T]) ** 2)),
+            ),
+            "nonconverged": sum(not eq.converged for eq in selected),
+            "bic_at_grid_end": sum(eq.bic_at_grid_end for eq in selected),
+            "df": [eq.df for eq in selected],
+        }
+    return records
 
 
 @contextlib.contextmanager
@@ -216,7 +201,8 @@ def _worker_pool(workers: int):
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
-    """Run all replications and aggregate the six metrics per estimator.
+    """Run all replications; each metric per estimator is the mean of its per-replication
+    values, rmse and rmsfe the square roots of the mean squared errors (rmsfe's over k).
 
     Per-estimator infeasibility (singular design, oversized active set) is
     recorded, not fatal: metrics of an estimator with any failed replication
@@ -229,46 +215,31 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> McReport:
         with _worker_pool(threads) as pool:
             results = list(
                 pool.map(
-                    _run_replication,
+                    _replicate,
                     *zip(*[(spec, model, truth, r) for r in reps]),
                     chunksize=max(1, spec.n_reps // (4 * threads)),
                 )
             )
     else:
-        results = [_run_replication(spec, model, truth, r) for r in reps]
+        results = [_replicate(spec, model, truth, r) for r in reps]
 
     rows = {}
     solver = {}
     for tag in spec.estimators:
-        fits = [res["fits"][tag] for res in results]
-        equations = [eq for f in fits for eq in f.fits]
-        selected = [eq for eq in equations if eq.feasible]
+        records = [res[tag] for res in results]
+        df = [d for rec in records for d in rec["df"]]
         solver[tag] = {
-            "nonconverged": sum(not eq.converged for eq in selected),
-            "fits": len(equations),
-            "bic_at_grid_end": sum(eq.bic_at_grid_end for eq in selected),
-            "mean_df_over_T": float(np.mean([eq.df for eq in selected])) / spec.T if selected else None,
+            "nonconverged": sum(rec["nonconverged"] for rec in records),
+            "fits": spec.n_reps * spec.k,
+            "bic_at_grid_end": sum(rec["bic_at_grid_end"] for rec in records),
+            "mean_df_over_T": float(np.mean(df)) / spec.T if df else None,
         }
-        n_failed = sum(not f.feasible for f in fits)
+        n_failed = sum(not rec["feasible"] for rec in records)
         if n_failed:
             rows[tag] = McRow(tag, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, True, n_failed)
             continue
-        unc, inc, share, nsel = selection_metrics(fits, truth)
-        rows[tag] = McRow(
-            estimator=tag,
-            true_model_uncovered=unc,
-            true_model_included=inc,
-            share_relevant=share,
-            n_selected=nsel,
-            rmse=rmse(fits, truth),
-            rmsfe=rmsfe(
-                [res["forecasts"][tag] for res in results],
-                [res["realized"] for res in results],
-                spec.k,
-            ),
-            infeasible=False,
-            n_failed=0,
-        )
+        unc, inc, share, nsel, sq_err, sq_fe = (float(np.mean(v)) for v in zip(*(rec["metrics"] for rec in records)))
+        rows[tag] = McRow(tag, unc, inc, share, nsel, math.sqrt(sq_err), math.sqrt(sq_fe / spec.k), False, 0)
     return McReport(
         spec=spec,
         rows=rows,

@@ -22,10 +22,16 @@ theory's first-order conditions predict.  ``descend`` runs the solver's
 coordinate-descent kernel at one penalty from a given start, the fit a path
 point gets from the point before it, restart included, so tests can rebuild
 a path's swept points one by one.
+
+``rmse``, ``rmsfe`` and ``selection_metrics`` reduce lists of system fits,
+forecasts and realized values to a Monte Carlo report's metrics, the way the
+harness did before each replication reduced its own fits to numbers; the mc
+tests hold ``mc.run_experiment`` to them.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -264,3 +270,40 @@ def realized_sign_recovery(problem, i, stage1_beta, lambda_t, truth):
         patch.setattr(solver, "MAX_SWEEPS", 5000)
         path = solver.lasso_path(problem, i, weights=w, lam=lambda_t)
     return bool(np.all(np.sign(path.beta[0]) == np.sign(truth.beta[i])))
+
+
+def rmse(fits, truth) -> float:
+    """sqrt(mean over replications of ||beta_hat - beta*||_F^2) over the system."""
+    errs = [float(np.sum((f.coefficients - truth.beta) ** 2)) for f in fits]
+    return float(math.sqrt(np.mean(errs)))
+
+
+def rmsfe(forecasts, realized, k: int) -> float:
+    """sqrt((1/k) * mean over replications of ||yhat_{T+1} - y_{T+1}||^2)."""
+    if len(forecasts) != len(realized) or not len(forecasts):
+        raise ValueError("forecast/realized length mismatch")
+    errs = [float(np.sum((np.asarray(f) - np.asarray(y)) ** 2)) for f, y in zip(forecasts, realized)]
+    return float(math.sqrt(np.mean(errs) / k))
+
+
+def selection_metrics(fits, truth):
+    """(uncovered, included, share of relevant, mean selected count) over the system."""
+    total_s = int(truth.s.sum())
+    uncovered = []
+    included = []
+    share = []
+    n_sel = []
+    for f in fits:
+        actives = [set(eq.active_set.tolist()) for eq in f.fits]
+        joints = [set(J.tolist()) for J in truth.supports]
+        uncovered.append(all(a == j for a, j in zip(actives, joints)))
+        included.append(all(j <= a for a, j in zip(actives, joints)))
+        hit = sum(len(a & j) for a, j in zip(actives, joints))
+        share.append(hit / total_s if total_s else 1.0)
+        n_sel.append(sum(len(a) for a in actives))
+    return (
+        float(np.mean(uncovered)),
+        float(np.mean(included)),
+        float(np.mean(share)),
+        float(np.mean(n_sel)),
+    )

@@ -525,7 +525,7 @@ class TestCommandValidation:
 
 class TestConfigFile:
     def test_shared_flags_only_where_read(self):
-        shared = {"seed", "threads", "format"}
+        shared = {"seed", "threads", "format", "model"}
         registered = {}
         for name in cli._COMMANDS:
             # every command is registered, but only the invoked one gets flags
@@ -535,10 +535,10 @@ class TestConfigFile:
             assert all(not dests for other, dests in flags.items() if other != name)
             registered[name] = shared & flags[name]
         assert registered == {
-            "simulate": {"seed"},
+            "simulate": {"seed", "model"},
             "fit": set(),
             "mc": {"seed", "threads", "format"},
-            "diag": {"seed", "threads"},
+            "diag": {"seed", "threads", "model"},
             "paper-tables": {"seed", "threads"},
         }
 
@@ -547,6 +547,28 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"experiment": "A", "k": 10, "T": 80, "reps": 2}))
         code = run(["mc", "--config", str(cfg), "--experiment", "A", "--k", "10", "--T", "80", "--out", str(tmp_path)])
         assert code == 0
+
+    def test_config_supplies_required_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "A", "k": 10, "T": 30, "reps": 1}))
+        from_config, from_flags = tmp_path / "config", tmp_path / "flags"
+        assert run(["mc", "--config", str(cfg), "--out", str(from_config)]) == 0
+        assert run(["mc", "--experiment", "A", "--k", "10", "--T", "30", "--reps", "1", "--out", str(from_flags)]) == 0
+        assert (from_config / "A_10_30.csv").read_bytes() == (from_flags / "A_10_30.csv").read_bytes()
+        # simulate's --T and fit's --data, each from the config alone
+        cfg.write_text(json.dumps({"experiment": "A", "k": 10, "T": 30}))
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        cfg.write_text(json.dumps({"data": str(tmp_path / "data")}))
+        assert run(["fit", "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
+        assert (tmp_path / "fit" / "fit_lasso.json").exists()
+
+    def test_required_flag_given_by_neither_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "A", "k": 10, "reps": 1}))
+        out = tmp_path / "out"
+        assert run(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "the following arguments are required: --T" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -683,6 +705,45 @@ class TestDiag:
         a, b = (json.loads((out / "diagnostics.json").read_text()) for out in (loaded, simulated))
         assert a["replications"] == b["replications"]
         assert a["bounds"] == b["bounds"]
+
+    def test_model_file_in_both_modes(self, tmp_path):
+        from hdvar import mc
+
+        model, _ = mc.make_dgp("A", 10)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"phis": [P.tolist() for P in model.phis], "sigma": model.sigma.tolist()}))
+        data = tmp_path / "data"
+        assert run(["simulate", "--model", str(path), "--T", "50", "--seed", "3", "--out", str(data)]) == 0
+        outs = {name: tmp_path / name for name in ("model", "experiment", "simulated")}
+        assert run(["diag", "--data", str(data), "--model", str(path), "--out", str(outs["model"])]) == 0
+        argv = ["diag", "--data", str(data), "--experiment", "A", "--k", "10"]
+        assert run(argv + ["--out", str(outs["experiment"])]) == 0
+        argv = ["diag", "--model", str(path), "--T", "50", "--seed", "3", "--reps", "1"]
+        assert run(argv + ["--out", str(outs["simulated"])]) == 0
+        a, b, c = (json.loads((out / "diagnostics.json").read_text()) for out in outs.values())
+        # the config takes k from the model; the experiment is null under --model
+        assert a["config"] == {**b["config"], "experiment": None}
+        assert a["config"]["k"] == 10
+        assert c["config"] == {**a["config"], "seed": 3}
+        assert a["replications"] == b["replications"] == c["replications"]
+        assert a["bounds"] == b["bounds"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--T", "50"], "specify --experiment with --k, or --model"),
+            (["--experiment", "A", "--T", "50"], "specify --experiment with --k, or --model"),
+            (["--k", "10", "--data", "."], "specify --experiment with --k, or --model"),
+            (["--experiment", "A", "--k", "10"], "specify --T (or --data)"),
+        ],
+    )
+    def test_missing_model_or_T_is_config_error(self, tmp_path, argv, message, capsys):
+        out = tmp_path / "out"
+        run(["simulate", "--experiment", "A", "--k", "10", "--T", "30", "--out", str(tmp_path)])
+        argv = [str(tmp_path) if a == "." else a for a in argv]
+        assert run(["diag", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("T, reps", [("50", "0"), ("50", "-1"), ("-5", "2"), ("0", "2")])
     def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps, capsys):

@@ -369,7 +369,8 @@ class TestFitPlan:
         data = var.simulate(model, T, seed=0)
         for name, value in opts.items():
             monkeypatch.setattr(solver, name, value)
-        menu = estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth)
+        plan = FitPlan(data, truth)
+        menu = {tag: plan.fit(tag) for tag in estimators.ESTIMATOR_TAGS}
         assert list(menu) == list(estimators.ESTIMATOR_TAGS)
         for tag in estimators.ESTIMATOR_TAGS:
             assert_same_system_fit(menu[tag], FitPlan(data, truth).fit(tag))
@@ -389,7 +390,9 @@ class TestFitPlan:
         monkeypatch.setattr(var, "stack", counting("stack", var.stack))
         monkeypatch.setattr(estimators, "lasso_path", counting("lasso_path", estimators.lasso_path))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        estimators.fit_menu(data, estimators.ESTIMATOR_TAGS, truth=truth)
+        plan = FitPlan(data, truth)
+        for tag in estimators.ESTIMATOR_TAGS:
+            plan.fit(tag)
         # one LASSO path per equation shared by three tags, plus two adaptive second stages
         assert calls == {"stack": 1, "lasso_path": 3 * 5, "eigh": 1}
 

@@ -7,6 +7,7 @@ import pytest
 
 from hdvar import cli, estimators, mc, solver, var
 from hdvar.errors import UnknownCombination
+from helpers import rmse, rmsfe, selection_metrics
 
 
 class TestMakeDgp:
@@ -77,43 +78,43 @@ class TestMetrics:
     def test_rmse_exact_fits(self):
         truth = estimators.SparsityInfo.from_coefficients(0.5 * np.eye(2))
         fit = self.make_fit(0.5 * np.eye(2))
-        assert mc.rmse([fit], truth) == 0.0
+        assert rmse([fit], truth) == 0.0
 
     def test_rmse_single_rep(self):
         truth = estimators.SparsityInfo.from_coefficients(np.zeros((1, 1)))
         fit = self.make_fit([[2.0]])
-        assert mc.rmse([fit], truth) == pytest.approx(2.0)
+        assert rmse([fit], truth) == pytest.approx(2.0)
 
     def test_rmse_two_reps_hand_arithmetic(self):
         truth = estimators.SparsityInfo.from_coefficients(np.zeros((1, 1)))
         fits = [self.make_fit([[0.0]]), self.make_fit([[2.0]])]
-        assert mc.rmse(fits, truth) == pytest.approx(np.sqrt(2.0))
+        assert rmse(fits, truth) == pytest.approx(np.sqrt(2.0))
 
     def test_rmsfe_perfect(self):
-        assert mc.rmsfe([np.ones(3)], [np.ones(3)], 3) == 0.0
+        assert rmsfe([np.ones(3)], [np.ones(3)], 3) == 0.0
 
     def test_rmsfe_hand_case(self):
         # one replication, k=2, squared forecast error 0.25 + 0.25
-        val = mc.rmsfe([np.array([0.5, -0.5])], [np.array([0.0, 0.0])], 2)
+        val = rmsfe([np.array([0.5, -0.5])], [np.array([0.0, 0.0])], 2)
         assert val == pytest.approx(0.5)
 
     def test_selection_metrics_truth(self):
         truth = estimators.SparsityInfo.from_coefficients(0.5 * np.eye(3))
         fit = self.make_fit(0.5 * np.eye(3))
-        unc, inc, share, nsel = mc.selection_metrics([fit], truth)
+        unc, inc, share, nsel = selection_metrics([fit], truth)
         assert (unc, inc, share, nsel) == (1.0, 1.0, 1.0, 3.0)
 
     def test_selection_metrics_empty_fits(self):
         truth = estimators.SparsityInfo.from_coefficients(0.5 * np.eye(3))
         fit = self.make_fit(np.zeros((3, 3)))
-        unc, inc, share, nsel = mc.selection_metrics([fit], truth)
+        unc, inc, share, nsel = selection_metrics([fit], truth)
         assert (unc, inc, share, nsel) == (0.0, 0.0, 0.0, 0.0)
 
     def test_uncovered_implies_included(self):
         truth = estimators.SparsityInfo.from_coefficients(0.5 * np.eye(2))
         rng = np.random.Generator(np.random.Philox(0))
         fits = [self.make_fit(rng.standard_normal((2, 2)) * (rng.random((2, 2)) > 0.4)) for _ in range(20)]
-        unc, inc, share, _ = mc.selection_metrics(fits, truth)
+        unc, inc, share, _ = selection_metrics(fits, truth)
         assert unc <= inc
         # share is 1 whenever included is 1 (per-replication containment)
         if inc == 1.0:
@@ -228,6 +229,69 @@ class TestRunExperiment:
             "oracle_ols": (0, 0.005),
             "full_ols": (0, 0.05),
         }
+
+    @pytest.mark.parametrize("experiment, k, T, threads", [("A", 10, 60, 1), ("A", 10, 60, 2), ("C", 10, 40, 1)])
+    def test_rows_equal_the_list_of_fits_references(self, experiment, k, T, threads):
+        # C/10/40 has m = 50 > T: its post-LASSO and full-OLS rows are infeasible
+        tags = estimators.ESTIMATOR_TAGS
+        spec = mc.ExperimentSpec(experiment, k, T, n_reps=3, base_seed=2, estimators=tags)
+        report = mc.run_experiment(spec, threads=threads)
+        model, truth = mc.make_dgp(experiment, k)
+        fits, forecasts, realized = {tag: [] for tag in tags}, {tag: [] for tag in tags}, []
+        for seed in report.seeds:
+            full = var.simulate(model, T + 1, seed=seed)
+            data = var.truncate_dataset(full, T)
+            plan = estimators.FitPlan(data, truth)
+            realized.append(full.path[T])
+            for tag in tags:
+                fits[tag].append(plan.fit(tag))
+                forecasts[tag].append(var.forecast_one_step(fits[tag][-1].coefficients, data))
+        infeasible = set()
+        for tag in tags:
+            row = dataclasses.asdict(report.rows[tag])
+            n_failed = sum(not f.feasible for f in fits[tag])
+            assert (row.pop("infeasible"), row.pop("n_failed")) == (n_failed > 0, n_failed)
+            if n_failed:
+                infeasible.add(tag)
+                assert all(np.isnan(row[name]) for name in mc.METRICS)
+            else:
+                unc, inc, share, nsel = selection_metrics(fits[tag], truth)
+                assert row == {
+                    "estimator": tag,
+                    "true_model_uncovered": unc,
+                    "true_model_included": inc,
+                    "share_relevant": share,
+                    "n_selected": nsel,
+                    "rmse": rmse(fits[tag], truth),
+                    "rmsfe": rmsfe(forecasts[tag], realized, k),
+                }
+            selected = [eq for f in fits[tag] for eq in f.fits if eq.feasible]
+            assert report.solver[tag] == {
+                "nonconverged": sum(not eq.converged for eq in selected),
+                "fits": 3 * k,
+                "bic_at_grid_end": sum(eq.bic_at_grid_end for eq in selected),
+                "mean_df_over_T": float(np.mean([eq.df for eq in selected])) / T if selected else None,
+            }
+        assert infeasible == ({"post_lasso", "full_ols"} if experiment == "C" else set())
+
+    def test_a_replication_record_holds_numbers_only(self):
+        spec = mc.ExperimentSpec("A", 10, 60, n_reps=1, estimators=estimators.ESTIMATOR_TAGS)
+        model, truth = mc.make_dgp("A", 10)
+        record = mc._replicate(spec, model, truth, 0)
+        assert list(record) == list(spec.estimators)
+
+        def leaves(value):
+            if isinstance(value, dict):
+                assert all(type(key) is str for key in value)
+                value = list(value.values())
+            if type(value) in (tuple, list):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        # exact types: no ndarray, NumPy scalar, EquationFit or SystemFit
+        assert {type(leaf) for leaf in leaves(record)} <= {bool, int, float}
 
     def test_share_one_when_included_one(self):
         spec = mc.ExperimentSpec("A", 10, 500, n_reps=3, estimators=("lasso",))

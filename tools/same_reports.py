@@ -41,7 +41,8 @@ from workloads import FULL_MENU, WINDOWS, WORKLOADS  # noqa: E402
 
 # (label, hdvar arguments without --out, report files) of commands that reach what
 # no gated workload does: the sampled restricted-eigenvalue search and supports
-# of more than one coordinate (diag on B, C and D), the mc JSON report, more
+# of more than one coordinate (diag on B, C and D), the mc JSON report, the
+# replications a pool of worker processes runs (--threads 2), more
 # regressors than observations (C/10/40 has m = 50 > T = 40), a near-saturated
 # OLS cell (D/20/25 has m = 20 < T = 25 and all 20 coordinates in every true
 # support, so its Gram solves are the worst conditioned), the dataset files of
@@ -54,6 +55,12 @@ UNGATED = (
     (
         "mc A/10/60 json",
         ("mc", "--experiment", "A", "--k", "10", "--T", "60", "--reps", "2", "--format", "json")
+        + ("--estimators", FULL_MENU),
+        ("A_10_60.json",),
+    ),
+    (
+        "mc A/10/60 json threads 2",
+        ("mc", "--experiment", "A", "--k", "10", "--T", "60", "--reps", "3", "--threads", "2", "--format", "json")
         + ("--estimators", FULL_MENU),
         ("A_10_60.json",),
     ),
