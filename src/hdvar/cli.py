@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 2 configuration error, 3 non-stationary model,
 4 infeasible estimator; 5 is retired and not reused.  Flags override
-values from an optional JSON --config file; unknown config keys are rejected.
+values from an optional JSON --config file keyed by the flags' argparse
+destinations; unknown config keys are rejected.  Each rule about a run value
+is checked by the library function that uses it, which raises ConfigError.
+simulate, fit and diag take their model from --experiment with --k or from
+--model, never both.
 Given identical configuration and seed, every command writes byte-identical
 output files.
 """
@@ -11,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import estimators, mc, theory, var
-from .errors import ConfigError, HdvarError, NotStationary, UnknownCombination
+from .errors import ConfigError, HdvarError, NotStationary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -26,12 +29,16 @@ EXIT_MODEL = 3
 EXIT_ESTIMATOR = 4
 
 
-# flags several commands share; each command registers only those it reads
+# flags several commands share, as (flag, options) pairs; each command registers only those it reads
 _SHARED_FLAGS = {
-    "seed": lambda p: p.add_argument("--seed", type=int, default=0),
-    "threads": lambda p: p.add_argument("--threads", type=int, default=1),
-    "format": lambda p: p.add_argument("--format", choices=("csv", "json"), default="csv"),
-    "model": lambda p: p.add_argument("--model", help="JSON file with {phis: [[..]..], sigma: [[..]..]}"),
+    "seed": (("--seed", {"type": int, "default": 0}),),
+    "threads": (("--threads", {"type": int, "default": 1}),),
+    "format": (("--format", {"choices": ("csv", "json"), "default": "csv"}),),
+    "model": (
+        ("--experiment", {"choices": tuple(mc.EXPERIMENT_GRID)}),
+        ("--k", {"type": int}),
+        ("--model", {"help": "JSON file with {phis: [[..]..], sigma: [[..]..]}"}),
+    ),
 }
 
 
@@ -43,7 +50,8 @@ def _add_common(parser: argparse.ArgumentParser, *shared: str) -> None:
     parser.add_argument("--config", help="JSON file with defaults for this command")
     parser.add_argument("--out", default=".", help="output directory")
     for name in shared:
-        _SHARED_FLAGS[name](parser)
+        for flag, options in _SHARED_FLAGS[name]:
+            parser.add_argument(flag, **options)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -56,19 +64,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p = parsers.get(command)
     if command == "simulate":
         _add_common(p, "seed", "model")
-        p.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
-        p.add_argument("--k", type=int)
         p.add_argument("--T", type=int, required=True)
         p.add_argument("--burn-in", type=int, dest="burn_in")
         p.add_argument("--name", default="dataset")
     elif command == "fit":
-        _add_common(p)
+        # the model gives oracle_ols its truth
+        _add_common(p, "model")
         p.add_argument("--data", required=True, help="directory containing <name>.csv/.meta.json")
         p.add_argument("--name", default="dataset")
         p.add_argument("--estimators", default="lasso", help="comma-separated tags")
         p.add_argument("--lambda", dest="lam", type=float, help="fixed penalty override")
-        p.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID), help="DGP for oracle truth")
-        p.add_argument("--k", type=int)
     elif command == "mc":
         _add_common(p, "seed", "threads", "format")
         p.add_argument("--experiment", required=True, choices=tuple(mc.EXPERIMENT_GRID))
@@ -79,8 +84,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     elif command == "diag":
         # diag runs serially; it accepts --threads because perfbench passes it to every command
         _add_common(p, "seed", "threads", "model")
-        p.add_argument("--experiment", choices=tuple(mc.EXPERIMENT_GRID))
-        p.add_argument("--k", type=int)
         p.add_argument("--T", type=int)
         p.add_argument("--reps", type=int, help=f"default {_DIAG_SIMULATE['reps']}")
         # --seed, --T and --reps apply to simulated replications only; None marks them unset
@@ -149,14 +152,13 @@ def _estimator_list(raw: str) -> tuple:
 
 
 def _load_model(args, data: var.Dataset | None = None) -> tuple:
-    """Model plus truth from --experiment/--k or an inline model JSON; the model
-    must have the shape of ``data`` when that is given."""
+    """Model plus truth from --experiment with --k or from a --model JSON file,
+    never both; the model must have the shape of ``data`` when that is given."""
+    if args.model and (args.experiment or args.k is not None):
+        raise ConfigError("give --experiment with --k, or --model, not both")
     if args.experiment and args.k is not None:
-        try:
-            model, truth = mc.make_dgp(args.experiment, args.k)
-        except UnknownCombination as exc:
-            raise ConfigError(str(exc)) from exc
-    elif getattr(args, "model", None):
+        model, truth = mc.make_dgp(args.experiment, args.k)
+    elif args.model:
         payload = _read_json(args.model, "model file")
         if not (isinstance(payload, dict) and {"phis", "sigma"} <= payload.keys()):
             raise ConfigError("model file must hold a JSON object with keys phis and sigma")
@@ -198,17 +200,7 @@ def cmd_fit(args) -> int:
     """fit estimators to a stored dataset"""
     tags = _estimator_list(args.estimators)
     data = _load_dataset(args)
-    truth = None
-    if any(t == "oracle_ols" for t in tags):
-        if not (args.experiment and args.k is not None):
-            raise ConfigError("oracle_ols needs --experiment and --k to reconstruct the truth")
-        _, truth = _load_model(args, data)
-    if args.lam is not None:
-        if not 0 <= args.lam < math.inf:
-            raise ConfigError("--lambda must be a finite nonnegative number")
-        for tag in tags:
-            if tag not in estimators.PENALIZED_TAGS:
-                raise ConfigError(f"--lambda does not apply to {tag}")
+    truth = _load_model(args, data)[1] if "oracle_ols" in tags else None
     plan = estimators.FitPlan(data, truth)
     fits = {tag: plan.fit(tag, args.lam) for tag in tags}
     os.makedirs(args.out, exist_ok=True)
@@ -225,17 +217,14 @@ def cmd_fit(args) -> int:
 def cmd_mc(args) -> int:
     """run one Monte Carlo experiment"""
     tags = _estimator_list(args.estimators)
-    try:
-        spec = mc.ExperimentSpec(
-            experiment=args.experiment,
-            k=args.k,
-            T=args.T,
-            n_reps=args.reps,
-            base_seed=args.seed,
-            estimators=tags,
-        )
-    except (UnknownCombination, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = mc.ExperimentSpec(
+        experiment=args.experiment,
+        k=args.k,
+        T=args.T,
+        n_reps=args.reps,
+        base_seed=args.seed,
+        estimators=tags,
+    )
     report = mc.run_experiment(spec, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     stem = f"{spec.experiment}_{spec.k}_{spec.T}"
@@ -255,10 +244,7 @@ def cmd_mc(args) -> int:
 
 def cmd_diag(args) -> int:
     """finite-sample diagnostics on simulated replications or a stored dataset"""
-    try:
-        params = theory.TheoryParams(q=args.q, a_const=args.a_const)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = theory.TheoryParams(q=args.q, a_const=args.a_const)
     if args.data:
         simulate_only = [f"--{name}" for name in ("seed", "T", "reps") if getattr(args, name) is not None]
         if simulate_only:
@@ -304,15 +290,15 @@ def cmd_paper_tables(args) -> int:
     try:
         t_values = list(dict.fromkeys(int(t) for t in args.t_list.split(",") if t.strip()))
         k_filter = {int(v) for v in args.k_list.split(",") if v.strip()}
-        specs = [
-            mc.ExperimentSpec(exp, k, T, n_reps=args.reps, base_seed=args.seed, estimators=tags)
-            for exp in exps
-            for k in mc.EXPERIMENT_GRID[exp]
-            if not k_filter or k in k_filter
-            for T in t_values
-        ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    specs = [
+        mc.ExperimentSpec(exp, k, T, n_reps=args.reps, base_seed=args.seed, estimators=tags)
+        for exp in exps
+        for k in mc.EXPERIMENT_GRID[exp]
+        if not k_filter or k in k_filter
+        for T in t_values
+    ]
     if not specs:
         raise ConfigError("no cell of the grid matches --experiments, --k-list and --T-list")
     os.makedirs(args.out, exist_ok=True)
@@ -367,15 +353,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse's exit after --help or a usage error
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NotStationary as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except HdvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

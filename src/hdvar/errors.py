@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; checks of a run's configuration raise ConfigError."""
 
 
 class HdvarError(Exception):
@@ -13,13 +13,10 @@ class NotStationary(HdvarError):
     """The companion matrix has spectral radius at or above one."""
 
 
-class UnknownCombination(HdvarError):
-    """The requested (experiment, k) pair is outside the supported grid."""
-
-
 class ZeroKappa(HdvarError):
     """A restricted eigenvalue of zero makes the bound undefined."""
 
 
-class ConfigError(HdvarError):
-    """Invalid or inconsistent run configuration."""
+class ConfigError(HdvarError, ValueError):
+    """Invalid or inconsistent run configuration, raised where the value is used;
+    a ValueError, so library callers that catch ValueError keep working."""

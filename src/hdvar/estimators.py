@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import var
-from .errors import NotPositiveDefinite
+from .errors import ConfigError, NotPositiveDefinite
 from .linalg import cholesky_solve
 from .solver import adaptive_weights, lambda_grid, lambda_max, lasso_path, ridge_path
 
@@ -220,7 +220,7 @@ class FitPlan:
 
     def equation(self, tag: str, i: int, lam: float | None = None) -> EquationFit:
         if lam is not None and tag not in PENALIZED_TAGS:
-            raise ValueError(f"a fixed lambda does not apply to {tag}")
+            raise ConfigError(f"a fixed lambda does not apply to {tag}")
         if tag == "lasso":
             return self.lasso(i, lam)
         if tag == "post_lasso":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators, var
-from .errors import UnknownCombination
+from .errors import ConfigError
 from .solver import LAMBDA_RATIO, N_LAMBDA
 
 __all__ = [
@@ -62,7 +62,7 @@ def make_dgp(experiment: str, k: int):
     """
     experiment = experiment.upper()
     if experiment not in EXPERIMENT_GRID or k not in EXPERIMENT_GRID[experiment]:
-        raise UnknownCombination(f"experiment {experiment!r} with k={k} is not in the design")
+        raise ConfigError(f"experiment {experiment!r} with k={k} is not in the design")
     sigma = NOISE_VARIANCE * np.eye(k)
     if experiment == "A":
         phis = (0.5 * np.eye(k),)
@@ -100,16 +100,16 @@ class ExperimentSpec:
     def __post_init__(self):
         exp = self.experiment.upper()
         if exp not in EXPERIMENT_GRID or self.k not in EXPERIMENT_GRID[exp]:
-            raise UnknownCombination(f"experiment {exp!r} with k={self.k} is not in the design")
+            raise ConfigError(f"experiment {exp!r} with k={self.k} is not in the design")
         object.__setattr__(self, "experiment", exp)
         for tag in self.estimators:
             if tag not in estimators.ESTIMATOR_TAGS:
-                raise ValueError(f"unknown estimator tag {tag!r}")
+                raise ConfigError(f"unknown estimator tag {tag!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.T < 1:
-            raise ValueError("T must be at least one")
+            raise ConfigError("T must be at least one")
         if self.n_reps < 1:
-            raise ValueError("need at least one replication")
+            raise ConfigError("need at least one replication")
 
 
 @dataclass

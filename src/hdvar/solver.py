@@ -59,6 +59,8 @@ from scipy.linalg import qr_delete
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
+from .errors import ConfigError
+
 # sweeps before a slow point restarts the homotopy
 EXACT_EVERY = 5
 # relative margin below the current penalty that the homotopy's next kink must clear
@@ -401,7 +403,7 @@ def lasso_path(problem, i: int, weights: np.ndarray | None = None, lam=None) -> 
     w, top = _weights_and_lambda_max(c, weights)
     if lam is not None:
         if not 0.0 <= lam < np.inf:
-            raise ValueError("lambda must be finite and nonnegative")
+            raise ConfigError("lambda must be finite and nonnegative")
         grid = [lam]
     else:
         # the 1e-10 margin keeps the top-of-path solution exactly zero even when

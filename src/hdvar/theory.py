@@ -55,9 +55,9 @@ class TheoryParams:
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
-            raise ValueError("q must lie strictly between 0 and 1")
+            raise ConfigError("q must lie strictly between 0 and 1")
         if not self.a_const > 0:
-            raise ValueError("a_const must be positive")
+            raise ConfigError("a_const must be positive")
 
 
 def lambda_theorem1(T: int, k: int, p: int, sigma_t: float) -> float:

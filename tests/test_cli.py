@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hdvar import cli, estimators, solver, var
+from hdvar import cli, estimators, mc, solver, var
 from hdvar.solver import lambda_max
 from helpers import kkt_check
 
@@ -268,7 +268,7 @@ class TestFit:
         # an infinite penalty would reach lambda_per_equation as a bare Infinity token, which is not JSON
         out = dataset_dir / "fits"
         assert run(["fit", "--data", str(dataset_dir), f"--lambda={lam}", "--out", str(out)]) == 2
-        assert "--lambda must be a finite nonnegative number" in capsys.readouterr().err
+        assert "lambda must be finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infeasible_fit_strict_json(self, tmp_path, capsys):
@@ -302,6 +302,20 @@ class TestFit:
     def test_oracle_without_truth_is_config_error(self, dataset_dir):
         code = run(["fit", "--data", str(dataset_dir), "--estimators", "oracle_ols", "--out", str(dataset_dir)])
         assert code == 2
+
+    def test_oracle_truth_from_a_model_file(self, tmp_path):
+        model = {"phis": [[[0.5, 0.2, 0.0], [0.0, 0.4, 0.0], [0.1, 0.0, 0.3]]], "sigma": np.eye(3).tolist()}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        data_dir, out = tmp_path / "data", tmp_path / "fits"
+        assert run(["simulate", "--model", str(path), "--T", "40", "--out", str(data_dir)]) == 0
+        argv = ["fit", "--data", str(data_dir), "--model", str(path), "--estimators", "oracle_ols"]
+        assert run(argv + ["--out", str(out)]) == 0
+        truth = estimators.SparsityInfo.from_coefficients(np.hstack(model["phis"]))
+        direct = estimators.FitPlan(var.load_dataset(str(data_dir)), truth).fit("oracle_ols")
+        payload = json.loads((out / "fit_oracle_ols.json").read_text())
+        assert payload["beta"] == direct.coefficients.ravel().tolist()
+        assert payload["active_sets"] == [[0, 1], [1], [0, 2]]
 
     def test_fit_export_reload_identical_forecasts(self, dataset_dir):
         out = dataset_dir / "fits"
@@ -508,6 +522,25 @@ class TestCommandValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["simulate", "fit", "diag", "diag --data"])
+    @pytest.mark.parametrize(
+        "design", [["--experiment", "A", "--k", "10"], ["--experiment", "A"], ["--k", "10"]], ids=["both", "experiment", "k"]
+    )
+    def test_one_model_source(self, dataset_dir, name, design, capsys):
+        model, _ = mc.make_dgp("A", 10)
+        path = dataset_dir / "m.json"
+        path.write_text(json.dumps({"phis": [P.tolist() for P in model.phis], "sigma": model.sigma.tolist()}))
+        out = dataset_dir / "out"
+        argv = {
+            "simulate": ["simulate", "--T", "5"],
+            "fit": ["fit", "--data", str(dataset_dir), "--estimators", "oracle_ols"],
+            "diag": ["diag", "--T", "5"],
+            "diag --data": ["diag", "--data", str(dataset_dir)],
+        }[name]
+        assert run(argv + ["--model", str(path), *design, "--out", str(out)]) == 2
+        assert "give --experiment with --k, or --model, not both" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["simulate", "diag", "diag --data", "fit"])
     def test_k_zero_reaches_the_design_check(self, dataset_dir, name, capsys):
         # --k 0 is a value, not a missing flag
@@ -536,7 +569,7 @@ class TestConfigFile:
             registered[name] = shared & flags[name]
         assert registered == {
             "simulate": {"seed", "model"},
-            "fit": set(),
+            "fit": {"model"},
             "mc": {"seed", "threads", "format"},
             "diag": {"seed", "threads", "model"},
             "paper-tables": {"seed", "threads"},
@@ -569,6 +602,19 @@ class TestConfigFile:
         assert run(["mc", "--config", str(cfg), "--out", str(out)]) == 2
         assert "the following arguments are required: --T" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_keys_are_argparse_destinations(self, tmp_path, capsys):
+        # fit's --lambda stores to lam, so the config key is lam
+        run(["simulate", "--experiment", "A", "--k", "10", "--T", "50", "--out", str(tmp_path)])
+        cfg, out = tmp_path / "cfg.json", tmp_path / "fits"
+        argv = ["fit", "--data", str(tmp_path), "--config", str(cfg), "--out", str(out)]
+        cfg.write_text(json.dumps({"lambda": 0.1}))
+        assert run(argv) == 2
+        assert "unknown config keys: ['lambda']" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(json.dumps({"lam": 0.1}))
+        assert run(argv) == 0
+        assert json.loads((out / "fit_lasso.json").read_text())["lambda_per_equation"] == [0.1] * 10
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

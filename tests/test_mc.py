@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdvar import cli, estimators, mc, solver, var
-from hdvar.errors import UnknownCombination
+from hdvar.errors import ConfigError
 from helpers import rmse, rmsfe, selection_metrics
 
 
@@ -44,11 +44,11 @@ class TestMakeDgp:
         assert np.all(truth.s == 10)  # nothing is zero
 
     def test_unknown_combination(self):
-        with pytest.raises(UnknownCombination):
+        with pytest.raises(ConfigError):
             mc.make_dgp("A", 11)
-        with pytest.raises(UnknownCombination):
+        with pytest.raises(ConfigError):
             mc.make_dgp("B", 100)
-        with pytest.raises(UnknownCombination):
+        with pytest.raises(ConfigError):
             mc.make_dgp("E", 10)
 
     def test_all_designs_stationary(self):

@@ -1,5 +1,6 @@
 """Package-level checks: every name a module exports exists and the program uses it,
-and the settings every report shares are module constants, not parameters."""
+the settings every report shares are module constants, not parameters, and the
+library's checks of run values raise ConfigError."""
 
 import ast
 import importlib
@@ -10,6 +11,8 @@ import pkgutil
 import pytest
 
 import hdvar
+from hdvar import estimators, mc, solver, theory, var
+from hdvar.errors import ConfigError
 
 MODULES = ["hdvar", *(f"hdvar.{info.name}" for info in pkgutil.iter_modules(hdvar.__path__))]
 
@@ -61,3 +64,25 @@ def test_signatures_take_no_test_only_settings(name, parameters):
     # MAX_SWEEPS, RE_SEED): every report uses one value of each
     module, function = name.rsplit(".", 1)
     assert list(inspect.signature(getattr(importlib.import_module(module), function)).parameters) == parameters
+
+
+def _dataset():
+    return var.simulate(mc.make_dgp("A", 10)[0], 30, seed=0)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: mc.make_dgp("B", 100), "experiment 'B' with k=100 is not in the design"),
+        (lambda: mc.ExperimentSpec("A", 10, 0), "T must be at least one"),
+        (lambda: theory.TheoryParams(q=1), "q must lie strictly between 0 and 1"),
+        (lambda: solver.lasso_path(var.stack(_dataset()), 0, lam=-1), "lambda must be finite and nonnegative"),
+        (lambda: estimators.FitPlan(_dataset()).equation("full_ols", 0, lam=0.1), "a fixed lambda does not apply"),
+    ],
+    ids=["make_dgp", "ExperimentSpec", "TheoryParams", "lasso_path", "FitPlan.equation"],
+)
+def test_run_value_checks_raise_config_error(check, message):
+    # the CLI maps ConfigError to exit 2; library callers can catch it as a ValueError
+    with pytest.raises(ConfigError, match=message) as info:
+        check()
+    assert isinstance(info.value, ValueError)
