@@ -4,9 +4,13 @@ Exit codes: 0 success, 2 configuration error, 3 non-stationary model,
 4 infeasible estimator; 5 is retired and not reused.  Flags override
 values from an optional JSON --config file keyed by the flags' argparse
 destinations; unknown config keys are rejected.  Each rule about a run value
-is checked by the library function that uses it, which raises ConfigError.
-simulate, fit and diag take their model from --experiment with --k or from
---model, never both.
+is checked once, by the library function that takes it, which raises
+ConfigError: var.simulate checks T and the burn-in, theory.diagnose the
+number of replications, estimators.check_tags the estimator tags and
+mc.make_dgp the (experiment, k) cell.  simulate, fit and diag take their model
+from --experiment with --k or from --model, never both; fit resolves any model
+flag given and checks it against the dataset, whatever the tags, and
+oracle_ols needs one.
 Given identical configuration and seed, every command writes byte-identical
 output files.
 """
@@ -140,15 +144,7 @@ def _load_config(path: str, command_parser) -> dict:
 
 
 def _estimator_list(raw: str) -> tuple:
-    tags = tuple(t.strip() for t in raw.split(",") if t.strip())
-    for tag in tags:
-        if tag not in estimators.ESTIMATOR_TAGS:
-            raise ConfigError(f"unknown estimator tag {tag!r}")
-    if not tags:
-        raise ConfigError("no estimators requested")
-    if len(set(tags)) < len(tags):
-        raise ConfigError(f"estimator tags repeat in {raw!r}")
-    return tags
+    return estimators.check_tags(t.strip() for t in raw.split(",") if t.strip())
 
 
 def _load_model(args, data: var.Dataset | None = None) -> tuple:
@@ -177,10 +173,6 @@ def _load_model(args, data: var.Dataset | None = None) -> tuple:
 
 def cmd_simulate(args) -> int:
     """simulate a VAR path to CSV + metadata"""
-    if args.T < 1:
-        raise ConfigError("--T must be at least one")
-    if args.burn_in is not None and args.burn_in < 0:
-        raise ConfigError("--burn-in must be nonnegative")
     model, _ = _load_model(args)
     data = var.simulate(model, args.T, burn_in=args.burn_in, seed=args.seed)
     files = var.save_dataset(data, args.out, name=args.name)
@@ -200,7 +192,9 @@ def cmd_fit(args) -> int:
     """fit estimators to a stored dataset"""
     tags = _estimator_list(args.estimators)
     data = _load_dataset(args)
-    truth = _load_model(args, data)[1] if "oracle_ols" in tags else None
+    # any model flag given is resolved and checked against the dataset, whatever the tags
+    model_given = any(value is not None for value in (args.experiment, args.k, args.model))
+    truth = _load_model(args, data)[1] if model_given or "oracle_ols" in tags else None
     plan = estimators.FitPlan(data, truth)
     fits = {tag: plan.fit(tag, args.lam) for tag in tags}
     os.makedirs(args.out, exist_ok=True)
@@ -217,14 +211,7 @@ def cmd_fit(args) -> int:
 def cmd_mc(args) -> int:
     """run one Monte Carlo experiment"""
     tags = _estimator_list(args.estimators)
-    spec = mc.ExperimentSpec(
-        experiment=args.experiment,
-        k=args.k,
-        T=args.T,
-        n_reps=args.reps,
-        base_seed=args.seed,
-        estimators=tags,
-    )
+    spec = mc.ExperimentSpec(args.experiment, args.k, args.T, n_reps=args.reps, base_seed=args.seed, estimators=tags)
     report = mc.run_experiment(spec, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     stem = f"{spec.experiment}_{spec.k}_{spec.T}"
@@ -258,8 +245,6 @@ def cmd_diag(args) -> int:
             raise ConfigError("specify --T (or --data)")
         seed = _DIAG_SIMULATE["seed"] if args.seed is None else args.seed
         reps = _DIAG_SIMULATE["reps"] if args.reps is None else args.reps
-        if min(args.T, reps) < 1:
-            raise ConfigError("--T and --reps must be at least one")
         datasets = [var.simulate(model, args.T, seed=seed + r) for r in range(reps)]
     report = theory.diagnose(model, truth, datasets, params, foc=not args.skip_foc)
     # k, T and reps as run; the seed is None for a loaded dataset, the experiment for a model file

@@ -31,6 +31,7 @@ from .solver import adaptive_weights, lambda_grid, lambda_max, lasso_path, ridge
 __all__ = [
     "ESTIMATOR_TAGS",
     "PENALIZED_TAGS",
+    "check_tags",
     "SparsityInfo",
     "EquationFit",
     "SystemFit",
@@ -49,6 +50,19 @@ ESTIMATOR_TAGS = (
 )
 # the tags whose final stage is a penalized fit, and so takes a fixed lambda
 PENALIZED_TAGS = ESTIMATOR_TAGS[:4]
+
+
+def check_tags(tags) -> tuple:
+    """``tags`` as a tuple: at least one, each in ``ESTIMATOR_TAGS``, none repeated."""
+    tags = tuple(tags)
+    for tag in tags:
+        if tag not in ESTIMATOR_TAGS:
+            raise ConfigError(f"unknown estimator tag {tag!r}")
+    if not tags:
+        raise ConfigError("no estimators requested")
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"estimator tags repeat in {','.join(tags)!r}")
+    return tags
 
 
 @dataclass(frozen=True)
@@ -238,9 +252,8 @@ class FitPlan:
             if self.truth is None:
                 raise ValueError("oracle_ols requires the true sparsity structure")
             return _ols_on(self.problem, i, self.truth.supports[i], tag, "support_larger_than_sample")
-        if tag == "full_ols":
-            return _ols_on(self.problem, i, np.arange(self.problem.m), tag, "more_regressors_than_observations")
-        raise ValueError(f"unknown estimator tag: {tag}")
+        check_tags((tag,))  # the one known tag left is full_ols
+        return _ols_on(self.problem, i, np.arange(self.problem.m), tag, "more_regressors_than_observations")
 
     def fit(self, tag: str, lam: float | None = None) -> SystemFit:
         """All k equations under one estimator tag."""

@@ -98,14 +98,9 @@ class ExperimentSpec:
     estimators: tuple = ("lasso",)
 
     def __post_init__(self):
-        exp = self.experiment.upper()
-        if exp not in EXPERIMENT_GRID or self.k not in EXPERIMENT_GRID[exp]:
-            raise ConfigError(f"experiment {exp!r} with k={self.k} is not in the design")
-        object.__setattr__(self, "experiment", exp)
-        for tag in self.estimators:
-            if tag not in estimators.ESTIMATOR_TAGS:
-                raise ConfigError(f"unknown estimator tag {tag!r}")
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        # the (experiment, k) cell is checked by make_dgp, which run_experiment calls before any replication
+        object.__setattr__(self, "experiment", self.experiment.upper())
+        object.__setattr__(self, "estimators", estimators.check_tags(self.estimators))
         if self.T < 1:
             raise ConfigError("T must be at least one")
         if self.n_reps < 1:

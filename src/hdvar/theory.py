@@ -444,8 +444,8 @@ def sign_recovery_conditions(
 
 
 def diagnose(model: var.VarModel, truth, datasets, params: TheoryParams, foc: bool = True) -> dict:
-    """The ``bounds`` and ``replications`` of a diag report on ``datasets``, which
-    share one T: the library entry of ``hdvar diag``.
+    """The ``bounds`` and ``replications`` of a diag report on ``datasets``, at
+    least one, which share one T: the library entry of ``hdvar diag``.
 
     sigma_T, lambda_T, K_T, Gamma, kappa^2 per distinct support size, phi_min of
     each Gamma_JJ, the Theorem 3 bounds and the C_T threshold are computed
@@ -454,6 +454,8 @@ def diagnose(model: var.VarModel, truth, datasets, params: TheoryParams, foc: bo
     conditions on its BIC-tuned LASSO.  The events and the conditions read
     one X'eps/T per dataset, from the model's coefficients (``cross_moments``).
     """
+    if not datasets:
+        raise ConfigError("need at least one replication")
     T, k, p = datasets[0].T, model.k, model.p
     if T < 2:
         raise ConfigError(f"diagnostics need at least two observations, and T = {T}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
-from .errors import NotStationary
+from .errors import ConfigError, NotStationary
 from .linalg import spectral_radius
 
 __all__ = [
@@ -195,9 +195,14 @@ def simulate(model: VarModel, T: int, burn_in: int | None = None, seed: int = 0)
     recursion starts from a zero state and discards ``burn_in`` steps
     (default 200 + 10 p).  Each step is one product of the stacked lag
     matrices [Phi_p ... Phi_1] with the p previous observations, oldest
-    first.  Identical (seed, parameters) give bit-identical output.
+    first.  Identical (seed, parameters) give bit-identical output.  T below
+    one or a negative ``burn_in`` is a ConfigError.
     """
     k, p = model.k, model.p
+    if T < 1:
+        raise ConfigError("T must be at least one")
+    if burn_in is not None and burn_in < 0:
+        raise ConfigError("burn-in must be nonnegative")
     _stationary_companion(model)
     if burn_in is None:
         burn_in = 200 + 10 * p

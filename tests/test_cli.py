@@ -71,12 +71,13 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--T", "-2"], "--T must be at least one"),
-            (["--T", "0"], "--T must be at least one"),
-            (["--T", "5", "--burn-in", "-3"], "--burn-in must be nonnegative"),
+            (["--T", "-2"], "T must be at least one"),
+            (["--T", "0"], "T must be at least one"),
+            (["--T", "5", "--burn-in", "-3"], "burn-in must be nonnegative"),
         ],
     )
     def test_bad_length_is_config_error(self, tmp_path, extra, message, capsys):
+        # var.simulate checks both values
         out = tmp_path / "out"
         assert run(["simulate", "--experiment", "A", "--k", "10", *extra, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -522,7 +523,7 @@ class TestCommandValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["simulate", "fit", "diag", "diag --data"])
+    @pytest.mark.parametrize("name", ["simulate", "fit", "fit lasso", "diag", "diag --data"])
     @pytest.mark.parametrize(
         "design", [["--experiment", "A", "--k", "10"], ["--experiment", "A"], ["--k", "10"]], ids=["both", "experiment", "k"]
     )
@@ -534,12 +535,31 @@ class TestCommandValidation:
         argv = {
             "simulate": ["simulate", "--T", "5"],
             "fit": ["fit", "--data", str(dataset_dir), "--estimators", "oracle_ols"],
+            "fit lasso": ["fit", "--data", str(dataset_dir), "--estimators", "lasso"],
             "diag": ["diag", "--T", "5"],
             "diag --data": ["diag", "--data", str(dataset_dir)],
         }[name]
         assert run(argv + ["--model", str(path), *design, "--out", str(out)]) == 2
         assert "give --experiment with --k, or --model, not both" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tags", ["lasso", "oracle_ols"])
+    def test_fit_rejects_a_model_of_another_shape(self, dataset_dir, tags, capsys):
+        # fit checks any model given against the A/10 dataset, whatever the tags
+        path = dataset_dir / "m.json"
+        path.write_text(json.dumps({"phis": [[[0.5]]], "sigma": [[1.0]]}))
+        out = dataset_dir / "out"
+        argv = ["fit", "--data", str(dataset_dir), "--estimators", tags, "--model", str(path)]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "truth dimensions do not match the dataset" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_model_flags_leave_a_fit_without_oracle_ols_unchanged(self, dataset_dir):
+        argv = ["fit", "--data", str(dataset_dir), "--estimators", "lasso"]
+        assert run(argv + ["--out", str(dataset_dir / "plain")]) == 0
+        assert run(argv + ["--experiment", "A", "--k", "10", "--out", str(dataset_dir / "flags")]) == 0
+        plain, flags = ((dataset_dir / out / "fit_lasso.json").read_bytes() for out in ("plain", "flags"))
+        assert plain == flags
 
     @pytest.mark.parametrize("name", ["simulate", "diag", "diag --data", "fit"])
     def test_k_zero_reaches_the_design_check(self, dataset_dir, name, capsys):
@@ -793,10 +813,12 @@ class TestDiag:
 
     @pytest.mark.parametrize("T, reps", [("50", "0"), ("50", "-1"), ("-5", "2"), ("0", "2")])
     def test_nonpositive_T_or_reps_is_config_error(self, tmp_path, T, reps, capsys):
+        # theory.diagnose checks the number of replications, var.simulate T
         out = tmp_path / "out"
         argv = ["diag", "--experiment", "A", "--k", "10", "--T", T, "--reps", reps, "--skip-foc"]
         assert run(argv + ["--out", str(out)]) == 2
-        assert "--T and --reps must be at least one" in capsys.readouterr().err
+        message = "need at least one replication" if int(reps) < 1 else "T must be at least one"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["simulate", "data"])

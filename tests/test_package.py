@@ -78,8 +78,28 @@ def _dataset():
         (lambda: theory.TheoryParams(q=1), "q must lie strictly between 0 and 1"),
         (lambda: solver.lasso_path(var.stack(_dataset()), 0, lam=-1), "lambda must be finite and nonnegative"),
         (lambda: estimators.FitPlan(_dataset()).equation("full_ols", 0, lam=0.1), "a fixed lambda does not apply"),
+        (lambda: var.simulate(mc.make_dgp("A", 10)[0], 0), "T must be at least one"),
+        (lambda: var.simulate(mc.make_dgp("A", 10)[0], -3), "T must be at least one"),
+        (lambda: var.simulate(mc.make_dgp("A", 10)[0], 5, burn_in=-1), "burn-in must be nonnegative"),
+        (lambda: theory.diagnose(*mc.make_dgp("A", 10), [], theory.TheoryParams()), "need at least one replication"),
+        (lambda: mc.ExperimentSpec("A", 10, 30, estimators=()), "no estimators requested"),
+        (lambda: mc.ExperimentSpec("A", 10, 30, estimators=("lasso", "lasso")), "estimator tags repeat in 'lasso,lasso'"),
+        (lambda: estimators.FitPlan(_dataset()).equation("ols", 0), "unknown estimator tag 'ols'"),
     ],
-    ids=["make_dgp", "ExperimentSpec", "TheoryParams", "lasso_path", "FitPlan.equation"],
+    ids=[
+        "make_dgp",
+        "ExperimentSpec",
+        "TheoryParams",
+        "lasso_path",
+        "FitPlan.equation",
+        "simulate T zero",
+        "simulate T negative",
+        "simulate burn-in negative",
+        "diagnose no datasets",
+        "ExperimentSpec no tags",
+        "ExperimentSpec repeated tags",
+        "FitPlan.equation unknown tag",
+    ],
 )
 def test_run_value_checks_raise_config_error(check, message):
     # the CLI maps ConfigError to exit 2; library callers can catch it as a ValueError

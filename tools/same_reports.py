@@ -47,7 +47,8 @@ from workloads import FULL_MENU, WINDOWS, WORKLOADS  # noqa: E402
 # OLS cell (D/20/25 has m = 20 < T = 25 and all 20 coordinates in every true
 # support, so its Gram solves are the worst conditioned), the dataset files of
 # `simulate`, and the cell reports and tables of `paper-tables`, whose C/10/40
-# post-LASSO and full OLS rows are infeasible and so blank
+# post-LASSO and full OLS rows are infeasible and so blank; `simulate` with
+# --burn-in 0 starts the kept path at the zero state, the least burn-in allowed
 UNGATED = (
     ("diag B/10/60", ("diag", "--experiment", "B", "--k", "10", "--T", "60", "--reps", "2"), ("diagnostics.json",)),
     ("diag C/10/80", ("diag", "--experiment", "C", "--k", "10", "--T", "80", "--reps", "2"), ("diagnostics.json",)),
@@ -81,6 +82,11 @@ UNGATED = (
         ("dataset.csv", "dataset.meta.json"),
     ),
     (
+        "simulate C/10/40 burn-in 0",
+        ("simulate", "--experiment", "C", "--k", "10", "--T", "40", "--seed", "3", "--burn-in", "0"),
+        ("dataset.csv", "dataset.meta.json"),
+    ),
+    (
         "paper-tables A,C/10/40,60",
         ("paper-tables", "--reps", "2", "--experiments", "A,C", "--k-list", "10", "--T-list", "40,60")
         + ("--estimators", FULL_MENU),
@@ -105,10 +111,12 @@ def _fit(label: str, dataset: str, args: tuple, tags: list) -> tuple:
 # (label, dataset, hdvar arguments without --data and --out, report files) of
 # the commands that load a dataset.  The fit commands reach what no mc or diag
 # report does: fixed-lambda adaptive fits and the fit JSON; at --lambda 1e-4
-# every tag selects a nonzero fit.  diag --data reaches the loaded-data path of
-# the diagnostics.
+# every tag selects a nonzero fit.  A fit given a model without oracle_ols
+# resolves the model too, and writes what it writes without one.  diag --data
+# reaches the loaded-data path of the diagnostics.
 LOADED = (
     _fit("fit A/10/60", "A_10_60", ("--experiment", "A", "--k", "10"), FULL_MENU.split(",")),
+    _fit("fit A/10/60 no oracle_ols", "A_10_60", ("--experiment", "A", "--k", "10"), ["lasso", "adaptive_lasso_ridge"]),
     _fit("fit A/10/60 lambda 1e-4", "A_10_60", ("--lambda", "1e-4"), FULL_MENU.split(",")[:4]),
     _fit("fit C/10/40", "C_10_40", (), ["lasso", "adaptive_lasso_lasso", "adaptive_lasso_ridge"]),
     ("diag A/10/60 --data", "A_10_60", ("diag", "--experiment", "A", "--k", "10"), ("diagnostics.json",)),
